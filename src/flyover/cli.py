@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import crypto, simnet, source, topo, wire
 from .admission import AllocationMatrix
 from .router import Router, RouterConfig, TrafficClass
-from .units import format_bps, parse_bandwidth, parse_duration
+from .units import parse_bandwidth
 
 
 def _parse_seeds(text: str) -> list[int]:

@@ -469,6 +469,13 @@ class Network:
         self.rng = random.Random(self.seed)
         self.loop = EventLoop()
         self.duration = parse_duration(cfg.get("duration", "5s"))
+        if self.duration <= 0:
+            raise ConfigError(f"duration must be positive, got {cfg.get('duration')!r}")
+        for spec in list(cfg.get("flows", ())) + list(cfg.get("adversaries", ())):
+            if "name" not in spec:
+                raise ConfigError(f"flow or adversary without a name: {spec}")
+            if spec.get("rate", "auto") != "auto" and parse_bandwidth(spec["rate"]) <= 0:
+                raise ConfigError(f"{spec['name']}: rate must be positive, got {spec['rate']!r}")
         self.log_verdicts = bool(cfg.get("log_verdicts", True))
         self.lines: list[str] = []
         self._uid = 0
@@ -555,6 +562,9 @@ class Network:
         for ln in topo["links"]:
             a, b = int(ln["a"]), int(ln["b"])
             cap = parse_bandwidth(ln.get("capacity", "10Gbps"))
+            if cap <= 0:
+                raise ConfigError(f"link {a}-{b}: capacity must be positive, "
+                                  f"got {ln.get('capacity')!r}")
             delay = parse_duration(ln.get("delay", "1ms"))
             neighbors[a].append((b, cap))
             neighbors[b].append((a, cap))

@@ -10,17 +10,22 @@ and an allocation matrix built from those capacities.
 Reservation sizes between node pairs follow the per-pair share formula
 with the requester count taken as the exact number of sources whose
 shortest paths cross the pair; paths are BFS shortest paths with
-lowest-node-id tie-breaking, which makes every run reproducible. Per-pair
+lowest-node-id tie-breaking, which makes every run reproducible. One walk
+over a source's tree gives each of its demands' sizes under both
+composition strategies; a study runs it once over float shares and keeps
+the sizes as columns that every cover and row query reads. Per-pair
 arithmetic is exact (integers and rationals); the per-destination minima
 use floats for speed, which is safe because dividing by an integer count
-never increases a float.
+never increases a float. The same walk over the exact shares is the
+rational reference.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
 
@@ -186,15 +191,6 @@ def shortest_path_tree(g: TopologyGraph, src: int) -> tuple[list[int], list[int]
     return parent, order
 
 
-def path_between(g: TopologyGraph, src: int, dst: int) -> list[int]:
-    parent, _ = shortest_path_tree(g, src)
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 # ---------------------------------------------------------------------------
 # reservation study
 
@@ -206,6 +202,10 @@ class ReservationStudy:
     count of an interface pair is the number of distinct sources whose
     selected paths traverse it, including the source's own internal-to-
     egress pair and the destination's ingress-to-internal pair.
+
+    Each demand's float sizes under both strategies are computed on first
+    use, in one walk per source, and kept as columns that ``covers`` and
+    ``reservation_rows`` read.
     """
 
     def __init__(self, g: TopologyGraph, matrices: list[AllocationMatrix],
@@ -217,37 +217,75 @@ class ReservationStudy:
         self.demands = demands
         self.min_requesters = min_requesters
         self.pair_requesters: dict[tuple[int, int, int], int] = {}
-        self._count_requesters()
-
-    # pass A ---------------------------------------------------------------
-
-    def _tree_and_counts(self, src: int, dests: list[int]):
-        parent, order = shortest_path_tree(self.g, src)
-        counts = [0] * self.g.n
-        for d in dests:
-            counts[d] += 1
-        for v in reversed(order):
-            if v != src and counts[v]:
-                counts[parent[v]] += counts[v]
-        return parent, order, counts
-
-    def _count_requesters(self) -> None:
+        self._columns: tuple[array, array, array, array] | None = None
         rho = self.pair_requesters
-        if_index = self.g.if_index
-        for src, dests in self.demands.items():
-            parent, order, counts = self._tree_and_counts(src, dests)
-            dest_set = set(dests)
-            for v in order:
-                if v == src or not counts[v]:
-                    continue
-                u = parent[v]
-                a = 0 if u == src else if_index[u][parent[u]]
-                b = if_index[u][v]
-                key = (u, a, b)
+        for src, dests in demands.items():
+            for _, _, key, delivery, _ in self._hops(src, dests):
                 rho[key] = rho.get(key, 0) + 1
-                if v in dest_set:
-                    tkey = (v, if_index[v][u], 0)
-                    rho[tkey] = rho.get(tkey, 0) + 1
+                if delivery is not None:
+                    rho[delivery] = rho.get(delivery, 0) + 1
+
+    def _hops(self, src: int, dests: list[int]) -> list[tuple]:
+        """The tree edges that carry this source's demand, parents first:
+        (parent, child, pair key, delivery key or None, paths through child).
+
+        The pair key is the parent's (node, ingress, egress) pair toward the
+        child; the delivery key is the child's ingress-to-internal pair when
+        the child is a destination.
+        """
+        parent, order = shortest_path_tree(self.g, src)
+        paths = [0] * self.g.n
+        for d in dests:
+            paths[d] += 1
+        for v in reversed(order):
+            if v != src and paths[v]:
+                paths[parent[v]] += paths[v]
+        if_index = self.g.if_index
+        dest_set = set(dests)
+        hops = []
+        for v in order:
+            if v == src or not paths[v]:
+                continue
+            u = parent[v]
+            a = 0 if u == src else if_index[u][parent[u]]
+            delivery = (v, if_index[v][u], 0) if v in dest_set else None
+            hops.append((u, v, (u, a, if_index[u][v]), delivery, paths[v]))
+        return hops
+
+    def _sizes(self, bw: dict):
+        """Yield (src, dst, maximum size, concurrent size) for every demand.
+
+        A size is the minimum over the on-path pair shares in ``bw``, then
+        the delivery share; the concurrent strategy divides each on-path
+        share by the number of this source's paths through the pair, the
+        maximum strategy uses the full share per path.
+        """
+        top = [float("inf")] * self.g.n  # above every share, float or Fraction
+        for src, dests in self.demands.items():
+            best_max, best_conc = top[:], top[:]
+            for u, v, key, delivery, paths in self._hops(src, dests):
+                share = bw[key]
+                up = best_max[u]
+                best_max[v] = size_max = share if share < up else up
+                share = share / paths
+                up = best_conc[u]
+                best_conc[v] = size_conc = share if share < up else up
+                if delivery is not None:
+                    term = bw[delivery]
+                    yield src, v, min(size_max, term), min(size_conc, term)
+
+    def _float_columns(self) -> tuple[array, array, array, array]:
+        """(src, dst, maximum size, concurrent size) columns over float shares."""
+        if self._columns is None:
+            bw = {k: float(v) for k, v in self.pair_bandwidth().items()}
+            srcs, dsts, maxima, concs = array("i"), array("i"), array("d"), array("d")
+            for src, dst, size_max, size_conc in self._sizes(bw):
+                srcs.append(src)
+                dsts.append(dst)
+                maxima.append(size_max)
+                concs.append(size_conc)
+            self._columns = (srcs, dsts, maxima, concs)
+        return self._columns
 
     # derived quantities -----------------------------------------------------
 
@@ -259,94 +297,34 @@ class ReservationStudy:
             out[(node, a, b)] = Fraction(entry, max(count, self.min_requesters))
         return out
 
-    def _bw_float(self) -> dict[tuple[int, int, int], float]:
-        return {k: float(v) for k, v in self.pair_bandwidth().items()}
-
     def covers(self, gamma: float) -> dict[str, "CoverResult"]:
-        """Coverage under both composition strategies in one sweep.
+        """Coverage under both composition strategies, from the cached sizes.
 
-        A destination is covered when the end-to-end reservation exceeds
-        ``gamma``: the minimum over on-path pair shares, where the
-        concurrent strategy divides each share by the number of this
-        source's paths through the pair and the maximum strategy uses the
-        full share per path.
+        A destination is covered when its end-to-end reservation exceeds
+        ``gamma``; a source's cover is the covered share of its demands.
         """
-        bw = self._bw_float()
-        if_index = self.g.if_index
-        inf = float("inf")
-        per_node: dict[str, dict[int, float]] = {MAXIMUM: {}, CONCURRENT: {}}
-        for src, dests in self.demands.items():
-            parent, order, counts = self._tree_and_counts(src, dests)
-            dest_set = set(dests)
-            min_max = [0.0] * self.g.n
-            min_conc = [0.0] * self.g.n
-            min_max[src] = min_conc[src] = inf
-            cov_max = cov_conc = 0
-            for v in order:
-                if v == src or not counts[v]:
-                    continue
-                u = parent[v]
-                a = 0 if u == src else if_index[u][parent[u]]
-                share = bw[(u, a, if_index[u][v])]
-                min_max[v] = share if share < min_max[u] else min_max[u]
-                cshare = share / counts[v]
-                min_conc[v] = cshare if cshare < min_conc[u] else min_conc[u]
-                if v in dest_set:
-                    term = bw[(v, if_index[v][u], 0)]
-                    if min(min_max[v], term) > gamma:
-                        cov_max += 1
-                    if min(min_conc[v], term) > gamma:  # one path ends here
-                        cov_conc += 1
-            per_node[MAXIMUM][src] = cov_max / len(dests)
-            per_node[CONCURRENT][src] = cov_conc / len(dests)
-        return {s: CoverResult(vals, gamma) for s, vals in per_node.items()}
+        srcs, _, maxima, concs = self._float_columns()
+        out = {}
+        for strategy, sizes in ((MAXIMUM, maxima), (CONCURRENT, concs)):
+            covered = dict.fromkeys(self.demands, 0)
+            for src, size in zip(srcs, sizes):
+                if size > gamma:
+                    covered[src] += 1
+            out[strategy] = CoverResult(
+                {src: covered[src] / len(dests) for src, dests in self.demands.items()},
+                gamma)
+        return out
 
     def reservations_exact(self, strategy: str) -> dict[tuple[int, int], Fraction]:
         """Exact end-to-end sizes for every (src, dst) demand. Small graphs."""
-        bw = self.pair_bandwidth()
-        if_index = self.g.if_index
-        out = {}
-        for src, dests in self.demands.items():
-            parent, order, counts = self._tree_and_counts(src, dests)
-            dest_set = set(dests)
-            best: dict[int, Fraction | None] = {src: None}
-            for v in order:
-                if v == src or not counts[v]:
-                    continue
-                u = parent[v]
-                a = 0 if u == src else if_index[u][parent[u]]
-                share = bw[(u, a, if_index[u][v])]
-                if strategy == CONCURRENT:
-                    share = share / counts[v]
-                up = best[u]
-                best[v] = share if up is None or share < up else up
-                if v in dest_set:
-                    term = bw[(v, if_index[v][u], 0)]
-                    out[(src, v)] = min(best[v], term)
-        return out
+        col = 3 if strategy == CONCURRENT else 2
+        return {(row[0], row[1]): row[col] for row in self._sizes(self.pair_bandwidth())}
 
     def reservation_rows(self, strategy: str):
-        """Stream (src, dst, size_bps_float) without materializing them all."""
-        bw = self._bw_float()
-        if_index = self.g.if_index
-        inf = float("inf")
-        for src, dests in self.demands.items():
-            parent, order, counts = self._tree_and_counts(src, dests)
-            dest_set = set(dests)
-            best = [0.0] * self.g.n
-            best[src] = inf
-            for v in order:
-                if v == src or not counts[v]:
-                    continue
-                u = parent[v]
-                a = 0 if u == src else if_index[u][parent[u]]
-                share = bw[(u, a, if_index[u][v])]
-                if strategy == CONCURRENT:
-                    share = share / counts[v]
-                best[v] = share if share < best[u] else best[u]
-                if v in dest_set:
-                    term = bw[(v, if_index[v][u], 0)]
-                    yield src, v, min(best[v], term)
+        """(src, dst, size_bps_float) for every demand, read from the cached
+        columns in tree order; the iterator can be consumed once."""
+        srcs, dsts, maxima, concs = self._float_columns()
+        return zip(srcs, dsts, concs if strategy == CONCURRENT else maxima)
 
 
 @dataclass(frozen=True)

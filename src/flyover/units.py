@@ -27,10 +27,3 @@ def parse_duration(text) -> int:
             return int(float(t[: -len(suffix)]) * _DUR_SUFFIX[suffix])
     return int(float(t))
 
-
-def format_bps(bps: int) -> str:
-    for suffix, scale in (("Gbps", 10**9), ("Mbps", 10**6), ("kbps", 10**3)):
-        if bps >= scale:
-            value = bps / scale
-            return f"{value:.6g}{suffix}"
-    return f"{bps}bps"

@@ -96,6 +96,25 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda cfg: cfg["topology"]["links"][1].update(capacity="0bps"),
+    lambda cfg: cfg["flows"][0].pop("name"),
+    lambda cfg: cfg.update(duration="-10ms"),
+    lambda cfg: cfg["flows"][0].update(rate="0bps"),
+], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate"])
+def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
+    cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
+    edit(cfg)
+    with pytest.raises(simnet.ConfigError):
+        simnet.Network(cfg)
+    cfg_path = tmp_path / "invalid.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main(["scenario", "run", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err and "PASS" not in captured.out
+
+
 def test_usage_error_exit_code():
     assert cli.main(["sim", "cover", "--r", "0.1"]) == 2  # missing --n
     assert cli.main(["unknown-subcommand"]) == 2

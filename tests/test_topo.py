@@ -1,6 +1,7 @@
 """Topology experiments: generation, matrices, sampling, reservations, cover."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,67 @@ def test_streamed_rows_match_exact():
     assert set(streamed) == set(exact)
     for k, v in streamed.items():
         assert v == pytest.approx(float(exact[k]), rel=1e-12)
+
+
+def test_concurrent_divides_shared_egress_among_paths():
+    """Hand-computed split: source 0's egress pair carries both its paths."""
+    edges = [(0, 1), (1, 2), (1, 3)]
+    g = topo.TopologyGraph(4, edges, {e: 40 * GBPS for e in edges})
+    mats = topo.build_matrices(g)
+    mats[1] = AllocationMatrix.from_capacities([400 * GBPS] * 4)  # ample transit
+    # interfaces: node0 {1:1}, node1 {0:1, 2:2, 3:3}, node2 {1:1}, node3 {1:1}
+    assert mats[0].admission_value(0, 1) == 40 * GBPS
+    assert mats[1].admission_value(1, 2) == mats[1].admission_value(1, 3) == 133_333_333_333
+    assert mats[2].admission_value(1, 0) == mats[3].admission_value(1, 0) == 40 * GBPS
+    study = topo.ReservationStudy(g, mats, {0: [2, 3]})
+    # one requester per pair: every share is the admission value itself
+    assert set(study.pair_requesters.values()) == {1}
+    # maximum: min(40G egress, 133.3G transit, 40G delivery) = 40G per path;
+    # concurrent: the egress share is halved over the source's two paths
+    assert study.reservations_exact(topo.MAXIMUM) == {(0, 2): 40 * GBPS, (0, 3): 40 * GBPS}
+    assert study.reservations_exact(topo.CONCURRENT) == {(0, 2): 20 * GBPS, (0, 3): 20 * GBPS}
+    assert list(study.reservation_rows(topo.MAXIMUM)) == [(0, 2, 40e9), (0, 3, 40e9)]
+    assert list(study.reservation_rows(topo.CONCURRENT)) == [(0, 2, 20e9), (0, 3, 20e9)]
+    covers = study.covers(30e9)
+    assert covers[topo.MAXIMUM].per_node == {0: 1.0}
+    assert covers[topo.CONCURRENT].per_node == {0: 0.0}
+
+
+def test_study_walks_each_source_at_most_twice(monkeypatch):
+    walked = Counter()
+    walk = topo.shortest_path_tree
+
+    def counting_walk(g, src):
+        walked[src] += 1
+        return walk(g, src)
+
+    monkeypatch.setattr(topo, "shortest_path_tree", counting_walk)
+    g = topo.generate_topology(40, seed=29)
+    study = topo.ReservationStudy(g, topo.build_matrices(g), topo.build_demands(g, 0.5, 29))
+    for gamma in (1e7, 1e8, 1e9):
+        study.covers(gamma)
+    for strategy in (topo.MAXIMUM, topo.CONCURRENT):
+        assert len(list(study.reservation_rows(strategy))) == 40 * 20
+    assert set(walked) == set(range(40))
+    assert max(walked.values()) <= 2
+
+
+def test_covers_and_rows_repeat_in_either_order():
+    g = topo.generate_topology(50, seed=31)
+    mats = topo.build_matrices(g)
+    demands = topo.build_demands(g, 0.3, 31)
+    gamma = 1e8
+    strategies = (topo.MAXIMUM, topo.CONCURRENT)
+    covers_first = topo.ReservationStudy(g, mats, demands)
+    rows_first = topo.ReservationStudy(g, mats, demands)
+    results = []
+    for _ in range(2):
+        results.append((covers_first.covers(gamma),
+                        [list(covers_first.reservation_rows(s)) for s in strategies]))
+    for _ in range(2):
+        rows = [list(rows_first.reservation_rows(s)) for s in strategies]
+        results.append((rows_first.covers(gamma), rows))
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_no_overallocation_per_pair():
