@@ -315,7 +315,8 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
                 now: int, nonce_source=None) -> list[wire.RespEntry]:
     """Run the admission procedure for one router's hop of a setup request.
 
-    ``state`` carries the router-resident pieces: ``secret``, ``policy``,
+    ``state`` carries the router-resident pieces: ``prepared_secret`` (the
+    AS-local secret as a :class:`crypto.PreparedKey`), ``policy``,
     ``monitor``, ``dedup`` and ``config`` (timestamp window). On any failed
     check the result is simply an empty list; the caller forwards the
     request regardless so ASes later on the path can still admit it.
@@ -330,7 +331,7 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
     cfg = state.config
     if not -cfg.delta_ns <= now - req.ts_req <= cfg.lifetime_ns + cfg.delta_ns:
         return []
-    drkey = crypto.derive_drkey(state.secret, req.src)
+    drkey = crypto.derive_drkey(state.prepared_secret, req.src)
     expected = crypto.compute_request_auth(
         drkey, req.ts_req, entry.flag_r, entry.flag_b, req.bw_demand, req.bw_min
     )
@@ -351,7 +352,8 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
                                            req.bw_demand, req.bw_min)
         if grant is None:
             continue
-        alpha = crypto.compute_authenticator(state.secret, req.src, pair[0], pair[1])
+        alpha = crypto.compute_authenticator(state.prepared_secret, req.src, pair[0],
+                                             pair[1])
         nonce = nonce_source.randbytes(12) if nonce_source is not None else None
         nonce, enc_auth, tag = crypto.seal_grant(drkey, alpha, grant.bw, grant.ts_exp, nonce)
         out.append(wire.RespEntry(hop_index, direction, nonce, enc_auth, tag,

@@ -1,12 +1,25 @@
 """Symmetric-key primitives for flyover reservations.
 
-Every key is 16 bytes. The MAC is AES-128 in CBC mode with a zero IV over
+Every key is 16 bytes. The MAC is AES-128 CBC-MAC with a zero IV over
 fixed-width, big-endian, zero-padded inputs; all MAC inputs fit in at most
-two blocks, so fixed widths rule out length-extension issues. Grants are
-sealed with ChaCha20-Poly1305 (IETF, 12-byte nonce).
+two blocks, so fixed widths rule out length-extension issues. With a zero
+IV the first CBC block is plain AES of the first input block, so the MAC
+runs one AES-ECB block per input block on a single encryptor, XOR-chaining
+each further block into the previous output; no CBC mode object is built
+and nothing is finalized. Grants are sealed with ChaCha20-Poly1305 (IETF,
+12-byte nonce).
+
+Building an AES context costs some twenty times as much as encrypting one
+block on it. A :class:`PreparedKey` holds a 16-byte key together with its
+ECB encryptor, built once; :func:`cbc_mac` and :func:`derive_drkey` accept
+it wherever they accept raw key bytes. A border router prepares its one
+AS-local secret, so the authenticator MAC and the key derivation reuse that
+context; a raw key, such as the per-grant authenticator that keys the
+per-packet validation field, gets one fresh ECB context per call.
 
 All functions here are pure; they keep no state besides the invocation
-counters used by cost-accounting tests.
+counters used by cost-accounting tests, which count every call whatever
+form its key takes.
 """
 
 from __future__ import annotations
@@ -14,7 +27,8 @@ from __future__ import annotations
 import os
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher, modes
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 KEY_LEN = 16
@@ -24,7 +38,10 @@ TAG_LEN = 16
 # Truncation length of validation fields, in bytes.
 VALIDATION_FIELD_LEN = 3
 
-_ZERO_IV = b"\x00" * BLOCK_LEN
+# ECB mode objects hold no state, so one instance serves every context.
+_ECB = modes.ECB()
+# Counter blocks 1 and 2, which expand a 16-byte key to a 32-byte AEAD key.
+_AEAD_KEY_BLOCKS = (1).to_bytes(BLOCK_LEN, "big") + (2).to_bytes(BLOCK_LEN, "big")
 
 
 class AuthFailure(Exception):
@@ -48,38 +65,55 @@ class OpCounter:
 ops = OpCounter()
 
 
-def _aes_block(key: bytes, block: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return enc.update(block) + enc.finalize()
+class PreparedKey:
+    """A 16-byte AES key with its ECB encryptor, built once and reused.
+
+    ECB keeps no chaining state between calls, so the one encryptor serves
+    any number of whole-block ``update`` calls.
+    """
+
+    __slots__ = ("encryptor",)
+
+    def __init__(self, key: bytes):
+        self.encryptor = _encryptor(key)
 
 
-def cbc_mac(key: bytes, data: bytes) -> bytes:
-    """AES-128 CBC-MAC over ``data`` zero-padded to a block multiple."""
+def _encryptor(key: bytes | PreparedKey):
+    if isinstance(key, PreparedKey):
+        return key.encryptor
     if len(key) != KEY_LEN:
-        raise ValueError("MAC key must be 16 bytes")
+        raise ValueError("key must be 16 bytes")
+    return Cipher(AES(key), _ECB).encryptor()
+
+
+def cbc_mac(key: bytes | PreparedKey, data: bytes) -> bytes:
+    """AES-128 CBC-MAC (zero IV) over ``data`` zero-padded to a block multiple."""
+    enc = _encryptor(key)
     ops.macs += 1
     if len(data) % BLOCK_LEN:
         data = data + b"\x00" * (BLOCK_LEN - len(data) % BLOCK_LEN)
-    enc = Cipher(algorithms.AES(key), modes.CBC(_ZERO_IV)).encryptor()
-    ct = enc.update(data) + enc.finalize()
-    return ct[-BLOCK_LEN:]
+    block = enc.update(data[:BLOCK_LEN])
+    for i in range(BLOCK_LEN, len(data), BLOCK_LEN):
+        chained = int.from_bytes(block, "big") ^ int.from_bytes(data[i : i + BLOCK_LEN], "big")
+        block = enc.update(chained.to_bytes(BLOCK_LEN, "big"))
+    return block
 
 
-def derive_drkey(secret: bytes, remote_as: int) -> bytes:
+def derive_drkey(secret: bytes | PreparedKey, remote_as: int) -> bytes:
     """Derive the per-remote-AS key: AES-128 of the zero-padded 64-bit AS id.
 
     Deterministic, so border routers can recompute the key on the fly from
     the AS-local secret instead of storing per-peer state.
     """
-    if len(secret) != KEY_LEN:
-        raise ValueError("secret must be 16 bytes")
+    enc = _encryptor(secret)
     if not 0 <= remote_as < 1 << 64:
         raise ValueError("AS id out of range")
     ops.prf_calls += 1
-    return _aes_block(secret, remote_as.to_bytes(16, "big"))
+    return enc.update(remote_as.to_bytes(BLOCK_LEN, "big"))
 
 
-def compute_authenticator(secret: bytes, src: int, ingress: int, egress: int) -> bytes:
+def compute_authenticator(secret: bytes | PreparedKey, src: int, ingress: int,
+                          egress: int) -> bytes:
     """Reservation authenticator for (source AS, ingress, egress).
 
     Keyed by the AS-local secret; independent of granted bandwidth and
@@ -124,7 +158,7 @@ def compute_request_auth(
 def _aead_key(drkey: bytes) -> bytes:
     # ChaCha20-Poly1305 takes a 32-byte key; expand the 16-byte key with two
     # AES blocks in counter positions 1 and 2.
-    return _aes_block(drkey, (1).to_bytes(16, "big")) + _aes_block(drkey, (2).to_bytes(16, "big"))
+    return _encryptor(drkey).update(_AEAD_KEY_BLOCKS)
 
 
 def _grant_ad(bw: int, ts_exp: int) -> bytes:

@@ -2,9 +2,10 @@
 
 Validation is stateless apart from the traffic monitor: the authenticator
 and validation field are recomputed from the packet and the AS-local
-secret, costing exactly two MAC invocations per validated packet. Every
-validation failure demotes the packet to best effort; only replays are
-dropped.
+secret, costing exactly two MAC invocations per validated packet. The
+secret's AES context is built once per router; only the per-packet
+authenticator key needs a fresh one. Every validation failure demotes the
+packet to best effort; only replays are dropped.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class Router:
                  config: RouterConfig | None = None, now: int = 0, rng=None):
         self.as_id = as_id
         self.secret = secret
+        self.prepared_secret = crypto.PreparedKey(secret)
         self.matrix = matrix
         self.config = config or RouterConfig()
         self.policy = DefaultPolicy(matrix, self.config.estimator,
@@ -120,28 +122,24 @@ class Router:
     def _validate(self, pkt: wire.DataPacket, hop_index: int, pair_in: int, pair_out: int,
                   now: int, wire_len: int | None, backward: bool) -> ForwardDecision:
         cfg = self.config
-        fwd_egress = pair_out  # pair is already oriented to the packet's travel
+        # pair_out is already oriented to the packet's travel: it is the egress
         if wire_len is None:
             wire_len = pkt.total_len
-
-        def best_effort(why: str) -> ForwardDecision:
-            return ForwardDecision(TrafficClass.BEST_EFFORT, fwd_egress, why)
-
         if not -cfg.delta_ns <= now - pkt.ts_pkt <= cfg.lifetime_ns + cfg.delta_ns:
-            return best_effort("stale_ts")
+            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "stale_ts")
         field_bytes = pkt.field_for(hop_index)
         if field_bytes is None:
-            return best_effort("missing_field")
+            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "missing_field")
         if backward and wire_len > pkt.len_b:
-            return best_effort("reply_too_long")
+            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "reply_too_long")
         mac_len = pkt.len_b if backward else wire_len
-        alpha = crypto.compute_authenticator(self.secret, pkt.src, pair_in, pair_out)
+        alpha = crypto.compute_authenticator(self.prepared_secret, pkt.src, pair_in, pair_out)
         if crypto.compute_validation_field(alpha, pkt.ts_pkt, mac_len) != field_bytes:
-            return best_effort("bad_mac")
+            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "bad_mac")
         kind = DedupWindow.KIND_DATA_BWD if backward else DedupWindow.KIND_DATA_FWD
         if not self.dedup.check(pkt.src, pkt.ts_pkt, kind, now):
             self.monitor.note_replay(pkt.src)
-            return ForwardDecision(TrafficClass.DROP, fwd_egress, "replay")
+            return ForwardDecision(TrafficClass.DROP, pair_out, "replay")
         direction = wire.BACKWARD if backward else wire.FORWARD
         verdict = self.monitor.police(pkt.src, wire_len, pair_in, pair_out, direction, now)
         if verdict is Verdict.CONFORM:
@@ -150,5 +148,5 @@ class Router:
                 if grant is not None:
                     self.monitor.register(pkt.src, grant.bw, grant.ts_exp, direction, now)
                     self.note_grant(pkt.src, (pair_in, pair_out), grant, now)
-            return ForwardDecision(TrafficClass.PRIORITY, fwd_egress, "ok")
-        return best_effort(verdict.value)
+            return ForwardDecision(TrafficClass.PRIORITY, pair_out, "ok")
+        return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, verdict.value)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +31,13 @@ from .units import parse_bandwidth, parse_duration
 
 class ConfigError(ValueError):
     pass
+
+
+def _required(spec: dict, key: str):
+    """``spec[key]`` for a key a flow or adversary cannot do without."""
+    if key not in spec:
+        raise ConfigError(f"{spec['name']}: missing required key {key!r}")
+    return spec[key]
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +101,8 @@ class Link:
         self.capacity = capacity_bps
         self.delay = delay_ns
         self.be_buffer = be_buffer
-        self.prio: list[Frame] = []
-        self.be: list[Frame] = []
+        self.prio: deque[Frame] = deque()
+        self.be: deque[Frame] = deque()
         self.busy = False
         self.be_dropped = 0
         self.delivered_bytes = 0
@@ -128,9 +136,9 @@ class Link:
         self.busy = False
         nxt = None
         if self.prio:
-            nxt = self.prio.pop(0)
+            nxt = self.prio.popleft()
         elif self.be:
-            nxt = self.be.pop(0)
+            nxt = self.be.popleft()
         if nxt is not None:
             self._start(nxt, self.net.loop.now)
 
@@ -177,8 +185,8 @@ class ReservationFlow:
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
-        self.src = spec["src"]
-        route = tuple(spec["path"])
+        self.src = _required(spec, "src")
+        route = tuple(_required(spec, "path"))
         self.route = route
         self.backward = bool(spec.get("backward", False))
         self.plan = net.plan_for(route, self.backward, name=self.name)
@@ -191,7 +199,8 @@ class ReservationFlow:
         self.ignore_expiry = bool(spec.get("ignore_expiry", False))
         self.overuse_factor = float(spec.get("overuse_factor", 1.0))
         self.store = source.GrantStore()
-        self.keys = {h.as_id: crypto.derive_drkey(net.nodes[h.as_id].router.secret, self.src)
+        self.keys = {h.as_id: crypto.derive_drkey(net.nodes[h.as_id].router.prepared_secret,
+                                                  self.src)
                      for h in self.plan.hops if net.nodes[h.as_id].router}
         self.stats = FlowStats()
         self.first_request_at: int | None = None
@@ -308,11 +317,11 @@ class BestEffortFlow:
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
-        self.src = spec["src"]
-        self.route = tuple(spec["path"])
+        self.src = _required(spec, "src")
+        self.route = tuple(_required(spec, "path"))
         self.plan = net.plan_for(self.route, False, name=self.name)
         self.packet_size = int(spec.get("packet_size", 1000))
-        rate = parse_bandwidth(spec["rate"])
+        rate = parse_bandwidth(_required(spec, "rate"))
         self.gap = max(1, (self.packet_size * 8 * 10**9) // rate)
         self.start_at = parse_duration(spec.get("start", 0))
         self.stop_at = parse_duration(spec["stop_at"]) if "stop_at" in spec else None
@@ -339,8 +348,8 @@ class RequestFlood:
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
-        self.src = spec["src"]
-        self.route = tuple(spec["path"])
+        self.src = _required(spec, "src")
+        self.route = tuple(_required(spec, "path"))
         self.plan = net.plan_for(self.route, False, name=self.name)
         self.authentic = bool(spec.get("authentic", True))
         rate = float(spec.get("requests_per_s", 100.0))
@@ -351,7 +360,7 @@ class RequestFlood:
         for h in self.plan.hops:
             node = net.nodes[h.as_id]
             if node.router:
-                self.keys[h.as_id] = (crypto.derive_drkey(node.router.secret, self.src)
+                self.keys[h.as_id] = (crypto.derive_drkey(node.router.prepared_secret, self.src)
                                       if self.authentic else bytes(16))
 
     def start(self) -> None:
@@ -378,9 +387,9 @@ class Spoofer:
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
-        self.src = spec["src"]
-        self.victim = spec["victim"]
-        self.route = tuple(spec["path"])
+        self.src = _required(spec, "src")
+        self.victim = _required(spec, "victim")
+        self.route = tuple(_required(spec, "path"))
         self.plan = net.plan_for(self.route, False, name=self.name)
         self.count = int(spec.get("count", 1000))
         self.packet_size = int(spec.get("packet_size", 100))
@@ -413,7 +422,7 @@ class Replayer:
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
-        self.link = tuple(spec["link"])
+        self.link = tuple(_required(spec, "link"))
         self.copies = int(spec.get("copies", 1))
         self.delay = parse_duration(spec.get("delay", 1000))
         self.injected = 0
@@ -441,7 +450,7 @@ class LinkObserver:
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
-        self.link = tuple(spec["link"])
+        self.link = tuple(_required(spec, "link"))
         self.captured: list[bytes] = []
 
     def on_frame(self, link: Link, frame: Frame) -> None:
@@ -516,7 +525,7 @@ class Network:
                 raise ConfigError(f"unknown flow type {kind!r}")
             self.flows[flow.name] = flow
         for spec in cfg.get("adversaries", ()):
-            kind = spec["kind"]
+            kind = _required(spec, "kind")
             if kind == "best_effort_flood":
                 spec = dict(spec, type="best_effort")
                 flow = BestEffortFlow(self, spec)
@@ -534,6 +543,8 @@ class Network:
             adv = cls(self, spec)
             self.adversaries[adv.name] = adv
             if hasattr(adv, "link"):
+                if adv.link not in self.links:
+                    raise ConfigError(f"{adv.name}: no link {adv.link}")
                 self.links[adv.link].observers.append(adv)
 
     # topology -----------------------------------------------------------
@@ -614,6 +625,8 @@ class Network:
                     est.requesters = max(est.requesters, len(warm[id(est)]))
 
     def plan_for(self, route: tuple[int, ...], backward: bool, name: str = "") -> source.PathPlan:
+        if len(route) < 2:
+            raise ConfigError(f"path {list(route)} needs a source AS and at least one more")
         hops = []
         for k in range(1, len(route)):
             as_id = route[k]
@@ -692,10 +705,12 @@ class Network:
         at_end = frame.pos == len(frame.route) - 1
         ctx = self._hop_context(frame)
 
+        msg = None
         if node.router is None or ctx is None or frame.kind == "junk":
             decision = ForwardDecision(TrafficClass.BEST_EFFORT, 0, "not_processed")
         else:
-            decision = self._router_process(node, frame, *ctx)
+            msg = self._decode(frame.payload)
+            decision = self._router_process(node, frame, msg, *ctx)
 
         if decision.traffic_class is TrafficClass.DROP:
             adv = self.adversaries.get(frame.origin)
@@ -707,11 +722,10 @@ class Network:
             frame.worst = TrafficClass.BEST_EFFORT
         frame.cls = decision.traffic_class if frame.kind != "setup" else TrafficClass.BEST_EFFORT
 
-        if frame.kind == "setup" and ctx is not None and node.router is not None:
-            req = self._decode(frame.payload)
-            if isinstance(req, wire.SetupRequest) and ctx[0] == req.last_hop:
-                self._turn_around(frame)
-                return
+        if frame.kind == "setup" and isinstance(msg, wire.SetupRequest) \
+                and ctx[0] == msg.last_hop:
+            self._turn_around(frame, msg.src, msg.ts_req)
+            return
         if at_end:
             self._deliver(frame)
             return
@@ -728,11 +742,12 @@ class Network:
         except wire.DecodeError:
             return None
 
-    def _router_process(self, node: Node, frame: Frame, hop_index: int,
+    def _router_process(self, node: Node, frame: Frame, msg, hop_index: int,
                         hop: source.PathHop) -> ForwardDecision:
+        """Run the router on ``msg``, the frame's payload decoded (None if it
+        does not decode)."""
         router = node.router
         now = node.local_time(self.loop.now)
-        msg = self._decode(frame.payload)
         if msg is None:
             return ForwardDecision(TrafficClass.BEST_EFFORT, hop.egress, "undecodable")
         if isinstance(msg, wire.SetupRequest):
@@ -771,15 +786,11 @@ class Network:
                                               hop.egress, now)
         frame.resp_entries.extend(entries)
         if hop_index == inner.last_hop:
-            self._turn_around(frame, src_override=inner.src, ts_override=inner.ts_req)
+            self._turn_around(frame, inner.src, inner.ts_req)
 
-    def _turn_around(self, frame: Frame, src_override=None, ts_override=None) -> None:
-        """Build the aggregated response and send it back to the source."""
-        if src_override is None:
-            req = self._decode(frame.payload)
-            src, ts_req = req.src, req.ts_req
-        else:
-            src, ts_req = src_override, ts_override
+    def _turn_around(self, frame: Frame, src: int, ts_req: int) -> None:
+        """Build the aggregated response to request (src, ts_req) and send it
+        back to the source."""
         entries = tuple(sorted(frame.resp_entries, key=lambda e: (e.hop, e.direction)))
         resp = wire.SetupResponse(src, ts_req, entries)
         raw = wire.encode(resp)

@@ -35,6 +35,16 @@ RESP_ENTRY_LEN = 62
 FORWARD = 0
 BACKWARD = 1
 
+# Precompiled layouts, shared by the encoder and the decoder.
+_REQ_HEAD = struct.Struct(">BQQB")  # type, src, tsReq, n
+_REQ_DEMAND_HEAD = struct.Struct(">BQQQQB")  # type, src, tsReq, bwDem, bwMin, n
+_REQ_ENTRY = struct.Struct(">BB16s")  # hop, flags, auth
+_RESP_HEAD = struct.Struct(">BQQB")  # type, src, tsReq, m
+_RESP_ENTRY = struct.Struct(">BB12s16s16sQQ")  # hop, dir, nonce, encAuth, tag, bw, tsExp
+_DATA_HEAD = struct.Struct(">BQBQHBB")  # type, src, flags, tsPkt, lenB, nF, nB
+_DATA_FIELD = struct.Struct(">B3s")  # hop, validation field
+_DATA_FLAGS_AT = 9  # offset of the data flags byte, after type and src
+
 
 class EncodeError(ValueError):
     """Message violates a layout invariant (unsorted hops, oversized lists...)."""
@@ -148,50 +158,39 @@ def _encode_request(msg: SetupRequest) -> bytes:
     _check_hops([e.hop for e in msg.entries], "request")
     if (msg.bw_demand is None) != (msg.bw_min is None):
         raise EncodeError("demand fields must be given together")
-    out = bytearray()
+    src, ts_req = _check_u(msg.src, 64, "src"), _check_u(msg.ts_req, 64, "tsReq")
     if msg.bw_demand is None:
-        out.append(MSG_SETUP_REQ)
-        out += struct.pack(">QQ", _check_u(msg.src, 64, "src"), _check_u(msg.ts_req, 64, "tsReq"))
+        parts = [_REQ_HEAD.pack(MSG_SETUP_REQ, src, ts_req, len(msg.entries))]
     else:
-        out.append(MSG_SETUP_REQ_DEMAND)
-        out += struct.pack(
-            ">QQQQ",
-            _check_u(msg.src, 64, "src"),
-            _check_u(msg.ts_req, 64, "tsReq"),
-            _check_u(msg.bw_demand, 64, "bwDem"),
-            _check_u(msg.bw_min, 64, "bwMin"),
-        )
-    out.append(len(msg.entries))
+        parts = [_REQ_DEMAND_HEAD.pack(MSG_SETUP_REQ_DEMAND, src, ts_req,
+                                       _check_u(msg.bw_demand, 64, "bwDem"),
+                                       _check_u(msg.bw_min, 64, "bwMin"), len(msg.entries))]
     for e in msg.entries:
         if len(e.auth) != 16:
             raise EncodeError("request auth must be 16 bytes")
-        out.append(e.hop)
-        out.append((1 if e.flag_r else 0) | (2 if e.flag_b else 0))
-        out += e.auth
-    return bytes(out)
+        parts.append(_REQ_ENTRY.pack(e.hop, (1 if e.flag_r else 0) | (2 if e.flag_b else 0),
+                                     e.auth))
+    return b"".join(parts)
 
 
 def _encode_response(msg: SetupResponse) -> bytes:
-    hops = [e.hop for e in msg.entries]
-    if len(hops) > 255:
+    if len(msg.entries) > 255:
         raise EncodeError("too many response entries")
     # hop may repeat once: forward and backward entries for the same hop
     keys = [(e.hop, e.direction) for e in msg.entries]
     if keys != sorted(set(keys)):
         raise EncodeError("response entries must be sorted by (hop, direction), no duplicates")
-    out = bytearray([MSG_SETUP_RESP])
-    out += struct.pack(">QQ", _check_u(msg.src, 64, "src"), _check_u(msg.ts_req, 64, "tsReq"))
-    out.append(len(msg.entries))
+    parts = [_RESP_HEAD.pack(MSG_SETUP_RESP, _check_u(msg.src, 64, "src"),
+                             _check_u(msg.ts_req, 64, "tsReq"), len(msg.entries))]
     for e in msg.entries:
         if e.direction not in (FORWARD, BACKWARD):
             raise EncodeError("bad response direction")
         if len(e.nonce) != 12 or len(e.enc_auth) != 16 or len(e.tag) != 16:
             raise EncodeError("bad response entry field size")
-        out.append(e.hop)
-        out.append(e.direction)
-        out += e.nonce + e.enc_auth + e.tag
-        out += struct.pack(">QQ", _check_u(e.bw, 64, "bw"), _check_u(e.ts_exp, 64, "tsExp"))
-    return bytes(out)
+        parts.append(_RESP_ENTRY.pack(_check_u(e.hop, 8, "response hop"), e.direction,
+                                      e.nonce, e.enc_auth, e.tag,
+                                      _check_u(e.bw, 64, "bw"), _check_u(e.ts_exp, 64, "tsExp")))
+    return b"".join(parts)
 
 
 def _encode_data(msg: DataPacket) -> bytes:
@@ -199,101 +198,98 @@ def _encode_data(msg: DataPacket) -> bytes:
     _check_hops([h for h, _ in msg.bvfs], "bvf")
     if msg.total_len > 0xFFFF:
         raise EncodeError("packet exceeds 65535 bytes")
-    out = bytearray([MSG_DATA])
-    out += struct.pack(">Q", _check_u(msg.src, 64, "src"))
-    out.append(1 if msg.d_flag else 0)
-    out += struct.pack(">QH", _check_u(msg.ts_pkt, 64, "tsPkt"), _check_u(msg.len_b, 16, "lenB"))
-    out.append(len(msg.rvfs))
-    out.append(len(msg.bvfs))
+    parts = [_DATA_HEAD.pack(MSG_DATA, _check_u(msg.src, 64, "src"), 1 if msg.d_flag else 0,
+                             _check_u(msg.ts_pkt, 64, "tsPkt"), _check_u(msg.len_b, 16, "lenB"),
+                             len(msg.rvfs), len(msg.bvfs))]
     for hop, f in msg.rvfs + msg.bvfs:
         if len(f) != 3:
             raise EncodeError("validation field must be 3 bytes")
-        out.append(hop)
-        out += f
-    out += msg.payload
-    return bytes(out)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError("truncated", f"needed {n} bytes at offset {self.pos}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def rest(self) -> bytes:
-        out = self.data[self.pos :]
-        self.pos = len(self.data)
-        return out
-
-    def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise DecodeError("bad_counts", "trailing bytes after message")
+        parts.append(_DATA_FIELD.pack(hop, f))
+    parts.append(msg.payload)
+    return b"".join(parts)
 
 
 def decode(data: bytes):
-    """Decode one message; raises :class:`DecodeError` on malformed input."""
-    r = _Reader(data)
-    kind = r.u8()
+    """Decode one message; raises :class:`DecodeError` on malformed input.
+
+    The reason is that of the first violation met reading the layout front
+    to back: a bad flag or direction byte counts as soon as the buffer holds
+    it, even when the buffer runs short further on.
+    """
+    if not data:
+        raise DecodeError("truncated", "empty buffer")
+    kind = data[0]
+    if kind == MSG_DATA:
+        return _decode_data(data)
     if kind in (MSG_SETUP_REQ, MSG_SETUP_REQ_DEMAND):
-        src, ts_req = r.u64(), r.u64()
-        bw_demand = bw_min = None
-        if kind == MSG_SETUP_REQ_DEMAND:
-            bw_demand, bw_min = r.u64(), r.u64()
-        entries = []
-        for _ in range(r.u8()):
-            hop = r.u8()
-            flags = r.u8()
-            if flags & ~0x03:
-                raise DecodeError("bad_counts", "unknown request flag bits")
-            entries.append(ReqEntry(hop, bool(flags & 1), bool(flags & 2), r.take(16)))
-        r.expect_end()
-        _decode_check_sorted([e.hop for e in entries])
-        return SetupRequest(src, ts_req, tuple(entries), bw_demand, bw_min)
+        head = _REQ_HEAD if kind == MSG_SETUP_REQ else _REQ_DEMAND_HEAD
+        if len(data) < head.size:
+            raise DecodeError("truncated", "request header")
+        fields = head.unpack_from(data)
+        raw = tuple(_setup_entries(data, head.size, fields[-1], _REQ_ENTRY, 0x03,
+                                   "unknown request flag bits"))
+        _check_sorted(raw)
+        entries = tuple(ReqEntry(hop, bool(flags & 1), bool(flags & 2), auth)
+                        for hop, flags, auth in raw)
+        bw_demand, bw_min = fields[3:5] if kind == MSG_SETUP_REQ_DEMAND else (None, None)
+        return SetupRequest(fields[1], fields[2], entries, bw_demand, bw_min)
     if kind == MSG_SETUP_RESP:
-        src, ts_req = r.u64(), r.u64()
-        entries = []
-        for _ in range(r.u8()):
-            hop, direction = r.u8(), r.u8()
-            if direction not in (FORWARD, BACKWARD):
-                raise DecodeError("bad_counts", "bad direction byte")
-            nonce, enc_auth, tag = r.take(12), r.take(16), r.take(16)
-            bw, ts_exp = r.u64(), r.u64()
-            entries.append(RespEntry(hop, direction, nonce, enc_auth, tag, bw, ts_exp))
-        r.expect_end()
+        if len(data) < _RESP_HEAD.size:
+            raise DecodeError("truncated", "response header")
+        _, src, ts_req, count = _RESP_HEAD.unpack_from(data)
+        raw = _setup_entries(data, _RESP_HEAD.size, count, _RESP_ENTRY, 0x01,
+                             "bad direction byte")
+        entries = tuple(RespEntry(*e) for e in raw)
         keys = [(e.hop, e.direction) for e in entries]
         if keys != sorted(set(keys)):
             raise DecodeError("bad_counts", "response entries unsorted or duplicated")
-        return SetupResponse(src, ts_req, tuple(entries))
-    if kind == MSG_DATA:
-        src = r.u64()
-        flags = r.u8()
-        if flags & ~0x01:
-            raise DecodeError("bad_counts", "unknown data flag bits")
-        ts_pkt, len_b = r.u64(), r.u16()
-        n_f, n_b = r.u8(), r.u8()
-        rvfs = tuple((r.u8(), r.take(3)) for _ in range(n_f))
-        bvfs = tuple((r.u8(), r.take(3)) for _ in range(n_b))
-        _decode_check_sorted([h for h, _ in rvfs])
-        _decode_check_sorted([h for h, _ in bvfs])
-        return DataPacket(src, bool(flags & 1), ts_pkt, len_b, rvfs, bvfs, r.rest())
+        return SetupResponse(src, ts_req, entries)
     raise DecodeError("bad_magic", f"unknown message type {kind:#04x}")
 
 
-def _decode_check_sorted(hops: list[int]) -> None:
-    if hops != sorted(set(hops)):
-        raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
+def _decode_data(data: bytes) -> DataPacket:
+    size = len(data)
+    if size < DATA_FIXED_HEADER:
+        if size > _DATA_FLAGS_AT and data[_DATA_FLAGS_AT] & ~0x01:
+            raise DecodeError("bad_counts", "unknown data flag bits")
+        raise DecodeError("truncated", "data header")
+    _, src, flags, ts_pkt, len_b, n_f, n_b = _DATA_HEAD.unpack_from(data)
+    if flags & ~0x01:
+        raise DecodeError("bad_counts", "unknown data flag bits")
+    end = DATA_FIXED_HEADER + FIELD_ENTRY_LEN * (n_f + n_b)
+    if size < end:
+        raise DecodeError("truncated", f"{n_f + n_b} validation fields")
+    fields = tuple(_DATA_FIELD.iter_unpack(data[DATA_FIXED_HEADER:end]))
+    rvfs, bvfs = fields[:n_f], fields[n_f:]
+    _check_sorted(rvfs)
+    _check_sorted(bvfs)
+    return DataPacket(src, flags == 1, ts_pkt, len_b, rvfs, bvfs, data[end:])
+
+
+def _setup_entries(data: bytes, head_size: int, count: int, entry: struct.Struct,
+                   allowed_bits: int, bad_byte: str):
+    """Unpack ``count`` fixed-size entries that must end the buffer exactly.
+
+    Each entry's second byte (request flags, response direction) may carry
+    only ``allowed_bits``; it is checked wherever the buffer holds it, so it
+    takes precedence over a shortfall later in the buffer.
+    """
+    size = len(data)
+    end = head_size + entry.size * count
+    for at in range(head_size + 1, min(size, end), entry.size):
+        if data[at] & ~allowed_bits:
+            raise DecodeError("bad_counts", bad_byte)
+    if size < end:
+        raise DecodeError("truncated", f"{count} entries")
+    if size > end:
+        raise DecodeError("bad_counts", "trailing bytes after message")
+    return entry.iter_unpack(data[head_size:])
+
+
+def _check_sorted(entries) -> None:
+    """Entries, tuples led by their hop index, must be in strictly rising hop order."""
+    prev = -1
+    for entry in entries:
+        if entry[0] <= prev:
+            raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
+        prev = entry[0]

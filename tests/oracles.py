@@ -1,5 +1,10 @@
 """Independent reference implementations used as test oracles."""
 
+import struct
+
+from flyover import wire
+from flyover.wire import DecodeError
+
 
 class CounterBucket:
     """Classic counter-based token bucket with rate CIR and burst CBS.
@@ -26,3 +31,96 @@ class CounterBucket:
             self.tokens -= pkt_len
             return True
         return False
+
+
+class _Reader:
+    """Field-at-a-time cursor: every read checks the bytes it needs."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise DecodeError("truncated", f"needed {n} bytes at offset {self.pos}")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return struct.unpack(">H", self.take(2))[0]
+
+    def u64(self) -> int:
+        return struct.unpack(">Q", self.take(8))[0]
+
+    def rest(self) -> bytes:
+        out = self.data[self.pos :]
+        self.pos = len(self.data)
+        return out
+
+    def expect_end(self) -> None:
+        if self.pos != len(self.data):
+            raise DecodeError("bad_counts", "trailing bytes after message")
+
+
+def ref_decode(data: bytes):
+    """Reference decoder for the layouts in :mod:`flyover.wire`.
+
+    Reads the buffer one field at a time in layout order, so the first
+    violation met while reading decides the ``DecodeError`` reason. Kept
+    deliberately plain so it stays independent of the production decoder
+    it is used to verify.
+    """
+    r = _Reader(data)
+    kind = r.u8()
+    if kind in (wire.MSG_SETUP_REQ, wire.MSG_SETUP_REQ_DEMAND):
+        src, ts_req = r.u64(), r.u64()
+        bw_demand = bw_min = None
+        if kind == wire.MSG_SETUP_REQ_DEMAND:
+            bw_demand, bw_min = r.u64(), r.u64()
+        entries = []
+        for _ in range(r.u8()):
+            hop = r.u8()
+            flags = r.u8()
+            if flags & ~0x03:
+                raise DecodeError("bad_counts", "unknown request flag bits")
+            entries.append(wire.ReqEntry(hop, bool(flags & 1), bool(flags & 2), r.take(16)))
+        r.expect_end()
+        _check_sorted([e.hop for e in entries])
+        return wire.SetupRequest(src, ts_req, tuple(entries), bw_demand, bw_min)
+    if kind == wire.MSG_SETUP_RESP:
+        src, ts_req = r.u64(), r.u64()
+        entries = []
+        for _ in range(r.u8()):
+            hop, direction = r.u8(), r.u8()
+            if direction not in (wire.FORWARD, wire.BACKWARD):
+                raise DecodeError("bad_counts", "bad direction byte")
+            nonce, enc_auth, tag = r.take(12), r.take(16), r.take(16)
+            bw, ts_exp = r.u64(), r.u64()
+            entries.append(wire.RespEntry(hop, direction, nonce, enc_auth, tag, bw, ts_exp))
+        r.expect_end()
+        keys = [(e.hop, e.direction) for e in entries]
+        if keys != sorted(set(keys)):
+            raise DecodeError("bad_counts", "response entries unsorted or duplicated")
+        return wire.SetupResponse(src, ts_req, tuple(entries))
+    if kind == wire.MSG_DATA:
+        src = r.u64()
+        flags = r.u8()
+        if flags & ~0x01:
+            raise DecodeError("bad_counts", "unknown data flag bits")
+        ts_pkt, len_b = r.u64(), r.u16()
+        n_f, n_b = r.u8(), r.u8()
+        rvfs = tuple((r.u8(), r.take(3)) for _ in range(n_f))
+        bvfs = tuple((r.u8(), r.take(3)) for _ in range(n_b))
+        _check_sorted([h for h, _ in rvfs])
+        _check_sorted([h for h, _ in bvfs])
+        return wire.DataPacket(src, bool(flags & 1), ts_pkt, len_b, rvfs, bvfs, r.rest())
+    raise DecodeError("bad_magic", f"unknown message type {kind:#04x}")
+
+
+def _check_sorted(hops: list[int]) -> None:
+    if hops != sorted(set(hops)):
+        raise DecodeError("bad_counts", "hop entries unsorted or duplicated")

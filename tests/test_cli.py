@@ -101,7 +101,21 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     lambda cfg: cfg["flows"][0].pop("name"),
     lambda cfg: cfg.update(duration="-10ms"),
     lambda cfg: cfg["flows"][0].update(rate="0bps"),
-], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate"])
+    lambda cfg: cfg["flows"][0].pop("src"),
+    lambda cfg: cfg["flows"][0].pop("path"),
+    lambda cfg: cfg["flows"][0].update(path=[1]),
+    lambda cfg: cfg["flows"].append({"type": "best_effort", "name": "be", "src": 1,
+                                     "path": [1, 2]}),
+    lambda cfg: cfg.update(adversaries=[{"name": "adv", "src": 2, "path": [2, 3]}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "spoof", "kind": "spoofer", "src": 2,
+                                         "path": [2, 3, 4]}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "tap", "kind": "link_observer"}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "tap", "kind": "link_observer",
+                                         "link": [1, 5]}]),
+], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
+        "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
+        "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
+        "observer_on_missing_link"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)

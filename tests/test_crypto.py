@@ -189,3 +189,47 @@ def test_op_counter_counts_macs():
     crypto.derive_drkey(k, 9)
     assert crypto.ops.macs == 2  # key derivation is a PRF call, not a MAC
     assert crypto.ops.prf_calls == 1
+
+
+def test_prepared_key_mac_matches_raw_key_and_reference():
+    """One prepared key reused across inputs of every MAC width in use: the
+    10-byte validation field, the 12-byte authenticator, the 18-byte
+    request auth and the 26-byte (two-block) demand request auth."""
+    rng = random.Random(11)
+    for _ in range(20):
+        key = rng.randbytes(16)
+        prepared = crypto.PreparedKey(key)
+        for length in (10, 12, 18, 26, 10, 26):
+            data = rng.randbytes(length)
+            assert crypto.cbc_mac(prepared, data) == crypto.cbc_mac(key, data) \
+                == ref_cbc_mac(key, data)
+
+
+def test_prepared_key_drkey_matches_raw_key_and_reference():
+    rng = random.Random(12)
+    for _ in range(20):
+        secret = rng.randbytes(16)
+        prepared = crypto.PreparedKey(secret)
+        for remote in (0, rng.randrange(2**64), 2**64 - 1):
+            assert crypto.derive_drkey(prepared, remote) == crypto.derive_drkey(secret, remote) \
+                == ref_drkey(secret, remote)
+        with pytest.raises(ValueError):
+            crypto.derive_drkey(prepared, 2**64)
+
+
+@pytest.mark.parametrize("length", [0, 15, 17, 24, 32])
+def test_prepared_key_rejects_wrong_length(length):
+    with pytest.raises(ValueError):
+        crypto.PreparedKey(bytes(length))
+
+
+def test_op_counter_counts_prepared_key_calls():
+    prepared = crypto.PreparedKey(os.urandom(16))
+    crypto.ops.reset()
+    crypto.cbc_mac(prepared, b"x" * 26)
+    assert (crypto.ops.macs, crypto.ops.prf_calls) == (1, 0)
+    a = crypto.compute_authenticator(prepared, 1, 2, 3)
+    crypto.compute_validation_field(a, 1, 2)
+    assert (crypto.ops.macs, crypto.ops.prf_calls) == (3, 0)
+    crypto.derive_drkey(prepared, 9)
+    assert (crypto.ops.macs, crypto.ops.prf_calls) == (3, 1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyover import wire
+from oracles import ref_decode
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -168,3 +169,63 @@ def test_golden_fixture_values():
     assert [(e.hop, e.flag_r, e.flag_b) for e in req.entries] == [(0, True, False), (2, True, True)]
     pkt = wire.decode(bytes.fromhex(golden["data_fwd"]))
     assert pkt.src == 7 and not pkt.d_flag and pkt.payload == b"hello"
+
+
+def _assert_decodes_like_reference(raw: bytes) -> None:
+    try:
+        want = ref_decode(raw)
+    except wire.DecodeError as exc:
+        with pytest.raises(wire.DecodeError) as got:
+            wire.decode(raw)
+        assert got.value.reason == exc.reason, raw.hex()
+        return
+    assert wire.decode(raw) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from([wire.MSG_SETUP_REQ, wire.MSG_SETUP_RESP, wire.MSG_DATA,
+                             wire.MSG_SETUP_REQ_DEMAND, 0x00, 0x7F]),
+       body=st.binary(max_size=300))
+def test_decode_matches_reference_on_random_bytes(kind, body):
+    _assert_decodes_like_reference(bytes([kind]) + body)
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_decode_matches_reference_on_damaged_messages(seed, data):
+    """Valid encodings cut short, overwritten at a few bytes, or extended."""
+    rng = random.Random(seed)
+    raw = bytearray(wire.encode((_random_request, _random_response, _random_data)[seed % 3](rng)))
+    raw = raw[: data.draw(st.integers(min_value=0, max_value=len(raw)))]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        if raw:
+            raw[data.draw(st.integers(min_value=0, max_value=len(raw) - 1))] = \
+                data.draw(st.integers(min_value=0, max_value=255))
+    raw += data.draw(st.binary(max_size=70))
+    _assert_decodes_like_reference(bytes(raw))
+
+
+def test_decode_matches_reference_on_golden_frames():
+    """Every golden frame, every prefix of it, and every single-byte change."""
+    with open(os.path.join(FIXTURES, "wire_golden.txt")) as fh:
+        frames = [bytes.fromhex(line.split()[1]) for line in fh if line.strip()]
+    for raw in frames:
+        _assert_decodes_like_reference(raw)
+        for cut in range(len(raw)):
+            _assert_decodes_like_reference(raw[:cut])
+        for pos in range(len(raw)):
+            for value in (0x00, 0x02, 0x04, 0xFF, raw[pos] ^ 0x01):
+                _assert_decodes_like_reference(raw[:pos] + bytes([value]) + raw[pos + 1 :])
+
+
+def test_data_flag_byte_precedes_truncation():
+    """A bad data-flag byte wins over a header that stops short of 22 bytes."""
+    raw = wire.encode(wire.DataPacket(7, False, 5, 0))
+    bad = raw[:9] + b"\x02" + raw[10:]
+    for cut in range(10, wire.DATA_FIXED_HEADER):
+        with pytest.raises(wire.DecodeError) as e:
+            wire.decode(bad[:cut])
+        assert e.value.reason == "bad_counts"
+    with pytest.raises(wire.DecodeError) as e:
+        wire.decode(bad[:9])
+    assert e.value.reason == "truncated"
