@@ -6,16 +6,24 @@ two blocks, so fixed widths rule out length-extension issues. With a zero
 IV the first CBC block is plain AES of the first input block, so the MAC
 runs one AES-ECB block per input block on a single encryptor, XOR-chaining
 each further block into the previous output; no CBC mode object is built
-and nothing is finalized. Grants are sealed with ChaCha20-Poly1305 (IETF,
-12-byte nonce).
+and nothing is finalized. The authenticator and validation-field inputs
+are packed straight into one zero-padded block, which is encrypted as is.
+Grants are sealed with ChaCha20-Poly1305 (IETF, 12-byte nonce).
 
 Building an AES context costs some twenty times as much as encrypting one
 block on it. A :class:`PreparedKey` holds a 16-byte key together with its
-ECB encryptor, built once; :func:`cbc_mac` and :func:`derive_drkey` accept
-it wherever they accept raw key bytes. A border router prepares its one
-AS-local secret, so the authenticator MAC and the key derivation reuse that
-context; a raw key, such as the per-grant authenticator that keys the
-per-packet validation field, gets one fresh ECB context per call.
+ECB encryptor, built once; :func:`cbc_mac`, :func:`derive_drkey` and the
+functions built on them accept it wherever they accept raw key bytes. Where
+each context is built:
+
+- once per router secret: a border router prepares its AS-local secret, so
+  the authenticator MAC and the key derivation reuse that context;
+- once per stored grant at the source: a grant prepares its authenticator
+  on the first packet that uses it and keeps it across renewals that
+  return the same authenticator;
+- once per packet for the router's recomputed authenticator (alpha), which
+  keys the validation-field MAC: routers keep no per-grant state, so that
+  raw key gets one fresh ECB context per call.
 
 All functions here are pure; they keep no state besides the invocation
 counters used by cost-accounting tests, which count every call whatever
@@ -25,6 +33,7 @@ form its key takes.
 from __future__ import annotations
 
 import os
+import struct
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, modes
@@ -42,6 +51,10 @@ VALIDATION_FIELD_LEN = 3
 _ECB = modes.ECB()
 # Counter blocks 1 and 2, which expand a 16-byte key to a 32-byte AEAD key.
 _AEAD_KEY_BLOCKS = (1).to_bytes(BLOCK_LEN, "big") + (2).to_bytes(BLOCK_LEN, "big")
+# One-block MAC inputs, zero-padded: (source AS, ingress, egress) for the
+# authenticator, (packet timestamp, length) for the validation field.
+_AUTH_INPUT = struct.Struct(">QHH4x")
+_FIELD_INPUT = struct.Struct(">QH6x")
 
 
 class AuthFailure(Exception):
@@ -90,6 +103,8 @@ def cbc_mac(key: bytes | PreparedKey, data: bytes) -> bytes:
     """AES-128 CBC-MAC (zero IV) over ``data`` zero-padded to a block multiple."""
     enc = _encryptor(key)
     ops.macs += 1
+    if len(data) == BLOCK_LEN:
+        return enc.update(data)
     if len(data) % BLOCK_LEN:
         data = data + b"\x00" * (BLOCK_LEN - len(data) % BLOCK_LEN)
     block = enc.update(data[:BLOCK_LEN])
@@ -120,17 +135,23 @@ def compute_authenticator(secret: bytes | PreparedKey, src: int, ingress: int,
     expiry, so renewals never change it. The backward-direction token is
     obtained by swapping the interface arguments.
     """
-    msg = src.to_bytes(8, "big") + ingress.to_bytes(2, "big") + egress.to_bytes(2, "big")
+    try:
+        msg = _AUTH_INPUT.pack(src, ingress, egress)
+    except struct.error as exc:
+        raise OverflowError(f"authenticator input out of range: {exc}") from exc
     return cbc_mac(secret, msg)
 
 
-def compute_validation_field(auth: bytes, ts_pkt: int, length: int) -> bytes:
+def compute_validation_field(auth: bytes | PreparedKey, ts_pkt: int, length: int) -> bytes:
     """Per-packet validation field: truncated MAC over (timestamp, length).
 
     ``length`` is the total packet length for forward fields and the reply
     byte budget for backward fields.
     """
-    msg = ts_pkt.to_bytes(8, "big") + length.to_bytes(2, "big")
+    try:
+        msg = _FIELD_INPUT.pack(ts_pkt, length)
+    except struct.error as exc:
+        raise OverflowError(f"validation field input out of range: {exc}") from exc
     return cbc_mac(auth, msg)[:VALIDATION_FIELD_LEN]
 
 

@@ -3,9 +3,12 @@
 Validation is stateless apart from the traffic monitor: the authenticator
 and validation field are recomputed from the packet and the AS-local
 secret, costing exactly two MAC invocations per validated packet. The
-secret's AES context is built once per router; only the per-packet
-authenticator key needs a fresh one. Every validation failure demotes the
-packet to best effort; only replays are dropped.
+secret's AES context is built once per router, at construction, and serves
+the authenticator MAC and the key derivation. The recomputed authenticator
+(alpha), which keys the validation-field MAC, gets one fresh AES context per
+packet: the router keeps no per-grant state, unlike the source, which
+prepares each stored grant's authenticator once. Every validation failure
+demotes the packet to best effort; only replays are dropped.
 """
 
 from __future__ import annotations

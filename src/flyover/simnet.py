@@ -254,8 +254,7 @@ class ReservationFlow:
         accepted = source.ingest_response(self.store, self.keys, resp, self.plan)
         if not accepted:
             return
-        needed = [self.plan.flyover_key(i, wire.FORWARD)
-                  for i in sorted(self.plan.forward_hops)]
+        needed = [fkey for _, fkey in self.plan.forward_keys]
         now = self.net.loop.now
         if needed and all(self.store.get(k, now) is not None for k in needed):
             exp = min(self.store.get(k, now).ts_exp for k in needed)
@@ -546,6 +545,20 @@ class Network:
                 if adv.link not in self.links:
                     raise ConfigError(f"{adv.name}: no link {adv.link}")
                 self.links[adv.link].observers.append(adv)
+        for req in cfg.get("requirements", ()):
+            self._check_requirement(req)
+
+    def _check_requirement(self, req: dict) -> None:
+        """Reject, before the run, a requirement its check could not evaluate."""
+        _requirement_check(req)
+        # each name must be of the kind the check reads
+        for key, names, cls in (("flow", self.flows, ReservationFlow),
+                                ("overuser", self.flows, ReservationFlow),
+                                ("adversary", self.adversaries, Spoofer),
+                                ("replayer", self.adversaries, Replayer)):
+            if key in req and not isinstance(names.get(req[key]), cls):
+                raise ConfigError(f"requirement {req['r']}: {key} {req[key]!r} names no "
+                                  f"{cls.__name__} of the run")
 
     # topology -----------------------------------------------------------
 
@@ -916,18 +929,19 @@ def assert_requirement(result: ScenarioResult, req: dict) -> tuple[bool, str]:
 
     Returns (ok, detail); detail carries the counterexample on failure.
     """
-    kind = req["r"]
-    if kind == "R1":
-        return _check_single_reservation(result, req)
-    if kind == "R2":
-        return _check_granted_within(result, req)
-    if kind == "R3":
-        return _check_forgeries(result, req)
-    if kind == "R4":
-        return _check_delivery(result, req)
-    if kind == "R5":
-        return _check_policing(result, req)
-    raise ConfigError(f"unknown requirement {kind!r}")
+    return _requirement_check(req)(result, req)
+
+
+def _requirement_check(req: dict):
+    """The check for ``req``'s kind, once the keys it reads are present."""
+    kind = req.get("r")
+    if kind not in _REQUIREMENTS:
+        raise ConfigError(f"unknown requirement {kind!r}")
+    check, required = _REQUIREMENTS[kind]
+    for key in required:
+        if key not in req:
+            raise ConfigError(f"requirement {kind}: missing required key {key!r}")
+    return check
 
 
 def _check_single_reservation(result, req) -> tuple[bool, str]:
@@ -1027,6 +1041,16 @@ def _check_policing(result, req) -> tuple[bool, str]:
             return False, msg
         details.append(msg)
     return True, "; ".join(details) if details else "nothing to check"
+
+
+# requirement kind -> (check, keys the check cannot do without)
+_REQUIREMENTS = {
+    "R1": (_check_single_reservation, ("src",)),
+    "R2": (_check_granted_within, ("flow",)),
+    "R3": (_check_forgeries, ("adversary",)),
+    "R4": (_check_delivery, ("flow",)),
+    "R5": (_check_policing, ()),
+}
 
 
 def _check_no_expired_conform(result) -> tuple[bool, str]:

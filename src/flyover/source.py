@@ -44,13 +44,16 @@ class PathPlan:
     ``forward_hops`` / ``backward_hops`` are hop indexes, 0-based from the
     first AS after the source. Backward reservations only make sense where
     the return path overlaps the forward one, which for this codec means
-    the same hop list.
+    the same hop list. ``forward_keys`` / ``backward_keys`` pair each
+    requested hop index, in hop order, with its flyover key.
     """
 
     hops: tuple[PathHop, ...]
     forward_hops: frozenset[int] = None
     backward_hops: frozenset[int] = frozenset()
     name: str = ""
+    forward_keys: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
+    backward_keys: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.forward_hops is None:
@@ -58,6 +61,10 @@ class PathPlan:
         for h in self.forward_hops | self.backward_hops:
             if not 0 <= h < len(self.hops):
                 raise ValueError("requested hop outside the path")
+        for name, hops, direction in (("forward_keys", self.forward_hops, wire.FORWARD),
+                                      ("backward_keys", self.backward_hops, wire.BACKWARD)):
+            object.__setattr__(self, name, tuple((i, self.flyover_key(i, direction))
+                                                 for i in sorted(hops)))
 
     def flyover_key(self, hop_index: int, direction: int) -> tuple:
         h = self.hops[hop_index]
@@ -71,9 +78,18 @@ class FlyoverGrant:
     bw: int
     ts_exp: int
     auth: bytes
+    # ``auth`` as an AES context: built by the first packet that uses the
+    # grant, never serialized
+    key: crypto.PreparedKey | None = field(default=None, repr=False, compare=False)
 
     def expired(self, now: int) -> bool:
         return now > self.ts_exp
+
+    def mac_key(self) -> crypto.PreparedKey:
+        """The authenticator's prepared key, built on first use."""
+        if self.key is None:
+            self.key = crypto.PreparedKey(self.auth)
+        return self.key
 
 
 class GrantStore:
@@ -87,6 +103,11 @@ class GrantStore:
         self.grants: dict[tuple, FlyoverGrant] = {}
 
     def put(self, key: tuple, grant: FlyoverGrant) -> None:
+        old = self.grants.get(key)
+        # an authenticator depends on neither bandwidth nor expiry, so a
+        # renewal that returns the same one keeps its prepared key
+        if old is not None and grant.key is None and old.auth == grant.auth:
+            grant.key = old.key
         self.grants[key] = grant
 
     def get(self, key: tuple, now: int, allow_expired: bool = False) -> FlyoverGrant | None:
@@ -221,22 +242,24 @@ def emit_packet(store: GrantStore, plan: PathPlan, src: int, payload: bytes,
     and payload sizes are fixed before any MAC is computed.
     ``allow_expired`` keeps using grants past their expiry (the
     authenticator itself stays valid); routers will demote such packets.
+    Each field is one MAC on its grant's prepared key, which the grant
+    builds on its first packet.
     """
-    n_f, n_b = len(plan.forward_hops), len(plan.backward_hops)
+    n_f, n_b = len(plan.forward_keys), len(plan.backward_keys)
     total_len = wire.DATA_FIXED_HEADER + wire.FIELD_ENTRY_LEN * (n_f + n_b) + len(payload)
     if total_len > 0xFFFF:
         raise ValueError("packet too large")
     rvfs, bvfs = [], []
-    for idx in sorted(plan.forward_hops):
-        g = store.get(plan.flyover_key(idx, wire.FORWARD), now, allow_expired)
+    for idx, fkey in plan.forward_keys:
+        g = store.get(fkey, now, allow_expired)
         if g is None:
             raise MissingGrant(f"forward hop {idx}")
-        rvfs.append((idx, crypto.compute_validation_field(g.auth, now, total_len)))
-    for idx in sorted(plan.backward_hops):
-        g = store.get(plan.flyover_key(idx, wire.BACKWARD), now, allow_expired)
+        rvfs.append((idx, crypto.compute_validation_field(g.mac_key(), now, total_len)))
+    for idx, fkey in plan.backward_keys:
+        g = store.get(fkey, now, allow_expired)
         if g is None:
             raise MissingGrant(f"backward hop {idx}")
-        bvfs.append((idx, crypto.compute_validation_field(g.auth, now, len_b)))
+        bvfs.append((idx, crypto.compute_validation_field(g.mac_key(), now, len_b)))
     return wire.DataPacket(src, False, now, len_b, tuple(rvfs), tuple(bvfs), payload)
 
 

@@ -53,8 +53,9 @@ def line_path(routers, src):
     return source.PathPlan(tuple(hops))
 
 
-def full_setup(routers, plan, src, now, backward=False):
-    """Run the setup handshake against each router; returns (store, keys)."""
+def full_setup(routers, plan, src, now, backward=False, store=None):
+    """Run the setup handshake against each router and ingest the response
+    into ``store`` (a new one by default); returns (store, keys, plan)."""
     keys = {r.as_id: None for r in routers}
     for r in routers:
         from flyover import crypto
@@ -69,6 +70,7 @@ def full_setup(routers, plan, src, now, backward=False):
         _, es = r.handle_setup(req, hop_index, hop.ingress, hop.egress, now)
         entries.extend(es)
     resp = wire.SetupResponse(src, now, tuple(sorted(entries, key=lambda e: (e.hop, e.direction))))
-    store = source.GrantStore()
+    if store is None:
+        store = source.GrantStore()
     source.ingest_response(store, keys, resp, plan)
     return store, keys, plan

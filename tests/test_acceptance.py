@@ -237,6 +237,7 @@ def cover_sweep():
             "edges": edges, "covers_disagree": covers_disagree}
 
 
+@pytest.mark.slow
 def test_c5a_maximum_full_cover(cover_sweep):
     """Maximum strategy: median 100kbps-cover >= 0.99 for every n, seed, r."""
     worst = min(cover_sweep["medians"][(n, seed, r)][topo.MAXIMUM]
@@ -245,6 +246,7 @@ def test_c5a_maximum_full_cover(cover_sweep):
              f"minimum median over sweep = {worst:.4f}")
 
 
+@pytest.mark.slow
 def test_c5b_concurrent_rate_ordering(cover_sweep):
     """Concurrent strategy: median cover 1.0 at r=0.1 and strictly lower at
     r=1.0, on at least 4 of 5 seeds per graph size.
@@ -299,6 +301,7 @@ def test_c5b_concurrent_rate_ordering(cover_sweep):
     _verdict("C5b concurrent-strategy rate ordering", ok_all, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_c6_share_monotonicity(cover_sweep):
     """Per-pair shares are nonincreasing in the sampling rate for nested
     samples, exact arithmetic, zero violations across the whole sweep."""
@@ -320,6 +323,7 @@ def test_c7_r2_request_flood():
     _verdict("C7/R2 grant within two intervals under request flood", ok, detail)
 
 
+@pytest.mark.slow
 def test_c7_r3_spoofer_one_million():
     cfg = _scenario("spoofer.json")
     cfg["adversaries"][0]["count"] = 1_000_000

@@ -112,10 +112,28 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     lambda cfg: cfg.update(adversaries=[{"name": "tap", "kind": "link_observer"}]),
     lambda cfg: cfg.update(adversaries=[{"name": "tap", "kind": "link_observer",
                                          "link": [1, 5]}]),
+    lambda cfg: cfg["requirements"].append({"r": "R9"}),
+    lambda cfg: cfg["requirements"].append({"flow": "critical"}),
+    lambda cfg: cfg["requirements"][0].pop("flow"),
+    lambda cfg: cfg["requirements"].append({"r": "R1"}),
+    lambda cfg: cfg["requirements"].append({"r": "R3"}),
+    lambda cfg: cfg["requirements"].append({"r": "R2", "flow": "nobody"}),
+    lambda cfg: cfg["requirements"].append({"r": "R3", "adversary": "critical"}),
+    lambda cfg: cfg["requirements"].append({"r": "R5", "overuser": "nobody"}),
+    lambda cfg: cfg["requirements"].append({"r": "R5", "replayer": "nobody"}),
+    lambda cfg: cfg.update(flows=cfg["flows"] + [{"type": "best_effort", "name": "be", "src": 1,
+                                                  "path": [1, 2], "rate": "1Mbps"}],
+                           requirements=[{"r": "R2", "flow": "be"}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "tap", "kind": "link_observer",
+                                         "link": [1, 2]}],
+                           requirements=[{"r": "R3", "adversary": "tap"}]),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
-        "observer_on_missing_link"])
+        "observer_on_missing_link", "unknown_requirement", "requirement_without_kind",
+        "r4_without_flow", "r1_without_src", "r3_without_adversary", "r2_on_unknown_flow",
+        "r3_on_a_flow", "r5_on_unknown_overuser", "r5_on_unknown_replayer",
+        "r2_on_best_effort_flow", "r3_on_link_observer"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)

@@ -124,6 +124,30 @@ def test_primitives_match_reference(secret, remote, src, ing, egr, ts, length):
     alpha = crypto.compute_authenticator(secret, src, ing, egr)
     assert alpha == ref_authenticator(secret, src, ing, egr)
     assert crypto.compute_validation_field(alpha, ts, length) == ref_validation_field(alpha, ts, length)
+    assert crypto.compute_validation_field(crypto.PreparedKey(alpha), ts, length) \
+        == ref_validation_field(alpha, ts, length)
+
+
+@pytest.mark.parametrize("fields", [
+    (crypto.compute_authenticator, 2**64, 1, 2),
+    (crypto.compute_authenticator, -1, 1, 2),
+    (crypto.compute_authenticator, 1, 0x10000, 2),
+    (crypto.compute_authenticator, 1, 2, -1),
+    (crypto.compute_validation_field, -1, 100),
+    (crypto.compute_validation_field, 2**64, 100),
+    (crypto.compute_validation_field, 1, 0x10000),
+], ids=["auth_src_2^64", "auth_src_negative", "auth_ingress_2^16", "auth_egress_negative",
+        "vf_ts_negative", "vf_ts_2^64", "vf_length_2^16"])
+def test_mac_input_out_of_range_raises(fields):
+    """A field that does not fit its fixed width raises OverflowError and
+    costs no MAC, whether the key is raw or prepared."""
+    fn, *args = fields
+    key = os.urandom(16)
+    crypto.ops.reset()
+    for k in (key, crypto.PreparedKey(key)):
+        with pytest.raises(OverflowError):
+            fn(k, *args)
+    assert crypto.ops.macs == 0
 
 
 def test_authenticator_independent_of_grant_terms():
@@ -193,13 +217,14 @@ def test_op_counter_counts_macs():
 
 def test_prepared_key_mac_matches_raw_key_and_reference():
     """One prepared key reused across inputs of every MAC width in use: the
-    10-byte validation field, the 12-byte authenticator, the 18-byte
-    request auth and the 26-byte (two-block) demand request auth."""
+    one-block validation-field and authenticator inputs, the 18-byte
+    request auth and the 26-byte (two-block) demand request auth, plus
+    10- and 12-byte inputs, which are zero-padded, and exactly two blocks."""
     rng = random.Random(11)
     for _ in range(20):
         key = rng.randbytes(16)
         prepared = crypto.PreparedKey(key)
-        for length in (10, 12, 18, 26, 10, 26):
+        for length in (16, 10, 12, 18, 26, 16, 32, 26):
             data = rng.randbytes(length)
             assert crypto.cbc_mac(prepared, data) == crypto.cbc_mac(key, data) \
                 == ref_cbc_mac(key, data)

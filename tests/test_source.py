@@ -1,6 +1,7 @@
 """Source service: request building, grant handling, composition, emission."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from flyover import crypto, source, wire
 from flyover.router import TrafficClass
 
+from aes_ref import ref_cbc_mac
 from helpers import GBPS, S, full_setup, line_path, make_router, warm_router
 
 SRC = 7
@@ -278,6 +280,21 @@ def test_store_roundtrip(tmp_path):
     assert loaded.grants == store.grants
 
 
+def test_store_roundtrip_emits_identical_packets(tmp_path):
+    """Prepared keys are not part of the dump; a loaded store rebuilds them
+    and emits the same bytes as the store it was dumped from."""
+    routers, plan = _chain(3)
+    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
+    source.emit_packet(store, plan, SRC, b"warm", 300, now=50)
+    path = tmp_path / "grants.txt"
+    store.dump(str(path))
+    loaded = source.GrantStore.load(str(path))
+    for now in (100, 101):
+        packets = [wire.encode(source.emit_packet(s, plan, SRC, b"payload", 300, now))
+                   for s in (store, loaded)]
+        assert packets[0] == packets[1]
+
+
 def test_service_recovery_single_round_trip():
     """Losing the store is survivable: one fresh handshake restores the
     same authenticators."""
@@ -286,6 +303,92 @@ def test_service_recovery_single_round_trip():
     alphas = {k: g.auth for k, g in store.grants.items()}
     fresh, *_ = full_setup(routers, plan, SRC, now=3 * S)  # one round trip
     assert {k: g.auth for k, g in fresh.grants.items()} == alphas
+
+
+# sender-side MAC cost ----------------------------------------------------------------
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Counts AES contexts as they are built: every one under "aes", the
+    prepared keys among them under "prepared"."""
+    built = Counter()
+    cipher, prepare = crypto.Cipher, crypto.PreparedKey.__init__
+
+    def counting_cipher(*args):
+        built["aes"] += 1
+        return cipher(*args)
+
+    def counting_prepare(self, key):
+        built["prepared"] += 1
+        prepare(self, key)
+
+    monkeypatch.setattr(crypto, "Cipher", counting_cipher)
+    monkeypatch.setattr(crypto.PreparedKey, "__init__", counting_prepare)
+    return built
+
+
+def test_ingest_prepares_no_key(contexts):
+    routers, plan = _chain(3)
+    contexts.clear()
+    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
+    assert len(store.grants) == 6
+    assert contexts["prepared"] == 0
+
+
+def test_emit_one_mac_per_field_and_one_context_per_grant(contexts):
+    """The source-side counterpart of C8: each validation field costs one
+    MAC and no PRF, on the first packet as on later ones; only the first
+    packet builds AES contexts, one per grant it uses."""
+    routers, plan = _chain(3)
+    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
+    fields = len(plan.forward_hops) + len(plan.backward_hops)
+    for k, now in enumerate((100, 101, 102)):
+        contexts.clear()
+        crypto.ops.reset()
+        pkt = source.emit_packet(store, plan, SRC, bytes(k * 100), 300, now)
+        assert len(pkt.rvfs) + len(pkt.bvfs) == fields
+        assert (crypto.ops.macs, crypto.ops.prf_calls) == (fields, 0)
+        assert contexts["aes"] == contexts["prepared"] == (fields if k == 0 else 0)
+
+
+def test_emit_fields_match_reference_mac():
+    """Forward and backward fields, from a fresh and from a prepared grant
+    key, equal the reference CBC-MAC over the raw authenticator."""
+    routers, plan = _chain(3)
+    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
+
+    def field(fkey, ts, length):
+        msg = ts.to_bytes(8, "big") + length.to_bytes(2, "big")
+        return ref_cbc_mac(store.grants[fkey].auth, msg)[:crypto.VALIDATION_FIELD_LEN]
+
+    for now, payload, len_b in ((100, b"", 0), (101, bytes(900), 1500),
+                                (1_700_000_000_000_000_000, b"q", 0xFFFF)):
+        pkt = source.emit_packet(store, plan, SRC, payload, len_b, now, allow_expired=True)
+        assert list(pkt.rvfs) == [(i, field(fkey, now, pkt.total_len))
+                                  for i, fkey in plan.forward_keys]
+        assert list(pkt.bvfs) == [(i, field(fkey, now, len_b))
+                                  for i, fkey in plan.backward_keys]
+
+
+def test_renewal_keeps_prepared_key_of_same_auth(contexts):
+    routers, plan = _chain(2)
+    store, keys, plan = full_setup(routers, plan, SRC, now=0)
+    source.emit_packet(store, plan, SRC, b"x", 0, now=100)
+    prepared = {k: g.key for k, g in store.grants.items()}
+    old = dict(store.grants)
+    contexts.clear()
+    full_setup(routers, plan, SRC, now=4 * S, store=store)
+    source.emit_packet(store, plan, SRC, b"x", 0, now=4 * S + 100)
+    assert all(store.grants[k] is not old[k] for k in old)  # renewed terms
+    assert {k: g.key for k, g in store.grants.items()} == prepared
+    assert contexts["prepared"] == 0
+    # a grant under another authenticator prepares its own key
+    fkey = plan.forward_keys[0][1]
+    g = store.grants[fkey]
+    store.put(fkey, source.FlyoverGrant(g.bw, g.ts_exp, bytes(16)))
+    source.emit_packet(store, plan, SRC, b"x", 0, now=4 * S + 200)
+    assert contexts["prepared"] == 1
+    assert store.grants[fkey].key is not prepared[fkey]
 
 
 # end-to-end soundness ----------------------------------------------------------------
