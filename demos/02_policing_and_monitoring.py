@@ -21,7 +21,7 @@ print(f"  state is a single timestamp: {bucket.serialize().hex()} ({len(bucket.s
 print("\n== a source sending at twice its rate ==")
 mon = TrafficMonitor(window_ns=1 * MS)
 mon.register(src=4, bw=8_000_000_000, ts_exp=10**15, direction=wire.FORWARD, now=0)
-verdicts = [mon.police(4, 1000, 1, 2, wire.FORWARD, now=k * 500) for k in range(40_000)]
+verdicts = [mon.police(4, 1000, wire.FORWARD, now=k * 500) for k in range(40_000)]
 over = sum(v is Verdict.OVERUSE for v in verdicts)
 print(f"  {over}/{len(verdicts)} packets demoted ({over/len(verdicts):.1%}),"
       f" ~half, deterministically")

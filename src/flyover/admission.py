@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import crypto, wire
-from .policing import DedupWindow, TrafficMonitor
+from .policing import DedupWindow
 
 
 def flyover_bandwidth(entry_bw: int, requesters: int, min_requesters: int) -> int:
@@ -282,29 +282,24 @@ class AllocationMatrix:
 class DefaultPolicy:
     """Estimator-backed bandwidth policy, one estimator per interface pair.
 
-    Set ``per_pair=False`` to share one estimator per ingress interface
-    instead (cheaper, coarser counts). Demand fields are accepted and
-    ignored; a demand-aware policy can be plugged in through the same
-    ``get_bandwidth`` surface.
+    Grants ignore the request's demand fields: a source gets its share of
+    the pair's entry whatever it asks for.
     """
 
-    def __init__(self, matrix: AllocationMatrix, config: EstimatorConfig,
-                 per_pair: bool = True, now: int = 0):
+    def __init__(self, matrix: AllocationMatrix, config: EstimatorConfig, now: int = 0):
         self.matrix = matrix
         self.config = config
-        self.per_pair = per_pair
         self._created_at = now
-        self._estimators: dict[tuple, RequesterEstimator] = {}
+        self._estimators: dict[tuple[int, int], RequesterEstimator] = {}
 
     def estimator_for(self, ingress: int, egress: int) -> RequesterEstimator:
-        key = (ingress, egress) if self.per_pair else (ingress,)
+        key = (ingress, egress)
         est = self._estimators.get(key)
         if est is None:
             est = self._estimators[key] = RequesterEstimator(self.config, self._created_at)
         return est
 
-    def get_bandwidth(self, src: int, ingress: int, egress: int, now: int,
-                      bw_demand: int | None = None, bw_min: int | None = None) -> Grant | None:
+    def get_bandwidth(self, src: int, ingress: int, egress: int, now: int) -> Grant | None:
         est = self.estimator_for(ingress, egress)
         est.rotate(now)
         entry = self.matrix.admission_value(ingress, egress)
@@ -348,8 +343,7 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
     ):
         if not wants:
             continue
-        grant = state.policy.get_bandwidth(req.src, pair[0], pair[1], now,
-                                           req.bw_demand, req.bw_min)
+        grant = state.policy.get_bandwidth(req.src, pair[0], pair[1], now)
         if grant is None:
             continue
         alpha = crypto.compute_authenticator(state.prepared_secret, req.src, pair[0],

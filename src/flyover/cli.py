@@ -1,4 +1,4 @@
-"""Command-line entry point: topology runs, scenarios, vectors, benchmarks.
+"""Command-line entry point: topology runs, scenarios, crypto vectors.
 
 Subcommands::
 
@@ -8,11 +8,12 @@ Subcommands::
     sim plot          SVG line chart of median cover vs threshold or size
     scenario run      run a scenario file and evaluate its requirements
     vectors           print the crypto test-vector lines
-    bench             non-binding throughput numbers (validate / admit)
 
 Every run prints its resolved configuration and seed; with the same seed
 any command is bit-reproducible. Exit codes: 0 success, 1 a scenario
-requirement failed, 2 usage or configuration error.
+requirement failed, 2 usage or configuration error. The three ``sim``
+commands build each seed's study in one place, so they share one set of
+argument checks. Throughput is measured by ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -20,19 +21,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
-import time
-from fractions import Fraction
 
-from . import crypto, simnet, source, topo, wire
-from .admission import AllocationMatrix
-from .router import Router, RouterConfig, TrafficClass
+from . import crypto, simnet, topo
 from .units import parse_bandwidth
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in str(text).split(",") if s != ""]
+    seeds = [int(s) for s in str(text).split(",") if s != ""]
+    if not seeds:
+        raise argparse.ArgumentTypeError("need at least one seed")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     vec = sub.add_parser("vectors", help="print crypto test vectors")
     vec.add_argument("-o", "--output", default="-")
 
-    bench = sub.add_parser("bench", help="non-binding throughput benchmarks")
-    bench_sub = bench.add_subparsers(dest="sub", required=True)
-    bv = bench_sub.add_parser("validate", help="data-plane validation rate")
-    bv.add_argument("--packets", type=float, default=1e5)
-    ba = bench_sub.add_parser("admit", help="admission rate")
-    ba.add_argument("--requests", type=float, default=1e4)
-
     return p
 
 
@@ -135,12 +127,17 @@ def _strategies(name: str) -> list[str]:
     return [topo.MAXIMUM if name == "max" else topo.CONCURRENT]
 
 
+def _study(n: int, m: int, r: float, seed: int, min_req: int) -> topo.ReservationStudy:
+    """One seed's study; ``generate_topology`` and ``build_demands`` check
+    the graph size and the sampling rate."""
+    g = topo.generate_topology(n, m, seed)
+    return topo.ReservationStudy(g, topo.build_matrices(g), topo.build_demands(g, r, seed),
+                                 min_req)
+
+
 def _reservation_rows_for_seed(params) -> list[list]:
     n, m, r, strategies, min_req, seed = params
-    g = topo.generate_topology(n, m, seed)
-    mats = topo.build_matrices(g)
-    demands = topo.build_demands(g, r, seed)
-    study = topo.ReservationStudy(g, mats, demands, min_req)
+    study = _study(n, m, r, seed, min_req)
     rows = []
     for strategy in strategies:
         for src, dst, size in study.reservation_rows(strategy):
@@ -150,8 +147,7 @@ def _reservation_rows_for_seed(params) -> list[list]:
 
 def _cover_rows_for_seed(params) -> list[list]:
     n, m, r, strategies, min_req, seed, gamma = params
-    cfg = topo.ExperimentConfig(n, m, r, seed=seed, min_requesters=min_req)
-    covers = topo.run_cover_experiment(cfg, float(gamma))
+    covers = _study(n, m, r, seed, min_req).covers(float(gamma))
     return [[seed, n, r, s, gamma, f"{covers[s].median:.6f}"] for s in strategies]
 
 
@@ -167,12 +163,13 @@ def _fan_out(worker, param_list, jobs: int) -> list:
 def cmd_sim_reservations(args) -> int:
     print(f"# sim reservations n={args.n} m={args.m} r={args.r} "
           f"strategy={args.strategy} seeds={args.seeds} min_requesters={args.min_requesters}")
+    params = [(args.n, args.m, args.r, _strategies(args.strategy),
+               args.min_requesters, seed) for seed in args.seeds]
+    per_seed = _fan_out(_reservation_rows_for_seed, params, args.jobs)
     out, close = _open_out(args.output)
     w = csv.writer(out)
     w.writerow(["seed", "n", "r", "strategy", "src", "dst", "a_ij_bps"])
-    params = [(args.n, args.m, args.r, _strategies(args.strategy),
-               args.min_requesters, seed) for seed in args.seeds]
-    for rows in _fan_out(_reservation_rows_for_seed, params, args.jobs):
+    for rows in per_seed:
         w.writerows(rows)
     if close:
         out.close()
@@ -183,12 +180,13 @@ def cmd_sim_cover(args) -> int:
     gamma = parse_bandwidth(args.gamma)
     print(f"# sim cover n={args.n} m={args.m} r={args.r} gamma={gamma} "
           f"strategy={args.strategy} seeds={args.seeds} min_requesters={args.min_requesters}")
+    params = [(args.n, args.m, args.r, _strategies(args.strategy),
+               args.min_requesters, seed, gamma) for seed in args.seeds]
+    per_seed = _fan_out(_cover_rows_for_seed, params, args.jobs)
     out, close = _open_out(args.output)
     w = csv.writer(out)
     w.writerow(["seed", "n", "r", "strategy", "gamma_bps", "median_cover"])
-    params = [(args.n, args.m, args.r, _strategies(args.strategy),
-               args.min_requesters, seed, gamma) for seed in args.seeds]
-    for rows in _fan_out(_cover_rows_for_seed, params, args.jobs):
+    for rows in per_seed:
         w.writerows(rows)
     if close:
         out.close()
@@ -234,10 +232,7 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
 def cmd_sim_plot(args) -> int:
     gammas = [parse_bandwidth(x) for x in args.gammas.split(",")]
     print(f"# sim plot n={args.n} r={args.r} seed={args.seed} gammas={gammas}")
-    g = topo.generate_topology(args.n, args.m, args.seed)
-    mats = topo.build_matrices(g)
-    demands = topo.build_demands(g, args.r, args.seed)
-    study = topo.ReservationStudy(g, mats, demands, args.min_requesters)
+    study = _study(args.n, args.m, args.r, args.seed, args.min_requesters)
     series: dict[str, list[tuple[float, float]]] = {"maximum": [], "concurrent": []}
     for gamma in gammas:
         covers = study.covers(float(gamma))
@@ -329,69 +324,6 @@ def cmd_vectors(args) -> int:
     return 0
 
 
-# -- bench -------------------------------------------------------------------------
-
-
-def _bench_router():
-    matrix = AllocationMatrix([[0, 10**11, 10**11]] + [[10**11, 0, 10**11]]
-                              + [[10**11, 10**11, 0]])
-    # short replay window keeps the dedup set small over long runs
-    cfg = RouterConfig(delta_ns=500_000, lifetime_ns=1_000_000)
-    router = Router(1, bytes(range(16)), matrix, cfg, rng=random.Random(1))
-    est = router.policy.estimator_for(1, 2)
-    est.granted.add(7)
-    est.previous.add(7)
-    return router
-
-
-def cmd_bench_validate(args) -> int:
-    n = int(args.packets)
-    print(f"# bench validate packets={n} (non-binding)")
-    router = _bench_router()
-    router.monitor.register(7, 8 * 10**12, 10**18, wire.FORWARD, 0)
-    alpha = crypto.compute_authenticator(router.secret, 7, 1, 2)
-    elapsed = 0.0
-    prio = done = 0
-    chunk = 10_000
-    while done < n:
-        batch = []
-        for k in range(done, min(done + chunk, n)):
-            ts = 1000 + k * 2000  # unique, paced inside the replay window
-            batch.append(wire.DataPacket(
-                7, False, ts, 0,
-                ((0, crypto.compute_validation_field(alpha, ts, 1026)),),
-                (), b""))
-        t0 = time.perf_counter()
-        for pkt in batch:
-            d = router.handle_data(pkt, 0, 1, 2, now=pkt.ts_pkt, wire_len=1026)
-            if d.traffic_class is TrafficClass.PRIORITY:
-                prio += 1
-        elapsed += time.perf_counter() - t0
-        done += len(batch)
-    print(f"validated {n} packets in {elapsed:.3f}s -> {n/elapsed:,.0f} "
-          f"validations/sec ({prio} priority)")
-    return 0
-
-
-def cmd_bench_admit(args) -> int:
-    n = int(args.requests)
-    print(f"# bench admit requests={n} (non-binding)")
-    router = _bench_router()
-    drkey = crypto.derive_drkey(router.secret, 7)
-    t0 = time.perf_counter()
-    granted = 0
-    for k in range(n):
-        ts = 1000 + k
-        auth = crypto.compute_request_auth(drkey, ts, True, False)
-        req = wire.SetupRequest(7, ts, (wire.ReqEntry(0, True, False, auth),))
-        _, entries = router.handle_setup(req, 0, 1, 2, now=ts)
-        granted += len(entries)
-    dt = time.perf_counter() - t0
-    print(f"admitted {n} requests in {dt:.3f}s -> {n/dt:,.0f} admissions/sec "
-          f"({granted} granted)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -411,10 +343,6 @@ def main(argv=None) -> int:
             return cmd_scenario_run(args)
         if args.cmd == "vectors":
             return cmd_vectors(args)
-        if args.cmd == "bench":
-            if args.sub == "validate":
-                return cmd_bench_validate(args)
-            return cmd_bench_admit(args)
     except (simnet.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -104,8 +104,7 @@ class TrafficMonitor:
             entry.bw = bw
             entry.ts_exp = ts_exp
 
-    def police(self, src: int, pkt_len: int, ingress: int, egress: int,
-               direction: int, now: int) -> Verdict:
+    def police(self, src: int, pkt_len: int, direction: int, now: int) -> Verdict:
         entry = self.entries.get((src, direction))
         if entry is None:
             return Verdict.UNKNOWN
@@ -178,19 +177,3 @@ class DedupWindow:
 
     def __len__(self) -> int:
         return len(self.seen)
-
-
-def self_renew(monitor: TrafficMonitor, src: int, policy, ingress: int, egress: int,
-               direction: int, now: int) -> bool:
-    """Renew a reservation from validated data traffic instead of a request.
-
-    Runs the bandwidth policy exactly as an explicit request would and
-    updates the monitor entry; no response is emitted, so a source that
-    wants to learn the refreshed size still has to send a real request.
-    Returns True if the entry was updated.
-    """
-    grant = policy.get_bandwidth(src, ingress, egress, now)
-    if grant is None:
-        return False
-    monitor.register(src, grant.bw, grant.ts_exp, direction, now)
-    return True

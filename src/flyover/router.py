@@ -18,7 +18,7 @@ from enum import Enum
 
 from . import crypto, wire
 from .admission import AllocationMatrix, DefaultPolicy, EstimatorConfig, Grant, admit_setup
-from .policing import DedupWindow, TrafficMonitor, Verdict, self_renew
+from .policing import DedupWindow, TrafficMonitor, Verdict
 
 
 class TrafficClass(Enum):
@@ -45,7 +45,6 @@ class RouterConfig:
     bucket_window_ns: int = 50_000_000
     self_renew: bool = False
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    per_pair_estimators: bool = True
 
 
 class Router:
@@ -63,8 +62,7 @@ class Router:
         self.prepared_secret = crypto.PreparedKey(secret)
         self.matrix = matrix
         self.config = config or RouterConfig()
-        self.policy = DefaultPolicy(matrix, self.config.estimator,
-                                    self.config.per_pair_estimators, now)
+        self.policy = DefaultPolicy(matrix, self.config.estimator, now)
         self.monitor = TrafficMonitor(self.config.bucket_window_ns)
         self.dedup = DedupWindow(self.config.lifetime_ns + self.config.delta_ns)
         self.rng = rng
@@ -84,22 +82,17 @@ class Router:
 
     def note_grant(self, src: int, pair: tuple[int, int], grant: Grant, now: int,
                    ts_req: int | None = None) -> None:
-        per_pair = self.active_grants.setdefault(pair, {})
-        per_pair[src] = (grant.bw, grant.ts_exp)
+        holders = self.active_grants.setdefault(pair, {})
+        holders[src] = (grant.bw, grant.ts_exp)
         self.grant_log.append((now, src, pair, grant.bw, grant.ts_exp, grant.tentative))
         if ts_req is not None:
             self.grant_request_ts.append((ts_req, src, grant.tentative))
-        total = sum(bw for bw, exp in per_pair.values() if exp > now)
+        total = sum(bw for bw, exp in holders.values() if exp > now)
         capacity = self.matrix.capacity_value(pair[0], pair[1], now)
         if total > capacity:
             raise AssertionError(
                 f"over-allocation on pair {pair}: {total} > {capacity}"
             )
-
-    def matrix_update(self, ingress: int, egress: int, new_value: int, now: int):
-        """Change one allocation entry with update-delay semantics."""
-        return self.matrix.update(ingress, egress, new_value, now,
-                                  self.config.estimator.interval_ns)
 
     # packet handlers -----------------------------------------------------
 
@@ -144,7 +137,7 @@ class Router:
             self.monitor.note_replay(pkt.src)
             return ForwardDecision(TrafficClass.DROP, pair_out, "replay")
         direction = wire.BACKWARD if backward else wire.FORWARD
-        verdict = self.monitor.police(pkt.src, wire_len, pair_in, pair_out, direction, now)
+        verdict = self.monitor.police(pkt.src, wire_len, direction, now)
         if verdict is Verdict.CONFORM:
             if cfg.self_renew:
                 grant = self.policy.get_bandwidth(pkt.src, pair_in, pair_out, now)

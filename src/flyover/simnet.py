@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from . import crypto, source, wire
 from .admission import AllocationMatrix, EstimatorConfig
-from .policing import DedupWindow
 from .router import ForwardDecision, Router, RouterConfig, TrafficClass
 from .units import parse_bandwidth, parse_duration
 
@@ -198,6 +197,9 @@ class ReservationFlow:
         self.renew = bool(spec.get("renew", False))
         self.ignore_expiry = bool(spec.get("ignore_expiry", False))
         self.overuse_factor = float(spec.get("overuse_factor", 1.0))
+        if self.overuse_factor <= 0:
+            raise ConfigError(f"{self.name}: overuse factor must be positive, "
+                              f"got {self.overuse_factor}")
         self.store = source.GrantStore()
         self.keys = {h.as_id: crypto.derive_drkey(net.nodes[h.as_id].router.prepared_secret,
                                                   self.src)
@@ -352,6 +354,8 @@ class RequestFlood:
         self.plan = net.plan_for(self.route, False, name=self.name)
         self.authentic = bool(spec.get("authentic", True))
         rate = float(spec.get("requests_per_s", 100.0))
+        if rate <= 0:
+            raise ConfigError(f"{self.name}: requests_per_s must be positive, got {rate}")
         self.gap = max(1, int(10**9 / rate))
         self.count = 0
         self.max_requests = int(spec.get("max_requests", 10**9))
@@ -393,6 +397,8 @@ class Spoofer:
         self.count = int(spec.get("count", 1000))
         self.packet_size = int(spec.get("packet_size", 100))
         self.gap = parse_duration(spec.get("gap", 100))
+        if self.gap < 0:
+            raise ConfigError(f"{self.name}: gap must be >= 0, got {spec['gap']!r}")
         self.sent = 0
         self.succeeded = 0  # frames some router classified as priority
 
@@ -424,6 +430,8 @@ class Replayer:
         self.link = tuple(_required(spec, "link"))
         self.copies = int(spec.get("copies", 1))
         self.delay = parse_duration(spec.get("delay", 1000))
+        if self.delay < 0:
+            raise ConfigError(f"{self.name}: delay must be >= 0, got {spec['delay']!r}")
         self.injected = 0
         self.copies_dropped = 0
         self.copies_delivered = 0

@@ -39,26 +39,6 @@ CONCURRENT = "concurrent"
 MAXIMUM = "maximum"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    n_nodes: int
-    attachment: int = 2
-    sampling_rate: float = 0.1
-    strategy: str = MAXIMUM
-    min_requesters: int = 1
-    seed: int = 1
-    capacity_step: int = 40 * GBPS
-    capacity_buckets: int = 10
-
-    def __post_init__(self):
-        if not 0 < self.sampling_rate <= 1:
-            raise ValueError("sampling rate must be in (0, 1]")
-        if self.n_nodes < 2:
-            raise ValueError("need at least two nodes")
-        if self.strategy not in (CONCURRENT, MAXIMUM):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-
 class TopologyGraph:
     """Undirected scale-free graph with interfaces and link capacities."""
 
@@ -110,14 +90,17 @@ def _ekey(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def generate_topology(n: int, attachment: int = 2, seed: int = 1,
-                      capacity_step: int = 40 * GBPS,
-                      capacity_buckets: int = 10) -> TopologyGraph:
-    """Preferential-attachment graph with degree-gravity capacities."""
+def generate_topology(n: int, attachment: int = 2, seed: int = 1) -> TopologyGraph:
+    """Preferential-attachment graph with degree-gravity capacities:
+    ten 40 Gbps buckets. Needs n >= 2 and 1 <= attachment < n."""
+    if n < 2:
+        raise ValueError(f"need at least two nodes, got n={n}")
+    if not 1 <= attachment < n:
+        raise ValueError(f"attachment must be in [1, n), got m={attachment} with n={n}")
     g = nx.barabasi_albert_graph(n, attachment, seed=seed)
     edges = [(_ekey(u, v)) for u, v in g.edges()]
     deg = dict(g.degree())
-    return _assign_capacities(n, edges, deg, capacity_step, capacity_buckets)
+    return _assign_capacities(n, edges, deg, 40 * GBPS, 10)
 
 
 def _assign_capacities(n, edges, deg, step, buckets) -> TopologyGraph:
@@ -168,6 +151,13 @@ def sample_destinations(g: TopologyGraph, src: int, r: float, seed: int) -> list
     """Sample round(r*N) distinct destinations, degree-weighted, without
     replacement; never includes the source itself."""
     return destination_order(g, src, seed)[: sample_count(r, g.n)]
+
+
+def build_demands(g: TopologyGraph, r: float, seed: int) -> dict[int, list[int]]:
+    """Each source's sampled destinations at sampling rate ``r`` in (0, 1]."""
+    if not 0 < r <= 1:
+        raise ValueError(f"sampling rate must be in (0, 1], got r={r}")
+    return {src: sample_destinations(g, src, r, seed) for src in range(g.n)}
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +337,3 @@ def gamma_cover(reservations: dict[tuple[int, int], Fraction | float],
         covered = sum(1 for d in dests if reservations.get((src, d), 0) > gamma)
         per_node[src] = covered / len(dests)
     return CoverResult(per_node, gamma)
-
-
-# ---------------------------------------------------------------------------
-# orchestration
-
-
-def build_demands(g: TopologyGraph, r: float, seed: int) -> dict[int, list[int]]:
-    return {src: sample_destinations(g, src, r, seed) for src in range(g.n)}
-
-
-def run_cover_experiment(cfg: ExperimentConfig, gamma: float):
-    """One (config, seed) run: returns {strategy: CoverResult}."""
-    g = generate_topology(cfg.n_nodes, cfg.attachment, cfg.seed,
-                          cfg.capacity_step, cfg.capacity_buckets)
-    matrices = build_matrices(g)
-    demands = build_demands(g, cfg.sampling_rate, cfg.seed)
-    study = ReservationStudy(g, matrices, demands, cfg.min_requesters)
-    return study.covers(gamma)

@@ -21,7 +21,7 @@ messages.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MSG_SETUP_REQ = 0x01
 MSG_SETUP_RESP = 0x02

@@ -314,12 +314,11 @@ def test_matrix_update_then_grant_uses_new_value():
 
 # policy plumbing -------------------------------------------------------------
 
-def test_policy_per_pair_vs_per_ingress():
+def test_policy_keeps_one_estimator_per_interface_pair():
     m = AllocationMatrix([[0, GBPS, GBPS], [GBPS, 0, GBPS], [GBPS, GBPS, 0]])
-    per_pair = DefaultPolicy(m, exact_cfg(), per_pair=True)
-    assert per_pair.estimator_for(0, 1) is not per_pair.estimator_for(0, 2)
-    shared = DefaultPolicy(m, exact_cfg(), per_pair=False)
-    assert shared.estimator_for(0, 1) is shared.estimator_for(0, 2)
+    policy = DefaultPolicy(m, exact_cfg())
+    assert policy.estimator_for(0, 1) is not policy.estimator_for(0, 2)
+    assert policy.estimator_for(0, 1) is policy.estimator_for(0, 1)
 
 
 def test_policy_auto_rotates():

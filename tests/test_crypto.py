@@ -16,11 +16,11 @@ from aes_ref import (
     ref_validation_field,
 )
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _vector_lines():
-    with open(os.path.join(FIXTURES, "crypto_vectors.txt")) as fh:
+    with open(os.path.join(GOLDEN, "vectors.txt")) as fh:
         return [ln.split() for ln in fh if ln.strip()]
 
 

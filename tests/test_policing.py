@@ -5,9 +5,7 @@ import struct
 
 import pytest
 
-from flyover.admission import AllocationMatrix, DefaultPolicy, EstimatorConfig
-from flyover.policing import DedupWindow, TokenBucket, TrafficMonitor, Verdict, self_renew
-from fractions import Fraction
+from flyover.policing import DedupWindow, TokenBucket, TrafficMonitor, Verdict
 
 from oracles import CounterBucket
 
@@ -81,7 +79,7 @@ def test_register_twice_keeps_single_entry_and_bucket_state():
     mon = TrafficMonitor()
     mon.register(5, 8_000_000_000, 10 * S, 0, now=0)
     entry = mon.entry(5, 0)
-    mon.police(5, 1000, 1, 2, 0, now=0)
+    mon.police(5, 1000, 0, now=0)
     ts_after_traffic = entry.bucket.ts
     mon.register(5, 8_000_000_000, 12 * S, 0, now=1)  # repeated request
     assert mon.entry(5, 0) is entry
@@ -107,10 +105,10 @@ def test_monitor_footprint_100k():
 
 def test_police_verdicts():
     mon = TrafficMonitor(window_ns=50 * MS)
-    assert mon.police(9, 1000, 1, 2, 0, 0) is Verdict.UNKNOWN
+    assert mon.police(9, 1000, 0, 0) is Verdict.UNKNOWN
     mon.register(9, 8_000_000_000, 5 * S, 0, now=0)
-    assert mon.police(9, 1000, 1, 2, 0, 100) is Verdict.CONFORM
-    assert mon.police(9, 1000, 1, 2, 0, 5 * S + 1) is Verdict.EXPIRED
+    assert mon.police(9, 1000, 0, 100) is Verdict.CONFORM
+    assert mon.police(9, 1000, 0, 5 * S + 1) is Verdict.EXPIRED
 
 
 def test_police_conforming_rate_never_flags():
@@ -120,7 +118,7 @@ def test_police_conforming_rate_never_flags():
     mon.register(3, bw, 10**12, 0, now=0)
     gap = 1000  # ns per 1000-byte packet at 1 B/ns
     for k in range(10 * MS // gap):
-        assert mon.police(3, 1000, 1, 2, 0, k * gap) is Verdict.CONFORM
+        assert mon.police(3, 1000, 0, k * gap) is Verdict.CONFORM
 
 
 def test_police_double_rate_flags_half():
@@ -130,7 +128,7 @@ def test_police_double_rate_flags_half():
     mon.register(4, 8_000_000_000, 10**12, 0, now=0)
     verdicts = []
     for k in range(100_000):
-        verdicts.append(mon.police(4, 1000, 1, 2, 0, k * 500))  # 2x rate
+        verdicts.append(mon.police(4, 1000, 0, k * 500))  # 2x rate
     over = sum(v is Verdict.OVERUSE for v in verdicts)
     assert abs(over / len(verdicts) - 0.5) < 0.02
     c = mon.counters[4]
@@ -151,7 +149,7 @@ def test_policing_soundness_bound():
         for _ in range(400):
             t += rng.randrange(0, 1_000_000)
             length = rng.randrange(1, 9000)
-            if mon.police(1, length, 0, 1, 0, t) is Verdict.CONFORM:
+            if mon.police(1, length, 0, t) is Verdict.CONFORM:
                 conform += length
             assert conform <= rate * window + rate * t + 1e-6
 
@@ -167,7 +165,7 @@ def test_sweep_evicts_lazily():
 def test_report_rows_schema():
     mon = TrafficMonitor(window_ns=50 * MS)
     mon.register(7, 8_000_000_000, 10 * S, 0, now=0)
-    mon.police(7, 1000, 1, 2, 0, 0)
+    mon.police(7, 1000, 0, 0)
     mon.note_replay(7)
     rows = mon.report_rows()
     assert rows == [(7, 1000, 0, 0, 1)]
@@ -200,35 +198,3 @@ def test_dedup_eviction_after_window():
     # re-sent long after the original's window: fresh again
     assert w.check(1, 100, 0, now=5000)
     assert len(w) == 1
-
-
-# self-renewal -------------------------------------------------------------------
-
-def _warm_policy(entry_bw=100 * 10**9):
-    m = AllocationMatrix([[0, entry_bw], [entry_bw, 0]])
-    cfg = EstimatorConfig(interval_ns=10 * S, min_requesters=1,
-                          reserved_fraction=Fraction(4, 5), tentative_slots=0, exact=True)
-    policy = DefaultPolicy(m, cfg)
-    est = policy.estimator_for(0, 1)
-    est.granted.add(9)
-    est.previous.add(9)
-    return policy
-
-
-def test_self_renew_advances_expiry():
-    policy = _warm_policy()
-    mon = TrafficMonitor()
-    mon.register(9, 1000, 5 * S, 0, now=0)
-    assert self_renew(mon, 9, policy, 0, 1, 0, now=3 * S)
-    assert mon.entry(9, 0).ts_exp == 3 * S + 10 * S
-    assert mon.entry(9, 0).bw == int(Fraction(4, 5) * 100 * 10**9)
-
-
-def test_self_renew_denied_leaves_entry():
-    m = AllocationMatrix([[0, 10**9], [10**9, 0]])
-    cfg = EstimatorConfig(interval_ns=10 * S, min_requesters=1, tentative_slots=0, exact=True)
-    policy = DefaultPolicy(m, cfg)
-    mon = TrafficMonitor()
-    mon.register(9, 1000, 5 * S, 0, now=0)
-    assert not self_renew(mon, 9, policy, 0, 1, 0, now=3 * S)  # not in granted set
-    assert mon.entry(9, 0).ts_exp == 5 * S

@@ -329,6 +329,18 @@ def test_self_renew_extends_reservation_on_conform():
     assert r.monitor.entry(SRC, wire.FORWARD).ts_exp > exp0
 
 
+def test_self_renew_without_firm_grant_leaves_expiry():
+    r, plan = _single_hop(self_renew=True, estimator_kw={"tentative_slots": 0})
+    store, *_ = full_setup([r], plan, SRC, now=0)
+    r.policy.estimator_for(1, 0).granted.reset()  # SRC holds no firm grant any more
+    exp0 = r.monitor.entry(SRC, wire.FORWARD).ts_exp
+    grants0 = {pair: dict(holders) for pair, holders in r.active_grants.items()}
+    pkt = _emit(store, plan, now=5 * S)
+    assert r.handle_data(pkt, 0, 1, 0, now=5 * S).traffic_class is TrafficClass.PRIORITY
+    assert r.monitor.entry(SRC, wire.FORWARD).ts_exp == exp0
+    assert r.active_grants == grants0
+
+
 def test_self_renew_disabled_leaves_expiry():
     r, plan = _single_hop(self_renew=False)
     store, *_ = full_setup([r], plan, SRC, now=0)

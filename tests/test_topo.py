@@ -279,18 +279,11 @@ def test_integrated_covers_match_enumeration_oracle():
         assert fast[strategy].median == pytest.approx(oracle.median)
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        topo.ExperimentConfig(n_nodes=1)
-    with pytest.raises(ValueError):
-        topo.ExperimentConfig(n_nodes=10, sampling_rate=0)
-    with pytest.raises(ValueError):
-        topo.ExperimentConfig(n_nodes=10, strategy="best")
-
-
-def test_run_cover_experiment_smoke():
-    cfg = topo.ExperimentConfig(n_nodes=80, sampling_rate=0.2, seed=3)
-    covers = topo.run_cover_experiment(cfg, gamma=100_000.0)
-    assert set(covers) == {topo.MAXIMUM, topo.CONCURRENT}
-    assert 0.0 <= covers[topo.CONCURRENT].median <= 1.0
-    assert covers[topo.MAXIMUM].median >= covers[topo.CONCURRENT].median
+def test_topology_and_sampling_arguments_rejected():
+    for n, m in [(1, 1), (0, 1), (20, 0), (20, -1), (20, 20)]:
+        with pytest.raises(ValueError):
+            topo.generate_topology(n, m, seed=1)
+    g = topo.generate_topology(10, seed=1)
+    for r in [0, -0.5, 1.5, 3]:
+        with pytest.raises(ValueError):
+            topo.build_demands(g, r, 1)
