@@ -54,43 +54,47 @@ class ExactSetFilter:
 class BloomFilter:
     """Bloom filter over AS ids with double hashing.
 
-    Union cardinality is estimated from the fill ratio of the bitwise OR and
-    rounded up: over-estimating the requester count only shrinks grants, so
-    the no-over-allocation guarantee is preserved.
+    The bits are packed eight to a byte in a ``bytearray``: position ``p``
+    is bit ``p % 8`` of byte ``p // 8``, so ``add`` and membership touch
+    only the ``n_hashes`` bytes their positions fall in. Union cardinality
+    is estimated from the fill ratio of the bitwise OR and rounded up:
+    over-estimating the requester count only shrinks grants, so the
+    no-over-allocation guarantee is preserved.
     """
 
     __slots__ = ("bits", "n_bits", "n_hashes")
 
     def __init__(self, n_bits: int = 95_851, n_hashes: int = 7):
-        self.bits = 0
+        self.bits = bytearray((n_bits + 7) // 8)
         self.n_bits = n_bits
         self.n_hashes = n_hashes
 
-    def _mask(self, item: int) -> int:
+    def _positions(self, item: int) -> list[int]:
         digest = hashlib.blake2b(item.to_bytes(8, "big"), digest_size=16).digest()
         h1 = int.from_bytes(digest[:8], "big")
         h2 = int.from_bytes(digest[8:], "big") | 1
-        mask = 0
-        for i in range(self.n_hashes):
-            mask |= 1 << ((h1 + i * h2) % self.n_bits)
-        return mask
+        n = self.n_bits
+        return [(h1 + i * h2) % n for i in range(self.n_hashes)]
 
     def add(self, item: int) -> None:
-        self.bits |= self._mask(item)
+        bits = self.bits
+        for p in self._positions(item):
+            bits[p >> 3] |= 1 << (p & 7)
 
     def __contains__(self, item: int) -> bool:
-        mask = self._mask(item)
-        return self.bits & mask == mask
+        bits = self.bits
+        return all(bits[p >> 3] >> (p & 7) & 1 for p in self._positions(item))
 
     def union_cardinality(self, other: "BloomFilter") -> int:
-        filled = (self.bits | other.bits).bit_count()
+        filled = (int.from_bytes(self.bits, "little")
+                  | int.from_bytes(other.bits, "little")).bit_count()
         if filled >= self.n_bits:
             return self.n_bits
         est = -(self.n_bits / self.n_hashes) * math.log1p(-filled / self.n_bits)
         return math.ceil(est)
 
     def reset(self) -> "BloomFilter":
-        self.bits = 0
+        self.bits = bytearray(len(self.bits))
         return self
 
 
@@ -111,6 +115,12 @@ class EstimatorConfig:
             raise ValueError("reserved_fraction must be in (0, 1]")
         if self.min_requesters < 1:
             raise ValueError("min_requesters must be >= 1")
+        if self.interval_ns < 1:
+            raise ValueError("interval_ns must be >= 1")
+        if self.tentative_slots < 0:
+            raise ValueError("tentative_slots must be >= 0")
+        if self.filter_bits < 1 or self.hash_count < 1:
+            raise ValueError("filter_bits and hash_count must be >= 1")
 
     def make_filter(self):
         if self.exact:
@@ -146,8 +156,17 @@ class RequesterEstimator:
         self.next_rotation = now + config.interval_ns
 
     def rotate(self, now: int) -> None:
-        """Apply every rotation due by ``now`` (idempotent when none are)."""
-        while now >= self.next_rotation:
+        """Apply every rotation due by ``now`` (idempotent when none are).
+
+        Three rotations empty all three filters and set the count to its
+        floor, and further ones change nothing else, so at most three are
+        applied; the rest only advance the schedule.
+        """
+        if now < self.next_rotation:
+            return
+        interval = self.config.interval_ns
+        due = (now - self.next_rotation) // interval + 1
+        for _ in range(min(due, 3)):
             union = self.current.union_cardinality(self.previous)
             self.requesters = max(union, self.config.min_requesters)
             self.granted, self.previous, self.current = (
@@ -155,9 +174,9 @@ class RequesterEstimator:
                 self.current,
                 self.granted.reset(),
             )
-            self.slots_used = 0
-            self._tentative_holders.clear()
-            self.next_rotation += self.config.interval_ns
+        self.slots_used = 0
+        self._tentative_holders.clear()
+        self.next_rotation += due * interval
 
     def request(self, src: int, entry_bw: int, now: int) -> Grant | None:
         """Admit one request against ``entry_bw``; None means retry later.
@@ -168,16 +187,17 @@ class RequesterEstimator:
         the caller.
         """
         cfg = self.config
+        num, den = cfg.reserved_fraction.numerator, cfg.reserved_fraction.denominator
         self.current.add(src)
         if src in self.granted:
-            bw = int(cfg.reserved_fraction * entry_bw / self.requesters)
+            bw = entry_bw * num // (den * self.requesters)
             return Grant(bw, now + cfg.interval_ns, tentative=False)
         if src in self._tentative_holders:
             # repeat first-timer in the same interval: same slot, same grant
             return Grant(self._tentative_holders[src], self.next_rotation, tentative=True)
         if self.slots_used < cfg.tentative_slots:
             self.slots_used += 1
-            bw = int((1 - cfg.reserved_fraction) * entry_bw / cfg.tentative_slots)
+            bw = entry_bw * (den - num) // (den * cfg.tentative_slots)
             self._tentative_holders[src] = bw
             return Grant(bw, self.next_rotation, tentative=True)
         return None
@@ -326,7 +346,8 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
     cfg = state.config
     if not -cfg.delta_ns <= now - req.ts_req <= cfg.lifetime_ns + cfg.delta_ns:
         return []
-    drkey = crypto.derive_drkey(state.prepared_secret, req.src)
+    # one AES context serves the request-auth MAC and both grants' seals
+    drkey = crypto.PreparedKey(crypto.derive_drkey(state.prepared_secret, req.src))
     expected = crypto.compute_request_auth(
         drkey, req.ts_req, entry.flag_r, entry.flag_b, req.bw_demand, req.bw_min
     )

@@ -21,6 +21,10 @@ each context is built:
 - once per stored grant at the source: a grant prepares its authenticator
   on the first packet that uses it and keeps it across renewals that
   return the same authenticator;
+- once per admitted setup request for the router's DRKey: the derived key
+  serves the request-auth MAC and the AEAD key of every grant it seals;
+- once per hop per setup response at the source: the hop's DRKey serves
+  the AEAD key of its forward and backward grants;
 - once per packet for the router's recomputed authenticator (alpha), which
   keys the validation-field MAC: routers keep no per-grant state, so that
   raw key gets one fresh ECB context per call.
@@ -82,13 +86,23 @@ class PreparedKey:
     """A 16-byte AES key with its ECB encryptor, built once and reused.
 
     ECB keeps no chaining state between calls, so the one encryptor serves
-    any number of whole-block ``update`` calls.
+    any number of whole-block ``update`` calls. A key that seals or unseals
+    grants also keeps the ChaCha20-Poly1305 context of its expanded AEAD
+    key, built on first use.
     """
 
-    __slots__ = ("encryptor",)
+    __slots__ = ("encryptor", "_aead")
 
     def __init__(self, key: bytes):
         self.encryptor = _encryptor(key)
+        self._aead = None
+
+    def aead(self) -> ChaCha20Poly1305:
+        if self._aead is None:
+            # ChaCha20-Poly1305 takes a 32-byte key; expand the 16-byte key
+            # with two AES blocks in counter positions 1 and 2.
+            self._aead = ChaCha20Poly1305(self.encryptor.update(_AEAD_KEY_BLOCKS))
+        return self._aead
 
 
 def _encryptor(key: bytes | PreparedKey):
@@ -156,7 +170,7 @@ def compute_validation_field(auth: bytes | PreparedKey, ts_pkt: int, length: int
 
 
 def compute_request_auth(
-    drkey: bytes,
+    drkey: bytes | PreparedKey,
     ts_req: int,
     flag_r: bool,
     flag_b: bool,
@@ -176,10 +190,10 @@ def compute_request_auth(
     return cbc_mac(drkey, msg)
 
 
-def _aead_key(drkey: bytes) -> bytes:
-    # ChaCha20-Poly1305 takes a 32-byte key; expand the 16-byte key with two
-    # AES blocks in counter positions 1 and 2.
-    return _encryptor(drkey).update(_AEAD_KEY_BLOCKS)
+def _aead(drkey: bytes | PreparedKey) -> ChaCha20Poly1305:
+    if not isinstance(drkey, PreparedKey):
+        drkey = PreparedKey(drkey)
+    return drkey.aead()
 
 
 def _grant_ad(bw: int, ts_exp: int) -> bytes:
@@ -187,7 +201,7 @@ def _grant_ad(bw: int, ts_exp: int) -> bytes:
 
 
 def seal_grant(
-    drkey: bytes, auth: bytes, bw: int, ts_exp: int, nonce: bytes | None = None
+    drkey: bytes | PreparedKey, auth: bytes, bw: int, ts_exp: int, nonce: bytes | None = None
 ) -> tuple[bytes, bytes, bytes]:
     """Encrypt an authenticator, binding (bw, ts_exp) as associated data.
 
@@ -201,17 +215,15 @@ def seal_grant(
         raise ValueError("nonce must be 12 bytes")
     if len(auth) != BLOCK_LEN:
         raise ValueError("authenticator must be 16 bytes")
-    sealed = ChaCha20Poly1305(_aead_key(drkey)).encrypt(nonce, auth, _grant_ad(bw, ts_exp))
+    sealed = _aead(drkey).encrypt(nonce, auth, _grant_ad(bw, ts_exp))
     return nonce, sealed[:BLOCK_LEN], sealed[BLOCK_LEN:]
 
 
 def unseal_grant(
-    drkey: bytes, nonce: bytes, ciphertext: bytes, tag: bytes, bw: int, ts_exp: int
+    drkey: bytes | PreparedKey, nonce: bytes, ciphertext: bytes, tag: bytes, bw: int, ts_exp: int
 ) -> bytes:
     """Invert :func:`seal_grant`; raises :class:`AuthFailure` on any tampering."""
     try:
-        return ChaCha20Poly1305(_aead_key(drkey)).decrypt(
-            nonce, ciphertext + tag, _grant_ad(bw, ts_exp)
-        )
+        return _aead(drkey).decrypt(nonce, ciphertext + tag, _grant_ad(bw, ts_exp))
     except InvalidTag as exc:
         raise AuthFailure("grant tag verification failed") from exc

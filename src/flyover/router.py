@@ -9,10 +9,17 @@ the authenticator MAC and the key derivation. The recomputed authenticator
 packet: the router keeps no per-grant state, unlike the source, which
 prepares each stored grant's authenticator once. Every validation failure
 demotes the packet to best effort; only replays are dropped.
+
+Every grant is checked against the pair's capacity (the no-over-allocation
+guard). The guard keeps a running total of the live grants per interface
+pair and a heap of their expiries, so a grant costs amortized O(log n) in
+the pair's holders rather than a re-sum of all of them; a clock that runs
+backwards for a pair rebuilds that pair's total once from its holders.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,6 +81,10 @@ class Router:
         # bounded-time-to-grant property is checked free of wire jitter
         self.first_request_ts: dict[int, int] = {}
         self.grant_request_ts: list[tuple[int, int, bool]] = []  # (ts_req, src, tentative)
+        # per interface pair: [live total, last clock seen, heap of
+        # (ts_exp, src, holder entry)]; entries whose holder was replaced
+        # since are skipped when popped
+        self._live: dict[tuple[int, int], list] = {}
 
     def note_request(self, src: int, ts_req: int) -> None:
         self.first_request_ts.setdefault(src, ts_req)
@@ -83,11 +94,27 @@ class Router:
     def note_grant(self, src: int, pair: tuple[int, int], grant: Grant, now: int,
                    ts_req: int | None = None) -> None:
         holders = self.active_grants.setdefault(pair, {})
-        holders[src] = (grant.bw, grant.ts_exp)
+        live = self._live.get(pair)
+        if live is None or now < live[1]:
+            heap = [(held[1], s, held) for s, held in holders.items() if held[1] > now]
+            heapq.heapify(heap)
+            live = self._live[pair] = [sum(held[0] for _, _, held in heap), now, heap]
+        total, _, heap = live
+        while heap and heap[0][0] <= now:
+            _, s, held = heapq.heappop(heap)
+            if holders.get(s) is held:
+                total -= held[0]
+        old = holders.get(src)
+        if old is not None and old[1] > now:
+            total -= old[0]
+        entry = holders[src] = (grant.bw, grant.ts_exp)
+        if grant.ts_exp > now:
+            total += grant.bw
+            heapq.heappush(heap, (grant.ts_exp, src, entry))
+        live[0], live[1] = total, now
         self.grant_log.append((now, src, pair, grant.bw, grant.ts_exp, grant.tentative))
         if ts_req is not None:
             self.grant_request_ts.append((ts_req, src, grant.tentative))
-        total = sum(bw for bw, exp in holders.values() if exp > now)
         capacity = self.matrix.capacity_value(pair[0], pair[1], now)
         if total > capacity:
             raise AssertionError(

@@ -39,6 +39,13 @@ def _required(spec: dict, key: str):
     return spec[key]
 
 
+def _packet_size(spec: dict, default: int) -> int:
+    size = int(spec.get("packet_size", default))
+    if size < 0:
+        raise ConfigError(f"{spec['name']}: packet_size must be >= 0, got {size}")
+    return size
+
+
 # ---------------------------------------------------------------------------
 # event loop
 
@@ -189,7 +196,7 @@ class ReservationFlow:
         self.route = route
         self.backward = bool(spec.get("backward", False))
         self.plan = net.plan_for(route, self.backward, name=self.name)
-        self.packet_size = int(spec.get("packet_size", 1000))
+        self.packet_size = _packet_size(spec, 1000)
         self.rate_cfg = spec.get("rate", "auto")
         self.len_b = int(spec.get("len_b", 120 if self.backward else 0))
         self.setup_at = parse_duration(spec.get("setup_at", 0))
@@ -321,7 +328,9 @@ class BestEffortFlow:
         self.src = _required(spec, "src")
         self.route = tuple(_required(spec, "path"))
         self.plan = net.plan_for(self.route, False, name=self.name)
-        self.packet_size = int(spec.get("packet_size", 1000))
+        self.packet_size = _packet_size(spec, 1000)
+        if self.packet_size == 0:  # the send gap is size / rate
+            raise ConfigError(f"{self.name}: best-effort packet_size must be >= 1")
         rate = parse_bandwidth(_required(spec, "rate"))
         self.gap = max(1, (self.packet_size * 8 * 10**9) // rate)
         self.start_at = parse_duration(spec.get("start", 0))
@@ -395,7 +404,7 @@ class Spoofer:
         self.route = tuple(_required(spec, "path"))
         self.plan = net.plan_for(self.route, False, name=self.name)
         self.count = int(spec.get("count", 1000))
-        self.packet_size = int(spec.get("packet_size", 100))
+        self.packet_size = _packet_size(spec, 100)
         self.gap = parse_duration(spec.get("gap", 100))
         if self.gap < 0:
             raise ConfigError(f"{self.name}: gap must be >= 0, got {spec['gap']!r}")
@@ -497,15 +506,18 @@ class Network:
         self._uid = 0
 
         est = cfg.get("estimator", {})
-        self.estimator_cfg = EstimatorConfig(
-            interval_ns=parse_duration(est.get("interval", "10s")),
-            min_requesters=int(est.get("min_requesters", 1)),
-            reserved_fraction=Fraction(str(est.get("reserved_fraction", "0.8"))),
-            tentative_slots=int(est.get("tentative_slots", 8)),
-            filter_bits=int(est.get("filter_bits", 95_851)),
-            hash_count=int(est.get("hash_count", 7)),
-            exact=bool(est.get("exact", True)),
-        )
+        try:
+            self.estimator_cfg = EstimatorConfig(
+                interval_ns=parse_duration(est.get("interval", "10s")),
+                min_requesters=int(est.get("min_requesters", 1)),
+                reserved_fraction=Fraction(str(est.get("reserved_fraction", "0.8"))),
+                tentative_slots=int(est.get("tentative_slots", 8)),
+                filter_bits=int(est.get("filter_bits", 95_851)),
+                hash_count=int(est.get("hash_count", 7)),
+                exact=bool(est.get("exact", True)),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"estimator: {exc}") from exc
         self.router_cfg = RouterConfig(
             delta_ns=parse_duration(cfg.get("delta", "500ms")),
             lifetime_ns=parse_duration(cfg.get("lifetime", "1s")),
@@ -598,6 +610,8 @@ class Network:
                 raise ConfigError(f"link {a}-{b}: capacity must be positive, "
                                   f"got {ln.get('capacity')!r}")
             delay = parse_duration(ln.get("delay", "1ms"))
+            if delay < 0:
+                raise ConfigError(f"link {a}-{b}: delay must be >= 0, got {ln.get('delay')!r}")
             neighbors[a].append((b, cap))
             neighbors[b].append((a, cap))
             self.links[(a, b)] = Link(self, a, b, cap, delay, be_buffer)

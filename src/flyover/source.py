@@ -159,15 +159,23 @@ def build_setup_request(keys: dict[int, bytes], plan: PathPlan, src: int, ts_req
 
 def ingest_response(store: GrantStore, keys: dict[int, bytes], resp: wire.SetupResponse,
                     plan: PathPlan) -> list[tuple]:
-    """Unseal and store each verifiable entry; bad entries are skipped alone."""
+    """Unseal and store each verifiable entry; bad entries are skipped alone.
+
+    Each hop's key is prepared once per call, so its forward and backward
+    entries share one AES context.
+    """
     accepted = []
+    prepared: dict[int, crypto.PreparedKey] = {}
     for entry in resp.entries:
         if entry.hop >= len(plan.hops):
             continue
-        hop = plan.hops[entry.hop]
-        key = keys.get(hop.as_id)
+        as_id = plan.hops[entry.hop].as_id
+        key = prepared.get(as_id)
         if key is None:
-            continue
+            raw = keys.get(as_id)
+            if raw is None:
+                continue
+            key = prepared[as_id] = crypto.PreparedKey(raw)
         try:
             auth = crypto.unseal_grant(key, entry.nonce, entry.enc_auth, entry.tag,
                                        entry.bw, entry.ts_exp)

@@ -1,5 +1,7 @@
 """Independent reference implementations used as test oracles."""
 
+import hashlib
+import math
 import struct
 
 from flyover import wire
@@ -124,3 +126,39 @@ def ref_decode(data: bytes):
 def _check_sorted(hops: list[int]) -> None:
     if hops != sorted(set(hops)):
         raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
+
+
+class IntMaskBloom:
+    """Bloom filter holding its bits in one Python int, built mask by mask.
+
+    Same double hashing as :class:`flyover.admission.BloomFilter`, with each
+    membership test building the item's full-width mask, so it checks the
+    packed filter's bit layout from outside.
+    """
+
+    def __init__(self, n_bits: int, n_hashes: int):
+        self.bits = 0
+        self.n_bits = n_bits
+        self.n_hashes = n_hashes
+
+    def _mask(self, item: int) -> int:
+        digest = hashlib.blake2b(item.to_bytes(8, "big"), digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "big")
+        h2 = int.from_bytes(digest[8:], "big") | 1
+        mask = 0
+        for i in range(self.n_hashes):
+            mask |= 1 << ((h1 + i * h2) % self.n_bits)
+        return mask
+
+    def add(self, item: int) -> None:
+        self.bits |= self._mask(item)
+
+    def __contains__(self, item: int) -> bool:
+        mask = self._mask(item)
+        return self.bits & mask == mask
+
+    def union_cardinality(self, other: "IntMaskBloom") -> int:
+        filled = (self.bits | other.bits).bit_count()
+        if filled >= self.n_bits:
+            return self.n_bits
+        return math.ceil(-(self.n_bits / self.n_hashes) * math.log1p(-filled / self.n_bits))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flyover.admission import (
     AllocationMatrix,
@@ -14,6 +16,8 @@ from flyover.admission import (
     RequesterEstimator,
     flyover_bandwidth,
 )
+
+from oracles import IntMaskBloom
 
 GBPS = 10**9
 EPS = 10_000_000_000  # default rotation interval, ns
@@ -332,3 +336,101 @@ def test_policy_auto_rotates():
 def test_config_rejects_fraction_above_one():
     with pytest.raises(ValueError):
         EstimatorConfig(reserved_fraction=Fraction(6, 5))
+
+
+@pytest.mark.parametrize("kw", [dict(interval_ns=0), dict(interval_ns=-EPS),
+                                dict(tentative_slots=-1), dict(filter_bits=0),
+                                dict(hash_count=0)],
+                         ids=["zero_interval", "negative_interval", "negative_slots",
+                              "no_filter_bits", "no_hashes"])
+def test_config_rejects_degenerate_estimator(kw):
+    with pytest.raises(ValueError):
+        EstimatorConfig(**kw)
+
+
+# packed Bloom filter against the int-mask reference ---------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(n_bits=st.integers(1, 3000), n_hashes=st.integers(1, 9),
+       left=st.lists(st.integers(0, 2**64 - 1), max_size=60),
+       right=st.lists(st.integers(0, 2**64 - 1), max_size=60),
+       probes=st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_packed_bloom_matches_int_mask_reference(n_bits, n_hashes, left, right, probes):
+    packed = [BloomFilter(n_bits, n_hashes) for _ in range(2)]
+    ref = [IntMaskBloom(n_bits, n_hashes) for _ in range(2)]
+    for items, bf, rf in zip((left, right), packed, ref):
+        for x in items:
+            bf.add(x)
+            rf.add(x)
+        assert int.from_bytes(bf.bits, "little") == rf.bits
+        assert len(bf.bits) == (n_bits + 7) // 8
+    for x in probes + left + right:
+        assert (x in packed[0]) == (x in ref[0])
+        assert (x in packed[1]) == (x in ref[1])
+    assert packed[0].union_cardinality(packed[1]) == ref[0].union_cardinality(ref[1])
+    packed[0].reset()
+    assert not any(packed[0].bits)
+
+
+# integer shares against the rational formulas -----------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(entry_bw=st.integers(0, 10**20), requesters=st.integers(1, 10**6),
+       frac=st.fractions(0, 1, max_denominator=1000).filter(bool), slots=st.integers(1, 64))
+def test_integer_shares_equal_fraction_formulas(entry_bw, requesters, frac, slots):
+    cfg = exact_cfg(reserved_fraction=frac, tentative_slots=slots)
+    est = RequesterEstimator(cfg)
+    tentative = est.request(1, entry_bw, 0)
+    assert tentative.tentative
+    assert tentative.bw == int((1 - frac) * entry_bw / slots)
+    est.granted.add(2)
+    est.requesters = requesters
+    firm = est.request(2, entry_bw, 0)
+    assert not firm.tentative
+    assert firm.bw == int(frac * entry_bw / requesters)
+
+
+# bounded catch-up against the one-interval-per-step loop ----------------------------------
+
+def _rotate_stepwise(est, now):
+    """Estimator rotation as one loop iteration per elapsed interval."""
+    while now >= est.next_rotation:
+        union = est.current.union_cardinality(est.previous)
+        est.requesters = max(union, est.config.min_requesters)
+        est.granted, est.previous, est.current = est.previous, est.current, est.granted.reset()
+        est.slots_used = 0
+        est._tentative_holders.clear()
+        est.next_rotation += est.config.interval_ns
+
+
+def _contents(f):
+    return frozenset(f.items) if isinstance(f, ExactSetFilter) else bytes(f.bits)
+
+
+def _state(est):
+    return (est.requesters, est.next_rotation, est.slots_used, dict(est._tentative_holders),
+            _contents(est.granted), _contents(est.previous), _contents(est.current))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "bloom"])
+def test_rotation_catch_up_matches_stepwise_loop(exact):
+    rng = random.Random(5)
+    cfg = exact_cfg(exact=exact, tentative_slots=3, min_requesters=2, filter_bits=4096,
+                    hash_count=5)
+    for trial in range(10):
+        for elapsed in range(8):
+            start = rng.randrange(10**12)
+            fast, slow = RequesterEstimator(cfg, start), RequesterEstimator(cfg, start)
+            t = start
+            for _ in range(rng.randrange(40)):  # a history over a few intervals
+                t += rng.randrange(EPS // 8)
+                src = rng.randrange(20)
+                fast.rotate(t)
+                _rotate_stepwise(slow, t)
+                assert fast.request(src, 100 * GBPS, t) == slow.request(src, 100 * GBPS, t)
+            assert _state(fast) == _state(slow)
+            # then a jump past exactly ``elapsed`` rotation times
+            now = slow.next_rotation + (elapsed - 1) * EPS + rng.randrange(EPS)
+            fast.rotate(now)
+            _rotate_stepwise(slow, now)
+            assert _state(fast) == _state(slow), (trial, elapsed)

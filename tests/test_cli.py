@@ -1,7 +1,9 @@
 """End-to-end CLI smoke tests, golden-file compared."""
 
+import contextlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -14,6 +16,21 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 def _golden(name):
     with open(os.path.join(GOLDEN, name)) as fh:
         return fh.read()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the enclosed block with TimeoutError after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_topo_gen_golden(tmp_path):
@@ -135,6 +152,19 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
                                          "path": [2, 3], "factor": 0}]),
     lambda cfg: cfg.update(adversaries=[{"name": "greedy", "kind": "overuser", "src": 2,
                                          "path": [2, 3], "factor": -1}]),
+    lambda cfg: cfg["estimator"].update(interval="0s"),
+    lambda cfg: cfg["estimator"].update(interval="-1s"),
+    lambda cfg: cfg["flows"][0].update(packet_size=-10),
+    lambda cfg: cfg.update(adversaries=[{"name": "flood", "kind": "best_effort_flood", "src": 2,
+                                         "path": [2, 3], "rate": "1Mbps",
+                                         "packet_size": -10}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "flood", "kind": "best_effort_flood", "src": 2,
+                                         "path": [2, 3], "rate": "1Mbps", "packet_size": 0}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "spoof", "kind": "spoofer", "src": 2,
+                                         "victim": 1, "path": [2, 3], "packet_size": -10}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "greedy", "kind": "overuser", "src": 2,
+                                         "path": [2, 3], "packet_size": -10}]),
+    lambda cfg: cfg["topology"]["links"][0].update(delay="-1ms"),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -143,15 +173,19 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
         "r3_on_a_flow", "r5_on_unknown_overuser", "r5_on_unknown_replayer",
         "r2_on_best_effort_flow", "r3_on_link_observer", "zero_request_rate",
         "negative_request_rate", "negative_spoofer_gap", "negative_replay_delay",
-        "zero_overuse_factor", "negative_overuse_factor"])
+        "zero_overuse_factor", "negative_overuse_factor", "zero_estimator_interval",
+        "negative_estimator_interval", "negative_flow_packet_size",
+        "negative_flood_packet_size", "empty_flood_packets", "negative_spoofer_packet_size",
+        "negative_overuser_packet_size", "negative_link_delay"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)
-    with pytest.raises(simnet.ConfigError):
-        simnet.Network(cfg)
     cfg_path = tmp_path / "invalid.json"
     cfg_path.write_text(json.dumps(cfg))
-    rc = cli.main(["scenario", "run", str(cfg_path)])
+    with _deadline(20):  # a config that slips through may hang the run
+        with pytest.raises(simnet.ConfigError):
+            simnet.Network(cfg)
+        rc = cli.main(["scenario", "run", str(cfg_path)])
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err and "PASS" not in captured.out

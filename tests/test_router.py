@@ -1,16 +1,23 @@
 """Border router: admission paths, validation verdicts, demotion rules."""
 
+import os
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flyover import crypto, source, wire
-from flyover.router import TrafficClass
+from flyover.admission import AllocationMatrix, DefaultPolicy, Grant
+from flyover.router import Router, RouterConfig, TrafficClass
 from flyover.policing import DedupWindow
 
 from helpers import GBPS, S, estimator_cfg, full_setup, line_path, make_router, router_cfg, warm_router
 
 SRC = 7
+EPOCH_NS = 1_700_000_000_000_000_000  # a deployed clock: ns since 1970, late 2023
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def _single_hop(now=0, warm=True, **cfg_kw):
@@ -348,3 +355,69 @@ def test_self_renew_disabled_leaves_expiry():
     pkt = _emit(store, plan, now=5 * S)
     r.handle_data(pkt, 0, 1, 0, now=5 * S)
     assert r.monitor.entry(SRC, wire.FORWARD).ts_exp == exp0
+
+
+# no-over-allocation guard ------------------------------------------------------------
+
+PAIRS = ((0, 1), (1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(0, 30),
+       steps=st.lists(st.tuples(st.sampled_from(PAIRS), st.integers(0, 5), st.integers(0, 10),
+                                st.integers(-3, 12), st.integers(-6, 6)), max_size=60))
+def test_guard_total_matches_resum_under_any_clock(capacity, steps):
+    """The running total equals a re-sum of the live holders after every
+    grant, through replacements, expiries and a clock that runs backwards:
+    the guard raises exactly when that sum exceeds the capacity, and names
+    it."""
+    entries = [[0 if a == b else capacity for b in range(3)] for a in range(3)]
+    r = Router(1, bytes(16), AllocationMatrix(entries), router_cfg())
+    held: dict = {}
+    now = 100
+    for pair, src, bw, life, dt in steps:
+        now += dt
+        held.setdefault(pair, {})[src] = (bw, now + life)
+        expected = sum(b for b, exp in held[pair].values() if exp > now)
+        try:
+            r.note_grant(src, pair, Grant(bw, now + life), now)
+        except AssertionError as exc:
+            assert str(exc) == f"over-allocation on pair {pair}: {expected} > {capacity}"
+        else:
+            assert expected <= capacity
+    assert r.active_grants == held
+
+
+def _over_grant(policy, src, ingress, egress, now):
+    return Grant(policy.matrix.capacity_value(ingress, egress, now) + 1, now + S)
+
+
+def test_over_granting_policy_trips_the_guard(monkeypatch):
+    r, plan = _single_hop()
+    monkeypatch.setattr(DefaultPolicy, "get_bandwidth", _over_grant)
+    with pytest.raises(AssertionError, match="over-allocation"):
+        full_setup([r], plan, SRC, now=0)
+
+
+def test_over_granting_policy_fails_the_control_benchmark(monkeypatch):
+    """The control workload's oracle reports the guard's assertion as a
+    failed handshake."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from wl_control import Control
+
+    wl = Control(seed=3, size="tiny")
+    state = wl.setup()
+    monkeypatch.setattr(DefaultPolicy, "get_bandwidth", _over_grant)
+    out = wl.run_batch(state, 0)
+    assert out.failed > 0
+    assert any("over-allocation" in f for f in out.failures)
+
+
+def test_router_built_at_zero_admits_at_deployed_clock():
+    """Estimator catch-up over ~1.7e8 idle intervals is bounded."""
+    r = make_router(config=RouterConfig(), now=0)
+    plan = line_path([r], SRC)
+    t0 = time.perf_counter()
+    store, *_ = full_setup([r], plan, SRC, now=EPOCH_NS)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(store.grants) == 1

@@ -310,29 +310,55 @@ def test_service_recovery_single_round_trip():
 @pytest.fixture
 def contexts(monkeypatch):
     """Counts AES contexts as they are built: every one under "aes", the
-    prepared keys among them under "prepared"."""
+    grants' authenticator keys among them under "prepared"."""
     built = Counter()
-    cipher, prepare = crypto.Cipher, crypto.PreparedKey.__init__
+    cipher, mac_key = crypto.Cipher, source.FlyoverGrant.mac_key
 
     def counting_cipher(*args):
         built["aes"] += 1
         return cipher(*args)
 
-    def counting_prepare(self, key):
-        built["prepared"] += 1
-        prepare(self, key)
+    def counting_mac_key(self):
+        if self.key is None:
+            built["prepared"] += 1
+        return mac_key(self)
 
     monkeypatch.setattr(crypto, "Cipher", counting_cipher)
-    monkeypatch.setattr(crypto.PreparedKey, "__init__", counting_prepare)
+    monkeypatch.setattr(source.FlyoverGrant, "mac_key", counting_mac_key)
     return built
 
 
 def test_ingest_prepares_no_key(contexts):
+    """Ingesting a response prepares no grant's authenticator: that is left
+    to the first packet that uses the grant."""
     routers, plan = _chain(3)
     contexts.clear()
     store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
     assert len(store.grants) == 6
     assert contexts["prepared"] == 0
+    assert all(g.key is None for g in store.grants.values())
+
+
+def test_setup_op_count_and_one_context_per_drkey_use(contexts, monkeypatch):
+    """The setup-path counterpart of C8: a 3-hop bidirectional handshake
+    makes 12 MACs, 6 key derivations, 6 seals and 6 unseals, and builds one
+    AES context per DRKey use: 3 derivations from raw secrets in the test
+    helper, 3 request authentications at the source, one per admitting
+    router, and one per hop at ingest."""
+    calls = Counter()
+    for name in ("seal_grant", "unseal_grant"):
+        def counting(*args, _fn=getattr(crypto, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(crypto, name, counting)
+    routers, plan = _chain(3)
+    contexts.clear()
+    crypto.ops.reset()
+    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
+    assert len(store.grants) == 6
+    assert (crypto.ops.macs, crypto.ops.prf_calls) == (12, 6)
+    assert (calls["seal_grant"], calls["unseal_grant"]) == (6, 6)
+    assert contexts["aes"] == 12
 
 
 def test_emit_one_mac_per_field_and_one_context_per_grant(contexts):
