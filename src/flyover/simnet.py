@@ -10,7 +10,7 @@ event logs.
 Scenario configurations are plain dicts (usually loaded from JSON): a
 topology (ASes plus links with capacity and delay), reservation and
 best-effort flows, adversaries, and the security requirements to evaluate
-at the end of the run.
+on the network that ``Network.run()`` returns once the run is over.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ class Frame:
     pos: int  # index into route of the node currently holding the frame
     cls: TrafficClass
     origin: str  # flow or adversary name, for attribution
-    claimed_src: int
     created: int
     backward: bool = False
     resp_entries: list = field(default_factory=list)
@@ -100,10 +99,8 @@ class Link:
 
     PRIO_GUARD = 100_000  # admission bounds priority load; this only guards bugs
 
-    def __init__(self, net: "Network", a: int, b: int, capacity_bps: int, delay_ns: int,
-                 be_buffer: int):
+    def __init__(self, net: "Network", capacity_bps: int, delay_ns: int, be_buffer: int):
         self.net = net
-        self.a, self.b = a, b
         self.capacity = capacity_bps
         self.delay = delay_ns
         self.be_buffer = be_buffer
@@ -111,7 +108,6 @@ class Link:
         self.be: deque[Frame] = deque()
         self.busy = False
         self.be_dropped = 0
-        self.delivered_bytes = 0
         self.observers: list = []
 
     def tx_time(self, size: int) -> int:
@@ -159,7 +155,6 @@ class Node:
     router: Router | None  # None: AS does not speak the protocol
     skew_ns: int = 0
     if_to: dict[int, int] = field(default_factory=dict)  # neighbor AS -> interface
-    capacities: list[int] = field(default_factory=list)
 
     def local_time(self, t: int) -> int:
         return t + self.skew_ns
@@ -172,7 +167,6 @@ class Node:
 class FlowStats:
     def __init__(self):
         self.sent = 0
-        self.sent_bytes = 0
         self.delivered = 0
         self.delivered_priority = 0
         self.delivered_demoted = 0
@@ -185,79 +179,113 @@ class FlowStats:
         return max(self.delays) if self.delays else 0
 
 
-class ReservationFlow:
-    """Honest source: handshake (with retries), then paced reservation traffic."""
+class _Sender:
+    """A flow or adversary that injects frames at its source AS.
 
-    def __init__(self, net: "Network", spec: dict):
+    The first ``_emit`` runs at ``start`` (a duration, >= 0). ``_emit(t)``
+    sends at most one frame and returns whether to send again, ``gap`` ns
+    later; sending ends at ``stop`` if one is given.
+    """
+
+    def __init__(self, net: "Network", spec: dict, backward: bool = False, start=0,
+                 stop=None):
         self.net = net
         self.name = spec["name"]
         self.src = _required(spec, "src")
-        route = tuple(_required(spec, "path"))
-        self.route = route
-        self.backward = bool(spec.get("backward", False))
-        self.plan = net.plan_for(route, self.backward, name=self.name)
+        self.node = net.nodes.get(self.src)
+        if self.node is None:
+            raise ConfigError(f"{self.name}: unknown source AS {self.src!r}")
+        self.route = tuple(_required(spec, "path"))
+        self.backward = backward
+        self.plan = net.plan_for(self.route, backward, name=self.name)
+        self._first_link = net.links[self.route[0], self.route[1]]
+        self.start_at = parse_duration(start)
+        if self.start_at < 0:
+            raise ConfigError(f"{self.name}: start time must be >= 0, got {start!r}")
+        self.stop_at = None if stop is None else parse_duration(stop)
+
+    def _drkeys(self, authentic: bool = True) -> dict[int, bytes]:
+        """The source's DRKey at each router on the path; all-zero keys
+        (which no router accepts) when not ``authentic``."""
+        keys = {}
+        for h in self.plan.hops:
+            router = self.net.nodes[h.as_id].router
+            if router:
+                keys[h.as_id] = (crypto.derive_drkey(router.prepared_secret, self.src)
+                                 if authentic else bytes(16))
+        return keys
+
+    def _send(self, kind: str, payload: bytes, cls: TrafficClass, size: int | None = None,
+              renewal: bool = False) -> None:
+        """Hand a new frame to the source AS's first link; no self-validation."""
+        frame = self.net.new_frame(kind, payload, len(payload) if size is None else size,
+                                   self.plan, self.route, cls, self.name)
+        if renewal:  # control traffic, not flow payload; answered at priority
+            frame.resp_cls = TrafficClass.PRIORITY
+            frame.is_control = True
+        self._first_link.send(frame, self.net.loop.now)
+
+    def start(self) -> None:
+        self.net.loop.schedule(self.start_at, self._tick)
+
+    def _tick(self) -> None:
+        t = self.net.loop.now
+        if self.stop_at is not None and t >= self.stop_at:
+            return
+        if self._emit(t):
+            self.net.loop.schedule(t + self.gap, self._tick)
+
+
+class ReservationFlow(_Sender):
+    """Honest source: handshake (with retries), then paced reservation traffic."""
+
+    FACTOR_KEY, FACTOR_DEFAULT = "overuse_factor", 1.0  # send rate / composed rate
+
+    def __init__(self, net: "Network", spec: dict):
+        backward = bool(spec.get("backward", False))
+        super().__init__(net, spec, backward, spec.get("setup_at", 0), spec.get("stop_at"))
         self.packet_size = _packet_size(spec, 1000)
         self.rate_cfg = spec.get("rate", "auto")
-        self.len_b = int(spec.get("len_b", 120 if self.backward else 0))
-        self.setup_at = parse_duration(spec.get("setup_at", 0))
-        self.stop_at = parse_duration(spec["stop_at"]) if "stop_at" in spec else None
+        self.len_b = int(spec.get("len_b", 120 if backward else 0))
         self.renew = bool(spec.get("renew", False))
         self.ignore_expiry = bool(spec.get("ignore_expiry", False))
-        self.overuse_factor = float(spec.get("overuse_factor", 1.0))
+        self.overuse_factor = float(spec.get(self.FACTOR_KEY, self.FACTOR_DEFAULT))
         if self.overuse_factor <= 0:
             raise ConfigError(f"{self.name}: overuse factor must be positive, "
                               f"got {self.overuse_factor}")
         self.store = source.GrantStore()
-        self.keys = {h.as_id: crypto.derive_drkey(net.nodes[h.as_id].router.prepared_secret,
-                                                  self.src)
-                     for h in self.plan.hops if net.nodes[h.as_id].router}
+        self.keys = self._drkeys()
         self.stats = FlowStats()
-        self.first_request_at: int | None = None
         self.granted_at: int | None = None
         self.grant_expiry: int | None = None
         self.started = False
-        self.gap = None
         self._emitted_ts: set[int] = set()
 
     def start(self) -> None:
-        self.net.loop.schedule(self.setup_at, self._send_setup)
+        self.net.loop.schedule(self.start_at, self._send_setup)
         eps = self.net.estimator_cfg.interval_ns
         # retry ladder: every eps/2, plus the guaranteed-success point at 2*eps
         for k in (1, 2, 3):
-            self.net.loop.schedule(self.setup_at + k * eps // 2, self._retry)
-        self.net.loop.schedule(self.setup_at + 2 * eps, self._retry)
+            self.net.loop.schedule(self.start_at + k * eps // 2, self._retry)
+        self.net.loop.schedule(self.start_at + 2 * eps, self._retry)
 
     def _send_setup(self) -> None:
-        t = self.net.loop.now
-        if self.first_request_at is None:
-            self.first_request_at = t
-        node = self.net.nodes[self.src]
         req = source.build_setup_request(self.keys, self.plan, self.src,
-                                         node.local_time(t))
-        raw = wire.encode(req)
-        frame = self.net.new_frame("setup", raw, len(raw), self.plan, self.route,
-                                   TrafficClass.BEST_EFFORT, self.name, self.src)
-        self.net.forward_from_source(frame)
+                                         self.node.local_time(self.net.loop.now))
+        self._send("setup", wire.encode(req), TrafficClass.BEST_EFFORT)
 
     def _retry(self) -> None:
         if self.granted_at is None:
             self._send_setup()
 
     def _send_renewal(self) -> None:
-        t = self.net.loop.now
-        node = self.net.nodes[self.src]
         try:
             pkt = source.build_renewal(self.store, self.keys, self.plan, self.src,
-                                       node.local_time(t))
+                                       self.node.local_time(self.net.loop.now))
         except source.MissingGrant:
             self._send_setup()  # expired: fall back to a best-effort request
             return
-        raw = wire.encode(pkt)
-        frame = self.net.new_frame("data", raw, len(raw), self.plan, self.route,
-                                   TrafficClass.PRIORITY, self.name, self.src)
-        frame.resp_cls = TrafficClass.PRIORITY
-        frame.is_control = True
-        self.net.forward_from_source(frame)
+        self._send("data", wire.encode(pkt), TrafficClass.PRIORITY, renewal=True)
 
     def on_response(self, resp: wire.SetupResponse) -> None:
         accepted = source.ingest_response(self.store, self.keys, resp, self.plan)
@@ -276,7 +304,7 @@ class ReservationFlow:
             if not self.started:
                 self.started = True
                 self._configure_rate()
-                self.net.loop.schedule(now + 1, self._emit)
+                self.net.loop.schedule(now + 1, self._tick)
             if self.renew:
                 eps = self.net.estimator_cfg.interval_ns
                 renew_at = max(now + 1, exp - eps // 5)
@@ -296,12 +324,8 @@ class ReservationFlow:
             wire.FIELD_ENTRY_LEN * (len(self.plan.forward_hops) + len(self.plan.backward_hops))
         self.gap = max(1, int(wire_size * 8 * 10**9 / rate) + 1)
 
-    def _emit(self) -> None:
-        t = self.net.loop.now
-        if self.stop_at is not None and t >= self.stop_at:
-            return
-        node = self.net.nodes[self.src]
-        ts = node.local_time(t)
+    def _emit(self, t: int) -> bool:
+        ts = self.node.local_time(t)
         while ts in self._emitted_ts:  # timestamps must be unique per packet
             ts += 1
         try:
@@ -310,99 +334,66 @@ class ReservationFlow:
                                      allow_expired=self.ignore_expiry)
         except source.MissingGrant:
             self.net.log(f"emit_blocked flow={self.name} t={t}")
-            return
+            return False
         self._emitted_ts.add(ts)
-        raw = wire.encode(pkt)
-        frame = self.net.new_frame("data", raw, len(raw), self.plan, self.route,
-                                   TrafficClass.PRIORITY, self.name, self.src)
         self.stats.sent += 1
-        self.stats.sent_bytes += len(raw)
-        self.net.forward_from_source(frame)
-        self.net.loop.schedule(t + self.gap, self._emit)
+        self._send("data", wire.encode(pkt), TrafficClass.PRIORITY)
+        return True
 
 
-class BestEffortFlow:
+class Overuser(ReservationFlow):
+    """Reservation flow sending at ``factor`` times its granted rate."""
+
+    FACTOR_KEY, FACTOR_DEFAULT = "factor", 2.0
+
+
+class BestEffortFlow(_Sender):
+    """Unreserved frames at a constant rate; routers never validate them."""
+
     def __init__(self, net: "Network", spec: dict):
-        self.net = net
-        self.name = spec["name"]
-        self.src = _required(spec, "src")
-        self.route = tuple(_required(spec, "path"))
-        self.plan = net.plan_for(self.route, False, name=self.name)
+        super().__init__(net, spec, start=spec.get("start", 0), stop=spec.get("stop_at"))
         self.packet_size = _packet_size(spec, 1000)
         if self.packet_size == 0:  # the send gap is size / rate
             raise ConfigError(f"{self.name}: best-effort packet_size must be >= 1")
         rate = parse_bandwidth(_required(spec, "rate"))
         self.gap = max(1, (self.packet_size * 8 * 10**9) // rate)
-        self.start_at = parse_duration(spec.get("start", 0))
-        self.stop_at = parse_duration(spec["stop_at"]) if "stop_at" in spec else None
         self.stats = FlowStats()
 
-    def start(self) -> None:
-        self.net.loop.schedule(self.start_at, self._emit)
-
-    def _emit(self) -> None:
-        t = self.net.loop.now
-        if self.stop_at is not None and t >= self.stop_at:
-            return
-        frame = self.net.new_frame("junk", b"", self.packet_size, self.plan, self.route,
-                                   TrafficClass.BEST_EFFORT, self.name, self.src)
+    def _emit(self, t: int) -> bool:
         self.stats.sent += 1
-        self.stats.sent_bytes += self.packet_size
-        self.net.forward_from_source(frame)
-        self.net.loop.schedule(t + self.gap, self._emit)
+        self._send("junk", b"", TrafficClass.BEST_EFFORT, size=self.packet_size)
+        return True
 
 
-class RequestFlood:
+class RequestFlood(_Sender):
     """Adversary ASes hammering setup requests (authentic by default)."""
 
     def __init__(self, net: "Network", spec: dict):
-        self.net = net
-        self.name = spec["name"]
-        self.src = _required(spec, "src")
-        self.route = tuple(_required(spec, "path"))
-        self.plan = net.plan_for(self.route, False, name=self.name)
-        self.authentic = bool(spec.get("authentic", True))
+        super().__init__(net, spec)
         rate = float(spec.get("requests_per_s", 100.0))
         if rate <= 0:
             raise ConfigError(f"{self.name}: requests_per_s must be positive, got {rate}")
         self.gap = max(1, int(10**9 / rate))
         self.count = 0
         self.max_requests = int(spec.get("max_requests", 10**9))
-        self.keys = {}
-        for h in self.plan.hops:
-            node = net.nodes[h.as_id]
-            if node.router:
-                self.keys[h.as_id] = (crypto.derive_drkey(node.router.prepared_secret, self.src)
-                                      if self.authentic else bytes(16))
+        self.keys = self._drkeys(bool(spec.get("authentic", True)))
 
-    def start(self) -> None:
-        self.net.loop.schedule(0, self._emit)
-
-    def _emit(self) -> None:
-        t = self.net.loop.now
+    def _emit(self, t: int) -> bool:
         if self.count >= self.max_requests:
-            return
+            return False
         self.count += 1
-        node = self.net.nodes[self.src]
         req = source.build_setup_request(self.keys, self.plan, self.src,
-                                         node.local_time(t))
-        raw = wire.encode(req)
-        frame = self.net.new_frame("setup", raw, len(raw), self.plan, self.route,
-                                   TrafficClass.BEST_EFFORT, self.name, self.src)
-        self.net.forward_from_source(frame)
-        self.net.loop.schedule(t + self.gap, self._emit)
+                                         self.node.local_time(t))
+        self._send("setup", wire.encode(req), TrafficClass.BEST_EFFORT)
+        return True
 
 
-class Spoofer:
+class Spoofer(_Sender):
     """Forges the victim's AS id with random validation fields."""
 
     def __init__(self, net: "Network", spec: dict):
-        self.net = net
-        self.name = spec["name"]
-        self.src = _required(spec, "src")
+        super().__init__(net, spec)
         self.victim = _required(spec, "victim")
-        self.route = tuple(_required(spec, "path"))
-        self.plan = net.plan_for(self.route, False, name=self.name)
         self.count = int(spec.get("count", 1000))
         self.packet_size = _packet_size(spec, 100)
         self.gap = parse_duration(spec.get("gap", 100))
@@ -411,23 +402,16 @@ class Spoofer:
         self.sent = 0
         self.succeeded = 0  # frames some router classified as priority
 
-    def start(self) -> None:
-        self.net.loop.schedule(0, self._emit)
-
-    def _emit(self) -> None:
-        t = self.net.loop.now
+    def _emit(self, t: int) -> bool:
         if self.sent >= self.count:
-            return
+            return False
         self.sent += 1
         rng = self.net.rng
-        ts = self.net.nodes[self.src].local_time(t)
+        ts = self.node.local_time(t)
         rvfs = tuple((i, rng.randbytes(3)) for i in range(len(self.plan.hops)))
         pkt = wire.DataPacket(self.victim, False, ts, 0, rvfs, (), bytes(self.packet_size))
-        raw = wire.encode(pkt)
-        frame = self.net.new_frame("data", raw, len(raw), self.plan, self.route,
-                                   TrafficClass.PRIORITY, self.name, self.victim)
-        self.net.forward_from_source(frame)
-        self.net.loop.schedule(t + self.gap, self._emit)
+        self._send("data", wire.encode(pkt), TrafficClass.PRIORITY)
+        return True
 
 
 class Replayer:
@@ -451,7 +435,7 @@ class Replayer:
         for _ in range(self.copies):
             self.injected += 1
             copy = self.net.new_frame(frame.kind, frame.payload, frame.size, frame.plan,
-                                      frame.route, frame.cls, self.name, frame.claimed_src)
+                                      frame.route, frame.cls, self.name)
             copy.pos = frame.pos + 1  # injected at the link's receiving end
             copy.backward = frame.backward
             copy.is_replay_copy = True
@@ -464,7 +448,6 @@ class LinkObserver:
     """Passive wiretap recording every byte crossing a link."""
 
     def __init__(self, net: "Network", spec: dict):
-        self.net = net
         self.name = spec["name"]
         self.link = tuple(_required(spec, "link"))
         self.captured: list[bytes] = []
@@ -475,7 +458,16 @@ class LinkObserver:
             self.captured.append(wire.encode(wire.SetupResponse(0, 0, (entry,))))
 
 
-_ADVERSARIES = {
+# flow ``type`` -> class, and adversary ``kind`` -> class. An object of a
+# flow class is a flow wherever it is configured: its frames are counted in
+# its ``stats``.
+_FLOW_TYPES = {
+    "reservation": ReservationFlow,
+    "best_effort": BestEffortFlow,
+}
+_ADVERSARY_KINDS = {
+    "best_effort_flood": BestEffortFlow,
+    "overuser": Overuser,
     "request_flood": RequestFlood,
     "spoofer": Spoofer,
     "replayer": Replayer,
@@ -502,7 +494,7 @@ class Network:
             if spec.get("rate", "auto") != "auto" and parse_bandwidth(spec["rate"]) <= 0:
                 raise ConfigError(f"{spec['name']}: rate must be positive, got {spec['rate']!r}")
         self.log_verdicts = bool(cfg.get("log_verdicts", True))
-        self.lines: list[str] = []
+        self.log_lines: list[str] = []
         self._uid = 0
 
         est = cfg.get("estimator", {})
@@ -529,44 +521,31 @@ class Network:
         self.nodes: dict[int, Node] = {}
         self.links: dict[tuple[int, int], Link] = {}
         self._build_topology(cfg.get("topology"))
-        if bool(cfg.get("warm_start", False)):
-            self._warm_start_sources(cfg)
 
         self.flows: dict[str, ReservationFlow | BestEffortFlow] = {}
         self.adversaries: dict[str, object] = {}
         for spec in cfg.get("flows", ()):
-            kind = spec.get("type", "reservation")
-            if kind == "reservation":
-                flow = ReservationFlow(self, spec)
-            elif kind == "best_effort":
-                flow = BestEffortFlow(self, spec)
-            else:
-                raise ConfigError(f"unknown flow type {kind!r}")
-            self.flows[flow.name] = flow
+            self._add(_FLOW_TYPES, "flow type", spec.get("type", "reservation"), spec)
         for spec in cfg.get("adversaries", ()):
-            kind = _required(spec, "kind")
-            if kind == "best_effort_flood":
-                spec = dict(spec, type="best_effort")
-                flow = BestEffortFlow(self, spec)
-                self.flows[flow.name] = flow
-                continue
-            if kind == "overuser":
-                spec = dict(spec, type="reservation",
-                            overuse_factor=spec.get("factor", 2.0))
-                flow = ReservationFlow(self, spec)
-                self.flows[flow.name] = flow
-                continue
-            cls = _ADVERSARIES.get(kind)
-            if cls is None:
-                raise ConfigError(f"unknown adversary kind {kind!r}")
-            adv = cls(self, spec)
-            self.adversaries[adv.name] = adv
-            if hasattr(adv, "link"):
-                if adv.link not in self.links:
-                    raise ConfigError(f"{adv.name}: no link {adv.link}")
-                self.links[adv.link].observers.append(adv)
+            self._add(_ADVERSARY_KINDS, "adversary kind", _required(spec, "kind"), spec)
+        if bool(cfg.get("warm_start", False)):
+            self._warm_start_sources()
         for req in cfg.get("requirements", ()):
             self._check_requirement(req)
+
+    def _add(self, table: dict, what: str, kind: str, spec: dict) -> None:
+        cls = table.get(kind)
+        if cls is None:
+            raise ConfigError(f"unknown {what} {kind!r}")
+        obj = cls(self, spec)
+        if isinstance(obj, tuple(_FLOW_TYPES.values())):
+            self.flows[obj.name] = obj
+        else:
+            self.adversaries[obj.name] = obj
+        if isinstance(obj, (Replayer, LinkObserver)):
+            if obj.link not in self.links:
+                raise ConfigError(f"{obj.name}: no link {obj.link}")
+            self.links[obj.link].observers.append(obj)
 
     def _check_requirement(self, req: dict) -> None:
         """Reject, before the run, a requirement its check could not evaluate."""
@@ -614,8 +593,8 @@ class Network:
                 raise ConfigError(f"link {a}-{b}: delay must be >= 0, got {ln.get('delay')!r}")
             neighbors[a].append((b, cap))
             neighbors[b].append((a, cap))
-            self.links[(a, b)] = Link(self, a, b, cap, delay, be_buffer)
-            self.links[(b, a)] = Link(self, b, a, cap, delay, be_buffer)
+            self.links[(a, b)] = Link(self, cap, delay, be_buffer)
+            self.links[(b, a)] = Link(self, cap, delay, be_buffer)
         for as_id, spec in as_specs.items():
             caps = [0] + [cap for _, cap in neighbors[as_id]]
             caps[0] = max(caps[1:], default=0)  # internal interface
@@ -629,34 +608,28 @@ class Network:
                     crypto.cbc_mac(b"topology-secret-", as_id.to_bytes(8, "big") * 2)
                 router = Router(as_id, secret, matrix, self.router_cfg, now=0,
                                 rng=random.Random((self.seed << 16) ^ as_id))
-            self.nodes[as_id] = Node(as_id, router, skews.get(as_id, 0), if_to, caps)
-        crypto.ops.reset()  # secrets derivation above must not skew MAC counts
+            self.nodes[as_id] = Node(as_id, router, skews.get(as_id, 0), if_to)
 
-    def _warm_start_sources(self, cfg) -> None:
-        """Pre-register flow sources as grantable, as if they had requested
-        two intervals ago. The requester count is raised to the number of
-        warm sources per estimator so the grant arithmetic stays consistent
-        with a real request history (no over-allocation)."""
+    def _warm_start_sources(self) -> None:
+        """Pre-register the sources that request reservations as grantable,
+        as if they had requested two intervals ago. The requester count is
+        raised to the number of warm sources per estimator so the grant
+        arithmetic stays consistent with a real request history (no
+        over-allocation)."""
         warm: dict[int, set[int]] = {}
-        for spec in list(cfg.get("flows", ())) + list(cfg.get("adversaries", ())):
-            src = spec.get("src")
-            path = spec.get("path")
-            if src is None or path is None:
+        for sender in list(self.flows.values()) + list(self.adversaries.values()):
+            if not isinstance(sender, (ReservationFlow, RequestFlood)):
                 continue
-            if spec.get("type") == "best_effort" or spec.get("kind") in (
-                    "best_effort_flood", "spoofer", "replayer", "link_observer"):
-                continue
-            plan = self.plan_for(tuple(path), True)
-            for hop in plan.hops:
+            for hop in sender.plan.hops:
                 node = self.nodes[hop.as_id]
                 if node.router is None:
                     continue
                 for pair in ((hop.ingress, hop.egress), (hop.egress, hop.ingress)):
                     est = node.router.policy.estimator_for(*pair)
-                    est.granted.add(src)
-                    est.previous.add(src)
-                    est.current.add(src)
-                    warm.setdefault(id(est), set()).add(src)
+                    est.granted.add(sender.src)
+                    est.previous.add(sender.src)
+                    est.current.add(sender.src)
+                    warm.setdefault(id(est), set()).add(sender.src)
                     est.requesters = max(est.requesters, len(warm[id(est)]))
 
     def plan_for(self, route: tuple[int, ...], backward: bool, name: str = "") -> source.PathPlan:
@@ -682,13 +655,13 @@ class Network:
 
     # frame machinery ------------------------------------------------------
 
-    def new_frame(self, kind, payload, size, plan, route, cls, origin, claimed_src) -> Frame:
+    def new_frame(self, kind, payload, size, plan, route, cls, origin) -> Frame:
         self._uid += 1
         return Frame(self._uid, kind, payload, size, plan, route, 0, cls,
-                     origin, claimed_src, self.loop.now)
+                     origin, self.loop.now)
 
     def log(self, line: str) -> None:
-        self.lines.append(f"{self.loop.now} {line}")
+        self.log_lines.append(f"{self.loop.now} {line}")
 
     def _frame_dropped(self, frame: Frame, why: str) -> None:
         flow = self.flows.get(frame.origin)
@@ -697,23 +670,7 @@ class Network:
         if self.log_verdicts:
             self.log(f"drop pkt={frame.uid} origin={frame.origin} why={why}")
 
-    def forward_from_source(self, frame: Frame) -> None:
-        """Source AS hands the frame to its first link; no self-validation."""
-        link = self.links.get((frame.route[0], frame.route[1]))
-        if link is None:
-            raise ConfigError(f"no link {frame.route[0]} -> {frame.route[1]}")
-        link.send(frame, self.loop.now)
-
-    def send_reply_frame(self, fwd_frame: Frame, reply: wire.DataPacket) -> None:
-        raw = wire.encode(reply)
-        frame = self.new_frame("data", raw, len(raw), fwd_frame.plan,
-                               tuple(reversed(fwd_frame.route)),
-                               TrafficClass.PRIORITY, fwd_frame.origin, reply.src)
-        frame.backward = True
-        self.process_at_node(frame)  # destination router validates its own egress
-
     def arrive(self, link: Link, frame: Frame) -> None:
-        link.delivered_bytes += frame.size
         for obs in link.observers:
             obs.on_frame(link, frame)
         frame.pos += 1
@@ -831,7 +788,7 @@ class Network:
         raw = wire.encode(resp)
         back_route = tuple(reversed(frame.route[: frame.pos + 1]))
         resp_frame = self.new_frame("resp", raw, len(raw), None, back_route,
-                                    frame.resp_cls, frame.origin, src)
+                                    frame.resp_cls, frame.origin)
         if len(back_route) == 1:
             self._deliver(resp_frame)
             return
@@ -866,41 +823,31 @@ class Network:
         if self.log_verdicts:
             self.log(f"deliver pkt={frame.uid} flow={frame.origin} delay={delay} "
                      f"class={frame.worst.value}")
-        if getattr(flow, "backward", False) and frame.kind == "data":
-            self._auto_reply(flow, frame)
+        if flow.backward and frame.kind == "data":
+            self._auto_reply(frame)
 
-    def _auto_reply(self, flow: ReservationFlow, frame: Frame) -> None:
+    def _auto_reply(self, frame: Frame) -> None:
         pkt = self._decode(frame.payload)
         if not isinstance(pkt, wire.DataPacket) or not pkt.bvfs:
             return
         budget = source.max_reply_payload(pkt)
         if budget < 0:
             return
-        reply = source.build_reply(pkt, bytes(min(budget, 64)))
-        self.send_reply_frame(frame, reply)
+        raw = wire.encode(source.build_reply(pkt, bytes(min(budget, 64))))
+        back = self.new_frame("data", raw, len(raw), frame.plan, tuple(reversed(frame.route)),
+                              TrafficClass.PRIORITY, frame.origin)
+        back.backward = True
+        self.process_at_node(back)  # destination router validates its own egress
 
     # run ---------------------------------------------------------------------
 
-    def run(self) -> "ScenarioResult":
-        for flow in self.flows.values():
-            flow.start()
-        for adv in self.adversaries.values():
-            if hasattr(adv, "start"):
-                adv.start()
+    def run(self) -> "Network":
+        """Run for the configured duration; the network is its own result."""
+        for sender in list(self.flows.values()) + list(self.adversaries.values()):
+            if isinstance(sender, _Sender):
+                sender.start()
         self.loop.run_until(self.duration)
-        return ScenarioResult(self)
-
-
-# ---------------------------------------------------------------------------
-# results and requirement checks
-
-
-class ScenarioResult:
-    def __init__(self, net: Network):
-        self.net = net
-        self.log_lines = list(net.lines)
-        self.flows = net.flows
-        self.adversaries = net.adversaries
+        return self
 
     def flow_summary_rows(self) -> list[tuple]:
         rows = []
@@ -912,8 +859,8 @@ class ScenarioResult:
 
     def monitor_rows(self) -> list[tuple]:
         rows = []
-        for as_id in sorted(self.net.nodes):
-            router = self.net.nodes[as_id].router
+        for as_id in sorted(self.nodes):
+            router = self.nodes[as_id].router
             if router is None:
                 continue
             for row in router.monitor.report_rows():
@@ -926,9 +873,13 @@ class ScenarioResult:
         size = flow.packet_size + 64
         total = 0
         for k in range(len(flow.route) - 1):
-            link = self.net.links[(flow.route[k], flow.route[k + 1])]
+            link = self.links[(flow.route[k], flow.route[k + 1])]
             total += link.delay + link.tx_time(size) + link.tx_time(1600)
         return int(total * slack)
+
+
+# ---------------------------------------------------------------------------
+# loading, running and requirement checks
 
 
 def load_scenario(path: str) -> dict:
@@ -939,14 +890,14 @@ def load_scenario(path: str) -> dict:
             raise ConfigError(f"bad scenario file {path}: {exc}") from exc
 
 
-def run_scenario(cfg: dict, seed: int | None = None) -> ScenarioResult:
+def run_scenario(cfg: dict, seed: int | None = None) -> Network:
     cfg = dict(cfg)
     if seed is not None:
         cfg["seed"] = seed
     return Network(cfg).run()
 
 
-def assert_requirement(result: ScenarioResult, req: dict) -> tuple[bool, str]:
+def assert_requirement(result: Network, req: dict) -> tuple[bool, str]:
     """Evaluate one security requirement against a finished run.
 
     Returns (ok, detail); detail carries the counterexample on failure.
@@ -968,8 +919,8 @@ def _requirement_check(req: dict):
 
 def _check_single_reservation(result, req) -> tuple[bool, str]:
     src = req["src"]
-    for as_id in sorted(result.net.nodes):
-        router = result.net.nodes[as_id].router
+    for as_id in sorted(result.nodes):
+        router = result.nodes[as_id].router
         if router is None:
             continue
         fwd_entries = [k for k in router.monitor.entries if k[0] == src and k[1] == wire.FORWARD]
@@ -981,12 +932,12 @@ def _check_single_reservation(result, req) -> tuple[bool, str]:
 def _check_granted_within(result, req) -> tuple[bool, str]:
     """Per provider router: first valid request to first firm grant <= 2 intervals."""
     flow = result.flows[req["flow"]]
-    bound = 2 * result.net.estimator_cfg.interval_ns
+    bound = 2 * result.estimator_cfg.interval_ns
     if flow.granted_at is None:
         return False, f"flow {flow.name} never granted"
     worst = 0
     for hop in flow.plan.hops:
-        router = result.net.nodes[hop.as_id].router
+        router = result.nodes[hop.as_id].router
         if router is None:
             continue
         first = router.first_request_ts.get(flow.src)
@@ -1032,8 +983,8 @@ def _check_policing(result, req) -> tuple[bool, str]:
         flow = result.flows[req["overuser"]]
         src = flow.src
         conform = overuse = 0
-        for as_id in sorted(result.net.nodes):
-            router = result.net.nodes[as_id].router
+        for as_id in sorted(result.nodes):
+            router = result.nodes[as_id].router
             if router is None or src not in router.monitor.counters:
                 continue
             c = router.monitor.counters[src]
@@ -1076,25 +1027,24 @@ _REQUIREMENTS = {
 
 
 def _check_no_expired_conform(result) -> tuple[bool, str]:
-    for as_id in sorted(result.net.nodes):
-        router = result.net.nodes[as_id].router
+    for as_id in sorted(result.nodes):
+        router = result.nodes[as_id].router
         if router is None:
             continue
         for (src, direction), entry in router.monitor.entries.items():
-            if entry.bucket.ts > entry.ts_exp + result.net.router_cfg.bucket_window_ns:
+            if entry.bucket.ts > entry.ts_exp + result.router_cfg.bucket_window_ns:
                 return False, f"AS {as_id} charged src {src} past expiry"
     return True, "no conform verdicts beyond expiry"
 
 
-def observer_saw_plaintext_auth(result: ScenarioResult, observer: str) -> bool:
+def observer_saw_plaintext_auth(result: Network, observer: str) -> bool:
     """True if any stored authenticator appears verbatim in observed bytes."""
     adv = result.adversaries[observer]
     blob = b"\x00".join(adv.captured)
     for flow in result.flows.values():
-        store = getattr(flow, "store", None)
-        if store is None:
+        if not isinstance(flow, ReservationFlow):
             continue
-        for grant in store.grants.values():
+        for grant in flow.store.grants.values():
             if grant.auth and grant.auth in blob:
                 return True
     return False

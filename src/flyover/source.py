@@ -193,12 +193,10 @@ class CompositionPlan:
     path_rates: dict[str, Fraction]  # bps; 0 for paths flagged partial
     flyover_shares: dict[tuple, Fraction]  # per (flyover key, path name)
     schedule: tuple[tuple[int, str], ...]  # (slot index, path) round-robin, maximum only
-    quantum_ns: int
     flagged: frozenset[str]  # paths with a missing or expired grant
 
 
-def compose(store: GrantStore, paths: list[PathPlan], strategy: str, now: int,
-            quantum_ns: int = 100_000_000) -> CompositionPlan:
+def compose(store: GrantStore, paths: list[PathPlan], strategy: str, now: int) -> CompositionPlan:
     """Assign send rates to paths from the stored grants.
 
     Concurrent: every flyover's bandwidth is split equally among this
@@ -239,7 +237,7 @@ def compose(store: GrantStore, paths: list[PathPlan], strategy: str, now: int,
     if strategy == MAXIMUM:
         ordered = sorted(usable)
         schedule = tuple((slot, name) for slot, name in enumerate(ordered))
-    return CompositionPlan(strategy, rates, shares, schedule, quantum_ns, frozenset(flagged))
+    return CompositionPlan(strategy, rates, shares, schedule, frozenset(flagged))
 
 
 def emit_packet(store: GrantStore, plan: PathPlan, src: int, payload: bytes,

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from flyover import simnet, source, wire
+from flyover import crypto, simnet, source, wire
 from flyover.router import TrafficClass
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -140,7 +140,7 @@ def test_renewal_rides_priority_under_flood():
     r = simnet.run_scenario(cfg)
     flow = r.flows["critical"]
     # reservation outlived the first validity period under attack
-    assert flow.grant_expiry > 2 * r.net.estimator_cfg.interval_ns
+    assert flow.grant_expiry > 2 * r.estimator_cfg.interval_ns
     st = flow.stats
     assert st.delivered == st.sent and st.delivered_priority == st.sent
 
@@ -183,7 +183,7 @@ def test_partial_deployment_still_delivers():
     assert st.delivered == st.sent
     # AS 3 forwards blindly: packets arrive but not at priority end to end
     assert st.delivered_demoted == st.delivered
-    enabled_routers = [n.router for n in r.net.nodes.values() if n.router]
+    enabled_routers = [n.router for n in r.nodes.values() if n.router]
     assert any(1 in {k[0] for k in rt.monitor.entries} for rt in enabled_routers)
 
 
@@ -213,10 +213,53 @@ def test_unknown_path_rejected():
 def test_no_overallocation_assertion_holds_on_all_runs():
     for name in ("baseline.json", "best_effort_flood.json", "replay_overuse.json"):
         r = _run(name)
-        for node in r.net.nodes.values():
+        for node in r.nodes.values():
             if node.router is None:
                 continue
             for pair, grants in node.router.active_grants.items():
                 total = sum(bw for bw, _ in grants.values())
                 cap = node.router.matrix.capacity_value(pair[0], pair[1], 0)
                 assert total <= cap
+
+
+# kinds and warm start -------------------------------------------------------------------
+
+_SENDER = {"name": "x", "src": 2, "path": [2, 3, 4], "rate": "1Mbps"}
+
+
+@pytest.mark.parametrize("section, spec, lands_in, warm", [
+    ("flows", dict(_SENDER, type="reservation"), "flows", True),
+    ("flows", dict(_SENDER, type="best_effort"), "flows", False),
+    ("adversaries", dict(_SENDER, kind="best_effort_flood"), "flows", False),
+    ("adversaries", dict(_SENDER, kind="overuser"), "flows", True),
+    ("adversaries", dict(_SENDER, kind="request_flood"), "adversaries", True),
+    ("adversaries", dict(_SENDER, kind="spoofer", victim=1), "adversaries", False),
+    ("adversaries", {"name": "x", "kind": "replayer", "link": [1, 2]}, "adversaries", None),
+    ("adversaries", {"name": "x", "kind": "link_observer", "link": [1, 2]}, "adversaries",
+     None),
+], ids=["reservation", "best_effort", "best_effort_flood", "overuser", "request_flood",
+        "spoofer", "replayer", "link_observer"])
+def test_kind_table_and_warm_start(section, spec, lands_in, warm):
+    """Each flow type and adversary kind lands in one of the network's two
+    dicts; warm start pre-registers exactly the sources that request
+    reservations."""
+    cfg = _load("baseline.json")
+    cfg["warm_start"] = True
+    cfg.setdefault(section, []).append(spec)
+    net = simnet.Network(cfg)
+    other = "adversaries" if lands_in == "flows" else "flows"
+    assert "x" in getattr(net, lands_in) and "x" not in getattr(net, other)
+    if warm is None:
+        return
+    plan = net.plan_for(tuple(spec["path"]), False)
+    for hop in plan.hops:
+        policy = net.nodes[hop.as_id].router.policy
+        for pair in ((hop.ingress, hop.egress), (hop.egress, hop.ingress)):
+            assert (2 in policy.estimator_for(*pair).granted) is warm, (hop, pair)
+
+
+def test_building_a_network_keeps_the_op_counters():
+    crypto.ops.reset()
+    crypto.cbc_mac(bytes(16), bytes(16))
+    simnet.Network(_load("baseline.json"))
+    assert crypto.ops.macs >= 1
