@@ -10,11 +10,15 @@ and nothing is finalized. The authenticator and validation-field inputs
 are packed straight into one zero-padded block, which is encrypted as is.
 Grants are sealed with ChaCha20-Poly1305 (IETF, 12-byte nonce).
 
-Building an AES context costs some twenty times as much as encrypting one
-block on it. A :class:`PreparedKey` holds a 16-byte key together with its
-ECB encryptor, built once; :func:`cbc_mac`, :func:`derive_drkey` and the
-functions built on them accept it wherever they accept raw key bytes. Where
-each context is built:
+Building an AES context costs some six times as much as encrypting one
+block on it: about 4.5 µs against 0.7 µs on a 2-core Xeon with AES-NI.
+Every context is built straight from the cipher backend by one
+constructor, :func:`_new_ecb_context`; through the public ``Cipher``
+wrapper the same context costs about 11.5 µs. A
+:class:`PreparedKey` holds a 16-byte key together with its ECB encryptor,
+built once; :func:`cbc_mac`, :func:`derive_drkey` and the functions built on
+them accept it wherever they accept raw key bytes. Where each context is
+built:
 
 - once per router secret: a border router prepares its AS-local secret, so
   the authenticator MAC and the key derivation reuse that context;
@@ -40,7 +44,8 @@ import os
 import struct
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers import Cipher, modes
+from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
+from cryptography.hazmat.primitives.ciphers import modes
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
@@ -110,7 +115,32 @@ def _encryptor(key: bytes | PreparedKey):
         return key.encryptor
     if len(key) != KEY_LEN:
         raise ValueError("key must be 16 bytes")
-    return Cipher(AES(key), _ECB).encryptor()
+    return _new_ecb_context(key)
+
+
+def _new_ecb_context(key: bytes):
+    """Build an AES-ECB encryption context for a 16-byte key.
+
+    This is the one place an AES context is built. It calls the backend
+    constructor that ``Cipher(AES(key), modes.ECB()).encryptor()`` ends in,
+    without the checks the public wrapper makes first, each of which holds
+    here by construction:
+
+    - the algorithm is a ``CipherAlgorithm`` and the mode a ``Mode``: the
+      algorithm is always an ``AES`` object and the mode the shared
+      ``modes.ECB()`` constant;
+    - ECB's ``validate_for_algorithm`` (the AES key length): ``_encryptor``
+      rejects every key that is not 16 bytes before calling this, and
+      ``AES(key)`` still runs its own key-size check;
+    - the authentication-tag check: it applies only to AEAD modes, not ECB.
+
+    Those checks cost about 7 µs per context, half again as much as the
+    4.5 µs backend call, and the router builds one context per validated
+    hop for its recomputed authenticator. The backend constructor is a
+    private binding of ``cryptography``, so ``pyproject.toml`` requires the
+    release whose ``Cipher.encryptor`` was checked to end in it (48).
+    """
+    return _rust_openssl.ciphers.create_encryption_ctx(AES(key), _ECB)
 
 
 def cbc_mac(key: bytes | PreparedKey, data: bytes) -> bytes:

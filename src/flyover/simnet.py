@@ -488,9 +488,14 @@ class Network:
         self.duration = parse_duration(cfg.get("duration", "5s"))
         if self.duration <= 0:
             raise ConfigError(f"duration must be positive, got {cfg.get('duration')!r}")
+        names = set()
         for spec in list(cfg.get("flows", ())) + list(cfg.get("adversaries", ())):
             if "name" not in spec:
                 raise ConfigError(f"flow or adversary without a name: {spec}")
+            # frames are traced back to their sender by this name
+            if spec["name"] in names:
+                raise ConfigError(f"{spec['name']}: name used by another flow or adversary")
+            names.add(spec["name"])
             if spec.get("rate", "auto") != "auto" and parse_bandwidth(spec["rate"]) <= 0:
                 raise ConfigError(f"{spec['name']}: rate must be positive, got {spec['rate']!r}")
         self.log_verdicts = bool(cfg.get("log_verdicts", True))

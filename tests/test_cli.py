@@ -169,6 +169,9 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     lambda cfg: cfg["flows"].append({"type": "best_effort", "name": "be", "src": 1,
                                      "path": [1, 2], "rate": "1Mbps", "start": "-1ms"}),
     lambda cfg: cfg["flows"][0].update(src=99),
+    lambda cfg: cfg["flows"].append(dict(cfg["flows"][0], src=2, path=[2, 3, 4])),
+    lambda cfg: cfg.update(adversaries=[{"name": "critical", "kind": "spoofer", "src": 2,
+                                         "victim": 1, "path": [2, 3]}]),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -181,7 +184,8 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
         "negative_estimator_interval", "negative_flow_packet_size",
         "negative_flood_packet_size", "empty_flood_packets", "negative_spoofer_packet_size",
         "negative_overuser_packet_size", "negative_link_delay", "negative_setup_at",
-        "negative_best_effort_start", "unknown_source_as"])
+        "negative_best_effort_start", "unknown_source_as", "duplicate_flow_name",
+        "adversary_named_as_a_flow"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)

@@ -4,6 +4,8 @@ import os
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, modes
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,8 +246,30 @@ def test_prepared_key_drkey_matches_raw_key_and_reference():
 
 @pytest.mark.parametrize("length", [0, 15, 17, 24, 32])
 def test_prepared_key_rejects_wrong_length(length):
+    """Only 16-byte keys are accepted, prepared or raw: AES itself would
+    take 24- and 32-byte keys."""
     with pytest.raises(ValueError):
         crypto.PreparedKey(bytes(length))
+    with pytest.raises(ValueError):
+        crypto.cbc_mac(bytes(length), bytes(16))
+    with pytest.raises(ValueError):
+        crypto.derive_drkey(bytes(length), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16),
+       blocks=st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=3))
+def test_ecb_context_matches_cipher_wrapper_and_reference(key, blocks):
+    """The backend-built context encrypts exactly as the public ``Cipher``
+    wrapper's context and the table-driven reference, block by block on
+    one context and for several blocks in one call."""
+    ctx = crypto._new_ecb_context(key)
+    wrapped = Cipher(AES(key), modes.ECB()).encryptor()
+    for block in blocks:
+        assert ctx.update(block) == wrapped.update(block) == aes128_encrypt_block(key, block)
+    data = b"".join(blocks)
+    assert crypto._new_ecb_context(key).update(data) \
+        == b"".join(aes128_encrypt_block(key, b) for b in blocks)
 
 
 def test_op_counter_counts_prepared_key_calls():

@@ -146,23 +146,25 @@ def test_flipped_field_byte_demotes():
     assert d.traffic_class is TrafficClass.BEST_EFFORT and d.verdict == "bad_mac"
 
 
-def test_stale_timestamp_demotes_without_crypto():
+def test_stale_timestamp_demotes_without_crypto(aes_contexts):
     r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
     pkt = _emit(store, plan, now=0)
     crypto.ops.reset()
+    aes_contexts.clear()
     d = r.handle_data(pkt, 0, 1, 0, now=2 * S)  # 2 s old vs window 1.5 s
     assert d.traffic_class is TrafficClass.BEST_EFFORT and d.verdict == "stale_ts"
-    assert crypto.ops.macs == 0
+    assert crypto.ops.macs == 0 and aes_contexts["aes"] == 0
 
 
-def test_missing_field_demotes_without_crypto():
+def test_missing_field_demotes_without_crypto(aes_contexts):
     r, plan = _single_hop()
     crypto.ops.reset()
+    aes_contexts.clear()
     pkt = wire.DataPacket(SRC, False, 100, 0, (), (), b"best effort only")
     d = r.handle_data(pkt, 0, 1, 0, now=100)
     assert d.traffic_class is TrafficClass.BEST_EFFORT and d.verdict == "missing_field"
-    assert crypto.ops.macs == 0
+    assert crypto.ops.macs == 0 and aes_contexts["aes"] == 0
 
 
 def test_replay_drops_and_is_counted():
@@ -215,15 +217,21 @@ def test_overuse_demotes_excess():
     assert TrafficClass.DROP not in classes
 
 
-def test_exactly_two_macs_per_validated_packet():
+def test_exactly_two_macs_per_validated_packet(aes_contexts):
+    """C8 at the router: each validated hop costs 2 MACs, 0 PRFs and one
+    fresh AES context, for the recomputed authenticator (alpha). Every
+    packet of the same source and pair builds it again: nothing caches
+    alpha."""
     r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
     for k in range(5):
         pkt = _emit(store, plan, now=100 + k)
         crypto.ops.reset()
+        aes_contexts.clear()
         d = r.handle_data(pkt, 0, 1, 0, now=100 + k)
         assert d.traffic_class is TrafficClass.PRIORITY
         assert crypto.ops.macs == 2 and crypto.ops.prf_calls == 0
+        assert aes_contexts["aes"] == 1
 
 
 def test_validation_is_stateless_beyond_monitor_entry():
@@ -266,16 +274,20 @@ def test_backward_reply_exactly_at_budget():
     assert r.handle_data(reply, 0, 1, 0, now=150).traffic_class is TrafficClass.PRIORITY
 
 
-def test_backward_reply_over_budget_demoted():
+def test_backward_reply_over_budget_demoted(aes_contexts):
     r, plan, store = _bidir_setup()
     fwd = source.emit_packet(store, plan, SRC, b"ping", 60, now=100)
     with pytest.raises(source.ReplyTooLong):
         source.build_reply(fwd, bytes(200))
-    # a forged oversized reply is demoted at the router by the length check
+    # a forged oversized reply is demoted at the router by the length
+    # check, before any crypto
     forged = wire.DataPacket(SRC, True, fwd.ts_pkt, fwd.len_b, (), fwd.bvfs, bytes(200))
+    crypto.ops.reset()
+    aes_contexts.clear()
     d = r.handle_data(forged, 0, 1, 0, now=150)
     assert d.traffic_class is TrafficClass.BEST_EFFORT
     assert d.verdict == "reply_too_long"
+    assert crypto.ops.macs == 0 and aes_contexts["aes"] == 0
 
 
 def test_backward_replay_drops():

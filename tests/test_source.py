@@ -308,24 +308,18 @@ def test_service_recovery_single_round_trip():
 # sender-side MAC cost ----------------------------------------------------------------
 
 @pytest.fixture
-def contexts(monkeypatch):
+def contexts(aes_contexts, monkeypatch):
     """Counts AES contexts as they are built: every one under "aes", the
     grants' authenticator keys among them under "prepared"."""
-    built = Counter()
-    cipher, mac_key = crypto.Cipher, source.FlyoverGrant.mac_key
-
-    def counting_cipher(*args):
-        built["aes"] += 1
-        return cipher(*args)
+    mac_key = source.FlyoverGrant.mac_key
 
     def counting_mac_key(self):
         if self.key is None:
-            built["prepared"] += 1
+            aes_contexts["prepared"] += 1
         return mac_key(self)
 
-    monkeypatch.setattr(crypto, "Cipher", counting_cipher)
     monkeypatch.setattr(source.FlyoverGrant, "mac_key", counting_mac_key)
-    return built
+    return aes_contexts
 
 
 def test_ingest_prepares_no_key(contexts):
