@@ -58,6 +58,12 @@ class RouterConfig:
     self_renew: bool = False
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
+    def __post_init__(self):
+        if self.delta_ns < 0 or self.lifetime_ns < 0:
+            raise ValueError("delta_ns and lifetime_ns must be >= 0")
+        if self.bucket_window_ns < 1:
+            raise ValueError("bucket_window_ns must be >= 1")
+
 
 class Router:
     """Router state and packet handlers for one AS.

@@ -1,0 +1,43 @@
+"""The benchmark's hooks into the package stay in place.
+
+``perfbench`` patches named functions and methods of ``flyover`` for its
+traced run, and its tests live outside this suite; these checks keep a
+rename in the package from passing here while breaking the benchmark.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+BENCH = os.path.join(ROOT, "perfbench")
+
+
+def test_every_traced_boundary_resolves():
+    sys.path.insert(0, BENCH)
+    try:
+        from tracer import BOUNDARIES
+    finally:
+        sys.path.remove(BENCH)
+    missing = []
+    for mod, boundary, cls, attr, *_ in BOUNDARIES:
+        module = importlib.import_module(f"flyover.{mod}")
+        # the tracer patches a function of the module or an attribute its class defines
+        owner = module if cls is None else getattr(module, cls, None)
+        found = vars(owner).get(attr) if owner is not None else None
+        if not callable(found):
+            missing.append(f"{mod}.{boundary}")
+    assert missing == []
+
+
+def test_traced_tiny_scenario_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "scenario", "--size", "tiny",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["simnet.Network.process_at_node.calls"]["value"] > 0

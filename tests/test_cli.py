@@ -172,6 +172,22 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     lambda cfg: cfg["flows"].append(dict(cfg["flows"][0], src=2, path=[2, 3, 4])),
     lambda cfg: cfg.update(adversaries=[{"name": "critical", "kind": "spoofer", "src": 2,
                                          "victim": 1, "path": [2, 3]}]),
+    lambda cfg: cfg.update(bucket_window="0s"),
+    lambda cfg: cfg.update(lifetime="-1ms"),
+    lambda cfg: cfg.update(delta="-1ms"),
+    lambda cfg: cfg.update(be_buffer=-1),
+    lambda cfg: cfg.update(adversaries=[{"name": "echo", "kind": "replayer", "link": [1, 2],
+                                         "copies": 0}]),
+    lambda cfg: cfg["flows"][0].update(backward=True, len_b=65536),
+    lambda cfg: cfg["flows"][0].update(backward=True, len_b=-1),
+    # 22 header bytes and 4 per validation field: one byte over 65535
+    lambda cfg: cfg["flows"][0].update(packet_size=65535 - 22 - 4 * 4 + 1),
+    lambda cfg: cfg.update(adversaries=[{"name": "greedy", "kind": "overuser", "src": 2,
+                                         "path": [2, 3], "packet_size": 65535 - 22 - 4 + 1}]),
+    lambda cfg: cfg.update(adversaries=[{"name": "spoof", "kind": "spoofer", "src": 2,
+                                         "victim": 1, "path": [2, 3, 4],
+                                         "packet_size": 65535 - 22 - 4 * 2 + 1}]),
+    lambda cfg: cfg.update(clock_skew={"1": "-1ms"}),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -185,7 +201,10 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
         "negative_flood_packet_size", "empty_flood_packets", "negative_spoofer_packet_size",
         "negative_overuser_packet_size", "negative_link_delay", "negative_setup_at",
         "negative_best_effort_start", "unknown_source_as", "duplicate_flow_name",
-        "adversary_named_as_a_flow"])
+        "adversary_named_as_a_flow", "zero_bucket_window", "negative_lifetime",
+        "negative_delta", "negative_be_buffer", "zero_replay_copies", "len_b_over_u16",
+        "negative_len_b", "oversized_flow_packet", "oversized_overuser_packet",
+        "oversized_spoofer_packet", "sender_clock_below_zero_at_start"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)

@@ -433,3 +433,13 @@ def test_router_built_at_zero_admits_at_deployed_clock():
     store, *_ = full_setup([r], plan, SRC, now=EPOCH_NS)
     assert time.perf_counter() - t0 < 1.0
     assert len(store.grants) == 1
+
+
+@pytest.mark.parametrize("bad", [dict(delta_ns=-1), dict(lifetime_ns=-1),
+                                 dict(bucket_window_ns=0), dict(bucket_window_ns=-1)],
+                         ids=["negative_delta", "negative_lifetime", "zero_bucket_window",
+                              "negative_bucket_window"])
+def test_router_config_rejects_out_of_range_times(bad):
+    RouterConfig(delta_ns=0, lifetime_ns=0, bucket_window_ns=1)  # the smallest valid
+    with pytest.raises(ValueError):
+        RouterConfig(**bad)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from flyover import crypto, simnet, source, wire
-from flyover.router import TrafficClass
+from flyover.router import Router, TrafficClass
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -172,6 +172,89 @@ def test_without_self_renew_traffic_demotes_after_expiry():
     assert st.delivered_priority > 0  # the pre-expiry stretch was protected
 
 
+# frames carry their message ----------------------------------------------------------------
+
+def _counting_decodes(monkeypatch):
+    """The messages ``wire.decode`` returns from here on, in order."""
+    decoded = []
+    decode = wire.decode
+
+    def counting(data):
+        msg = decode(data)
+        decoded.append(msg)
+        return msg
+
+    monkeypatch.setattr(wire, "decode", counting)
+    return decoded
+
+
+def _replay_through_a_legacy_as():
+    # AS 2 forwards blindly, so the replayer's copies cross the 2 -> 3 link
+    cfg = _load("replay_overuse.json")
+    cfg["topology"]["ases"][1]["enabled"] = False
+    cfg["adversaries"] = [adv for adv in cfg["adversaries"] if adv["name"] == "echo"]
+    cfg["requirements"] = []
+    return cfg
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: _load("baseline.json"),
+    lambda: _load("observer_skew.json"),
+    _replay_through_a_legacy_as,
+], ids=["baseline", "backward_replies", "replay_copies_forwarded"])
+def test_frames_carry_their_bytes_and_no_hop_parses_them(monkeypatch, make_cfg):
+    """Every frame on a link or at a node holds its message's encoding, and
+    no AS decodes a frame to route it."""
+    decoded = _counting_decodes(monkeypatch)
+    sent, visited = [], []
+
+    def checking(method, seen):
+        def wrapper(owner, frame, *args):
+            want = b"" if frame.msg is None else wire.encode(frame.msg)
+            assert frame.payload == want, frame.uid
+            seen.append(frame)
+            return method(owner, frame, *args)
+        return wrapper
+
+    monkeypatch.setattr(simnet.Link, "send", checking(simnet.Link.send, sent))
+    monkeypatch.setattr(simnet.Network, "process_at_node",
+                        checking(simnet.Network.process_at_node, visited))
+    r = simnet.run_scenario(make_cfg())
+    assert decoded == []
+    assert sent and visited
+    kinds = {type(f.msg) for f in sent}
+    assert {wire.SetupRequest, wire.SetupResponse, wire.DataPacket} <= kinds
+    if "echo" in r.adversaries:
+        copies = [f for f in sent if f.is_replay_copy]
+        assert len(copies) == r.adversaries["echo"].injected > 0
+        # the copy is the frame the replayer saw: same message, same bytes
+        originals = {f.payload: f.msg for f in sent if not f.is_replay_copy}
+        assert all(originals[c.payload] is c.msg for c in copies)
+
+
+def test_only_a_renewal_payload_is_parsed(monkeypatch):
+    """A router parses the setup request a renewal carries, once per router
+    that admits it; nothing else in a run is decoded."""
+    decoded = _counting_decodes(monkeypatch)
+    admitted = []
+    handle_setup = Router.handle_setup
+
+    def recording(router, req, *args):
+        admitted.append(req)
+        return handle_setup(router, req, *args)
+
+    monkeypatch.setattr(Router, "handle_setup", recording)
+    cfg = _load("baseline.json")
+    cfg["duration"] = "6s"
+    cfg["estimator"]["interval"] = "4s"
+    cfg["flows"][0].update(renew=True, stop_at="5500ms")
+    r = simnet.run_scenario(cfg)
+    assert r.flows["critical"].grant_expiry > r.estimator_cfg.interval_ns  # it renewed
+    embedded = [req for req in admitted if any(req is msg for msg in decoded)]
+    assert decoded and all(isinstance(msg, wire.SetupRequest) for msg in decoded)
+    assert len(decoded) == len(embedded) == 4  # one renewal, four routers
+
+
 # incremental deployment ----------------------------------------------------------------
 
 def test_partial_deployment_still_delivers():
@@ -199,6 +282,17 @@ def test_bad_flow_type_rejected():
 def test_missing_topology_rejected():
     with pytest.raises(simnet.ConfigError):
         simnet.run_scenario({"flows": []})
+
+
+def test_largest_data_packet_is_accepted():
+    """packet_size may fill a data packet up to its 16-bit length, no further."""
+    cfg = _load("baseline.json")
+    largest = 0xFFFF - wire.DATA_FIXED_HEADER - wire.FIELD_ENTRY_LEN * 4  # 4 hops
+    cfg["flows"][0]["packet_size"] = largest
+    assert simnet.Network(cfg).flows["critical"].wire_size == 0xFFFF
+    cfg["flows"][0]["packet_size"] = largest + 1
+    with pytest.raises(simnet.ConfigError):
+        simnet.Network(cfg)
 
 
 def test_unknown_path_rejected():
