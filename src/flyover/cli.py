@@ -252,14 +252,12 @@ def cmd_scenario_run(args) -> int:
     cfg = simnet.load_scenario(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    print(f"# scenario {args.config} seed={cfg.get('seed', 0)} "
-          f"duration={cfg.get('duration', '5s')}")
-    result = simnet.run_scenario(cfg)
+    net = simnet.Network(cfg)
+    print(f"# scenario {args.config} seed={net.seed} duration={net.duration}ns")
+    result = net.run()
     failures = 0
-    for req in cfg.get("requirements", ()):
-        ok, detail = simnet.assert_requirement(result, req)
-        status = "PASS" if ok else "FAIL"
-        print(f"{req['r']}: {status} - {detail}")
+    for kind, ok, detail in result.verdicts():
+        print(f"{kind}: {'PASS' if ok else 'FAIL'} - {detail}")
         failures += 0 if ok else 1
     if args.log:
         with open(args.log, "w") as fh:

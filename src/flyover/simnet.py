@@ -17,15 +17,17 @@ the setup request a renewal carries as its payload.
 Scenario configurations are plain dicts (usually loaded from JSON): a
 topology (ASes plus links with capacity and delay), reservation and
 best-effort flows, adversaries, and the security requirements to evaluate
-on the network that ``Network.run()`` returns once the run is over.
+on the network that ``Network.run()`` returns once the run is over. The
+scenario schema section is the one definition of that format.
 """
 
 from __future__ import annotations
 
+import difflib
 import heapq
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,37 +35,6 @@ from . import crypto, source, wire
 from .admission import AllocationMatrix, EstimatorConfig
 from .router import ForwardDecision, Router, RouterConfig, TrafficClass
 from .units import parse_bandwidth, parse_duration
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _required(spec: dict, key: str):
-    """``spec[key]`` for a key a flow or adversary cannot do without."""
-    if key not in spec:
-        raise ConfigError(f"{spec['name']}: missing required key {key!r}")
-    return spec[key]
-
-
-def _packet_size(spec: dict, default: int) -> int:
-    size = int(spec.get("packet_size", default))
-    if size < 0:
-        raise ConfigError(f"{spec['name']}: packet_size must be >= 0, got {size}")
-    return size
-
-
-_U16_MAX = 0xFFFF  # a data packet's length and its len_b are 16-bit fields
-
-
-def _data_packet_len(spec: dict, payload: int, fields: int) -> int:
-    """Length of a data packet with ``payload`` bytes and ``fields``
-    validation fields, which must fit its 16-bit length."""
-    total = wire.DATA_FIXED_HEADER + wire.FIELD_ENTRY_LEN * fields + payload
-    if total > _U16_MAX:
-        raise ConfigError(f"{spec['name']}: packet_size {payload} makes {total}-byte data "
-                          f"packets, over {_U16_MAX}")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +169,7 @@ class FlowStats:
 class _Sender:
     """A flow or adversary that injects frames at its source AS.
 
-    The first ``_emit`` runs at ``start`` (a duration, >= 0). ``_emit(t)``
+    The first ``_emit`` runs at ``start`` (ns, >= 0). ``_emit(t)``
     sends at most one frame and returns whether to send again, ``gap`` ns
     later; sending ends at ``stop`` if one is given. A sender that stamps
     timestamps (``STAMPS``) needs its AS's clock at or past 0 from ``start``.
@@ -206,34 +177,28 @@ class _Sender:
 
     STAMPS = True
 
-    def __init__(self, net: "Network", spec: dict, backward: bool = False, start=0,
-                 stop=None):
+    def __init__(self, net: "Network", spec: dict, backward: bool = False, start: int = 0,
+                 stop: int | None = None):
         self.net = net
         self.name = spec["name"]
-        self.src = _required(spec, "src")
-        self.node = net.nodes.get(self.src)
-        if self.node is None:
-            raise ConfigError(f"{self.name}: unknown source AS {self.src!r}")
-        self.route = tuple(_required(spec, "path"))
+        self.src = spec["src"]
+        self.node = net.nodes[self.src]
+        self.route = spec["path"]
         self.backward = backward
         self.plan = net.plan_for(self.route, backward, name=self.name)
         self._first_link = net.links[self.route[0], self.route[1]]
-        self.start_at = parse_duration(start)
-        if self.start_at < 0:
-            raise ConfigError(f"{self.name}: start time must be >= 0, got {start!r}")
-        self.stop_at = None if stop is None else parse_duration(stop)
+        self.start_at = start
+        self.stop_at = stop
         if self.STAMPS and self.node.local_time(self.start_at) < 0:
             raise ConfigError(f"{self.name}: AS {self.src}'s clock is below 0 at the start")
 
-    def _drkeys(self, authentic: bool = True) -> dict[int, bytes]:
-        """The source's DRKey at each router on the path; all-zero keys
-        (which no router accepts) when not ``authentic``."""
+    def _drkeys(self) -> dict[int, bytes]:
+        """The source's DRKey at each router on the path."""
         keys = {}
         for h in self.plan.hops:
             router = self.net.nodes[h.as_id].router
             if router:
-                keys[h.as_id] = (crypto.derive_drkey(router.prepared_secret, self.src)
-                                 if authentic else bytes(16))
+                keys[h.as_id] = crypto.derive_drkey(router.prepared_secret, self.src)
         return keys
 
     def _send(self, msg, cls: TrafficClass, size: int | None = None,
@@ -259,25 +224,17 @@ class _Sender:
 class ReservationFlow(_Sender):
     """Honest source: handshake (with retries), then paced reservation traffic."""
 
-    FACTOR_KEY, FACTOR_DEFAULT = "overuse_factor", 1.0  # send rate / composed rate
+    factor = Fraction(1)  # send rate / granted rate
 
     def __init__(self, net: "Network", spec: dict):
-        backward = bool(spec.get("backward", False))
-        super().__init__(net, spec, backward, spec.get("setup_at", 0), spec.get("stop_at"))
-        self.packet_size = _packet_size(spec, 1000)
+        super().__init__(net, spec, spec["backward"], spec["setup_at"], spec["stop_at"])
+        self.packet_size = spec["packet_size"]
         self.wire_size = _data_packet_len(
             spec, self.packet_size, len(self.plan.forward_hops) + len(self.plan.backward_hops))
-        self.rate_cfg = spec.get("rate", "auto")
-        self.len_b = int(spec.get("len_b", 120 if backward else 0))
-        if not 0 <= self.len_b <= _U16_MAX:
-            raise ConfigError(f"{self.name}: len_b must be in [0, {_U16_MAX}], "
-                              f"got {self.len_b}")
-        self.renew = bool(spec.get("renew", False))
-        self.ignore_expiry = bool(spec.get("ignore_expiry", False))
-        self.overuse_factor = float(spec.get(self.FACTOR_KEY, self.FACTOR_DEFAULT))
-        if self.overuse_factor <= 0:
-            raise ConfigError(f"{self.name}: overuse factor must be positive, "
-                              f"got {self.overuse_factor}")
+        self.rate = spec["rate"]  # bps; None sends at the rate the grants compose to
+        self.len_b = spec["len_b"]
+        self.renew = spec["renew"]
+        self.ignore_expiry = spec["ignore_expiry"]
         self.store = source.GrantStore()
         self.keys = self._drkeys()
         self.stats = FlowStats()
@@ -335,15 +292,15 @@ class ReservationFlow(_Sender):
                 self.net.loop.schedule(renew_at, self._send_renewal)
 
     def _configure_rate(self) -> None:
-        if self.rate_cfg == "auto":
+        if self.rate is None:
             comp = source.compose(self.store, [self.plan], source.CONCURRENT,
                                   self.net.loop.now)
             rate = comp.path_rates[self.name]
             if rate <= 0:
                 raise ConfigError(f"flow {self.name}: no usable composed rate")
         else:
-            rate = Fraction(parse_bandwidth(self.rate_cfg))
-        rate = rate * Fraction(self.overuse_factor).limit_denominator(10**6)
+            rate = Fraction(self.rate)
+        rate = rate * self.factor
         self.gap = max(1, int(self.wire_size * 8 * 10**9 / rate) + 1)
 
     def _emit(self, t: int) -> bool:
@@ -363,7 +320,9 @@ class ReservationFlow(_Sender):
 class Overuser(ReservationFlow):
     """Reservation flow sending at ``factor`` times its granted rate."""
 
-    FACTOR_KEY, FACTOR_DEFAULT = "factor", 2.0
+    def __init__(self, net: "Network", spec: dict):
+        super().__init__(net, spec)
+        self.factor = Fraction(spec["factor"]).limit_denominator(10**6)
 
 
 class BestEffortFlow(_Sender):
@@ -372,12 +331,9 @@ class BestEffortFlow(_Sender):
     STAMPS = False
 
     def __init__(self, net: "Network", spec: dict):
-        super().__init__(net, spec, start=spec.get("start", 0), stop=spec.get("stop_at"))
-        self.packet_size = _packet_size(spec, 1000)
-        if self.packet_size == 0:  # the send gap is size / rate
-            raise ConfigError(f"{self.name}: best-effort packet_size must be >= 1")
-        rate = parse_bandwidth(_required(spec, "rate"))
-        self.gap = max(1, (self.packet_size * 8 * 10**9) // rate)
+        super().__init__(net, spec, start=spec["start"], stop=spec["stop_at"])
+        self.packet_size = spec["packet_size"]
+        self.gap = max(1, (self.packet_size * 8 * 10**9) // spec["rate"])
         self.stats = FlowStats()
 
     def _emit(self, t: int) -> bool:
@@ -387,21 +343,15 @@ class BestEffortFlow(_Sender):
 
 
 class RequestFlood(_Sender):
-    """Adversary ASes hammering setup requests (authentic by default)."""
+    """Adversary ASes hammering authentic setup requests."""
 
     def __init__(self, net: "Network", spec: dict):
         super().__init__(net, spec)
-        rate = float(spec.get("requests_per_s", 100.0))
-        if rate <= 0:
-            raise ConfigError(f"{self.name}: requests_per_s must be positive, got {rate}")
-        self.gap = max(1, int(10**9 / rate))
+        self.gap = max(1, int(10**9 / spec["requests_per_s"]))
         self.count = 0
-        self.max_requests = int(spec.get("max_requests", 10**9))
-        self.keys = self._drkeys(bool(spec.get("authentic", True)))
+        self.keys = self._drkeys()
 
     def _emit(self, t: int) -> bool:
-        if self.count >= self.max_requests:
-            return False
         self.count += 1
         req = source.build_setup_request(self.keys, self.plan, self.src,
                                          self.node.local_time(t))
@@ -414,13 +364,11 @@ class Spoofer(_Sender):
 
     def __init__(self, net: "Network", spec: dict):
         super().__init__(net, spec)
-        self.victim = _required(spec, "victim")
-        self.count = int(spec.get("count", 1000))
-        self.packet_size = _packet_size(spec, 100)
+        self.victim = spec["victim"]
+        self.count = spec["count"]
+        self.packet_size = spec["packet_size"]
         _data_packet_len(spec, self.packet_size, len(self.plan.hops))
-        self.gap = parse_duration(spec.get("gap", 100))
-        if self.gap < 0:
-            raise ConfigError(f"{self.name}: gap must be >= 0, got {spec['gap']!r}")
+        self.gap = spec["gap"]
         self.sent = 0
         self.succeeded = 0  # frames some router classified as priority
 
@@ -442,13 +390,9 @@ class Replayer:
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
-        self.link = tuple(_required(spec, "link"))
-        self.copies = int(spec.get("copies", 1))
-        if self.copies < 1:
-            raise ConfigError(f"{self.name}: copies must be >= 1, got {self.copies}")
-        self.delay = parse_duration(spec.get("delay", 1000))
-        if self.delay < 0:
-            raise ConfigError(f"{self.name}: delay must be >= 0, got {spec['delay']!r}")
+        self.link = spec["link"]
+        self.copies = spec["copies"]
+        self.delay = spec["delay"]
         self.injected = 0
         self.copies_dropped = 0
         self.copies_delivered = 0
@@ -471,7 +415,7 @@ class LinkObserver:
 
     def __init__(self, net: "Network", spec: dict):
         self.name = spec["name"]
-        self.link = tuple(_required(spec, "link"))
+        self.link = spec["link"]
         self.captured: list[bytes] = []
 
     def on_frame(self, link: Link, frame: Frame) -> None:
@@ -480,21 +424,347 @@ class LinkObserver:
             self.captured.append(wire.encode(wire.SetupResponse(0, 0, (entry,))))
 
 
-# flow ``type`` -> class, and adversary ``kind`` -> class. An object of a
-# flow class is a flow wherever it is configured: its frames are counted in
-# its ``stats``.
-_FLOW_TYPES = {
-    "reservation": ReservationFlow,
-    "best_effort": BestEffortFlow,
-}
+# ---------------------------------------------------------------------------
+# requirement checks
+
+
+def _check_single_reservation(result, req) -> tuple[bool, str]:
+    src = req["src"]
+    for as_id, router in result.routers():
+        fwd_entries = [k for k in router.monitor.entries if k[0] == src and k[1] == wire.FORWARD]
+        if len(fwd_entries) > 1:
+            return False, f"AS {as_id} holds {len(fwd_entries)} entries for src {src}"
+    return True, "one reservation per source at every monitor"
+
+
+def _check_granted_within(result, req) -> tuple[bool, str]:
+    """Per provider router: first valid request to first firm grant <= 2 intervals."""
+    flow = result.flows[req["flow"]]
+    bound = 2 * result.estimator_cfg.interval_ns
+    if flow.granted_at is None:
+        return False, f"flow {flow.name} never granted"
+    worst = 0
+    for hop in flow.plan.hops:
+        router = result.nodes[hop.as_id].router
+        if router is None:
+            continue
+        first = router.first_request_ts.get(flow.src)
+        if first is None:
+            return False, f"AS {hop.as_id} never saw a request from {flow.src}"
+        firm = [ts for ts, src, tent in router.grant_request_ts
+                if src == flow.src and not tent]
+        if not firm:
+            return False, f"AS {hop.as_id} never firmly granted src {flow.src}"
+        took = min(firm) - first
+        worst = max(worst, took)
+        if took > bound:
+            return False, f"AS {hop.as_id}: grant took {took} ns > bound {bound} ns"
+    return True, f"granted at every hop within {worst} ns (bound {bound})"
+
+
+def _check_forgeries(result, req) -> tuple[bool, str]:
+    name = req["adversary"]
+    adv = result.adversaries[name]
+    limit = req["max_successes"]
+    if adv.succeeded > limit:
+        return False, f"spoofer landed {adv.succeeded} priority packets > {limit}"
+    return True, f"{adv.succeeded} forged priority packets over {adv.sent} attempts"
+
+
+def _check_delivery(result, req) -> tuple[bool, str]:
+    flow = result.flows[req["flow"]]
+    st = flow.stats
+    if st.sent == 0:
+        return False, f"flow {flow.name} sent nothing"
+    if st.delivered < st.sent or st.delivered_priority < st.delivered:
+        return False, (f"flow {flow.name}: sent={st.sent} delivered={st.delivered} "
+                       f"priority={st.delivered_priority}")
+    bound = result.delay_bound_ns(flow.name)
+    if st.max_delay > bound:
+        return False, f"max delay {st.max_delay} ns exceeds bound {bound} ns"
+    return True, f"{st.delivered}/{st.sent} delivered priority, max delay {st.max_delay}"
+
+
+def _check_policing(result, req) -> tuple[bool, str]:
+    details = []
+    if req["overuser"] is not None:
+        flow = result.flows[req["overuser"]]
+        src = flow.src
+        conform = overuse = 0
+        for _, router in result.routers():
+            if src not in router.monitor.counters:
+                continue
+            c = router.monitor.counters[src]
+            conform += c.conform_bytes
+            overuse += c.overuse_bytes
+            break  # first policing AS decides the demotion share
+        total = conform + overuse
+        if total == 0:
+            return False, "overuser was never policed"
+        frac = overuse / total
+        expected, tol = req["expected_fraction"], req["tolerance"]
+        if abs(frac - expected) > tol:
+            return False, f"demoted fraction {frac:.4f} not within {tol} of {expected}"
+        details.append(f"demoted fraction {frac:.4f}")
+    if req["replayer"] is not None:
+        adv = result.adversaries[req["replayer"]]
+        if adv.injected == 0:
+            return False, "replayer injected nothing"
+        if adv.copies_delivered > 0 or adv.copies_dropped < adv.injected:
+            return False, (f"replayed copies delivered={adv.copies_delivered} "
+                           f"dropped={adv.copies_dropped}/{adv.injected}")
+        details.append(f"all {adv.injected} replayed copies dropped")
+    if req["no_expired_conform"]:
+        window = result.router_cfg.bucket_window_ns
+        for as_id, router in result.routers():
+            for (src, _), entry in router.monitor.entries.items():
+                if entry.bucket.ts > entry.ts_exp + window:
+                    return False, f"AS {as_id} charged src {src} past expiry"
+        details.append("no conform verdicts beyond expiry")
+    return True, "; ".join(details) if details else "nothing to check"
+
+
+# ---------------------------------------------------------------------------
+# scenario schema: one table per section maps each key the section allows to
+# (parser, range, default). A parser in _JSON takes only values of that type
+# (float also integers); others raise TypeError or ValueError. A range names
+# a test in _RANGES. A default is parsed like a given value: ``...`` marks a
+# required key, None an optional one, and a function computes the default from
+# the keys before it. Network runs _parse_scenario first; all later code reads
+# parsed values.
+
+
+class ConfigError(ValueError):
+    pass
+
+
+_U16_MAX = 0xFFFF  # a data packet's length and its len_b are 16-bit fields
+_JSON = (int, float, bool, str, list, dict)
+_RANGES = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
+           "[0, 1]": lambda v: 0 <= v <= 1, "(0, 1]": lambda v: 0 < v <= 1,
+           "[0, 65535]": lambda v: 0 <= v <= _U16_MAX, "[0, 2^64)": lambda v: 0 <= v < 2**64,
+           "16 bytes": lambda v: len(v) == 16}
+
+
+def _parse(raw, table: dict, where: str) -> dict:
+    """``raw`` with every key of ``table`` parsed and ranged, or defaulted."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+    for key in raw:
+        if key not in table:
+            near = difflib.get_close_matches(str(key), table, n=1, cutoff=0)
+            raise ConfigError(f"{where}: unknown key {key!r}; the closest known key is "
+                              f"{near[0]!r}")
+    out = {}
+    for key, (parse, rng, default) in table.items():
+        if key in raw:
+            value = raw[key]
+        elif default is ...:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        elif default is None:
+            out[key] = None
+            continue
+        else:
+            value = default(out) if callable(default) else default
+        try:
+            out[key] = _json(value, parse) if parse in _JSON else parse(value)
+            if rng is not None and out[key] is not None and not _RANGES[rng](out[key]):
+                raise ValueError(f"must be {rng}, got {value!r}")
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from exc
+    return out
+
+
+def _json(value, kind: type):
+    """``value`` if it has JSON type ``kind``, where a float may be an integer."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise TypeError(f"expected {kind.__name__}, got {value!r}")
+
+
+def _route(value, length: int | None = None) -> tuple[int, ...]:
+    """Two AS ids or more, or exactly ``length``."""
+    if (type(value) is not list or any(type(a) is not int for a in value) or len(value) < 2
+            or length not in (None, len(value))):
+        raise ValueError(f"expected a list of {length or 'two or more'} AS ids, got {value!r}")
+    return tuple(value)
+
+
+def _sections(where: str, tables: dict, tag: str | None = None, default=None):
+    """A parser of a list of objects. Without a ``tag``, ``tables`` holds the
+    keys of every object; with one, it maps each value of the tag to a pair
+    (class or check, keys), and each object is parsed by its pair's keys."""
+    def parse(value) -> list[dict]:
+        out = []
+        for i, raw in enumerate(_json(value, list)):
+            kind = raw.get(tag, default) if tag and type(raw) is dict else None
+            if tag and kind not in tables:
+                raise ConfigError(f"{where}[{i}]: {tag} must be one of {', '.join(tables)}, "
+                                  f"got {kind!r}")
+            out.append(_parse(raw, tables[kind][1] if tag else tables, f"{where}[{i}]"))
+        return out
+    return parse
+
+
+def _topology(value) -> dict:
+    """An inline topology, a `topo gen` document, or the path of a file
+    holding either, parsed to the inline form."""
+    if type(value) is str:
+        with open(value) as fh:
+            value = json.load(fh)
+    if type(value) is dict and "n" in value and "ases" not in value:
+        gen = _parse(value, _TOPO_GEN_KEYS, "topology")
+        ids, matrices = [str(i) for i in range(gen["n"])], gen["matrices"]
+        if matrices.keys() - set(ids):
+            raise ConfigError(f"topology: matrices for ASes not in 0..{gen['n'] - 1}")
+        value = {"ases": [{"id": int(i), **({"matrix": matrices[i]} if i in matrices else {})}
+                          for i in ids], "links": gen["links"]}
+    return _parse(value, _TOPOLOGY_KEYS, "topology")
+
+
+_AS_KEYS = {"id": (int, "[0, 2^64)", ...),
+            "enabled": (bool, None, True),  # false: the AS forwards unaware of the protocol
+            "matrix": (AllocationMatrix, None, None),  # None: from the link capacities
+            "secret": (bytes.fromhex, "16 bytes", None)}  # None: derived from the AS id
+_LINK_KEYS = {"a": (int, None, ...), "b": (int, None, ...),
+              "capacity": (parse_bandwidth, "> 0", "10Gbps"),
+              "delay": (parse_duration, ">= 0", "1ms")}
+_TOPOLOGY_KEYS = {"ases": (_sections("topology.ases", _AS_KEYS), None, ...),
+                  "links": (_sections("topology.links", _LINK_KEYS), None, ...)}
+_TOPO_GEN_KEYS = {"n": (int, "> 0", ...), "links": (list, None, ...),
+                  "matrices": (dict, None, {}),  # str(AS id) -> matrix
+                  # how `topo gen` made the file; not read
+                  "seed": (int, None, None), "attachment": (int, None, None)}
+_ESTIMATOR_KEYS = {
+    "interval": (parse_duration, "> 0", "10s"), "min_requesters": (int, "> 0", 1),
+    "reserved_fraction": (lambda v: Fraction(str(v)), "(0, 1]", "0.8"),
+    "tentative_slots": (int, ">= 0", 8), "filter_bits": (int, "> 0", 95_851),
+    "hash_count": (int, "> 0", 7), "exact": (bool, None, True)}
+_SENDER_KEYS = {"name": (str, None, ...), "src": (int, None, ...), "path": (_route, None, ...)}
+_RESERVATION_KEYS = {
+    **_SENDER_KEYS, "setup_at": (parse_duration, ">= 0", 0),
+    "stop_at": (parse_duration, None, None), "packet_size": (int, ">= 0", 1000),
+    # None: the rate the grants compose to
+    "rate": (lambda v: None if v == "auto" else parse_bandwidth(v), "> 0", "auto"),
+    "backward": (bool, None, False),
+    "len_b": (int, "[0, 65535]", lambda spec: 120 if spec["backward"] else 0),
+    "renew": (bool, None, False), "ignore_expiry": (bool, None, False)}
+_BEST_EFFORT_KEYS = {
+    **_SENDER_KEYS, "start": (parse_duration, ">= 0", 0),
+    "stop_at": (parse_duration, None, None),
+    "packet_size": (int, "> 0", 1000),  # the send gap is size / rate
+    "rate": (parse_bandwidth, "> 0", ...)}
+_TYPE, _KIND = {"type": (str, None, "reservation")}, {"kind": (str, None, ...)}
+_ON_LINK = {"name": (str, None, ...), "link": (lambda v: _route(v, 2), None, ...)}
+# ``type`` -> (class, keys) and ``kind`` -> (class, keys). An object of a flow
+# class is a flow wherever it is configured: its frames count in its ``stats``.
+_FLOW_TYPES = {"reservation": (ReservationFlow, {**_TYPE, **_RESERVATION_KEYS}),
+               "best_effort": (BestEffortFlow, {**_TYPE, **_BEST_EFFORT_KEYS})}
 _ADVERSARY_KINDS = {
-    "best_effort_flood": BestEffortFlow,
-    "overuser": Overuser,
-    "request_flood": RequestFlood,
-    "spoofer": Spoofer,
-    "replayer": Replayer,
-    "link_observer": LinkObserver,
-}
+    "best_effort_flood": (BestEffortFlow, {**_KIND, **_BEST_EFFORT_KEYS}),
+    "overuser": (Overuser, {**_KIND, **_RESERVATION_KEYS, "factor": (float, "> 0", 2.0)}),
+    "request_flood": (RequestFlood, {**_KIND, **_SENDER_KEYS,
+                                     "requests_per_s": (float, "> 0", 100.0)}),
+    "spoofer": (Spoofer, {**_KIND, **_SENDER_KEYS, "victim": (int, "[0, 2^64)", ...),
+                          "count": (int, ">= 0", 1000), "packet_size": (int, ">= 0", 100),
+                          "gap": (parse_duration, ">= 0", 100)}),
+    "replayer": (Replayer, {**_KIND, **_ON_LINK, "copies": (int, "> 0", 1),
+                            "delay": (parse_duration, ">= 0", 1000)}),
+    "link_observer": (LinkObserver, {**_KIND, **_ON_LINK})}
+_R, _FLOW = {"r": (str, None, ...)}, {"flow": (str, None, ...)}
+_REQUIREMENTS = {  # ``r`` -> (check, keys)
+    "R1": (_check_single_reservation, {**_R, "src": (int, None, ...)}),
+    "R2": (_check_granted_within, {**_R, **_FLOW}),
+    "R3": (_check_forgeries, {**_R, "adversary": (str, None, ...),
+                              "max_successes": (int, ">= 0", 2)}),
+    "R4": (_check_delivery, {**_R, **_FLOW}),
+    "R5": (_check_policing, {**_R, "overuser": (str, None, None), "replayer": (str, None, None),
+                             "expected_fraction": (float, "[0, 1]", 0.5),
+                             "tolerance": (float, ">= 0", 0.02),
+                             "no_expired_conform": (bool, None, False)})}
+# requirement key -> the class of sender it must name
+_NAMED = {"flow": ReservationFlow, "overuser": ReservationFlow, "adversary": Spoofer,
+          "replayer": Replayer}
+_SCENARIO_KEYS = {
+    "seed": (int, None, 0), "duration": (parse_duration, "> 0", "5s"),
+    "log_verdicts": (bool, None, True), "warm_start": (bool, None, False),
+    "delta": (parse_duration, ">= 0", "500ms"), "lifetime": (parse_duration, ">= 0", "1s"),
+    "bucket_window": (parse_duration, "> 0", "50ms"), "self_renew": (bool, None, False),
+    "be_buffer": (int, ">= 0", 100),
+    # AS id (a string, as JSON object keys are) -> clock offset
+    "clock_skew": (lambda v: {int(a): parse_duration(t) for a, t in _json(v, dict).items()},
+                   None, {}),
+    "estimator": (lambda v: _parse(v, _ESTIMATOR_KEYS, "estimator"), None, {}),
+    "topology": (_topology, None, ...),
+    "flows": (_sections("flows", _FLOW_TYPES, "type", "reservation"), None, []),
+    "adversaries": (_sections("adversaries", _ADVERSARY_KINDS, "kind"), None, []),
+    "requirements": (_sections("requirements", _REQUIREMENTS, "r"), None, [])}
+
+
+def _parse_scenario(cfg) -> dict:
+    """``cfg`` parsed by the schema, with its cross-references checked."""
+    cfg = _parse(cfg, _SCENARIO_KEYS, "scenario")
+    ids = [spec["id"] for spec in cfg["topology"]["ases"]]
+    ases = set(ids)
+    _refuse("topology", (len(ases) < len(ids), f"lists an AS id twice: {ids}"))
+    links: set[tuple[int, int]] = set()  # both directions of every link
+    for a, b in ((ln["a"], ln["b"]) for ln in cfg["topology"]["links"]):
+        _refuse(f"topology: link {a}-{b}", (a == b, "is a self-loop"),
+                ((a, b) in links, "is listed twice"),
+                (not {a, b} <= ases, "ends at an AS not in ases"))
+        links |= {(a, b), (b, a)}
+    degree = Counter(a for a, _ in links)
+    for spec in cfg["topology"]["ases"]:  # a row per link and one for the internal interface
+        size, matrix = 1 + degree[spec["id"]], spec["matrix"]
+        _refuse(f"topology: AS {spec['id']}", (matrix is not None and matrix.n_interfaces != size,
+                                               f"matrix must be {size}x{size}"))
+    _refuse("clock_skew", (not cfg["clock_skew"].keys() <= ases, "names an AS not in ases"))
+    senders: dict[str, type] = {}
+    for spec in cfg["flows"] + cfg["adversaries"]:
+        name, route = spec["name"], spec["path"] if "path" in spec else None
+        # frames are traced back to their sender by this name
+        _refuse(name, (name in senders, "is used by another flow or adversary"),
+                ("link" in spec and spec["link"] not in links, "observes no link"))
+        senders[name] = (_FLOW_TYPES[spec["type"]] if "type" in spec
+                         else _ADVERSARY_KINDS[spec["kind"]])[0]
+        if route is not None:
+            _refuse(f"{name}: path {list(route)}",
+                    (route[0] != spec["src"], "does not start at src"),
+                    (len(set(route)) < len(route), "visits an AS twice"),
+                    (not links.issuperset(zip(route, route[1:])), "takes a link not in links"))
+    for req in cfg["requirements"]:
+        _check_names(req, senders, ases)
+    return cfg
+
+
+def _check_names(req: dict, senders: dict[str, type], ases) -> None:
+    """Refuse a requirement that names an AS, or a sender of the kind its
+    check reads, that the run does not have."""
+    where = f"requirement {req['r']}"
+    _refuse(where, ("src" in req and req["src"] not in ases, "src names an AS not in ases"))
+    for key, cls in _NAMED.items():
+        name = req[key] if key in req else None
+        wrong = name is not None and not issubclass(senders.get(name, type(None)), cls)
+        _refuse(where, (wrong, f"{key} {name!r} names no {cls.__name__} of the run"))
+
+
+def _refuse(where: str, *checks: tuple[bool, str]) -> None:
+    """ConfigError for the first check whose condition holds."""
+    for wrong, why in checks:
+        if wrong:
+            raise ConfigError(f"{where}: {why}")
+
+
+def _data_packet_len(spec: dict, payload: int, fields: int) -> int:
+    """Length of a data packet with ``payload`` bytes and ``fields``
+    validation fields, which must fit its 16-bit length."""
+    total = wire.DATA_FIXED_HEADER + wire.FIELD_ENTRY_LEN * fields + payload
+    if total > _U16_MAX:
+        raise ConfigError(f"{spec['name']}: packet_size {payload} makes {total}-byte data "
+                          f"packets, over {_U16_MAX}")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -503,140 +773,63 @@ _ADVERSARY_KINDS = {
 
 class Network:
     def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.seed = int(cfg.get("seed", 0))
+        cfg = _parse_scenario(cfg)
+        self.seed = cfg["seed"]
         self.rng = random.Random(self.seed)
         self.loop = EventLoop()
-        self.duration = parse_duration(cfg.get("duration", "5s"))
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {cfg.get('duration')!r}")
-        names = set()
-        for spec in list(cfg.get("flows", ())) + list(cfg.get("adversaries", ())):
-            if "name" not in spec:
-                raise ConfigError(f"flow or adversary without a name: {spec}")
-            # frames are traced back to their sender by this name
-            if spec["name"] in names:
-                raise ConfigError(f"{spec['name']}: name used by another flow or adversary")
-            names.add(spec["name"])
-            if spec.get("rate", "auto") != "auto" and parse_bandwidth(spec["rate"]) <= 0:
-                raise ConfigError(f"{spec['name']}: rate must be positive, got {spec['rate']!r}")
-        self.log_verdicts = bool(cfg.get("log_verdicts", True))
+        self.duration = cfg["duration"]
+        self.log_verdicts = cfg["log_verdicts"]
         self.log_lines: list[str] = []
         self._uid = 0
 
-        est = cfg.get("estimator", {})
-        try:
-            self.estimator_cfg = EstimatorConfig(
-                interval_ns=parse_duration(est.get("interval", "10s")),
-                min_requesters=int(est.get("min_requesters", 1)),
-                reserved_fraction=Fraction(str(est.get("reserved_fraction", "0.8"))),
-                tentative_slots=int(est.get("tentative_slots", 8)),
-                filter_bits=int(est.get("filter_bits", 95_851)),
-                hash_count=int(est.get("hash_count", 7)),
-                exact=bool(est.get("exact", True)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"estimator: {exc}") from exc
-        try:
-            self.router_cfg = RouterConfig(
-                delta_ns=parse_duration(cfg.get("delta", "500ms")),
-                lifetime_ns=parse_duration(cfg.get("lifetime", "1s")),
-                bucket_window_ns=parse_duration(cfg.get("bucket_window", "50ms")),
-                self_renew=bool(cfg.get("self_renew", False)),
-                estimator=self.estimator_cfg,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"router: {exc}") from exc
+        est = cfg["estimator"]
+        self.estimator_cfg = EstimatorConfig(
+            est["interval"], est["min_requesters"], est["reserved_fraction"],
+            est["tentative_slots"], est["filter_bits"], est["hash_count"], est["exact"])
+        self.router_cfg = RouterConfig(cfg["delta"], cfg["lifetime"], cfg["bucket_window"],
+                                       cfg["self_renew"], self.estimator_cfg)
 
         self.nodes: dict[int, Node] = {}
         self.links: dict[tuple[int, int], Link] = {}
-        self._build_topology(cfg.get("topology"))
+        self._build_topology(cfg["topology"], cfg["be_buffer"], cfg["clock_skew"])
 
         self.flows: dict[str, ReservationFlow | BestEffortFlow] = {}
         self.adversaries: dict[str, object] = {}
-        for spec in cfg.get("flows", ()):
-            self._add(_FLOW_TYPES, "flow type", spec.get("type", "reservation"), spec)
-        for spec in cfg.get("adversaries", ()):
-            self._add(_ADVERSARY_KINDS, "adversary kind", _required(spec, "kind"), spec)
-        if bool(cfg.get("warm_start", False)):
+        for spec in cfg["flows"]:
+            self._add(_FLOW_TYPES[spec["type"]][0](self, spec))
+        for spec in cfg["adversaries"]:
+            self._add(_ADVERSARY_KINDS[spec["kind"]][0](self, spec))
+        if cfg["warm_start"]:
             self._warm_start_sources()
-        for req in cfg.get("requirements", ()):
-            self._check_requirement(req)
+        self.requirements: list[dict] = cfg["requirements"]
 
-    def _add(self, table: dict, what: str, kind: str, spec: dict) -> None:
-        cls = table.get(kind)
-        if cls is None:
-            raise ConfigError(f"unknown {what} {kind!r}")
-        obj = cls(self, spec)
-        if isinstance(obj, tuple(_FLOW_TYPES.values())):
+    def _add(self, obj) -> None:
+        if isinstance(obj, tuple(cls for cls, _ in _FLOW_TYPES.values())):
             self.flows[obj.name] = obj
         else:
             self.adversaries[obj.name] = obj
         if isinstance(obj, (Replayer, LinkObserver)):
-            if obj.link not in self.links:
-                raise ConfigError(f"{obj.name}: no link {obj.link}")
             self.links[obj.link].observers.append(obj)
-
-    def _check_requirement(self, req: dict) -> None:
-        """Reject, before the run, a requirement its check could not evaluate."""
-        _requirement_check(req)
-        # each name must be of the kind the check reads
-        for key, names, cls in (("flow", self.flows, ReservationFlow),
-                                ("overuser", self.flows, ReservationFlow),
-                                ("adversary", self.adversaries, Spoofer),
-                                ("replayer", self.adversaries, Replayer)):
-            if key in req and not isinstance(names.get(req[key]), cls):
-                raise ConfigError(f"requirement {req['r']}: {key} {req[key]!r} names no "
-                                  f"{cls.__name__} of the run")
 
     # topology -----------------------------------------------------------
 
-    def _build_topology(self, topo) -> None:
-        if topo is None:
-            raise ConfigError("scenario needs a topology")
-        if isinstance(topo, str):
-            with open(topo) as fh:
-                topo = json.load(fh)
-        if "ases" not in topo and "n" in topo:
-            # generated topology file: nodes 0..n-1, optional matrices
-            matrices = topo.get("matrices", {})
-            topo = {
-                "ases": [
-                    {"id": i, **({"matrix": matrices[str(i)]} if str(i) in matrices else {})}
-                    for i in range(int(topo["n"]))
-                ],
-                "links": topo["links"],
-            }
-        as_specs = {int(a["id"]): a for a in topo["ases"]}
-        be_buffer = int(self.cfg.get("be_buffer", 100))
-        if be_buffer < 0:
-            raise ConfigError(f"be_buffer must be >= 0, got {be_buffer}")
-        skews = {int(k): parse_duration(v)
-                 for k, v in self.cfg.get("clock_skew", {}).items()}
-        neighbors: dict[int, list[tuple[int, int]]] = {a: [] for a in as_specs}
+    def _build_topology(self, topo: dict, be_buffer: int, skews: dict[int, int]) -> None:
+        neighbors: dict[int, list[tuple[int, int]]] = {a["id"]: [] for a in topo["ases"]}
         for ln in topo["links"]:
-            a, b = int(ln["a"]), int(ln["b"])
-            cap = parse_bandwidth(ln.get("capacity", "10Gbps"))
-            if cap <= 0:
-                raise ConfigError(f"link {a}-{b}: capacity must be positive, "
-                                  f"got {ln.get('capacity')!r}")
-            delay = parse_duration(ln.get("delay", "1ms"))
-            if delay < 0:
-                raise ConfigError(f"link {a}-{b}: delay must be >= 0, got {ln.get('delay')!r}")
+            a, b, cap = ln["a"], ln["b"], ln["capacity"]
             neighbors[a].append((b, cap))
             neighbors[b].append((a, cap))
-            self.links[(a, b)] = Link(self, cap, delay, be_buffer)
-            self.links[(b, a)] = Link(self, cap, delay, be_buffer)
-        for as_id, spec in as_specs.items():
+            self.links[(a, b)] = Link(self, cap, ln["delay"], be_buffer)
+            self.links[(b, a)] = Link(self, cap, ln["delay"], be_buffer)
+        for spec in topo["ases"]:
+            as_id = spec["id"]
             caps = [0] + [cap for _, cap in neighbors[as_id]]
             caps[0] = max(caps[1:], default=0)  # internal interface
             if_to = {nbr: i + 1 for i, (nbr, _) in enumerate(neighbors[as_id])}
-            enabled = spec.get("enabled", True)
             router = None
-            if enabled:
-                matrix = (AllocationMatrix(spec["matrix"]) if "matrix" in spec
-                          else AllocationMatrix.from_capacities(caps))
-                secret = bytes.fromhex(spec["secret"]) if "secret" in spec else \
+            if spec["enabled"]:
+                matrix = spec["matrix"] or AllocationMatrix.from_capacities(caps)
+                secret = spec["secret"] or \
                     crypto.cbc_mac(b"topology-secret-", as_id.to_bytes(8, "big") * 2)
                 router = Router(as_id, secret, matrix, self.router_cfg, now=0,
                                 rng=random.Random((self.seed << 16) ^ as_id))
@@ -665,21 +858,13 @@ class Network:
                     est.requesters = max(est.requesters, len(warm[id(est)]))
 
     def plan_for(self, route: tuple[int, ...], backward: bool, name: str = "") -> source.PathPlan:
-        if len(route) < 2:
-            raise ConfigError(f"path {list(route)} needs a source AS and at least one more")
+        """The plan of a route whose every link exists, as the schema checks."""
         hops = []
         for k in range(1, len(route)):
             as_id = route[k]
-            node = self.nodes.get(as_id)
-            if node is None:
-                raise ConfigError(f"unknown AS {as_id} in path")
-            ingress = node.if_to.get(route[k - 1])
-            if ingress is None:
-                raise ConfigError(f"no link {route[k-1]} -> {as_id}")
-            egress = node.if_to.get(route[k + 1]) if k + 1 < len(route) else 0
-            if egress is None:
-                raise ConfigError(f"no link {as_id} -> {route[k+1]}")
-            hops.append(source.PathHop(as_id, ingress, egress))
+            node = self.nodes[as_id]
+            egress = node.if_to[route[k + 1]] if k + 1 < len(route) else 0
+            hops.append(source.PathHop(as_id, node.if_to[route[k - 1]], egress))
         # non-participating ASes get no reservation entries; they just forward
         fwd = frozenset(i for i, h in enumerate(hops) if self.nodes[h.as_id].router)
         bwd = fwd if backward else frozenset()
@@ -865,6 +1050,10 @@ class Network:
         self.loop.run_until(self.duration)
         return self
 
+    def verdicts(self) -> list[tuple[str, bool, str]]:
+        """(kind, ok, detail) of each requirement the scenario lists."""
+        return [(req["r"], *_REQUIREMENTS[req["r"]][0](self, req)) for req in self.requirements]
+
     def flow_summary_rows(self) -> list[tuple]:
         rows = []
         for name in sorted(self.flows):
@@ -882,7 +1071,7 @@ class Network:
         return [(as_id, *row) for as_id, router in self.routers()
                 for row in router.monitor.report_rows()]
 
-    def delay_bound_ns(self, flow_name: str, slack: float = 1.0) -> int:
+    def delay_bound_ns(self, flow_name: str) -> int:
         """Propagation + own transmission + one max-size serialization per hop."""
         flow = self.flows[flow_name]
         size = flow.packet_size + 64
@@ -890,11 +1079,11 @@ class Network:
         for k in range(len(flow.route) - 1):
             link = self.links[(flow.route[k], flow.route[k + 1])]
             total += link.delay + link.tx_time(size) + link.tx_time(1600)
-        return int(total * slack)
+        return total
 
 
 # ---------------------------------------------------------------------------
-# loading, running and requirement checks
+# loading and running
 
 
 def load_scenario(path: str) -> dict:
@@ -913,130 +1102,15 @@ def run_scenario(cfg: dict, seed: int | None = None) -> Network:
 
 
 def assert_requirement(result: Network, req: dict) -> tuple[bool, str]:
-    """Evaluate one security requirement against a finished run.
+    """Evaluate one security requirement, as a scenario would list it,
+    against a finished run.
 
     Returns (ok, detail); detail carries the counterexample on failure.
     """
-    return _requirement_check(req)(result, req)
-
-
-def _requirement_check(req: dict):
-    """The check for ``req``'s kind, once the keys it reads are present."""
-    kind = req.get("r")
-    if kind not in _REQUIREMENTS:
-        raise ConfigError(f"unknown requirement {kind!r}")
-    check, required = _REQUIREMENTS[kind]
-    for key in required:
-        if key not in req:
-            raise ConfigError(f"requirement {kind}: missing required key {key!r}")
-    return check
-
-
-def _check_single_reservation(result, req) -> tuple[bool, str]:
-    src = req["src"]
-    for as_id, router in result.routers():
-        fwd_entries = [k for k in router.monitor.entries if k[0] == src and k[1] == wire.FORWARD]
-        if len(fwd_entries) > 1:
-            return False, f"AS {as_id} holds {len(fwd_entries)} entries for src {src}"
-    return True, "one reservation per source at every monitor"
-
-
-def _check_granted_within(result, req) -> tuple[bool, str]:
-    """Per provider router: first valid request to first firm grant <= 2 intervals."""
-    flow = result.flows[req["flow"]]
-    bound = 2 * result.estimator_cfg.interval_ns
-    if flow.granted_at is None:
-        return False, f"flow {flow.name} never granted"
-    worst = 0
-    for hop in flow.plan.hops:
-        router = result.nodes[hop.as_id].router
-        if router is None:
-            continue
-        first = router.first_request_ts.get(flow.src)
-        if first is None:
-            return False, f"AS {hop.as_id} never saw a request from {flow.src}"
-        firm = [ts for ts, src, tent in router.grant_request_ts
-                if src == flow.src and not tent]
-        if not firm:
-            return False, f"AS {hop.as_id} never firmly granted src {flow.src}"
-        took = min(firm) - first
-        worst = max(worst, took)
-        if took > bound:
-            return False, f"AS {hop.as_id}: grant took {took} ns > bound {bound} ns"
-    return True, f"granted at every hop within {worst} ns (bound {bound})"
-
-
-def _check_forgeries(result, req) -> tuple[bool, str]:
-    name = req["adversary"]
-    adv = result.adversaries[name]
-    limit = int(req.get("max_successes", 2))
-    if adv.succeeded > limit:
-        return False, f"spoofer landed {adv.succeeded} priority packets > {limit}"
-    return True, f"{adv.succeeded} forged priority packets over {adv.sent} attempts"
-
-
-def _check_delivery(result, req) -> tuple[bool, str]:
-    flow = result.flows[req["flow"]]
-    st = flow.stats
-    if st.sent == 0:
-        return False, f"flow {flow.name} sent nothing"
-    if st.delivered < st.sent or st.delivered_priority < st.delivered:
-        return False, (f"flow {flow.name}: sent={st.sent} delivered={st.delivered} "
-                       f"priority={st.delivered_priority}")
-    bound = result.delay_bound_ns(flow.name, float(req.get("delay_slack", 1.0)))
-    if st.max_delay > bound:
-        return False, f"max delay {st.max_delay} ns exceeds bound {bound} ns"
-    return True, f"{st.delivered}/{st.sent} delivered priority, max delay {st.max_delay}"
-
-
-def _check_policing(result, req) -> tuple[bool, str]:
-    details = []
-    if "overuser" in req:
-        flow = result.flows[req["overuser"]]
-        src = flow.src
-        conform = overuse = 0
-        for _, router in result.routers():
-            if src not in router.monitor.counters:
-                continue
-            c = router.monitor.counters[src]
-            conform += c.conform_bytes
-            overuse += c.overuse_bytes
-            break  # first policing AS decides the demotion share
-        total = conform + overuse
-        if total == 0:
-            return False, "overuser was never policed"
-        frac = overuse / total
-        expected = float(req.get("expected_fraction", 0.5))
-        tol = float(req.get("tolerance", 0.02))
-        if abs(frac - expected) > tol:
-            return False, f"demoted fraction {frac:.4f} not within {tol} of {expected}"
-        details.append(f"demoted fraction {frac:.4f}")
-    if "replayer" in req:
-        adv = result.adversaries[req["replayer"]]
-        if adv.injected == 0:
-            return False, "replayer injected nothing"
-        if adv.copies_delivered > 0 or adv.copies_dropped < adv.injected:
-            return False, (f"replayed copies delivered={adv.copies_delivered} "
-                           f"dropped={adv.copies_dropped}/{adv.injected}")
-        details.append(f"all {adv.injected} replayed copies dropped")
-    if "no_expired_conform" in req:
-        window = result.router_cfg.bucket_window_ns
-        for as_id, router in result.routers():
-            for (src, _), entry in router.monitor.entries.items():
-                if entry.bucket.ts > entry.ts_exp + window:
-                    return False, f"AS {as_id} charged src {src} past expiry"
-        details.append("no conform verdicts beyond expiry")
-    return True, "; ".join(details) if details else "nothing to check"
-
-
-# requirement kind -> (check, keys the check cannot do without)
-_REQUIREMENTS = {
-    "R1": (_check_single_reservation, ("src",)),
-    "R2": (_check_granted_within, ("flow",)),
-    "R3": (_check_forgeries, ("adversary",)),
-    "R4": (_check_delivery, ("flow",)),
-    "R5": (_check_policing, ()),
-}
+    req, = _sections("requirement", _REQUIREMENTS, "r")([req])
+    senders = {name: type(obj) for name, obj in {**result.flows, **result.adversaries}.items()}
+    _check_names(req, senders, result.nodes)
+    return _REQUIREMENTS[req["r"]][0](result, req)
 
 
 def observer_saw_plaintext_auth(result: Network, observer: str) -> bool:

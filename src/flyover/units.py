@@ -6,24 +6,25 @@ _BW_SUFFIX = {"bps": 1, "kbps": 10**3, "mbps": 10**6, "gbps": 10**9, "tbps": 10*
 _DUR_SUFFIX = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9}
 
 
+def _parse(text, suffixes: dict[str, int]) -> int:
+    """A number, or a string of a number with one of ``suffixes``; a
+    TypeError for anything else (``true`` included)."""
+    if type(text) in (int, float):
+        return int(text)
+    if type(text) is not str:
+        raise TypeError(f"expected a number or a string with a unit, got {text!r}")
+    t = text.strip().lower().replace(" ", "")
+    for suffix in sorted(suffixes, key=len, reverse=True):
+        if t.endswith(suffix):
+            return int(float(t[: -len(suffix)]) * suffixes[suffix])
+    return int(float(t))
+
+
 def parse_bandwidth(text) -> int:
     """'100kbps' / '10Gbps' / plain integers -> bits per second."""
-    if isinstance(text, (int, float)):
-        return int(text)
-    t = text.strip().lower().replace(" ", "")
-    for suffix in sorted(_BW_SUFFIX, key=len, reverse=True):
-        if t.endswith(suffix):
-            return int(float(t[: -len(suffix)]) * _BW_SUFFIX[suffix])
-    return int(float(t))
+    return _parse(text, _BW_SUFFIX)
 
 
 def parse_duration(text) -> int:
     """'500ms' / '10s' / plain integers (ns) -> nanoseconds."""
-    if isinstance(text, (int, float)):
-        return int(text)
-    t = text.strip().lower().replace(" ", "")
-    for suffix in sorted(_DUR_SUFFIX, key=len, reverse=True):
-        if t.endswith(suffix):
-            return int(float(t[: -len(suffix)]) * _DUR_SUFFIX[suffix])
-    return int(float(t))
-
+    return _parse(text, _DUR_SUFFIX)

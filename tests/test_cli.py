@@ -188,6 +188,22 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
                                          "victim": 1, "path": [2, 3, 4],
                                          "packet_size": 65535 - 22 - 4 * 2 + 1}]),
     lambda cfg: cfg.update(clock_skew={"1": "-1ms"}),
+    lambda cfg: cfg["topology"]["links"].append({"a": 5, "b": 99}),
+    lambda cfg: cfg["topology"]["ases"].append({"id": 3}),
+    lambda cfg: cfg["topology"]["links"].append({"a": 1, "b": 2, "capacity": "1Mbps"}),
+    lambda cfg: cfg["topology"]["links"].append({"a": 3, "b": 3}),
+    lambda cfg: cfg.update(clock_skew={"99": "1ms"}),
+    lambda cfg: cfg["flows"][0].update(path=[1, 2, 1, 2, 3]),
+    lambda cfg: cfg["topology"]["links"][0].pop("a"),
+    lambda cfg: cfg["topology"]["ases"][0].pop("id"),
+    lambda cfg: cfg.update(flows={"name": "critical", "src": 1, "path": [1, 2]}),
+    lambda cfg: cfg.update(seed="x"),
+    lambda cfg: cfg["flows"][0].update(backward="false"),
+    lambda cfg: cfg.update(adversaries=[{"name": "flood", "kind": "request_flood", "src": 2,
+                                         "path": [2, 3], "stop_at": "1s"}]),
+    lambda cfg: cfg["flows"][0].update(src=2),
+    lambda cfg: cfg["requirements"][1].update(src=99),
+    lambda cfg: cfg["topology"]["ases"][1].update(matrix=[[0, 1], [1, 0]]),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -204,7 +220,11 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
         "adversary_named_as_a_flow", "zero_bucket_window", "negative_lifetime",
         "negative_delta", "negative_be_buffer", "zero_replay_copies", "len_b_over_u16",
         "negative_len_b", "oversized_flow_packet", "oversized_overuser_packet",
-        "oversized_spoofer_packet", "sender_clock_below_zero_at_start"])
+        "oversized_spoofer_packet", "sender_clock_below_zero_at_start", "link_to_unknown_as",
+        "duplicate_as_id", "duplicate_link", "self_loop_link", "clock_skew_on_unknown_as",
+        "path_visits_an_as_twice", "link_without_a", "as_without_id", "flows_not_a_list",
+        "non_integer_seed", "string_boolean", "stop_at_on_request_flood", "path_not_from_src",
+        "r1_on_unknown_as", "matrix_of_wrong_size"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)
@@ -217,6 +237,57 @@ def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err and "PASS" not in captured.out
+
+
+_SPOOFER = {"name": "spoof", "kind": "spoofer", "src": 2, "victim": 1, "path": [2, 3]}
+
+
+@pytest.mark.parametrize("edit, typo, known", [
+    (lambda cfg: cfg.update(durration="1s"), "durration", "duration"),
+    (lambda cfg: cfg["topology"].update(linsk=[]), "linsk", "links"),
+    (lambda cfg: cfg["topology"]["ases"][0].update(enabeld=False), "enabeld", "enabled"),
+    (lambda cfg: cfg["topology"]["links"][0].update(capacty="1Gbps"), "capacty", "capacity"),
+    (lambda cfg: cfg["estimator"].update(intervall="5s"), "intervall", "interval"),
+    (lambda cfg: cfg["flows"][0].update(packet_sise=500), "packet_sise", "packet_size"),
+    (lambda cfg: cfg["flows"].append({"type": "best_effort", "name": "be", "src": 1,
+                                      "path": [1, 2], "rate": "1Mbps", "strat": "1ms"}),
+     "strat", "start"),
+    (lambda cfg: cfg.update(adversaries=[{"kind": "best_effort_flood", "name": "flood",
+                                          "src": 2, "path": [2, 3], "rate": "1Mbps",
+                                          "stop_att": "1s"}]), "stop_att", "stop_at"),
+    (lambda cfg: cfg.update(adversaries=[{"kind": "overuser", "name": "greedy", "src": 2,
+                                          "path": [2, 3], "factr": 3}]), "factr", "factor"),
+    (lambda cfg: cfg.update(adversaries=[{"kind": "request_flood", "name": "flood", "src": 2,
+                                          "path": [2, 3], "requests_per_sec": 5}]),
+     "requests_per_sec", "requests_per_s"),
+    (lambda cfg: cfg.update(adversaries=[dict(_SPOOFER, cuont=10)]), "cuont", "count"),
+    (lambda cfg: cfg.update(adversaries=[{"kind": "replayer", "name": "echo", "link": [1, 2],
+                                          "copys": 2}]), "copys", "copies"),
+    (lambda cfg: cfg.update(adversaries=[{"kind": "link_observer", "name": "tap",
+                                          "link": [1, 2], "lnik": [1, 2]}]), "lnik", "link"),
+    (lambda cfg: cfg["requirements"][1].update(scr=1), "scr", "src"),
+    (lambda cfg: cfg["requirements"].append({"r": "R2", "flow": "critical", "flwo": "x"}),
+     "flwo", "flow"),
+    (lambda cfg: cfg.update(adversaries=[_SPOOFER],
+                            requirements=[{"r": "R3", "adversary": "spoof",
+                                           "max_sucesses": 0}]), "max_sucesses",
+     "max_successes"),
+    (lambda cfg: cfg["requirements"][0].update(folw="critical"), "folw", "flow"),
+    (lambda cfg: cfg["requirements"].append({"r": "R5", "tolerence": 0.1}), "tolerence",
+     "tolerance"),
+], ids=["top_level", "topology", "as", "link", "estimator", "reservation", "best_effort",
+        "best_effort_flood", "overuser", "request_flood", "spoofer", "replayer",
+        "link_observer", "r1", "r2", "r3", "r4", "r5"])
+def test_scenario_misspelled_key_names_the_closest_key(tmp_path, capsys, edit, typo, known):
+    cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
+    edit(cfg)
+    cfg_path = tmp_path / "misspelled.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with _deadline(20):
+        rc = cli.main(["scenario", "run", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"unknown key {typo!r}" in err and f"closest known key is {known!r}" in err, err
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from flyover import crypto, simnet, source, wire
 from flyover.router import Router, TrafficClass
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _load(name):
@@ -318,14 +320,15 @@ def test_no_overallocation_assertion_holds_on_all_runs():
 
 # kinds and warm start -------------------------------------------------------------------
 
-_SENDER = {"name": "x", "src": 2, "path": [2, 3, 4], "rate": "1Mbps"}
+_SENDER = {"name": "x", "src": 2, "path": [2, 3, 4]}
+_PACED = dict(_SENDER, rate="1Mbps")
 
 
 @pytest.mark.parametrize("section, spec, lands_in, warm", [
-    ("flows", dict(_SENDER, type="reservation"), "flows", True),
-    ("flows", dict(_SENDER, type="best_effort"), "flows", False),
-    ("adversaries", dict(_SENDER, kind="best_effort_flood"), "flows", False),
-    ("adversaries", dict(_SENDER, kind="overuser"), "flows", True),
+    ("flows", dict(_PACED, type="reservation"), "flows", True),
+    ("flows", dict(_PACED, type="best_effort"), "flows", False),
+    ("adversaries", dict(_PACED, kind="best_effort_flood"), "flows", False),
+    ("adversaries", dict(_PACED, kind="overuser"), "flows", True),
     ("adversaries", dict(_SENDER, kind="request_flood"), "adversaries", True),
     ("adversaries", dict(_SENDER, kind="spoofer", victim=1), "adversaries", False),
     ("adversaries", {"name": "x", "kind": "replayer", "link": [1, 2]}, "adversaries", None),
@@ -350,6 +353,57 @@ def test_kind_table_and_warm_start(section, spec, lands_in, warm):
         policy = net.nodes[hop.as_id].router.policy
         for pair in ((hop.ingress, hop.egress), (hop.egress, hop.ingress)):
             assert (2 in policy.estimator_for(*pair).granted) is warm, (hop, pair)
+
+
+def test_assert_requirement_refuses_a_name_the_run_lacks():
+    r = _run("baseline.json")
+    for req in ({"r": "R4", "flow": "nobody"}, {"r": "R1", "src": 99}, {"r": "R4"},
+                {"r": "R3", "adversary": "critical"}, {"r": "R4", "flow": "critical", "x": 1}):
+        with pytest.raises(simnet.ConfigError):
+            simnet.assert_requirement(r, req)
+
+
+def test_r5_reads_no_expired_conform():
+    r = _run("baseline.json")
+    assert _require(r, {"r": "R5", "no_expired_conform": False}) == "nothing to check"
+    assert _require(r, {"r": "R5", "no_expired_conform": True}) == \
+        "no conform verdicts beyond expiry"
+
+
+def _readme_key_tables() -> dict[str, set[str]]:
+    """Each label a ``####`` heading of README's Scenarios section gives in
+    backticks -> the keys of the table under it, plus those of a label a
+    "The keys of `label`" line names."""
+    with open(README) as fh:
+        text = fh.read()
+    tables: dict[str, set[str]] = {}
+    keys: set[str] = set()
+    for line in text[text.index("## Scenarios"):text.index("## Demos")].splitlines():
+        if line.startswith("#### "):
+            keys = set()
+            tables.update((label, keys) for label in re.findall(r"`([^`]+)`", line))
+        elif line.startswith("The keys of `"):
+            keys |= tables[line.split("`")[1]]
+        elif line.startswith("| `"):
+            keys.add(line.split("`")[1])
+    return tables
+
+
+def test_readme_key_tables_match_the_schema():
+    """README documents every section of the scenario schema, and every key
+    of each, and no key the schema does not accept."""
+    schema = {"scenario": simnet._SCENARIO_KEYS, "estimator": simnet._ESTIMATOR_KEYS,
+              "topology": simnet._TOPOLOGY_KEYS, "topo gen": simnet._TOPO_GEN_KEYS,
+              "ases[]": simnet._AS_KEYS, "links[]": simnet._LINK_KEYS}
+    # README names the key that picks a table in its heading, not in the table
+    for tag, tables in (("type", simnet._FLOW_TYPES), ("kind", simnet._ADVERSARY_KINDS),
+                        ("r", simnet._REQUIREMENTS)):
+        schema.update({f"{tag}: {kind}": {k: v for k, v in keys.items() if k != tag}
+                       for kind, (_, keys) in tables.items()})
+    readme = _readme_key_tables()
+    assert readme.keys() == schema.keys()
+    for label, keys in schema.items():
+        assert readme[label] == set(keys), label
 
 
 def test_building_a_network_keeps_the_op_counters():
