@@ -29,7 +29,7 @@ from .crypto import (
     unseal_grant,
 )
 from .policing import DedupWindow, TokenBucket, TrafficMonitor, Verdict
-from .router import ForwardDecision, Router, RouterConfig, TrafficClass
+from .router import Decision, Router, RouterConfig, TrafficClass
 from .source import (
     CompositionPlan,
     FlyoverGrant,

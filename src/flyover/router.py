@@ -12,8 +12,12 @@ with AES-NI that context costs about 4.5 µs, built straight from the
 cipher backend (11.5 µs through the public ``Cipher`` wrapper), and each of
 the two MACs about 1.3 µs on its built context. Packets demoted for a
 stale timestamp, a missing field or an over-long reply cost no MAC and no
-context. Every validation failure demotes the packet to best effort; only
-replays are dropped.
+context.
+
+Each handler returns a ``Decision``, a module-level constant that pairs the
+logged verdict string with the class the packet leaves in: only ``OK``
+forwards as priority and only ``REPLAY`` drops; every other outcome, setup
+requests granted or not included, leaves best effort.
 
 Every grant is checked against the pair's capacity (the no-over-allocation
 guard). The guard keeps a running total of the live grants per interface
@@ -39,15 +43,28 @@ class TrafficClass(Enum):
     DROP = "D"
 
 
-@dataclass(frozen=True)
-class ForwardDecision:
-    traffic_class: TrafficClass
-    egress: int
-    verdict: str
+class Decision(Enum):
+    """One hop's outcome for one packet: a ``verdict`` and a ``traffic_class``."""
 
-    @property
-    def priority(self) -> bool:
-        return self.traffic_class is TrafficClass.PRIORITY
+    OK = "ok", TrafficClass.PRIORITY
+    STALE_TS = "stale_ts", TrafficClass.BEST_EFFORT
+    MISSING_FIELD = "missing_field", TrafficClass.BEST_EFFORT
+    REPLY_TOO_LONG = "reply_too_long", TrafficClass.BEST_EFFORT
+    BAD_MAC = "bad_mac", TrafficClass.BEST_EFFORT
+    OVERUSE = "overuse", TrafficClass.BEST_EFFORT
+    EXPIRED = "expired", TrafficClass.BEST_EFFORT
+    UNKNOWN = "unknown", TrafficClass.BEST_EFFORT
+    REPLAY = "replay", TrafficClass.DROP
+    GRANTED = "granted", TrafficClass.BEST_EFFORT  # requests travel best effort
+    NO_GRANT = "no_grant", TrafficClass.BEST_EFFORT
+
+    def __init__(self, verdict: str, traffic_class: TrafficClass):
+        self.verdict = verdict
+        self.traffic_class = traffic_class
+
+
+_POLICED = {Verdict.CONFORM: Decision.OK, Verdict.OVERUSE: Decision.OVERUSE,
+            Verdict.EXPIRED: Decision.EXPIRED, Verdict.UNKNOWN: Decision.UNKNOWN}
 
 
 @dataclass(frozen=True)
@@ -135,52 +152,43 @@ class Router:
     # packet handlers -----------------------------------------------------
 
     def handle_setup(self, req: wire.SetupRequest, hop_index: int, ingress: int,
-                     egress: int, now: int) -> tuple[ForwardDecision, list[wire.RespEntry]]:
+                     egress: int, now: int) -> tuple[Decision, list[wire.RespEntry]]:
         """Admit this router's hop of a setup request.
 
         The request is forwarded whatever happens; failed checks only mean
         no entries are appended, so later ASes still see the request.
         """
         entries = admit_setup(self, req, hop_index, ingress, egress, now, self.rng)
-        verdict = "granted" if entries else "no_grant"
-        return ForwardDecision(TrafficClass.BEST_EFFORT, egress, verdict), entries
+        return Decision.GRANTED if entries else Decision.NO_GRANT, entries
 
     def handle_data(self, pkt: wire.DataPacket, hop_index: int, ingress: int,
-                    egress: int, now: int, wire_len: int | None = None) -> ForwardDecision:
-        if pkt.d_flag:
-            return self._validate(pkt, hop_index, egress, ingress, now,
-                                  wire_len, backward=True)
-        return self._validate(pkt, hop_index, ingress, egress, now,
-                              wire_len, backward=False)
-
-    def _validate(self, pkt: wire.DataPacket, hop_index: int, pair_in: int, pair_out: int,
-                  now: int, wire_len: int | None, backward: bool) -> ForwardDecision:
+                    egress: int, now: int, wire_len: int | None = None) -> Decision:
         cfg = self.config
-        # pair_out is already oriented to the packet's travel: it is the egress
+        backward = pkt.d_flag
+        # the interface pair in the packet's direction of travel
+        pair_in, pair_out = (egress, ingress) if backward else (ingress, egress)
         if wire_len is None:
             wire_len = pkt.total_len
         if not -cfg.delta_ns <= now - pkt.ts_pkt <= cfg.lifetime_ns + cfg.delta_ns:
-            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "stale_ts")
+            return Decision.STALE_TS
         field_bytes = pkt.field_for(hop_index)
         if field_bytes is None:
-            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "missing_field")
+            return Decision.MISSING_FIELD
         if backward and wire_len > pkt.len_b:
-            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "reply_too_long")
+            return Decision.REPLY_TOO_LONG
         mac_len = pkt.len_b if backward else wire_len
         alpha = crypto.compute_authenticator(self.prepared_secret, pkt.src, pair_in, pair_out)
         if crypto.compute_validation_field(alpha, pkt.ts_pkt, mac_len) != field_bytes:
-            return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, "bad_mac")
+            return Decision.BAD_MAC
         kind = DedupWindow.KIND_DATA_BWD if backward else DedupWindow.KIND_DATA_FWD
         if not self.dedup.check(pkt.src, pkt.ts_pkt, kind, now):
             self.monitor.note_replay(pkt.src)
-            return ForwardDecision(TrafficClass.DROP, pair_out, "replay")
+            return Decision.REPLAY
         direction = wire.BACKWARD if backward else wire.FORWARD
-        verdict = self.monitor.police(pkt.src, wire_len, direction, now)
-        if verdict is Verdict.CONFORM:
-            if cfg.self_renew:
-                grant = self.policy.get_bandwidth(pkt.src, pair_in, pair_out, now)
-                if grant is not None:
-                    self.monitor.register(pkt.src, grant.bw, grant.ts_exp, direction, now)
-                    self.note_grant(pkt.src, (pair_in, pair_out), grant, now)
-            return ForwardDecision(TrafficClass.PRIORITY, pair_out, "ok")
-        return ForwardDecision(TrafficClass.BEST_EFFORT, pair_out, verdict.value)
+        decision = _POLICED[self.monitor.police(pkt.src, wire_len, direction, now)]
+        if decision is Decision.OK and cfg.self_renew:
+            grant = self.policy.get_bandwidth(pkt.src, pair_in, pair_out, now)
+            if grant is not None:
+                self.monitor.register(pkt.src, grant.bw, grant.ts_exp, direction, now)
+                self.note_grant(pkt.src, (pair_in, pair_out), grant, now)
+        return decision

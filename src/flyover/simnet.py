@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import crypto, source, wire
 from .admission import AllocationMatrix, EstimatorConfig
-from .router import ForwardDecision, Router, RouterConfig, TrafficClass
+from .router import Decision, Router, RouterConfig, TrafficClass
 from .units import parse_bandwidth, parse_duration
 
 
@@ -158,12 +158,8 @@ class FlowStats:
         self.delivered_priority = 0
         self.delivered_demoted = 0
         self.dropped = 0
-        self.delays: list[int] = []
+        self.max_delay = 0
         self.replies_received = 0
-
-    @property
-    def max_delay(self) -> int:
-        return max(self.delays) if self.delays else 0
 
 
 class _Sender:
@@ -491,13 +487,14 @@ def _check_policing(result, req) -> tuple[bool, str]:
         flow = result.flows[req["overuser"]]
         src = flow.src
         conform = overuse = 0
-        for _, router in result.routers():
-            if src not in router.monitor.counters:
+        for hop in flow.plan.hops:
+            router = result.nodes[hop.as_id].router
+            if router is None or src not in router.monitor.counters:
                 continue
             c = router.monitor.counters[src]
             conform += c.conform_bytes
             overuse += c.overuse_bytes
-            break  # first policing AS decides the demotion share
+            break  # the first policing AS on the path decides the demotion share
         total = conform + overuse
         if total == 0:
             return False, "overuser was never policed"
@@ -921,56 +918,49 @@ class Network:
         ctx = None if node.router is None else self._hop_context(frame)
 
         if ctx is None:  # forwarded unprocessed
-            cls = TrafficClass.BEST_EFFORT
+            frame.cls = TrafficClass.BEST_EFFORT
         else:
             decision = self._router_process(node, frame, *ctx)
-            cls = decision.traffic_class
-            if cls is TrafficClass.DROP:
+            if decision is Decision.REPLAY:
                 adv = self.adversaries.get(frame.origin)
                 if isinstance(adv, Replayer):
                     adv.copies_dropped += 1
                 self._frame_dropped(frame, decision.verdict)
                 return
-
-        if isinstance(msg, wire.SetupRequest):
-            frame.cls = TrafficClass.BEST_EFFORT  # requests travel best effort
-            if ctx is not None and ctx[0] == msg.last_hop:
+            frame.cls = decision.traffic_class
+            if isinstance(msg, wire.SetupRequest) and ctx[0] == msg.last_hop:
                 self._turn_around(frame, msg.src, msg.ts_req)
                 return
-        else:
-            if cls is TrafficClass.BEST_EFFORT and isinstance(msg, wire.DataPacket):
-                frame.worst = TrafficClass.BEST_EFFORT
-            frame.cls = cls
+        if frame.cls is TrafficClass.BEST_EFFORT and isinstance(msg, wire.DataPacket):
+            frame.worst = TrafficClass.BEST_EFFORT
         if frame.pos == len(frame.route) - 1:
             self._deliver(frame)
         else:  # plan_for checked every link of a route
             self.links[as_id, frame.route[frame.pos + 1]].send(frame, self.loop.now)
 
     def _router_process(self, node: Node, frame: Frame, hop_index: int,
-                        hop: source.PathHop) -> ForwardDecision:
+                        hop: source.PathHop) -> Decision:
         """Run the router on the frame's message: a setup request or a data
         packet, as every frame on a plan carries one or the other."""
         router = node.router
         now = node.local_time(self.loop.now)
         msg = frame.msg
-        if isinstance(msg, wire.SetupRequest):
+        setup = isinstance(msg, wire.SetupRequest)
+        if setup:
             decision, entries = router.handle_setup(msg, hop_index, hop.ingress,
                                                     hop.egress, now)
             frame.resp_entries.extend(entries)
             frame.size += wire.RESP_ENTRY_LEN * len(entries)
-            if self.log_verdicts:
-                self.log(f"as={node.as_id} pkt={frame.uid} kind=setup "
-                         f"verdict={decision.verdict} class={decision.traffic_class.value}")
-            return decision
-        decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress,
-                                      now, wire_len=frame.size)
-        adv = self.adversaries.get(frame.origin)
-        if isinstance(adv, Spoofer) and decision.priority:
-            adv.succeeded += 1
+        else:
+            decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress,
+                                          now, wire_len=frame.size)
+            adv = self.adversaries.get(frame.origin)
+            if isinstance(adv, Spoofer) and decision is Decision.OK:
+                adv.succeeded += 1
         if self.log_verdicts:
-            self.log(f"as={node.as_id} pkt={frame.uid} kind=data "
+            self.log(f"as={node.as_id} pkt={frame.uid} kind={'setup' if setup else 'data'} "
                      f"verdict={decision.verdict} class={decision.traffic_class.value}")
-        if decision.traffic_class is not TrafficClass.DROP and not msg.d_flag:
+        if not setup and decision is not Decision.REPLAY and not msg.d_flag:
             self._maybe_embedded_setup(node, frame, msg, hop_index, hop, now)
         return decision
 
@@ -1019,7 +1009,7 @@ class Network:
             return
         st.delivered += 1
         delay = self.loop.now - frame.created
-        st.delays.append(delay)
+        st.max_delay = max(st.max_delay, delay)
         if is_data:
             if frame.worst is TrafficClass.PRIORITY:
                 st.delivered_priority += 1

@@ -211,7 +211,7 @@ def compose(store: GrantStore, paths: list[PathPlan], strategy: str, now: int) -
     usable: dict[str, list[tuple]] = {}
     flagged = set()
     for name, plan in zip(names, paths):
-        keys = [plan.flyover_key(i, wire.FORWARD) for i in range(len(plan.hops))]
+        keys = [k for _, k in plan.forward_keys]
         if all(store.get(k, now) is not None for k in keys):
             usable[name] = keys
         else:

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 BENCH = os.path.join(ROOT, "perfbench")
 
@@ -32,12 +34,22 @@ def test_every_traced_boundary_resolves():
     assert missing == []
 
 
-def test_traced_tiny_scenario_run_is_correct():
+# the boundary each workload's ops cross, so a run that did no work fails
+_WORK = {"datapath": "router.Router.handle_data", "control": "router.Router.handle_setup",
+         "scenario": "simnet.Network.process_at_node"}
+
+
+@pytest.mark.parametrize("workload", sorted(_WORK))
+def test_traced_tiny_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "scenario", "--size", "tiny",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "tiny",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["simnet.Network.process_at_node.calls"]["value"] > 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics[f"{_WORK[workload]}.calls"] > 0
+    if workload != "control":  # C8, read from the tracer's priority tags
+        assert metrics["crypto.macs_per_validated_hop"] == 2
+        assert metrics["crypto.prf_per_validated_hop"] == 0

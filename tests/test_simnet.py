@@ -114,6 +114,24 @@ def test_overuser_half_demoted_honest_unharmed():
     _require(r, {"r": "R5", "no_expired_conform": True})
 
 
+def test_r5_reads_the_first_policing_as_on_the_path():
+    """Relabelling transit AS 2 as AS 5, above the destination AS 3, keeps
+    every verdict: R5 reads the overuser's first policing hop, whatever the
+    AS ids."""
+    def relabel(a):
+        return 5 if a == 2 else a
+
+    cfg = _load("replay_overuse.json")
+    topo = cfg["topology"]
+    topo["ases"] = [{"id": relabel(a["id"])} for a in topo["ases"]]
+    topo["links"] = [{**ln, "a": relabel(ln["a"]), "b": relabel(ln["b"])} for ln in topo["links"]]
+    for sender in cfg["flows"] + cfg["adversaries"]:
+        for key in ("path", "link"):
+            if key in sender:
+                sender[key] = [relabel(a) for a in sender[key]]
+    assert simnet.run_scenario(cfg).verdicts() == _run("replay_overuse.json").verdicts()
+
+
 # confidentiality + skew -------------------------------------------------------------
 
 def test_observer_never_sees_plaintext_authenticator():
@@ -270,6 +288,17 @@ def test_partial_deployment_still_delivers():
     assert st.delivered_demoted == st.delivered
     enabled_routers = [n.router for n in r.nodes.values() if n.router]
     assert any(1 in {k[0] for k in rt.monitor.entries} for rt in enabled_routers)
+
+
+def test_auto_rate_flow_across_an_unreserved_hop_is_granted():
+    cfg = _load("baseline.json")
+    cfg["topology"]["ases"][2]["enabled"] = False  # AS 3 reserves nothing
+    for ln in cfg["topology"]["links"]:
+        ln["capacity"] = "10Mbps"
+    cfg["flows"][0]["rate"] = "auto"  # composed from the grants of the other hops
+    flow = simnet.run_scenario(cfg).flows["critical"]
+    assert flow.granted_at is not None
+    assert flow.stats.sent == flow.stats.delivered == 1205
 
 
 # config validation -----------------------------------------------------------------------

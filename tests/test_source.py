@@ -156,6 +156,15 @@ def test_compose_expired_grant_flags_path():
     assert plan.path_rates["p"] == 0 and plan.flagged == {"p"}
 
 
+def test_compose_reads_only_the_reserved_hops():
+    hops = tuple(source.PathHop(*h) for h in [(50, 1, 2), (51, 1, 2), (52, 1, 2), (53, 1, 0)])
+    p = source.PathPlan(hops, frozenset({3}), name="p")  # only the last hop is reserved
+    st = _store_with({(53, 1, 0, wire.FORWARD): 7})
+    for strategy in (source.CONCURRENT, source.MAXIMUM):
+        plan = source.compose(st, [p], strategy, now=0)
+        assert plan.path_rates == {"p": Fraction(7)} and plan.flagged == frozenset()
+
+
 def test_compose_concurrent_feasible_randomized():
     """For every flyover, the path shares sum to at most its bandwidth."""
     rng = random.Random(9)
