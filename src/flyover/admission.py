@@ -43,6 +43,11 @@ class ExactSetFilter:
     def __contains__(self, item: int) -> bool:
         return item in self.items
 
+    def add_and_test(self, item: int, other: "ExactSetFilter") -> bool:
+        """Add ``item`` here; True iff ``other`` holds it."""
+        self.items.add(item)
+        return item in other.items
+
     def union_cardinality(self, other: "ExactSetFilter") -> int:
         return len(self.items | other.items)
 
@@ -84,6 +89,17 @@ class BloomFilter:
     def __contains__(self, item: int) -> bool:
         bits = self.bits
         return all(bits[p >> 3] >> (p & 7) & 1 for p in self._positions(item))
+
+    def add_and_test(self, item: int, other: "BloomFilter") -> bool:
+        """Add ``item`` here; True iff ``other``, of the same size, holds it.
+
+        The item's positions are hashed once and serve both filters.
+        """
+        positions = self._positions(item)
+        bits, theirs = self.bits, other.bits
+        for p in positions:
+            bits[p >> 3] |= 1 << (p & 7)
+        return all(theirs[p >> 3] >> (p & 7) & 1 for p in positions)
 
     def union_cardinality(self, other: "BloomFilter") -> int:
         filled = (int.from_bytes(self.bits, "little")
@@ -188,8 +204,7 @@ class RequesterEstimator:
         """
         cfg = self.config
         num, den = cfg.reserved_fraction.numerator, cfg.reserved_fraction.denominator
-        self.current.add(src)
-        if src in self.granted:
+        if self.current.add_and_test(src, self.granted):
             bw = entry_bw * num // (den * self.requesters)
             return Grant(bw, now + cfg.interval_ns, tentative=False)
         if src in self._tentative_holders:

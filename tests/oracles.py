@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles."""
 
 import hashlib
+import heapq
 import math
 import struct
 
@@ -33,6 +34,32 @@ class CounterBucket:
             self.tokens -= pkt_len
             return True
         return False
+
+
+class HeapDedupWindow:
+    """Exact replay window as one set of (src, ts, kind) tuples plus a heap.
+
+    Evicts entry by entry, in timestamp order, every entry whose timestamp
+    lies below ``now - window_ns``. Kept as the reference that the bucketed
+    :class:`flyover.policing.DedupWindow` is checked against.
+    """
+
+    def __init__(self, window_ns: int):
+        self.window_ns = window_ns
+        self.seen: set[tuple[int, int, int]] = set()
+        self._heap: list[tuple[int, tuple[int, int, int]]] = []
+
+    def check(self, src: int, ts: int, kind: int, now: int) -> bool:
+        cutoff = now - self.window_ns
+        while self._heap and self._heap[0][0] < cutoff:
+            _, key = heapq.heappop(self._heap)
+            self.seen.discard(key)
+        key = (src, ts, kind)
+        if key in self.seen:
+            return False
+        self.seen.add(key)
+        heapq.heappush(self._heap, (ts, key))
+        return True
 
 
 class _Reader:

@@ -368,6 +368,15 @@ def test_packed_bloom_matches_int_mask_reference(n_bits, n_hashes, left, right, 
         assert (x in packed[0]) == (x in ref[0])
         assert (x in packed[1]) == (x in ref[1])
     assert packed[0].union_cardinality(packed[1]) == ref[0].union_cardinality(ref[1])
+    exact = [ExactSetFilter() for _ in range(2)]
+    for f, items in zip(exact, (left, right)):
+        f.items.update(items)
+    for x in probes:  # one request's insert into ``current`` and test of ``granted``
+        assert packed[0].add_and_test(x, packed[1]) == (x in ref[1])
+        assert exact[0].add_and_test(x, exact[1]) == (x in right)
+        ref[0].add(x)
+    assert int.from_bytes(packed[0].bits, "little") == ref[0].bits
+    assert exact[0].items == set(left + probes)
     packed[0].reset()
     assert not any(packed[0].bits)
 

@@ -2,12 +2,15 @@
 
 import random
 import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flyover.policing import DedupWindow, TokenBucket, TrafficMonitor, Verdict
 
-from oracles import CounterBucket
+from oracles import CounterBucket, HeapDedupWindow
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -198,3 +201,80 @@ def test_dedup_eviction_after_window():
     # re-sent long after the original's window: fresh again
     assert w.check(1, 100, 0, now=5000)
     assert len(w) == 1
+
+
+@pytest.mark.parametrize("window_ns", [1500 * MS, 2**70])
+def test_dedup_packed_keys_distinct_at_u64_extremes(window_ns):
+    # 2**70 puts every timestamp in one bucket, so only the packing tells them apart
+    w = DedupWindow(window_ns)
+    extremes = (0, 1, 2**64 - 1)
+    keys = [(src, ts, kind) for src in extremes for ts in extremes
+            for kind in (DedupWindow.KIND_DATA_FWD, DedupWindow.KIND_DATA_BWD,
+                         DedupWindow.KIND_SETUP)]
+    assert all(w.check(*key, now=0) for key in keys)
+    assert len(w) == len(keys)
+    assert not any(w.check(*key, now=0) for key in keys)
+
+
+WINDOW = 1000  # ns: buckets of 125 ns, so a few hundred ns of clock crosses several
+
+
+# one check: (clock step or absolute clock, src, ts - clock, kind, earlier check to repeat)
+_DEDUP_STEPS = st.lists(st.tuples(st.integers(0, 6 * WINDOW), st.integers(0, 2),
+                                  st.integers(-2 * WINDOW, 300), st.integers(0, 2),
+                                  st.none() | st.integers(0, 79)),
+                        min_size=1, max_size=80)
+
+
+def _dedup_ops(steps, *, monotone: bool):
+    """Checks as (src, ts, kind, now); a step naming an earlier check repeats its key."""
+    ops, now = [], 2 * WINDOW
+    for clock, src, offset, kind, repeat in steps:
+        now = now + clock % 300 if monotone else clock
+        if ops and repeat is not None:
+            src, ts, kind, _ = ops[repeat % len(ops)]
+        else:
+            ts = max(0, now + offset)
+        ops.append((src, ts, kind, now))
+    return ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DEDUP_STEPS)
+def test_dedup_matches_heap_window_under_monotone_clock(steps):
+    new, old = DedupWindow(WINDOW), HeapDedupWindow(WINDOW)
+    for src, ts, kind, now in _dedup_ops(steps, monotone=True):
+        fresh, ref = new.check(src, ts, kind, now), old.check(src, ts, kind, now)
+        if ts >= now - WINDOW:  # the domain routers let through
+            assert fresh == ref, (src, ts, kind, now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DEDUP_STEPS)
+def test_dedup_exact_under_backward_clock(steps):
+    w = DedupWindow(WINDOW)
+    seen, latest = set(), 0
+    for src, ts, kind, now in _dedup_ops(steps, monotone=False):
+        latest = max(latest, now)
+        fresh = w.check(src, ts, kind, now)
+        if (src, ts, kind) not in seen:
+            assert fresh, "first-seen key refused"
+        elif ts >= latest - WINDOW:
+            assert not fresh, "duplicate inside the window let through"
+        seen.add((src, ts, kind))
+
+
+def test_dedup_memory_per_entry():
+    window = 1500 * MS
+    w = DedupWindow(window)
+    base = 1_700_000_000_000_000_000
+    tracemalloc.start()
+    try:
+        for j in range(100_000):
+            ts = base + j * 15_000  # all within one window
+            assert w.check(j % 1000, ts, DedupWindow.KIND_DATA_FWD, ts)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 100_000
+    assert held / len(w) <= 128
