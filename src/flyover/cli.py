@@ -9,19 +9,25 @@ Subcommands::
     scenario run      run a scenario file and evaluate its requirements
     vectors           print the crypto test-vector lines
 
-Every run prints its resolved configuration and seed; with the same seed
-any command is bit-reproducible. Exit codes: 0 success, 1 a scenario
-requirement failed, 2 usage or configuration error. The three ``sim``
-commands build each seed's study in one place, so they share one set of
-argument checks. Throughput is measured by ``perfbench/run.py``.
+Every run prints its resolved configuration and seed as a ``#`` line on
+stdout, or on stderr when the data goes to stdout (``-o -``); every file
+written gets a ``# wrote`` line on stdout. With the same seed any command is
+bit-reproducible. Exit codes: 0 success, 1 a scenario requirement failed,
+2 usage or configuration error, 141 (SIGPIPE) when the reader closes the
+pipe. The ``sim`` commands share their graph flags and build each seed's
+study in one place. Throughput is measured by ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
+import signal
 import sys
+from multiprocessing import Pool
 
 from . import crypto, simnet, topo
 from .units import parse_bandwidth
@@ -34,87 +40,99 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flyover", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    topo_p = sub.add_parser("topo", help="topology generation")
-    topo_sub = topo_p.add_subparsers(dest="sub", required=True)
+    topo_sub = sub.add_parser("topo", help="topology generation").add_subparsers(
+        dest="sub", required=True)
     gen = topo_sub.add_parser("gen", help="generate a topology file")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, default=2, help="attachment parameter")
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--matrices", action="store_true", help="embed allocation matrices")
     gen.add_argument("-o", "--output", default="-")
+    gen.set_defaults(run=cmd_topo_gen)
 
-    sim_p = sub.add_parser("sim", help="topology experiments")
-    sim_sub = sim_p.add_subparsers(dest="sub", required=True)
-    res = sim_sub.add_parser("reservations", help="per-pair reservation sizes CSV")
-    cov = sim_sub.add_parser("cover", help="median cover CSV")
-    for sp in (res, cov):
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--m", type=int, default=2)
+    graph = argparse.ArgumentParser(add_help=False)  # the flags of every sim command
+    graph.add_argument("--n", type=int, required=True)
+    graph.add_argument("--m", type=int, default=2)
+    graph.add_argument("--min-requesters", type=_positive_int, default=1)
+    sim_sub = sub.add_parser("sim", help="topology experiments").add_subparsers(
+        dest="sub", required=True)
+    for name, help_, rows, columns in (
+            ("reservations", "per-pair reservation sizes CSV", _reservation_rows,
+             ["seed", "n", "r", "strategy", "src", "dst", "a_ij_bps"]),
+            ("cover", "median cover CSV", _cover_rows,
+             ["seed", "n", "r", "strategy", "gamma_bps", "median_cover"])):
+        sp = sim_sub.add_parser(name, parents=[graph], help=help_)
         sp.add_argument("--r", type=float, required=True, help="sampling rate in (0,1]")
         sp.add_argument("--strategy", choices=["max", "concurrent", "both"], default="both")
         sp.add_argument("--seeds", type=_parse_seeds, default=[1])
-        sp.add_argument("--min-requesters", type=int, default=1)
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--jobs", type=_positive_int, default=1,
                         help="parallel workers across seeds (each seed deterministic)")
         sp.add_argument("-o", "--output", default="-")
-    cov.add_argument("--gamma", default="100kbps", help="cover threshold, e.g. 100kbps")
-    plot = sim_sub.add_parser("plot", help="SVG chart of median cover vs threshold")
-    plot.add_argument("--n", type=int, required=True)
-    plot.add_argument("--m", type=int, default=2)
+        sp.set_defaults(run=cmd_sim_csv, rows=rows, columns=columns)
+    sp.add_argument("--gamma", type=parse_bandwidth, default="100kbps",  # sp: cover
+                    help="cover threshold, e.g. 100kbps")
+    plot = sim_sub.add_parser("plot", parents=[graph],
+                              help="SVG chart of median cover vs threshold")
     plot.add_argument("--r", type=float, default=0.1)
     plot.add_argument("--seed", type=int, default=1)
     plot.add_argument("--gammas", default="1kbps,10kbps,100kbps,1Mbps,10Mbps,100Mbps")
-    plot.add_argument("--min-requesters", type=int, default=1)
     plot.add_argument("-o", "--output", required=True)
+    plot.set_defaults(run=cmd_sim_plot)
 
-    sc = sub.add_parser("scenario", help="adversarial scenario runs")
-    sc_sub = sc.add_subparsers(dest="sub", required=True)
-    run = sc_sub.add_parser("run", help="run one scenario file")
-    run.add_argument("config")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--log", default=None, help="write the event log here")
-    run.add_argument("--summary", default=None, help="write flow/monitor CSV here")
+    scen = sub.add_parser("scenario", help="adversarial scenario runs").add_subparsers(
+        dest="sub", required=True).add_parser("run", help="run one scenario file")
+    scen.add_argument("config")
+    scen.add_argument("--seed", type=int, default=None)
+    scen.add_argument("--log", default=None, help="write the event log here")
+    scen.add_argument("--summary", default=None, help="write flow/monitor CSV here")
+    scen.set_defaults(run=cmd_scenario_run)
 
     vec = sub.add_parser("vectors", help="print crypto test vectors")
     vec.add_argument("-o", "--output", default="-")
+    vec.set_defaults(run=cmd_vectors)
 
     return p
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str, header: str | None = None):
+    """The stream for ``path``, stdout for "-". ``header``, the run's
+    configuration line, goes to stdout unless the data does, then to stderr;
+    a written file is announced on stdout once it is closed."""
+    if header is not None:
+        print(header, file=sys.stderr if path == "-" else sys.stdout)
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
+    print(f"# wrote {path}")
 
 
 # -- topo gen ----------------------------------------------------------------
 
 
 def cmd_topo_gen(args) -> int:
-    print(f"# topo gen n={args.n} m={args.m} seed={args.seed}")
     g = topo.generate_topology(args.n, args.m, args.seed)
-    mats = topo.build_matrices(g) if args.matrices else None
-    doc = {
-        "n": g.n,
-        "seed": args.seed,
-        "attachment": args.m,
-        "links": [
-            {"a": a, "b": b, "capacity": cap}
-            for (a, b), cap in sorted(g.edge_capacity.items())
-        ],
-    }
-    if mats is not None:
+    doc = {"n": g.n, "seed": args.seed, "attachment": args.m,
+           "links": [{"a": a, "b": b, "capacity": cap}
+                     for (a, b), cap in sorted(g.edge_capacity.items())]}
+    if args.matrices:
+        mats = topo.build_matrices(g)
         doc["matrices"] = {str(u): mats[u].rows() for u in range(g.n)}
-    out, close = _open_out(args.output)
-    json.dump(doc, out, indent=1)
-    out.write("\n")
-    if close:
-        out.close()
-        print(f"# wrote {args.output}")
+    with _output(args.output, f"# topo gen n={args.n} m={args.m} seed={args.seed}") as out:
+        json.dump(doc, out, indent=1)
+        out.write("\n")
     return 0
 
 
@@ -122,82 +140,53 @@ def cmd_topo_gen(args) -> int:
 
 
 def _strategies(name: str) -> list[str]:
-    if name == "both":
-        return [topo.MAXIMUM, topo.CONCURRENT]
-    return [topo.MAXIMUM if name == "max" else topo.CONCURRENT]
+    return {"max": [topo.MAXIMUM], "concurrent": [topo.CONCURRENT],
+            "both": [topo.MAXIMUM, topo.CONCURRENT]}[name]
 
 
-def _study(n: int, m: int, r: float, seed: int, min_req: int) -> topo.ReservationStudy:
+def _study(args, seed: int) -> topo.ReservationStudy:
     """One seed's study; ``generate_topology`` and ``build_demands`` check
     the graph size and the sampling rate."""
-    g = topo.generate_topology(n, m, seed)
-    return topo.ReservationStudy(g, topo.build_matrices(g), topo.build_demands(g, r, seed),
-                                 min_req)
+    g = topo.generate_topology(args.n, args.m, seed)
+    return topo.ReservationStudy(g, topo.build_matrices(g), topo.build_demands(g, args.r, seed),
+                                 args.min_requesters)
 
 
-def _reservation_rows_for_seed(params) -> list[list]:
-    n, m, r, strategies, min_req, seed = params
-    study = _study(n, m, r, seed, min_req)
-    rows = []
-    for strategy in strategies:
-        for src, dst, size in study.reservation_rows(strategy):
-            rows.append([seed, n, r, strategy, src, dst, f"{size:.6g}"])
-    return rows
+def _reservation_rows(args, seed: int) -> list[list]:
+    study = _study(args, seed)
+    return [[seed, args.n, args.r, strategy, src, dst, f"{size:.6g}"]
+            for strategy in _strategies(args.strategy)
+            for src, dst, size in study.reservation_rows(strategy)]
 
 
-def _cover_rows_for_seed(params) -> list[list]:
-    n, m, r, strategies, min_req, seed, gamma = params
-    covers = _study(n, m, r, seed, min_req).covers(float(gamma))
-    return [[seed, n, r, s, gamma, f"{covers[s].median:.6f}"] for s in strategies]
+def _cover_rows(args, seed: int) -> list[list]:
+    covers = _study(args, seed).covers(float(args.gamma))
+    return [[seed, args.n, args.r, s, args.gamma, f"{covers[s].median:.6f}"]
+            for s in _strategies(args.strategy)]
 
 
-def _fan_out(worker, param_list, jobs: int) -> list:
-    if jobs <= 1 or len(param_list) <= 1:
-        return [worker(p) for p in param_list]
-    import multiprocessing
-
-    with multiprocessing.Pool(min(jobs, len(param_list))) as pool:
-        return pool.map(worker, param_list)  # ordered: output stays seed-sorted
-
-
-def cmd_sim_reservations(args) -> int:
-    print(f"# sim reservations n={args.n} m={args.m} r={args.r} "
-          f"strategy={args.strategy} seeds={args.seeds} min_requesters={args.min_requesters}")
-    params = [(args.n, args.m, args.r, _strategies(args.strategy),
-               args.min_requesters, seed) for seed in args.seeds]
-    per_seed = _fan_out(_reservation_rows_for_seed, params, args.jobs)
-    out, close = _open_out(args.output)
-    w = csv.writer(out)
-    w.writerow(["seed", "n", "r", "strategy", "src", "dst", "a_ij_bps"])
-    for rows in per_seed:
-        w.writerows(rows)
-    if close:
-        out.close()
-    return 0
-
-
-def cmd_sim_cover(args) -> int:
-    gamma = parse_bandwidth(args.gamma)
-    print(f"# sim cover n={args.n} m={args.m} r={args.r} gamma={gamma} "
-          f"strategy={args.strategy} seeds={args.seeds} min_requesters={args.min_requesters}")
-    params = [(args.n, args.m, args.r, _strategies(args.strategy),
-               args.min_requesters, seed, gamma) for seed in args.seeds]
-    per_seed = _fan_out(_cover_rows_for_seed, params, args.jobs)
-    out, close = _open_out(args.output)
-    w = csv.writer(out)
-    w.writerow(["seed", "n", "r", "strategy", "gamma_bps", "median_cover"])
-    for rows in per_seed:
-        w.writerows(rows)
-    if close:
-        out.close()
+def cmd_sim_csv(args) -> int:
+    """``args.columns`` then ``args.rows`` of each seed, in seed order."""
+    gamma = f"gamma={args.gamma} " if "gamma" in args else ""
+    header = (f"# sim {args.sub} n={args.n} m={args.m} r={args.r} {gamma}"
+              f"strategy={args.strategy} seeds={args.seeds} min_requesters={args.min_requesters}")
+    work = [(args, seed) for seed in args.seeds]
+    if args.jobs > 1 and len(work) > 1:
+        with Pool(min(args.jobs, len(work))) as pool:
+            per_seed = pool.starmap(args.rows, work)  # ordered: output stays seed-sorted
+    else:
+        per_seed = [args.rows(*item) for item in work]
+    with _output(args.output, header) as out:
+        w = csv.writer(out)
+        w.writerow(args.columns)
+        for seed_rows in per_seed:
+            w.writerows(seed_rows)
     return 0
 
 
 def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
                y_label: str) -> str:
     """Minimal deterministic SVG line chart (log-x, covers on y)."""
-    import math
-
     width, height, pad = 640, 400, 60
     xs = [x for pts in series.values() for x, _ in pts]
     lo, hi = math.log10(min(xs)), math.log10(max(xs))
@@ -231,17 +220,16 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
 
 def cmd_sim_plot(args) -> int:
     gammas = [parse_bandwidth(x) for x in args.gammas.split(",")]
-    print(f"# sim plot n={args.n} r={args.r} seed={args.seed} gammas={gammas}")
-    study = _study(args.n, args.m, args.r, args.seed, args.min_requesters)
+    study = _study(args, args.seed)
     series: dict[str, list[tuple[float, float]]] = {"maximum": [], "concurrent": []}
     for gamma in gammas:
         covers = study.covers(float(gamma))
         for strategy in series:
             series[strategy].append((float(gamma), covers[strategy].median))
     svg = _svg_chart(series, "cover threshold (bps)", "median cover")
-    with open(args.output, "w") as fh:
-        fh.write(svg + "\n")
-    print(f"# wrote {args.output}")
+    with _output(args.output, f"# sim plot n={args.n} r={args.r} seed={args.seed} "
+                              f"gammas={gammas}") as out:
+        out.write(svg + "\n")
     return 0
 
 
@@ -260,22 +248,18 @@ def cmd_scenario_run(args) -> int:
         print(f"{kind}: {'PASS' if ok else 'FAIL'} - {detail}")
         failures += 0 if ok else 1
     if args.log:
-        with open(args.log, "w") as fh:
-            fh.write("\n".join(result.log_lines) + "\n")
-        print(f"# wrote {args.log}")
+        with _output(args.log) as out:
+            out.write("\n".join(result.log_lines) + "\n")
     if args.summary:
-        with open(args.summary, "w", newline="") as fh:
-            w = csv.writer(fh)
+        with _output(args.summary) as out:
+            w = csv.writer(out)
             w.writerow(["flow", "sent", "delivered", "priority", "demoted",
                         "dropped", "max_delay_ns"])
-            for row in result.flow_summary_rows():
-                w.writerow(row)
+            w.writerows(result.flow_summary_rows())
             w.writerow([])
             w.writerow(["as", "src", "conform_bytes", "overuse_bytes",
                         "expired_pkts", "replay_pkts"])
-            for row in result.monitor_rows():
-                w.writerow(row)
-        print(f"# wrote {args.summary}")
+            w.writerows(result.monitor_rows())
     return 1 if failures else 0
 
 
@@ -314,40 +298,26 @@ def vector_lines() -> list[str]:
 
 
 def cmd_vectors(args) -> int:
-    out, close = _open_out(args.output)
-    out.write("\n".join(vector_lines()) + "\n")
-    if close:
-        out.close()
-        print(f"# wrote {args.output}")
+    with _output(args.output, "# vectors") as out:
+        out.write("\n".join(vector_lines()) + "\n")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.cmd == "topo":
-            return cmd_topo_gen(args)
-        if args.cmd == "sim":
-            if args.sub == "reservations":
-                return cmd_sim_reservations(args)
-            if args.sub == "cover":
-                return cmd_sim_cover(args)
-            return cmd_sim_plot(args)
-        if args.cmd == "scenario":
-            return cmd_scenario_run(args)
-        if args.cmd == "vectors":
-            return cmd_vectors(args)
+        return args.run(args)
     except (simnet.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def entry() -> None:
+    # a reader that closes the pipe ends the run silently, as it ends coreutils
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -168,7 +168,8 @@ class _Sender:
     The first ``_emit`` runs at ``start`` (ns, >= 0). ``_emit(t)``
     sends at most one frame and returns whether to send again, ``gap`` ns
     later; sending ends at ``stop`` if one is given. A sender that stamps
-    timestamps (``STAMPS``) needs its AS's clock at or past 0 from ``start``.
+    timestamps (``STAMPS``) needs its AS's clock at or past 0 from ``start``,
+    as ``_parse_scenario`` checks.
     """
 
     STAMPS = True
@@ -185,8 +186,6 @@ class _Sender:
         self._first_link = net.links[self.route[0], self.route[1]]
         self.start_at = start
         self.stop_at = stop
-        if self.STAMPS and self.node.local_time(self.start_at) < 0:
-            raise ConfigError(f"{self.name}: AS {self.src}'s clock is below 0 at the start")
 
     def _drkeys(self) -> dict[int, bytes]:
         """The source's DRKey at each router on the path."""
@@ -225,8 +224,8 @@ class ReservationFlow(_Sender):
     def __init__(self, net: "Network", spec: dict):
         super().__init__(net, spec, spec["backward"], spec["setup_at"], spec["stop_at"])
         self.packet_size = spec["packet_size"]
-        self.wire_size = _data_packet_len(
-            spec, self.packet_size, len(self.plan.forward_hops) + len(self.plan.backward_hops))
+        self.wire_size = wire.data_packet_len(
+            len(self.plan.forward_hops) + len(self.plan.backward_hops), self.packet_size)
         self.rate = spec["rate"]  # bps; None sends at the rate the grants compose to
         self.len_b = spec["len_b"]
         self.renew = spec["renew"]
@@ -363,7 +362,6 @@ class Spoofer(_Sender):
         self.victim = spec["victim"]
         self.count = spec["count"]
         self.packet_size = spec["packet_size"]
-        _data_packet_len(spec, self.packet_size, len(self.plan.hops))
         self.gap = spec["gap"]
         self.sent = 0
         self.succeeded = 0  # frames some router classified as priority
@@ -717,20 +715,33 @@ def _parse_scenario(cfg) -> dict:
         size, matrix = 1 + degree[spec["id"]], spec["matrix"]
         _refuse(f"topology: AS {spec['id']}", (matrix is not None and matrix.n_interfaces != size,
                                                f"matrix must be {size}x{size}"))
-    _refuse("clock_skew", (not cfg["clock_skew"].keys() <= ases, "names an AS not in ases"))
+    skews = cfg["clock_skew"]
+    _refuse("clock_skew", (not skews.keys() <= ases, "names an AS not in ases"))
+    enabled = {spec["id"] for spec in cfg["topology"]["ases"] if spec["enabled"]}
     senders: dict[str, type] = {}
     for spec in cfg["flows"] + cfg["adversaries"]:
         name, route = spec["name"], spec["path"] if "path" in spec else None
         # frames are traced back to their sender by this name
         _refuse(name, (name in senders, "is used by another flow or adversary"),
                 ("link" in spec and spec["link"] not in links, "observes no link"))
-        senders[name] = (_FLOW_TYPES[spec["type"]] if "type" in spec
-                         else _ADVERSARY_KINDS[spec["kind"]])[0]
+        senders[name] = cls = (_FLOW_TYPES[spec["type"]] if "type" in spec
+                               else _ADVERSARY_KINDS[spec["kind"]])[0]
         if route is not None:
             _refuse(f"{name}: path {list(route)}",
                     (route[0] != spec["src"], "does not start at src"),
                     (len(set(route)) < len(route), "visits an AS twice"),
                     (not links.issuperset(zip(route, route[1:])), "takes a link not in links"))
+        if issubclass(cls, (ReservationFlow, Spoofer)):
+            # a field per enabled AS after the source, each way; a spoofer forges every hop's
+            fields = (len(route) - 1 if cls is Spoofer else
+                      sum(a in enabled for a in route[1:]) * (2 if spec["backward"] else 1))
+            size = wire.data_packet_len(fields, spec["packet_size"])
+            _refuse(name, (size > _U16_MAX, f"packet_size {spec['packet_size']} makes "
+                                             f"{size}-byte data packets, over {_U16_MAX}"))
+        if issubclass(cls, _Sender) and cls.STAMPS:
+            start = spec["setup_at"] if "setup_at" in spec else 0
+            _refuse(name, (start + skews.get(spec["src"], 0) < 0,
+                           f"AS {spec['src']}'s clock is below 0 at the start"))
     for req in cfg["requirements"]:
         _check_names(req, senders, ases)
     return cfg
@@ -752,16 +763,6 @@ def _refuse(where: str, *checks: tuple[bool, str]) -> None:
     for wrong, why in checks:
         if wrong:
             raise ConfigError(f"{where}: {why}")
-
-
-def _data_packet_len(spec: dict, payload: int, fields: int) -> int:
-    """Length of a data packet with ``payload`` bytes and ``fields``
-    validation fields, which must fit its 16-bit length."""
-    total = wire.DATA_FIXED_HEADER + wire.FIELD_ENTRY_LEN * fields + payload
-    if total > _U16_MAX:
-        raise ConfigError(f"{spec['name']}: packet_size {payload} makes {total}-byte data "
-                          f"packets, over {_U16_MAX}")
-    return total
 
 
 # ---------------------------------------------------------------------------

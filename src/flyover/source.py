@@ -252,7 +252,7 @@ def emit_packet(store: GrantStore, plan: PathPlan, src: int, payload: bytes,
     builds on its first packet.
     """
     n_f, n_b = len(plan.forward_keys), len(plan.backward_keys)
-    total_len = wire.DATA_FIXED_HEADER + wire.FIELD_ENTRY_LEN * (n_f + n_b) + len(payload)
+    total_len = wire.data_packet_len(n_f + n_b, len(payload))
     if total_len > 0xFFFF:
         raise ValueError("packet too large")
     rvfs, bvfs = [], []
@@ -280,7 +280,7 @@ def build_reply(fwd: wire.DataPacket, payload: bytes) -> wire.DataPacket:
 
 
 def max_reply_payload(fwd: wire.DataPacket) -> int:
-    return fwd.len_b - wire.DATA_FIXED_HEADER - wire.FIELD_ENTRY_LEN * len(fwd.bvfs)
+    return fwd.len_b - wire.data_packet_len(len(fwd.bvfs))
 
 
 def build_renewal(store: GrantStore, keys: dict[int, bytes], plan: PathPlan, src: int,

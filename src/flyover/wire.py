@@ -116,17 +116,22 @@ class DataPacket:
 
     @property
     def header_len(self) -> int:
-        return DATA_FIXED_HEADER + FIELD_ENTRY_LEN * (len(self.rvfs) + len(self.bvfs))
+        return data_packet_len(len(self.rvfs) + len(self.bvfs))
 
     @property
     def total_len(self) -> int:
-        return self.header_len + len(self.payload)
+        return data_packet_len(len(self.rvfs) + len(self.bvfs), len(self.payload))
 
     def field_for(self, hop: int) -> bytes | None:
         for h, f in (self.bvfs if self.d_flag else self.rvfs):
             if h == hop:
                 return f
         return None
+
+
+def data_packet_len(fields: int, payload: int = 0) -> int:
+    """Length of a data packet with ``fields`` validation fields and ``payload`` bytes."""
+    return DATA_FIXED_HEADER + FIELD_ENTRY_LEN * fields + payload
 
 
 def _check_u(value: int, bits: int, what: str) -> int:

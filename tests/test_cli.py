@@ -1,9 +1,12 @@
 """End-to-end CLI smoke tests, golden-file compared."""
 
+import argparse
 import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -13,8 +16,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
-def _golden(name):
-    with open(os.path.join(GOLDEN, name)) as fh:
+def _golden(name, newline=None):
+    with open(os.path.join(GOLDEN, name), newline=newline) as fh:
         return fh.read()
 
 
@@ -64,6 +67,55 @@ def test_vectors_golden(tmp_path):
     rc = cli.main(["vectors", "-o", str(out)])
     assert rc == 0
     assert out.read_text() == _golden("vectors.txt")
+
+
+@pytest.mark.parametrize("argv, golden, config", [
+    (["topo", "gen", "--n", "8", "--seed", "1", "--matrices"], "topo_n8.json",
+     "# topo gen n=8 m=2 seed=1"),
+    (["sim", "reservations", "--n", "12", "--r", "0.5", "--seeds", "3"],
+     "reservations_n12.csv", "# sim reservations n=12 m=2 r=0.5 strategy=both seeds=[3]"),
+    (["vectors"], "vectors.txt", "# vectors"),
+], ids=["topo_gen", "sim_reservations", "vectors"])
+def test_stdout_carries_only_data(capsys, argv, golden, config):
+    assert cli.main(argv + ["-o", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _golden(golden, newline="")  # the file's bytes, CRLFs kept
+    assert captured.err.startswith(config) and "# wrote" not in captured.out + captured.err
+
+
+def test_written_files_are_announced(tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    assert cli.main(["sim", "reservations", "--n", "12", "--r", "0.5", "--seeds", "3",
+                     "-o", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "# sim reservations n=12 m=2 r=0.5 strategy=both seeds=[3] min_requesters=1",
+        f"# wrote {out}"]
+    assert captured.err == ""
+
+
+def _flyover(*argv):
+    """``python -m flyover.cli argv`` in a child process, through ``entry``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "flyover.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_entry_stdout_is_a_topology_file():
+    proc = _flyover("topo", "gen", "--n", "8", "--seed", "1", "--matrices")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(out) == json.loads(_golden("topo_n8.json"))
+    assert err.startswith(b"# topo gen n=8")
+
+
+def test_entry_ends_silently_when_the_reader_closes_the_pipe():
+    proc = _flyover("sim", "reservations", "--n", "200", "--r", "0.5")
+    assert proc.stdout.readline() == b"seed,n,r,strategy,src,dst,a_ij_bps\r\n"
+    proc.stdout.close()  # ~1.6 MB of rows remain, more than a pipe holds
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert b"error:" not in err
 
 
 def test_scenario_run_pass_and_outputs(tmp_path, capsys):
@@ -232,6 +284,8 @@ def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg_path.write_text(json.dumps(cfg))
     with _deadline(20):  # a config that slips through may hang the run
         with pytest.raises(simnet.ConfigError):
+            simnet._parse_scenario(cfg)  # the whole scenario is checked before any build
+        with pytest.raises(simnet.ConfigError):
             simnet.Network(cfg)
         rc = cli.main(["scenario", "run", str(cfg_path)])
     captured = capsys.readouterr()
@@ -302,6 +356,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["sim", "reservations", "--n", "20", "--r", "0"],
         ["sim", "plot", "--n", "20", "--r", "0"],
         ["sim", "reservations", "--n", "20", "--r", "0.5", "--seeds", ""],
+        ["sim", "cover", "--n", "30", "--r", "0.5", "--jobs", "-3"],
+        ["sim", "reservations", "--n", "20", "--r", "0.5", "--min-requesters", "0"],
     ):
         capsys.readouterr()
         assert cli.main(argv + ["-o", out]) == 2, argv
@@ -357,3 +413,44 @@ def test_generated_topology_file_drives_scenarios(tmp_path):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["scenario", "run", str(cfg_path)]) == 0
+
+
+def _option_table(parser, prefix=""):
+    """Command path -> sorted (option strings, default, required, choices) of
+    every option the command takes, help aside."""
+    rows = {}
+    for act in parser._actions:
+        if isinstance(act, argparse._SubParsersAction):
+            for name, sub in act.choices.items():
+                rows.update(_option_table(sub, f"{prefix} {name}".strip()))
+    opts = sorted((tuple(a.option_strings) or (a.dest,), a.default, a.required,
+                   None if a.choices is None else tuple(a.choices))
+                  for a in parser._actions
+                  if not isinstance(a, (argparse._SubParsersAction, argparse._HelpAction)))
+    if opts or not rows:
+        rows[prefix] = opts
+    return rows
+
+
+_SIM_COMMON = [(("--jobs",), 1, False, None), (("--m",), 2, False, None),
+               (("--min-requesters",), 1, False, None), (("--n",), None, True, None),
+               (("--r",), None, True, None), (("--seeds",), [1], False, None),
+               (("--strategy",), "both", False, ("max", "concurrent", "both")),
+               (("-o", "--output"), "-", False, None)]
+
+
+def test_cli_options_do_not_change():
+    assert _option_table(cli.build_parser()) == {
+        "topo gen": [(("--m",), 2, False, None), (("--matrices",), False, False, None),
+                     (("--n",), None, True, None), (("--seed",), 1, False, None),
+                     (("-o", "--output"), "-", False, None)],
+        "sim reservations": _SIM_COMMON,
+        "sim cover": sorted(_SIM_COMMON + [(("--gamma",), "100kbps", False, None)]),
+        "sim plot": [(("--gammas",), "1kbps,10kbps,100kbps,1Mbps,10Mbps,100Mbps", False, None),
+                     (("--m",), 2, False, None), (("--min-requesters",), 1, False, None),
+                     (("--n",), None, True, None), (("--r",), 0.1, False, None),
+                     (("--seed",), 1, False, None), (("-o", "--output"), None, True, None)],
+        "scenario run": [(("--log",), None, False, None), (("--seed",), None, False, None),
+                         (("--summary",), None, False, None), (("config",), None, True, None)],
+        "vectors": [(("-o", "--output"), "-", False, None)],
+    }
