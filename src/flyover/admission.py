@@ -261,24 +261,27 @@ class AllocationMatrix:
 
         Each entry (a, b) starts at the capacity of the egress link b, then
         columns are scaled so they sum to that capacity, and any row whose
-        sum exceeds the ingress link capacity is scaled down to equality.
-        Done in exact rationals, floored to integer bit rates at the end.
+        sum exceeds the ingress link capacity is scaled down to equality;
+        the exact rationals are floored to integer bit rates.
+
+        In closed form: column b holds n-1 copies of cap_b, so its scaling
+        makes every entry cap_b / (n-1). Row a then sums to rest / (n-1),
+        with rest the sum of the other capacities; when rest > (n-1)·cap_a
+        it is scaled by cap_a·(n-1) / rest, leaving cap_b·cap_a / rest.
+        Each entry is the floor of that same rational, taken by one integer
+        division (rest > 0 wherever it divides), so no Fraction is built.
         """
-        n = len(capacities)
-        m = [[Fraction(0) if a == b else Fraction(capacities[b]) for b in range(n)] for a in range(n)]
-        for b in range(n):
-            col = sum(m[a][b] for a in range(n))
-            if col > 0:
-                scale = Fraction(capacities[b]) / col
-                for a in range(n):
-                    m[a][b] *= scale
-        for a in range(n):
-            row = sum(m[a])
-            if row > capacities[a]:
-                scale = Fraction(capacities[a]) / row
-                for b in range(n):
-                    m[a][b] *= scale
-        return cls([[int(m[a][b]) for b in range(n)] for a in range(n)])
+        total, k = sum(capacities), max(len(capacities) - 1, 1)  # n = 1 has no off-diagonal
+        rows = []
+        for a, cap_a in enumerate(capacities):
+            rest = total - cap_a
+            if rest > k * cap_a:
+                row = [cap_b * cap_a // rest for cap_b in capacities]
+            else:
+                row = [cap_b // k for cap_b in capacities]
+            row[a] = 0
+            rows.append(row)
+        return cls(rows)
 
     def _check_pair(self, a: int, b: int) -> None:
         if not (0 <= a < self.n_interfaces and 0 <= b < self.n_interfaces):

@@ -46,6 +46,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_bandwidth(text: str) -> int:
+    bps = parse_bandwidth(text)
+    if bps < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive bandwidth, got {text}")
+    return bps
+
+
+def _positive_bandwidths(text: str) -> list[int]:
+    return [_positive_bandwidth(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flyover", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -79,13 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel workers across seeds (each seed deterministic)")
         sp.add_argument("-o", "--output", default="-")
         sp.set_defaults(run=cmd_sim_csv, rows=rows, columns=columns)
-    sp.add_argument("--gamma", type=parse_bandwidth, default="100kbps",  # sp: cover
+    sp.add_argument("--gamma", type=_positive_bandwidth, default="100kbps",  # sp: cover
                     help="cover threshold, e.g. 100kbps")
     plot = sim_sub.add_parser("plot", parents=[graph],
                               help="SVG chart of median cover vs threshold")
     plot.add_argument("--r", type=float, default=0.1)
     plot.add_argument("--seed", type=int, default=1)
-    plot.add_argument("--gammas", default="1kbps,10kbps,100kbps,1Mbps,10Mbps,100Mbps")
+    plot.add_argument("--gammas", default="1kbps,10kbps,100kbps,1Mbps,10Mbps,100Mbps",
+                      type=_positive_bandwidths)
     plot.add_argument("-o", "--output", required=True)
     plot.set_defaults(run=cmd_sim_plot)
 
@@ -219,16 +231,15 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], x_label: str,
 
 
 def cmd_sim_plot(args) -> int:
-    gammas = [parse_bandwidth(x) for x in args.gammas.split(",")]
     study = _study(args, args.seed)
     series: dict[str, list[tuple[float, float]]] = {"maximum": [], "concurrent": []}
-    for gamma in gammas:
+    for gamma in args.gammas:
         covers = study.covers(float(gamma))
         for strategy in series:
             series[strategy].append((float(gamma), covers[strategy].median))
     svg = _svg_chart(series, "cover threshold (bps)", "median cover")
     with _output(args.output, f"# sim plot n={args.n} r={args.r} seed={args.seed} "
-                              f"gammas={gammas}") as out:
+                              f"gammas={args.gammas}") as out:
         out.write(svg + "\n")
     return 0
 

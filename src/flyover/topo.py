@@ -10,23 +10,26 @@ and an allocation matrix built from those capacities.
 Reservation sizes between node pairs follow the per-pair share formula
 with the requester count taken as the exact number of sources whose
 shortest paths cross the pair; paths are BFS shortest paths with
-lowest-node-id tie-breaking, which makes every run reproducible. One walk
-over a source's tree gives each of its demands' sizes under both
-composition strategies; a study runs it once over float shares and keeps
-the sizes as columns that every cover and row query reads. Per-pair
-arithmetic is exact (integers and rationals); the per-destination minima
-use floats for speed, which is safe because dividing by an integer count
-never increases a float. The same walk over the exact shares is the
-rational reference.
+lowest-node-id tie-breaking, which makes every run reproducible. A study
+walks each source's tree once and records the tree edges that carry
+demand as integer columns; the requester counts, both strategies' sizes
+and every cover and row query read those columns, and the shares are
+computed once per study. Per-pair arithmetic is exact (integers and
+rationals); the per-destination minima use floats for speed, which is
+safe because dividing by an integer count never increases a float. The
+same size kernel over the exact shares is the rational reference.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import chain, compress, islice, repeat
 from statistics import median
 
 import networkx as nx
@@ -193,9 +196,12 @@ class ReservationStudy:
     selected paths traverse it, including the source's own internal-to-
     egress pair and the destination's ingress-to-internal pair.
 
-    Each demand's float sizes under both strategies are computed on first
-    use, in one walk per source, and kept as columns that ``covers`` and
-    ``reservation_rows`` read.
+    The constructor walks each source's tree once and keeps the tree edges
+    that carry demand as flat columns, with dense pair ids in first-seen
+    order. Every query reads those columns. The shares are computed once
+    per study, as floats for ``covers`` and ``reservation_rows`` and as
+    exact rationals for ``pair_bandwidth`` and ``reservations_exact``; each
+    demand's float sizes under both strategies are kept on first use.
     """
 
     def __init__(self, g: TopologyGraph, matrices: list[AllocationMatrix],
@@ -206,86 +212,95 @@ class ReservationStudy:
         self.matrices = matrices
         self.demands = demands
         self.min_requesters = min_requesters
-        self.pair_requesters: dict[tuple[int, int, int], int] = {}
-        self._columns: tuple[array, array, array, array] | None = None
-        rho = self.pair_requesters
+        ids: dict[tuple[int, int, int], int] = {}  # (node, ingress, egress) -> pair id
+        # one row per tree edge that carries demand, parents first: the
+        # child's parent, the child, the parent's pair id toward the child,
+        # the child's delivery pair id (-1 when it is no destination) and
+        # the number of the source's paths through the child
+        self._edges = parents, children, pair_ids, deliveries, through = tuple(
+            array("i") for _ in range(5))
+        self._spans: list[tuple[int, int, int]] = []  # (src, first edge, end)
+        if_index = g.if_index
         for src, dests in demands.items():
-            for _, _, key, delivery, _ in self._hops(src, dests):
-                rho[key] = rho.get(key, 0) + 1
-                if delivery is not None:
-                    rho[delivery] = rho.get(delivery, 0) + 1
+            parent, order = shortest_path_tree(g, src)
+            paths = [0] * g.n
+            for d in dests:
+                paths[d] += 1
+            for v in reversed(order):
+                if v != src and paths[v]:
+                    paths[parent[v]] += paths[v]
+            dest_set = set(dests)
+            start = len(children)
+            for v in islice(order, 1, None):  # order[0] is the source
+                if paths[v]:
+                    u = parent[v]
+                    a = 0 if u == src else if_index[u][parent[u]]
+                    parents.append(u)
+                    children.append(v)
+                    pair_ids.append(ids.setdefault((u, a, if_index[u][v]), len(ids)))
+                    deliveries.append(ids.setdefault((v, if_index[v][u], 0), len(ids))
+                                      if v in dest_set else -1)
+                    through.append(paths[v])
+            self._spans.append((src, start, len(children)))
+        self._pairs = list(ids)  # pair id -> (node, ingress, egress)
+        self._counts = Counter(chain(pair_ids, deliveries))  # pair id -> requesters
+        self.pair_requesters = {key: self._counts[i] for i, key in enumerate(self._pairs)}
 
-    def _hops(self, src: int, dests: list[int]) -> list[tuple]:
-        """The tree edges that carry this source's demand, parents first:
-        (parent, child, pair key, delivery key or None, paths through child).
+    def _shares(self, divide) -> list:
+        """divide(admission entry, requesters floored at min_requesters) per pair id."""
+        floor = self.min_requesters
+        return [divide(self.matrices[node].admission_value(a, b), max(self._counts[i], floor))
+                for i, (node, a, b) in enumerate(self._pairs)]
 
-        The pair key is the parent's (node, ingress, egress) pair toward the
-        child; the delivery key is the child's ingress-to-internal pair when
-        the child is a destination.
-        """
-        parent, order = shortest_path_tree(self.g, src)
-        paths = [0] * self.g.n
-        for d in dests:
-            paths[d] += 1
-        for v in reversed(order):
-            if v != src and paths[v]:
-                paths[parent[v]] += paths[v]
-        if_index = self.g.if_index
-        dest_set = set(dests)
-        hops = []
-        for v in order:
-            if v == src or not paths[v]:
-                continue
-            u = parent[v]
-            a = 0 if u == src else if_index[u][parent[u]]
-            delivery = (v, if_index[v][u], 0) if v in dest_set else None
-            hops.append((u, v, (u, a, if_index[u][v]), delivery, paths[v]))
-        return hops
+    @cached_property
+    def _exact_shares(self) -> list[Fraction]:
+        return self._shares(Fraction)
 
-    def _sizes(self, bw: dict):
+    def _sizes(self, shares: list):
         """Yield (src, dst, maximum size, concurrent size) for every demand.
 
-        A size is the minimum over the on-path pair shares in ``bw``, then
-        the delivery share; the concurrent strategy divides each on-path
-        share by the number of this source's paths through the pair, the
-        maximum strategy uses the full share per path.
+        A size is the minimum over the on-path pair shares (indexed by pair
+        id), then the delivery share; the concurrent strategy divides each
+        on-path share by the number of this source's paths through the
+        pair, the maximum strategy uses the full share per path.
         """
         top = [float("inf")] * self.g.n  # above every share, float or Fraction
-        for src, dests in self.demands.items():
+        parents, children, pair_ids, deliveries, through = self._edges
+        for src, start, end in self._spans:
             best_max, best_conc = top[:], top[:]
-            for u, v, key, delivery, paths in self._hops(src, dests):
-                share = bw[key]
+            for u, v, pair, delivery, paths in zip(
+                    parents[start:end], children[start:end], pair_ids[start:end],
+                    deliveries[start:end], through[start:end]):
+                share = shares[pair]
                 up = best_max[u]
                 best_max[v] = size_max = share if share < up else up
                 share = share / paths
                 up = best_conc[u]
                 best_conc[v] = size_conc = share if share < up else up
-                if delivery is not None:
-                    term = bw[delivery]
-                    yield src, v, min(size_max, term), min(size_conc, term)
+                if delivery >= 0:
+                    term = shares[delivery]
+                    yield (src, v, term if term < size_max else size_max,
+                           term if term < size_conc else size_conc)
 
+    @cached_property
     def _float_columns(self) -> tuple[array, array, array, array]:
-        """(src, dst, maximum size, concurrent size) columns over float shares."""
-        if self._columns is None:
-            bw = {k: float(v) for k, v in self.pair_bandwidth().items()}
-            srcs, dsts, maxima, concs = array("i"), array("i"), array("d"), array("d")
-            for src, dst, size_max, size_conc in self._sizes(bw):
-                srcs.append(src)
-                dsts.append(dst)
-                maxima.append(size_max)
-                concs.append(size_conc)
-            self._columns = (srcs, dsts, maxima, concs)
-        return self._columns
+        """(src, dst, maximum size, concurrent size) columns over float
+        shares. Int true division is correctly rounded, so each float share
+        is float() of the exact one."""
+        srcs, dsts, maxima, concs = array("i"), array("i"), array("d"), array("d")
+        for src, dst, size_max, size_conc in self._sizes(self._shares(operator.truediv)):
+            srcs.append(src)
+            dsts.append(dst)
+            maxima.append(size_max)
+            concs.append(size_conc)
+        return srcs, dsts, maxima, concs
 
     # derived quantities -----------------------------------------------------
 
     def pair_bandwidth(self) -> dict[tuple[int, int, int], Fraction]:
-        """Exact per-source share for every used interface pair."""
-        out = {}
-        for (node, a, b), count in self.pair_requesters.items():
-            entry = self.matrices[node].admission_value(a, b)
-            out[(node, a, b)] = Fraction(entry, max(count, self.min_requesters))
-        return out
+        """Exact per-source share for every used interface pair; a new dict
+        on each call."""
+        return dict(zip(self._pairs, self._exact_shares))
 
     def covers(self, gamma: float) -> dict[str, "CoverResult"]:
         """Coverage under both composition strategies, from the cached sizes.
@@ -293,13 +308,11 @@ class ReservationStudy:
         A destination is covered when its end-to-end reservation exceeds
         ``gamma``; a source's cover is the covered share of its demands.
         """
-        srcs, _, maxima, concs = self._float_columns()
+        srcs, _, maxima, concs = self._float_columns
         out = {}
         for strategy, sizes in ((MAXIMUM, maxima), (CONCURRENT, concs)):
-            covered = dict.fromkeys(self.demands, 0)
-            for src, size in zip(srcs, sizes):
-                if size > gamma:
-                    covered[src] += 1
+            # per source, the number of its sizes above gamma (gamma < size)
+            covered = Counter(compress(srcs, map(operator.lt, repeat(gamma), sizes)))
             out[strategy] = CoverResult(
                 {src: covered[src] / len(dests) for src, dests in self.demands.items()},
                 gamma)
@@ -308,12 +321,12 @@ class ReservationStudy:
     def reservations_exact(self, strategy: str) -> dict[tuple[int, int], Fraction]:
         """Exact end-to-end sizes for every (src, dst) demand. Small graphs."""
         col = 3 if strategy == CONCURRENT else 2
-        return {(row[0], row[1]): row[col] for row in self._sizes(self.pair_bandwidth())}
+        return {(row[0], row[1]): row[col] for row in self._sizes(self._exact_shares)}
 
     def reservation_rows(self, strategy: str):
         """(src, dst, size_bps_float) for every demand, read from the cached
         columns in tree order; the iterator can be consumed once."""
-        srcs, dsts, maxima, concs = self._float_columns()
+        srcs, dsts, maxima, concs = self._float_columns
         return zip(srcs, dsts, concs if strategy == CONCURRENT else maxima)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import math
 import struct
+from fractions import Fraction
 
 from flyover import wire
 from flyover.wire import DecodeError
@@ -189,3 +190,28 @@ class IntMaskBloom:
         if filled >= self.n_bits:
             return self.n_bits
         return math.ceil(-(self.n_bits / self.n_hashes) * math.log1p(-filled / self.n_bits))
+
+
+def fraction_allocation_rows(capacities: list[int]) -> list[list[int]]:
+    """Allocation matrix rows from link capacities, step by step in exact
+    rationals: each entry (a, b) starts at the egress capacity, columns are
+    scaled to sum to it, rows over the ingress capacity are scaled down to
+    it, and the result is floored. Kept as the reference that the closed
+    form of :meth:`flyover.admission.AllocationMatrix.from_capacities` is
+    checked against.
+    """
+    n = len(capacities)
+    m = [[Fraction(0) if a == b else Fraction(capacities[b]) for b in range(n)] for a in range(n)]
+    for b in range(n):
+        col = sum(m[a][b] for a in range(n))
+        if col > 0:
+            scale = Fraction(capacities[b]) / col
+            for a in range(n):
+                m[a][b] *= scale
+    for a in range(n):
+        row = sum(m[a])
+        if row > capacities[a]:
+            scale = Fraction(capacities[a]) / row
+            for b in range(n):
+                m[a][b] *= scale
+    return [[int(m[a][b]) for b in range(n)] for a in range(n)]

@@ -16,8 +16,9 @@ from flyover.admission import (
     RequesterEstimator,
     flyover_bandwidth,
 )
+from flyover.topo import generate_topology
 
-from oracles import IntMaskBloom
+from oracles import IntMaskBloom, fraction_allocation_rows
 
 GBPS = 10**9
 EPS = 10_000_000_000  # default rotation interval, ns
@@ -281,6 +282,30 @@ def test_matrix_from_capacities_random_sums_bounded():
             assert sum(rows[a]) <= caps[a]
         assert all(rows[i][i] == 0 for i in range(n))
         assert all(v >= 0 for r in rows for v in r)
+
+
+_CAPACITY = st.one_of(st.just(0), st.integers(1, 10**3), st.integers(0, 10**12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_CAPACITY, min_size=1, max_size=12),
+    st.integers(1, 12).map(lambda n: [0] * n),
+    st.tuples(st.integers(1, 12), st.integers(0, 10**12)).map(lambda t: [t[1]] * t[0])))
+def test_matrix_from_capacities_matches_fraction_oracle(caps):
+    assert AllocationMatrix.from_capacities(caps).rows() == fraction_allocation_rows(caps)
+
+
+def test_matrix_closed_form_takes_both_row_branches():
+    """Rows that column scaling leaves above their ingress capacity and rows
+    it leaves within it; then every node's matrix of three generated graphs."""
+    cases = [[10, 400, 400, 40], [5, 7], [10**12, 1, 0, 10**12], [3]]
+    cases += [caps for seed in (1, 2, 3) for caps in generate_topology(200, 2, seed).capacities]
+    row_scaled = set()
+    for caps in cases:
+        row_scaled.update(sum(caps) - c > (len(caps) - 1) * c for c in caps)
+        assert AllocationMatrix.from_capacities(caps).rows() == fraction_allocation_rows(caps)
+    assert row_scaled == {True, False}
 
 
 def test_matrix_update_decrease_semantics():

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from flyover import cli, simnet
+from flyover import cli, simnet, topo
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -344,7 +344,7 @@ def test_scenario_misspelled_key_names_the_closest_key(tmp_path, capsys, edit, t
     assert f"unknown key {typo!r}" in err and f"closest known key is {known!r}" in err, err
 
 
-def test_usage_error_exit_code(tmp_path, capsys):
+def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["sim", "cover", "--r", "0.1"]) == 2  # missing --n
     assert cli.main(["unknown-subcommand"]) == 2
     out = str(tmp_path / "out")
@@ -362,6 +362,19 @@ def test_usage_error_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(argv + ["-o", out]) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(topo, "generate_topology", no_graph)
+    for argv in (  # thresholds are rejected before any graph is built
+        ["sim", "plot", "--n", "30", "--r", "0.5", "--gammas", "0bps,1kbps"],
+        ["sim", "cover", "--n", "30", "--r", "0.5", "--gamma=-5kbps"],
+        ["sim", "cover", "--n", "30", "--r", "0.5", "--gamma", "0.5bps"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv + ["-o", out]) == 2, argv
+        assert "must be a positive bandwidth" in capsys.readouterr().err, argv
 
 
 def test_sim_plot_svg_golden(tmp_path):
