@@ -17,7 +17,6 @@ from .admission import (
     ExactSetFilter,
     Grant,
     RequesterEstimator,
-    flyover_bandwidth,
 )
 from .crypto import (
     AuthFailure,

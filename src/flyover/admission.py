@@ -22,13 +22,6 @@ from . import crypto, wire
 from .policing import DedupWindow
 
 
-def flyover_bandwidth(entry_bw: int, requesters: int, min_requesters: int) -> int:
-    """Per-source share of an interface-pair entry: entry / max(count, floor)."""
-    if requesters < 0 or min_requesters < 1:
-        raise ValueError("requesters must be >= 0 and min_requesters >= 1")
-    return entry_bw // max(requesters, min_requesters)
-
-
 class ExactSetFilter:
     """Exact membership set; the oracle-mode counterpart of the Bloom filter."""
 

@@ -1,8 +1,9 @@
 """Per-AS border-router pipeline: setup admission and data-plane validation.
 
-Validation is stateless apart from the traffic monitor: the authenticator
-and validation field are recomputed from the packet and the AS-local
-secret, costing exactly two MAC invocations per validated packet. The
+Data validation keeps no state but the traffic monitor and the replay
+window, and never calls admission: the authenticator and validation
+field are recomputed from the packet and the AS-local secret, costing
+exactly two MAC invocations per validated packet. The
 secret's AES context is built once per router, at construction, and serves
 the authenticator MAC and the key derivation. The recomputed authenticator
 (alpha), which keys the validation-field MAC, gets one fresh AES context per
@@ -72,7 +73,6 @@ class RouterConfig:
     delta_ns: int = 500_000_000  # clock tolerance around packet timestamps
     lifetime_ns: int = 1_000_000_000  # request/packet usability horizon
     bucket_window_ns: int = 50_000_000
-    self_renew: bool = False
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
@@ -120,7 +120,7 @@ class Router:
     # admission helpers ---------------------------------------------------
 
     def note_grant(self, src: int, pair: tuple[int, int], grant: Grant, now: int,
-                   ts_req: int | None = None) -> None:
+                   ts_req: int) -> None:
         holders = self.active_grants.setdefault(pair, {})
         live = self._live.get(pair)
         if live is None or now < live[1]:
@@ -141,8 +141,7 @@ class Router:
             heapq.heappush(heap, (grant.ts_exp, src, entry))
         live[0], live[1] = total, now
         self.grant_log.append((now, src, pair, grant.bw, grant.ts_exp, grant.tentative))
-        if ts_req is not None:
-            self.grant_request_ts.append((ts_req, src, grant.tentative))
+        self.grant_request_ts.append((ts_req, src, grant.tentative))
         capacity = self.matrix.capacity_value(pair[0], pair[1], now)
         if total > capacity:
             raise AssertionError(
@@ -185,10 +184,4 @@ class Router:
             self.monitor.note_replay(pkt.src)
             return Decision.REPLAY
         direction = wire.BACKWARD if backward else wire.FORWARD
-        decision = _POLICED[self.monitor.police(pkt.src, wire_len, direction, now)]
-        if decision is Decision.OK and cfg.self_renew:
-            grant = self.policy.get_bandwidth(pkt.src, pair_in, pair_out, now)
-            if grant is not None:
-                self.monitor.register(pkt.src, grant.bw, grant.ts_exp, direction, now)
-                self.note_grant(pkt.src, (pair_in, pair_out), grant, now)
-        return decision
+        return _POLICED[self.monitor.police(pkt.src, wire_len, direction, now)]

@@ -12,7 +12,9 @@ encoded once. Routers read the message instead of parsing the bytes at
 every hop; no simulated adversary changes bytes in flight (replayers copy
 both, observers read the bytes), so the two never disagree. The bytes stay
 as what an on-path adversary sees. The one parse left is a router reading
-the setup request a renewal carries as its payload.
+the setup request a renewal carries as its payload. A bare request and a
+renewal's take one path through admission, and the response to either
+returns best effort, as no router can validate a bare response.
 
 Scenario configurations are plain dicts (usually loaded from JSON): a
 topology (ASes plus links with capacity and delay), reservation and
@@ -79,7 +81,6 @@ class Frame:
     origin: str  # flow or adversary name, for attribution
     created: int
     resp_entries: list = field(default_factory=list)
-    resp_cls: TrafficClass = TrafficClass.BEST_EFFORT
     worst: TrafficClass = TrafficClass.PRIORITY
     is_replay_copy: bool = False
     is_control: bool = False  # renewal wrappers: not flow payload traffic
@@ -200,9 +201,7 @@ class _Sender:
               renewal: bool = False) -> None:
         """Hand a new frame to the source AS's first link; no self-validation."""
         frame = self.net.new_frame(msg, self.plan, self.route, cls, self.name, size)
-        if renewal:  # control traffic, not flow payload; answered at priority
-            frame.resp_cls = TrafficClass.PRIORITY
-            frame.is_control = True
+        frame.is_control = renewal  # control traffic, not flow payload
         self._first_link.send(frame, self.net.loop.now)
 
     def start(self) -> None:
@@ -217,12 +216,13 @@ class _Sender:
 
 
 class ReservationFlow(_Sender):
-    """Honest source: handshake (with retries), then paced reservation traffic."""
-
-    factor = Fraction(1)  # send rate / granted rate
+    """Source of a reservation: handshake (with retries), then paced
+    reservation traffic at ``factor`` times its rate, which only the
+    overuser kind sets."""
 
     def __init__(self, net: "Network", spec: dict):
         super().__init__(net, spec, spec["backward"], spec["setup_at"], spec["stop_at"])
+        self.factor = spec.get("factor", 1)  # send rate / granted rate
         self.packet_size = spec["packet_size"]
         self.wire_size = wire.data_packet_len(
             len(self.plan.forward_hops) + len(self.plan.backward_hops), self.packet_size)
@@ -310,14 +310,6 @@ class ReservationFlow(_Sender):
         self.stats.sent += 1
         self._send(pkt, TrafficClass.PRIORITY)
         return True
-
-
-class Overuser(ReservationFlow):
-    """Reservation flow sending at ``factor`` times its granted rate."""
-
-    def __init__(self, net: "Network", spec: dict):
-        super().__init__(net, spec)
-        self.factor = Fraction(spec["factor"]).limit_denominator(10**6)
 
 
 class BestEffortFlow(_Sender):
@@ -659,7 +651,8 @@ _FLOW_TYPES = {"reservation": (ReservationFlow, {**_TYPE, **_RESERVATION_KEYS}),
                "best_effort": (BestEffortFlow, {**_TYPE, **_BEST_EFFORT_KEYS})}
 _ADVERSARY_KINDS = {
     "best_effort_flood": (BestEffortFlow, {**_KIND, **_BEST_EFFORT_KEYS}),
-    "overuser": (Overuser, {**_KIND, **_RESERVATION_KEYS, "factor": (float, "> 0", 2.0)}),
+    "overuser": (ReservationFlow, {**_KIND, **_RESERVATION_KEYS,
+                                   "factor": (lambda v: Fraction(str(v)), "> 0", "2.0")}),
     "request_flood": (RequestFlood, {**_KIND, **_SENDER_KEYS,
                                      "requests_per_s": (float, "> 0", 100.0)}),
     "spoofer": (Spoofer, {**_KIND, **_SENDER_KEYS, "victim": (int, "[0, 2^64)", ...),
@@ -686,8 +679,7 @@ _SCENARIO_KEYS = {
     "seed": (int, None, 0), "duration": (parse_duration, "> 0", "5s"),
     "log_verdicts": (bool, None, True), "warm_start": (bool, None, False),
     "delta": (parse_duration, ">= 0", "500ms"), "lifetime": (parse_duration, ">= 0", "1s"),
-    "bucket_window": (parse_duration, "> 0", "50ms"), "self_renew": (bool, None, False),
-    "be_buffer": (int, ">= 0", 100),
+    "bucket_window": (parse_duration, "> 0", "50ms"), "be_buffer": (int, ">= 0", 100),
     # AS id (a string, as JSON object keys are) -> clock offset
     "clock_skew": (lambda v: {int(a): parse_duration(t) for a, t in _json(v, dict).items()},
                    None, {}),
@@ -785,7 +777,7 @@ class Network:
             est["interval"], est["min_requesters"], est["reserved_fraction"],
             est["tentative_slots"], est["filter_bits"], est["hash_count"], est["exact"])
         self.router_cfg = RouterConfig(cfg["delta"], cfg["lifetime"], cfg["bucket_window"],
-                                       cfg["self_renew"], self.estimator_cfg)
+                                       self.estimator_cfg)
 
         self.nodes: dict[int, Node] = {}
         self.links: dict[tuple[int, int], Link] = {}
@@ -921,7 +913,7 @@ class Network:
         if ctx is None:  # forwarded unprocessed
             frame.cls = TrafficClass.BEST_EFFORT
         else:
-            decision = self._router_process(node, frame, *ctx)
+            decision, req = self._router_process(node, frame, *ctx)
             if decision is Decision.REPLAY:
                 adv = self.adversaries.get(frame.origin)
                 if isinstance(adv, Replayer):
@@ -929,9 +921,10 @@ class Network:
                 self._frame_dropped(frame, decision.verdict)
                 return
             frame.cls = decision.traffic_class
-            if isinstance(msg, wire.SetupRequest) and ctx[0] == msg.last_hop:
-                self._turn_around(frame, msg.src, msg.ts_req)
-                return
+            if req is not None and ctx[0] == req.last_hop:
+                self._turn_around(frame, req)
+                if req is msg:  # a bare request ends at its last hop
+                    return
         if frame.cls is TrafficClass.BEST_EFFORT and isinstance(msg, wire.DataPacket):
             frame.worst = TrafficClass.BEST_EFFORT
         if frame.pos == len(frame.route) - 1:
@@ -939,56 +932,48 @@ class Network:
         else:  # plan_for checked every link of a route
             self.links[as_id, frame.route[frame.pos + 1]].send(frame, self.loop.now)
 
-    def _router_process(self, node: Node, frame: Frame, hop_index: int,
-                        hop: source.PathHop) -> Decision:
-        """Run the router on the frame's message: a setup request or a data
-        packet, as every frame on a plan carries one or the other."""
+    def _router_process(self, node: Node, frame: Frame, hop_index: int, hop: source.PathHop
+                        ) -> tuple[Decision, wire.SetupRequest | None]:
+        """Run the router on the frame's message and admit the setup request
+        the frame carries, if any: the message, or a renewal's in the payload
+        of a forward data packet that is no replay. Returns the decision and
+        that request."""
         router = node.router
         now = node.local_time(self.loop.now)
         msg = frame.msg
-        setup = isinstance(msg, wire.SetupRequest)
-        if setup:
-            decision, entries = router.handle_setup(msg, hop_index, hop.ingress,
-                                                    hop.egress, now)
-            frame.resp_entries.extend(entries)
-            frame.size += wire.RESP_ENTRY_LEN * len(entries)
+        if isinstance(msg, wire.SetupRequest):
+            decision, req = None, msg
         else:
-            decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress,
-                                          now, wire_len=frame.size)
+            req = None
+            decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress, now,
+                                          wire_len=frame.size)
             adv = self.adversaries.get(frame.origin)
             if isinstance(adv, Spoofer) and decision is Decision.OK:
                 adv.succeeded += 1
+            if (decision is not Decision.REPLAY and not msg.d_flag and msg.payload
+                    and msg.payload[0] in (wire.MSG_SETUP_REQ, wire.MSG_SETUP_REQ_DEMAND)):
+                try:
+                    req = wire.decode(msg.payload)
+                except wire.DecodeError:
+                    pass
+        if req is not None:
+            admitted, entries = router.handle_setup(req, hop_index, hop.ingress, hop.egress, now)
+            frame.resp_entries.extend(entries)
+            if decision is None:  # a bare request grows by its entries; a renewal does not
+                decision = admitted
+                frame.size += wire.RESP_ENTRY_LEN * len(entries)
         if self.log_verdicts:
-            self.log(f"as={node.as_id} pkt={frame.uid} kind={'setup' if setup else 'data'} "
+            self.log(f"as={node.as_id} pkt={frame.uid} kind={'setup' if req is msg else 'data'} "
                      f"verdict={decision.verdict} class={decision.traffic_class.value}")
-        if not setup and decision is not Decision.REPLAY and not msg.d_flag:
-            self._maybe_embedded_setup(node, frame, msg, hop_index, hop, now)
-        return decision
+        return decision, req
 
-    def _maybe_embedded_setup(self, node: Node, frame: Frame, pkt: wire.DataPacket,
-                              hop_index: int, hop: source.PathHop, now: int) -> None:
-        """Renewal requests ride inside validated reservation packets; the
-        router parses the payload, as a real one would."""
-        if not pkt.payload or pkt.payload[0] not in (wire.MSG_SETUP_REQ,
-                                                     wire.MSG_SETUP_REQ_DEMAND):
-            return
-        try:
-            inner = wire.decode(pkt.payload)
-        except wire.DecodeError:
-            return
-        _, entries = node.router.handle_setup(inner, hop_index, hop.ingress,
-                                              hop.egress, now)
-        frame.resp_entries.extend(entries)
-        if hop_index == inner.last_hop:
-            self._turn_around(frame, inner.src, inner.ts_req)
-
-    def _turn_around(self, frame: Frame, src: int, ts_req: int) -> None:
-        """Build the aggregated response to request (src, ts_req) and send it
-        back to the source."""
+    def _turn_around(self, frame: Frame, req: wire.SetupRequest) -> None:
+        """Build the aggregated response to ``req`` and send it back to the
+        source, best effort: no router can validate a bare response."""
         entries = tuple(sorted(frame.resp_entries, key=lambda e: (e.hop, e.direction)))
         back_route = tuple(reversed(frame.route[: frame.pos + 1]))  # two ASes or more
-        resp_frame = self.new_frame(wire.SetupResponse(src, ts_req, entries), None,
-                                    back_route, frame.resp_cls, frame.origin)
+        resp_frame = self.new_frame(wire.SetupResponse(req.src, req.ts_req, entries), None,
+                                    back_route, TrafficClass.BEST_EFFORT, frame.origin)
         self.links[back_route[0], back_route[1]].send(resp_frame, self.loop.now)
 
     def _deliver(self, frame: Frame) -> None:

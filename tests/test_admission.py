@@ -14,7 +14,6 @@ from flyover.admission import (
     EstimatorConfig,
     ExactSetFilter,
     RequesterEstimator,
-    flyover_bandwidth,
 )
 from flyover.topo import generate_topology
 
@@ -29,21 +28,6 @@ def exact_cfg(**kw):
                     tentative_slots=8, exact=True)
     defaults.update(kw)
     return EstimatorConfig(**defaults)
-
-
-# share formula ------------------------------------------------------------
-
-def test_flyover_bandwidth_examples():
-    assert flyover_bandwidth(100 * GBPS, 4, 1) == 25 * GBPS
-    assert flyover_bandwidth(100 * GBPS, 2, 5) == 20 * GBPS  # floor dominates
-    assert flyover_bandwidth(0, 7, 1) == 0
-
-
-def test_flyover_bandwidth_validates():
-    with pytest.raises(ValueError):
-        flyover_bandwidth(1, -1, 1)
-    with pytest.raises(ValueError):
-        flyover_bandwidth(1, 1, 0)
 
 
 # estimator basics ----------------------------------------------------------

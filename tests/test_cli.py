@@ -256,6 +256,11 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     lambda cfg: cfg["flows"][0].update(src=2),
     lambda cfg: cfg["requirements"][1].update(src=99),
     lambda cfg: cfg["topology"]["ases"][1].update(matrix=[[0, 1], [1, 0]]),
+    lambda cfg: cfg["topology"]["links"][0].update(capacity="infGbps"),
+    lambda cfg: cfg["topology"]["links"][0].update(capacity=float("inf")),  # JSON Infinity
+    lambda cfg: cfg["topology"]["links"][0].update(delay="nanms"),
+    lambda cfg: cfg.update(adversaries=[{"name": "greedy", "kind": "overuser", "src": 2,
+                                         "path": [2, 3], "factor": float("inf")}]),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -276,7 +281,8 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
         "duplicate_as_id", "duplicate_link", "self_loop_link", "clock_skew_on_unknown_as",
         "path_visits_an_as_twice", "link_without_a", "as_without_id", "flows_not_a_list",
         "non_integer_seed", "string_boolean", "stop_at_on_request_flood", "path_not_from_src",
-        "r1_on_unknown_as", "matrix_of_wrong_size"])
+        "r1_on_unknown_as", "matrix_of_wrong_size", "infinite_link_capacity",
+        "json_infinity_link_capacity", "nan_link_delay", "infinite_overuse_factor"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)
@@ -358,10 +364,13 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         ["sim", "reservations", "--n", "20", "--r", "0.5", "--seeds", ""],
         ["sim", "cover", "--n", "30", "--r", "0.5", "--jobs", "-3"],
         ["sim", "reservations", "--n", "20", "--r", "0.5", "--min-requesters", "0"],
+        ["sim", "cover", "--n", "20", "--r", "0.5", "--gamma", "inf"],
+        ["sim", "plot", "--n", "20", "--r", "0.5", "--gammas", "1kbps,nan"],
     ):
         capsys.readouterr()
         assert cli.main(argv + ["-o", out]) == 2, argv
-        assert "error:" in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err, argv
 
     def no_graph(*args):
         raise AssertionError("a graph was built")
@@ -393,6 +402,20 @@ def test_scenario_log_golden(tmp_path):
                    "--seed", "7", "--log", str(log)])
     assert rc == 0
     assert log.read_text() == _golden("baseline_seed7.log")
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(SCENARIOS)
+                                        if f.endswith(".json")))
+def test_scenario_golden(tmp_path, capsys, name):
+    """Every committed scenario passes, with the verdict lines and the
+    ``--summary`` CSV of its golden."""
+    summary = tmp_path / "summary.csv"
+    rc = cli.main(["scenario", "run", os.path.join(SCENARIOS, f"{name}.json"),
+                   "--summary", str(summary)])
+    verdicts = [line for line in capsys.readouterr().out.splitlines(keepends=True)
+                if not line.startswith("#")]
+    assert rc == 0
+    assert "".join(verdicts) + summary.read_text() == _golden(f"scenarios/{name}.csv")
 
 
 def test_bandwidth_flag_units(tmp_path):

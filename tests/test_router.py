@@ -368,36 +368,26 @@ def test_corruption_never_causes_drop():
             assert d2.traffic_class is TrafficClass.PRIORITY
 
 
-# self-renewal through the router ----------------------------------------------------
+# data validation never calls admission ---------------------------------------------
 
-def test_self_renew_extends_reservation_on_conform():
-    r, plan = _single_hop(self_renew=True)
+def _no_admission(*args):
+    raise AssertionError("data validation called admission")
+
+
+def test_data_validation_never_calls_admission(monkeypatch):
+    """Packets on a grant, before and after its expiry, reach neither the
+    policy nor the guard, and leave the reservation's expiry as it is: only
+    the source's setup request renews a reservation."""
+    r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
-    exp0 = r.monitor.entry(SRC, wire.FORWARD).ts_exp
-    pkt = _emit(store, plan, now=5 * S)
-    assert r.handle_data(pkt, 0, 1, 0, now=5 * S).traffic_class is TrafficClass.PRIORITY
-    assert r.monitor.entry(SRC, wire.FORWARD).ts_exp > exp0
-
-
-def test_self_renew_without_firm_grant_leaves_expiry():
-    r, plan = _single_hop(self_renew=True, estimator_kw={"tentative_slots": 0})
-    store, *_ = full_setup([r], plan, SRC, now=0)
-    r.policy.estimator_for(1, 0).granted.reset()  # SRC holds no firm grant any more
-    exp0 = r.monitor.entry(SRC, wire.FORWARD).ts_exp
-    grants0 = {pair: dict(holders) for pair, holders in r.active_grants.items()}
-    pkt = _emit(store, plan, now=5 * S)
-    assert r.handle_data(pkt, 0, 1, 0, now=5 * S).traffic_class is TrafficClass.PRIORITY
-    assert r.monitor.entry(SRC, wire.FORWARD).ts_exp == exp0
-    assert r.active_grants == grants0
-
-
-def test_self_renew_disabled_leaves_expiry():
-    r, plan = _single_hop(self_renew=False)
-    store, *_ = full_setup([r], plan, SRC, now=0)
-    exp0 = r.monitor.entry(SRC, wire.FORWARD).ts_exp
-    pkt = _emit(store, plan, now=5 * S)
-    r.handle_data(pkt, 0, 1, 0, now=5 * S)
-    assert r.monitor.entry(SRC, wire.FORWARD).ts_exp == exp0
+    exp = r.monitor.entry(SRC, wire.FORWARD).ts_exp
+    monkeypatch.setattr(DefaultPolicy, "get_bandwidth", _no_admission)
+    monkeypatch.setattr(Router, "note_grant", _no_admission)
+    for now, decision in ((S, Decision.OK), (exp - S, Decision.OK),
+                          (exp + S, Decision.EXPIRED), (exp + 2 * S, Decision.EXPIRED)):
+        pkt = source.emit_packet(store, plan, SRC, b"x" * 100, 0, now, allow_expired=True)
+        assert r.handle_data(pkt, 0, 1, 0, now=now) is decision, now
+    assert r.monitor.entry(SRC, wire.FORWARD).ts_exp == exp
 
 
 # no-over-allocation guard ------------------------------------------------------------
@@ -423,7 +413,7 @@ def test_guard_total_matches_resum_under_any_clock(capacity, steps):
         held.setdefault(pair, {})[src] = (bw, now + life)
         expected = sum(b for b, exp in held[pair].values() if exp > now)
         try:
-            r.note_grant(src, pair, Grant(bw, now + life), now)
+            r.note_grant(src, pair, Grant(bw, now + life), now, ts_req=now)
         except AssertionError as exc:
             assert str(exc) == f"over-allocation on pair {pair}: {expected} > {capacity}"
         else:

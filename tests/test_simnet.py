@@ -147,7 +147,15 @@ def test_clock_skew_within_bound_no_false_demotion():
     assert st.replies_received > 0  # bidirectional replies also validated
 
 
-# renewal and self-renewal ------------------------------------------------------------
+# renewal ----------------------------------------------------------------------------
+
+def _renewing_baseline():
+    cfg = _load("baseline.json")
+    cfg["duration"] = "6s"
+    cfg["estimator"]["interval"] = "4s"
+    cfg["flows"][0].update(renew=True, stop_at="5500ms")
+    return cfg
+
 
 def test_renewal_rides_priority_under_flood():
     cfg = _load("best_effort_flood.json")
@@ -165,23 +173,25 @@ def test_renewal_rides_priority_under_flood():
     assert st.delivered == st.sent and st.delivered_priority == st.sent
 
 
-def test_self_renewing_reservation_survives_without_requests():
-    cfg = _load("baseline.json")
-    cfg["self_renew"] = True
-    cfg["duration"] = "26s"
-    cfg["estimator"]["interval"] = "4s"
-    cfg["flows"][0]["stop_at"] = "25s"
-    cfg["flows"][0]["ignore_expiry"] = True  # source relies on implicit renewal
-    r = simnet.run_scenario(cfg)
-    st = r.flows["critical"].stats
-    # grants issued once at t=0 would expire at 4s; steady traffic keeps them alive
-    assert st.sent > 4000  # well past the first expiry
-    assert st.delivered == st.sent and st.delivered_priority == st.sent
+def test_setup_responses_travel_best_effort(monkeypatch):
+    """The response to a renewal leaves the turn-around AS best effort, like
+    the response to a bare request: no router can validate either."""
+    sent = []
+    send = simnet.Link.send
+
+    def recording(link, frame, t):
+        if isinstance(frame.msg, wire.SetupResponse):
+            sent.append(frame.cls)
+        return send(link, frame, t)
+
+    monkeypatch.setattr(simnet.Link, "send", recording)
+    r = simnet.run_scenario(_renewing_baseline())
+    assert r.flows["critical"].grant_expiry > r.estimator_cfg.interval_ns  # it renewed
+    assert len(sent) >= 2 and set(sent) == {TrafficClass.BEST_EFFORT}
 
 
-def test_without_self_renew_traffic_demotes_after_expiry():
+def test_traffic_on_an_expired_grant_is_demoted():
     cfg = _load("baseline.json")
-    cfg["self_renew"] = False
     cfg["duration"] = "26s"
     cfg["estimator"]["interval"] = "4s"
     cfg["flows"][0]["stop_at"] = "25s"
@@ -264,11 +274,7 @@ def test_only_a_renewal_payload_is_parsed(monkeypatch):
         return handle_setup(router, req, *args)
 
     monkeypatch.setattr(Router, "handle_setup", recording)
-    cfg = _load("baseline.json")
-    cfg["duration"] = "6s"
-    cfg["estimator"]["interval"] = "4s"
-    cfg["flows"][0].update(renew=True, stop_at="5500ms")
-    r = simnet.run_scenario(cfg)
+    r = simnet.run_scenario(_renewing_baseline())
     assert r.flows["critical"].grant_expiry > r.estimator_cfg.interval_ns  # it renewed
     embedded = [req for req in admitted if any(req is msg for msg in decoded)]
     assert decoded and all(isinstance(msg, wire.SetupRequest) for msg in decoded)
