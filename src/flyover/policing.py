@@ -123,9 +123,6 @@ class TrafficMonitor:
     def entry(self, src: int, direction: int) -> MonitorEntry | None:
         return self.entries.get((src, direction))
 
-    def remove(self, src: int, direction: int) -> None:
-        self.entries.pop((src, direction), None)
-
     def sweep(self, now: int, grace_ns: int = 0) -> int:
         """Evict entries expired for longer than ``grace_ns``; returns count."""
         dead = [k for k, e in self.entries.items() if now > e.ts_exp + grace_ns]

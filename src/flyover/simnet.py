@@ -7,12 +7,10 @@ events. The event loop is single-threaded and fully determined by the
 scenario seed, so two runs with the same configuration produce identical
 event logs.
 
-A frame carries the message its sender built and the bytes it encodes to,
-encoded once. Routers read the message instead of parsing the bytes at
-every hop; no simulated adversary changes bytes in flight (replayers copy
-both, observers read the bytes), so the two never disagree. The bytes stay
-as what an on-path adversary sees. The one parse left is a router reading
-the setup request a renewal carries as its payload. A bare request and a
+A frame is the message its sender built and that message's size on the
+wire. Routers read the message; a link observer encodes what it captures,
+the bytes an on-path adversary sees. The one parse is a router reading the
+setup request a renewal carries as its payload. A bare request and a
 renewal's take one path through admission, and the response to either
 returns best effort, as no router can validate a bare response.
 
@@ -72,7 +70,6 @@ class Frame:
     uid: int
     # the message the frame was built from; None for best-effort filler
     msg: wire.SetupRequest | wire.SetupResponse | wire.DataPacket | None
-    payload: bytes  # wire.encode(msg), b"" for filler: what observers see
     size: int
     plan: source.PathPlan | None
     route: tuple[int, ...]  # AS ids including the source AS
@@ -83,7 +80,6 @@ class Frame:
     resp_entries: list = field(default_factory=list)
     worst: TrafficClass = TrafficClass.PRIORITY
     is_replay_copy: bool = False
-    is_control: bool = False  # renewal wrappers: not flow payload traffic
 
 
 class Link:
@@ -197,11 +193,9 @@ class _Sender:
                 keys[h.as_id] = crypto.derive_drkey(router.prepared_secret, self.src)
         return keys
 
-    def _send(self, msg, cls: TrafficClass, size: int | None = None,
-              renewal: bool = False) -> None:
+    def _send(self, msg, cls: TrafficClass, size: int | None = None) -> None:
         """Hand a new frame to the source AS's first link; no self-validation."""
         frame = self.net.new_frame(msg, self.plan, self.route, cls, self.name, size)
-        frame.is_control = renewal  # control traffic, not flow payload
         self._first_link.send(frame, self.net.loop.now)
 
     def start(self) -> None:
@@ -238,12 +232,17 @@ class ReservationFlow(_Sender):
         self.started = False
 
     def start(self) -> None:
-        self.net.loop.schedule(self.start_at, self._send_setup)
+        self._request(self.start_at)
+
+    def _request(self, t: int) -> None:
+        """Request at ``t``, then climb the retry ladder until a usable grant
+        starts the sending: every eps/2, plus the guaranteed-success point
+        at 2*eps."""
+        self.net.loop.schedule(t, self._send_setup)
         eps = self.net.estimator_cfg.interval_ns
-        # retry ladder: every eps/2, plus the guaranteed-success point at 2*eps
         for k in (1, 2, 3):
-            self.net.loop.schedule(self.start_at + k * eps // 2, self._retry)
-        self.net.loop.schedule(self.start_at + 2 * eps, self._retry)
+            self.net.loop.schedule(t + k * eps // 2, self._retry)
+        self.net.loop.schedule(t + 2 * eps, self._retry)
 
     def _send_setup(self) -> None:
         req = source.build_setup_request(self.keys, self.plan, self.src,
@@ -251,7 +250,7 @@ class ReservationFlow(_Sender):
         self._send(req, TrafficClass.BEST_EFFORT)
 
     def _retry(self) -> None:
-        if self.granted_at is None:
+        if not self.started:
             self._send_setup()
 
     def _send_renewal(self) -> None:
@@ -261,7 +260,7 @@ class ReservationFlow(_Sender):
         except source.MissingGrant:
             self._send_setup()  # expired: fall back to a best-effort request
             return
-        self._send(pkt, TrafficClass.PRIORITY, renewal=True)
+        self._send(pkt, TrafficClass.PRIORITY)
 
     def on_response(self, resp: wire.SetupResponse) -> None:
         accepted = source.ingest_response(self.store, self.keys, resp, self.plan)
@@ -271,6 +270,7 @@ class ReservationFlow(_Sender):
         now = self.net.loop.now
         if needed and all(self.store.get(k, now) is not None for k in needed):
             exp = min(self.store.get(k, now).ts_exp for k in needed)
+            extends = self.grant_expiry is None or exp > self.grant_expiry
             self.grant_expiry = exp
             if self.granted_at is None:
                 # granting happened at the routers when they stamped the
@@ -281,7 +281,7 @@ class ReservationFlow(_Sender):
                 self.started = True
                 self._configure_rate()
                 self.net.loop.schedule(now + 1, self._tick)
-            if self.renew:
+            if self.renew and extends:  # a same-expiry response renews nothing
                 eps = self.net.estimator_cfg.interval_ns
                 renew_at = max(now + 1, exp - eps // 5)
                 self.net.loop.schedule(renew_at, self._send_renewal)
@@ -306,6 +306,9 @@ class ReservationFlow(_Sender):
                                      allow_expired=self.ignore_expiry)
         except source.MissingGrant:
             self.net.log(f"emit_blocked flow={self.name} t={t}")
+            if self.renew:  # the grant lapsed: request again, resume on a usable grant
+                self.started = False
+                self._request(t)
             return False
         self.stats.sent += 1
         self._send(pkt, TrafficClass.PRIORITY)
@@ -389,15 +392,14 @@ class Replayer:
         net = self.net
         for _ in range(self.copies):
             self.injected += 1
-            # the message and the bytes it saw, injected at the link's receiving end
-            copy = Frame(net.next_uid(), frame.msg, frame.payload, frame.size, frame.plan,
-                         frame.route, frame.pos + 1, frame.cls, self.name, net.loop.now,
-                         is_replay_copy=True, is_control=frame.is_control)
+            # the message it saw, injected at the link's receiving end
+            copy = Frame(net.next_uid(), frame.msg, frame.size, frame.plan, frame.route,
+                         frame.pos + 1, frame.cls, self.name, net.loop.now, is_replay_copy=True)
             net.loop.schedule(net.loop.now + self.delay, net.process_at_node, copy)
 
 
 class LinkObserver:
-    """Passive wiretap recording every byte crossing a link."""
+    """Passive wiretap recording every byte crossing a link, encoded at capture."""
 
     def __init__(self, net: "Network", spec: dict):
         self.name = spec["name"]
@@ -405,7 +407,7 @@ class LinkObserver:
         self.captured: list[bytes] = []
 
     def on_frame(self, link: Link, frame: Frame) -> None:
-        self.captured.append(frame.payload)
+        self.captured.append(b"" if frame.msg is None else wire.encode(frame.msg))
         for entry in frame.resp_entries:
             self.captured.append(wire.encode(wire.SetupResponse(0, 0, (entry,))))
 
@@ -867,12 +869,12 @@ class Network:
         return self._uid
 
     def new_frame(self, msg, plan, route, cls, origin, size: int | None = None) -> Frame:
-        """A frame carrying ``msg`` and its encoding, the message's one encode
-        in the run. ``size`` defaults to the encoding's length; filler (``msg``
-        None) has no bytes and takes its sender's size."""
-        payload = b"" if msg is None else wire.encode(msg)
-        return Frame(self.next_uid(), msg, payload, len(payload) if size is None else size,
-                     plan, route, 0, cls, origin, self.loop.now)
+        """A frame carrying ``msg``, sized as its encoding: a data packet's
+        ``total_len``, a setup message's encoded length. Filler (``msg``
+        None) takes its sender's ``size``."""
+        if size is None:
+            size = msg.total_len if isinstance(msg, wire.DataPacket) else len(wire.encode(msg))
+        return Frame(self.next_uid(), msg, size, plan, route, 0, cls, origin, self.loop.now)
 
     def log(self, line: str) -> None:
         self.log_lines.append(f"{self.loop.now} {line}")
@@ -950,8 +952,7 @@ class Network:
             adv = self.adversaries.get(frame.origin)
             if isinstance(adv, Spoofer) and decision is Decision.OK:
                 adv.succeeded += 1
-            if (decision is not Decision.REPLAY and not msg.d_flag and msg.payload
-                    and msg.payload[0] in (wire.MSG_SETUP_REQ, wire.MSG_SETUP_REQ_DEMAND)):
+            if decision is not Decision.REPLAY and wire.is_renewal(msg):
                 try:
                     req = wire.decode(msg.payload)
                 except wire.DecodeError:
@@ -986,7 +987,7 @@ class Network:
         adv = self.adversaries.get(frame.origin)
         if isinstance(adv, Replayer):
             adv.copies_delivered += 1
-        if flow is None or isinstance(msg, wire.SetupRequest) or frame.is_control:
+        if flow is None or isinstance(msg, wire.SetupRequest) or wire.is_renewal(msg):
             return
         st = flow.stats
         is_data = msg is not None

@@ -78,8 +78,7 @@ class FlyoverGrant:
     bw: int
     ts_exp: int
     auth: bytes
-    # ``auth`` as an AES context: built by the first packet that uses the
-    # grant, never serialized
+    # ``auth`` as an AES context, built by the grant's first packet
     key: crypto.PreparedKey | None = field(default=None, repr=False, compare=False)
 
     def expired(self, now: int) -> bool:
@@ -115,25 +114,6 @@ class GrantStore:
         if g is None or (g.expired(now) and not allow_expired):
             return None
         return g
-
-    def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("# provider ingress egress direction bw ts_exp auth_hex\n")
-            for (as_id, ing, egr, d), g in sorted(self.grants.items()):
-                fh.write(f"{as_id} {ing} {egr} {d} {g.bw} {g.ts_exp} {g.auth.hex()}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "GrantStore":
-        store = cls()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                as_id, ing, egr, d, bw, exp, auth = line.split()
-                store.put((int(as_id), int(ing), int(egr), int(d)),
-                          FlyoverGrant(int(bw), int(exp), bytes.fromhex(auth)))
-        return store
 
 
 def build_setup_request(keys: dict[int, bytes], plan: PathPlan, src: int, ts_req: int,

@@ -35,11 +35,9 @@ from statistics import median
 import networkx as nx
 
 from .admission import AllocationMatrix
+from .source import CONCURRENT, MAXIMUM
 
 GBPS = 10**9
-
-CONCURRENT = "concurrent"
-MAXIMUM = "maximum"
 
 
 class TopologyGraph:

@@ -115,10 +115,6 @@ class DataPacket:
     payload: bytes = b""
 
     @property
-    def header_len(self) -> int:
-        return data_packet_len(len(self.rvfs) + len(self.bvfs))
-
-    @property
     def total_len(self) -> int:
         return data_packet_len(len(self.rvfs) + len(self.bvfs), len(self.payload))
 
@@ -132,6 +128,12 @@ class DataPacket:
 def data_packet_len(fields: int, payload: int = 0) -> int:
     """Length of a data packet with ``fields`` validation fields and ``payload`` bytes."""
     return DATA_FIXED_HEADER + FIELD_ENTRY_LEN * fields + payload
+
+
+def is_renewal(msg) -> bool:
+    """A renewal is a forward data packet whose payload is a setup request."""
+    return (isinstance(msg, DataPacket) and not msg.d_flag and msg.payload != b""
+            and msg.payload[0] in (MSG_SETUP_REQ, MSG_SETUP_REQ_DEMAND))
 
 
 def _check_u(value: int, bits: int, what: str) -> int:

@@ -404,11 +404,15 @@ def test_scenario_log_golden(tmp_path):
     assert log.read_text() == _golden("baseline_seed7.log")
 
 
-@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(SCENARIOS)
-                                        if f.endswith(".json")))
+SCENARIO_NAMES = sorted(f[:-5] for f in os.listdir(SCENARIOS) if f.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_scenario_golden(tmp_path, capsys, name):
     """Every committed scenario passes, with the verdict lines and the
-    ``--summary`` CSV of its golden."""
+    ``--summary`` CSV of its golden, and every golden has its scenario."""
+    assert sorted(os.listdir(os.path.join(GOLDEN, "scenarios"))) == [
+        f"{n}.csv" for n in SCENARIO_NAMES]
     summary = tmp_path / "summary.csv"
     rc = cli.main(["scenario", "run", os.path.join(SCENARIOS, f"{name}.json"),
                    "--summary", str(summary)])

@@ -275,7 +275,7 @@ def test_validation_is_stateless_beyond_monitor_entry():
     for k in range(6):
         pkt = _emit(store, plan, now=1000 + k * 10_000)
         if k == 3:  # wipe and re-register identical terms mid-stream
-            r.monitor.remove(SRC, wire.FORWARD)
+            del r.monitor.entries[SRC, wire.FORWARD]
             r.monitor.register(SRC, bw, exp, wire.FORWARD, now=1000 + k * 10_000)
         decisions.append(r.handle_data(pkt, 0, 1, 0, now=1000 + k * 10_000).traffic_class)
     assert decisions == [TrafficClass.PRIORITY] * 6

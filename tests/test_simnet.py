@@ -1,5 +1,6 @@
 """Scenario engine: determinism, priority protection, adversaries, skew."""
 
+import hashlib
 import json
 import os
 import re
@@ -140,6 +141,15 @@ def test_observer_never_sees_plaintext_authenticator():
     assert not simnet.observer_saw_plaintext_auth(r, "tap")
 
 
+def test_observer_capture_is_pinned():
+    """A wiretap records the encoding of every message that crosses its link,
+    and a response entry per entry a request has collected there."""
+    tap = _run("observer_skew.json").adversaries["tap"]
+    assert len(tap.captured) == 371
+    assert hashlib.sha256(b"\x00".join(tap.captured)).hexdigest() == (
+        "cf6a7a4fb54e13cf36d0834a07d9d8dcfdf2d35fd7d2f98dbd5ce8a5e3af6625")
+
+
 def test_clock_skew_within_bound_no_false_demotion():
     r = _run("observer_skew.json")
     st = r.flows["critical"].stats
@@ -190,6 +200,51 @@ def test_setup_responses_travel_best_effort(monkeypatch):
     assert len(sent) >= 2 and set(sent) == {TrafficClass.BEST_EFFORT}
 
 
+def _lapsing_baseline(renew):
+    """A cold start whose first grants are tentative: every response before
+    the estimator's rotation at 4 s returns the same 4 s expiry."""
+    cfg = _load("baseline.json")
+    cfg.update(warm_start=False, duration="10s")
+    cfg["estimator"] = {"interval": "4s", "min_requesters": 1, "tentative_slots": 8,
+                        "exact": True}
+    cfg["flows"][0].update(renew=renew, stop_at="9500ms")
+    return cfg
+
+
+def test_renewing_flow_renews_on_extension_and_requests_again_after_a_lapse(monkeypatch):
+    """A response that does not extend the grant schedules no renewal, so
+    same-expiry responses cannot storm; a renewing flow whose grant lapsed
+    requests again and sends until its stop once a response restores it.
+    Here both tentative grants, to 4 s and to 8 s, lapse; the request after
+    the second rotation is granted firmly."""
+    renewals = []
+    build_renewal = source.build_renewal
+
+    def counting(*args):
+        renewals.append(args[-1])
+        return build_renewal(*args)
+
+    monkeypatch.setattr(source, "build_renewal", counting)
+    r = simnet.run_scenario(_lapsing_baseline(renew=True))
+    flow = r.flows["critical"]
+    assert len(renewals) == 2  # at 3.2 s and 7.2 s, each answered with the same expiry
+    assert flow.grant_expiry > simnet.parse_duration("9500ms")
+    lapses = [int(line.split()[0]) for line in r.log_lines if "emit_blocked" in line]
+    assert [t // 10**9 for t in lapses] == [4, 8]
+    st = flow.stats
+    assert st.sent > 2200  # ~2290 at 2 Mbps from 0 to 9.5 s, less two round trips
+    # the packet sent as each tentative grant ends expires on its way
+    assert st.delivered == st.sent and st.delivered_priority == st.sent - len(lapses)
+
+
+def test_flow_without_renew_stops_at_its_lapse():
+    r = simnet.run_scenario(_lapsing_baseline(renew=False))
+    st = r.flows["critical"].stats
+    assert r.flows["critical"].grant_expiry == simnet.parse_duration("4s")
+    assert st.sent == 962 and st.delivered == st.sent
+    assert [line.split()[1] for line in r.log_lines if "emit_blocked" in line] == ["emit_blocked"]
+
+
 def test_traffic_on_an_expired_grant_is_demoted():
     cfg = _load("baseline.json")
     cfg["duration"] = "26s"
@@ -227,21 +282,18 @@ def _replay_through_a_legacy_as():
     return cfg
 
 
-@pytest.mark.parametrize("make_cfg", [
-    lambda: _load("baseline.json"),
-    lambda: _load("observer_skew.json"),
-    _replay_through_a_legacy_as,
-], ids=["baseline", "backward_replies", "replay_copies_forwarded"])
-def test_frames_carry_their_bytes_and_no_hop_parses_them(monkeypatch, make_cfg):
-    """Every frame on a link or at a node holds its message's encoding, and
-    no AS decodes a frame to route it."""
-    decoded = _counting_decodes(monkeypatch)
+def _checking_frames(monkeypatch):
+    """The frames handed to a link (first list) or a node (second) from here
+    on. Each one's message encodes, and its size is that encoding's length,
+    plus a response entry's for every entry a bare request has collected."""
     sent, visited = [], []
 
     def checking(method, seen):
         def wrapper(owner, frame, *args):
-            want = b"" if frame.msg is None else wire.encode(frame.msg)
-            assert frame.payload == want, frame.uid
+            if frame.msg is not None:
+                grown = isinstance(frame.msg, wire.SetupRequest) and len(frame.resp_entries)
+                want = len(wire.encode(frame.msg)) + wire.RESP_ENTRY_LEN * grown
+                assert frame.size == want, frame.uid
             seen.append(frame)
             return method(owner, frame, *args)
         return wrapper
@@ -249,6 +301,19 @@ def test_frames_carry_their_bytes_and_no_hop_parses_them(monkeypatch, make_cfg):
     monkeypatch.setattr(simnet.Link, "send", checking(simnet.Link.send, sent))
     monkeypatch.setattr(simnet.Network, "process_at_node",
                         checking(simnet.Network.process_at_node, visited))
+    return sent, visited
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: _load("baseline.json"),
+    lambda: _load("observer_skew.json"),
+    _replay_through_a_legacy_as,
+], ids=["baseline", "backward_replies", "replay_copies_forwarded"])
+def test_frames_carry_their_bytes_and_no_hop_parses_them(monkeypatch, make_cfg):
+    """Every frame on a link or at a node is sized as its message's
+    encoding, and no AS decodes a frame to route it."""
+    decoded = _counting_decodes(monkeypatch)
+    sent, visited = _checking_frames(monkeypatch)
     r = simnet.run_scenario(make_cfg())
     assert decoded == []
     assert sent and visited
@@ -257,9 +322,20 @@ def test_frames_carry_their_bytes_and_no_hop_parses_them(monkeypatch, make_cfg):
     if "echo" in r.adversaries:
         copies = [f for f in sent if f.is_replay_copy]
         assert len(copies) == r.adversaries["echo"].injected > 0
-        # the copy is the frame the replayer saw: same message, same bytes
-        originals = {f.payload: f.msg for f in sent if not f.is_replay_copy}
-        assert all(originals[c.payload] is c.msg for c in copies)
+        # a copy holds the very message of the frame the replayer saw, at its size
+        originals = {id(f.msg): f for f in sent if not f.is_replay_copy}
+        assert all(originals[id(c.msg)].msg is c.msg and originals[id(c.msg)].size == c.size
+                   for c in copies)
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json")))
+def test_every_scenario_frame_encodes_to_its_size(monkeypatch, name):
+    """The codec's range checks hold over all simulated traffic: in every
+    committed scenario, every message a frame carries encodes, to the
+    frame's size."""
+    sent, visited = _checking_frames(monkeypatch)
+    _run(name)
+    assert sent and visited
 
 
 def test_only_a_renewal_payload_is_parsed(monkeypatch):

@@ -278,32 +278,6 @@ def test_renewal_after_expiry_needs_best_effort_path():
         source.build_renewal(store, keys, plan, SRC, now=exp + 1)
 
 
-# store dump/load -------------------------------------------------------------------
-
-def test_store_roundtrip(tmp_path):
-    routers, plan = _chain(3)
-    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
-    path = tmp_path / "grants.txt"
-    store.dump(str(path))
-    loaded = source.GrantStore.load(str(path))
-    assert loaded.grants == store.grants
-
-
-def test_store_roundtrip_emits_identical_packets(tmp_path):
-    """Prepared keys are not part of the dump; a loaded store rebuilds them
-    and emits the same bytes as the store it was dumped from."""
-    routers, plan = _chain(3)
-    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
-    source.emit_packet(store, plan, SRC, b"warm", 300, now=50)
-    path = tmp_path / "grants.txt"
-    store.dump(str(path))
-    loaded = source.GrantStore.load(str(path))
-    for now in (100, 101):
-        packets = [wire.encode(source.emit_packet(s, plan, SRC, b"payload", 300, now))
-                   for s in (store, loaded)]
-        assert packets[0] == packets[1]
-
-
 def test_service_recovery_single_round_trip():
     """Losing the store is survivable: one fresh handshake restores the
     same authenticators."""

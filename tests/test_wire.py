@@ -24,7 +24,7 @@ def test_data_header_arithmetic():
         rvfs=tuple((h, _vf(h)) for h in range(5)),
         payload=b"x" * 1000,
     )
-    assert pkt.header_len == 42
+    assert wire.data_packet_len(5) == 42
     assert pkt.total_len == 1042
     assert len(wire.encode(pkt)) == 1042
 
