@@ -56,8 +56,6 @@ class TokenBucket:
 
 @dataclass
 class MonitorEntry:
-    src: int
-    direction: int
     bucket: TokenBucket
     bw: int  # granted rate, bits per second
     ts_exp: int
@@ -98,7 +96,7 @@ class TrafficMonitor:
         entry = self.entries.get(key)
         if entry is None:
             bucket = TokenBucket(max(rate, 1e-18), self.window_ns, now)
-            self.entries[key] = MonitorEntry(src, direction, bucket, bw, ts_exp)
+            self.entries[key] = MonitorEntry(bucket, bw, ts_exp)
         else:
             entry.bucket.rate = max(rate, 1e-18)
             entry.bw = bw

@@ -8,11 +8,12 @@ scenario seed, so two runs with the same configuration produce identical
 event logs.
 
 A frame is the message its sender built and that message's size on the
-wire. Routers read the message; a link observer encodes what it captures,
-the bytes an on-path adversary sees. The one parse is a router reading the
-setup request a renewal carries as its payload. A bare request and a
-renewal's take one path through admission, and the response to either
-returns best effort, as no router can validate a bare response.
+wire, its ``total_len``; no frame is encoded to be sized. Routers read the
+message; a link observer encodes what it captures, the bytes an on-path
+adversary sees. The one parse is a router reading the setup request a
+renewal carries as its payload. A bare request and a renewal's take one
+path through admission, and the response to either returns best effort,
+as no router can validate a bare response.
 
 Scenario configurations are plain dicts (usually loaded from JSON): a
 topology (ASes plus links with capacity and delay), reservation and
@@ -230,6 +231,7 @@ class ReservationFlow(_Sender):
         self.granted_at: int | None = None
         self.grant_expiry: int | None = None
         self.started = False
+        self.ladder: int | None = None  # start of the newest retry ladder
 
     def start(self) -> None:
         self._request(self.start_at)
@@ -237,20 +239,21 @@ class ReservationFlow(_Sender):
     def _request(self, t: int) -> None:
         """Request at ``t``, then climb the retry ladder until a usable grant
         starts the sending: every eps/2, plus the guaranteed-success point
-        at 2*eps."""
+        at 2*eps. A new ladder supersedes the rungs of an older one."""
+        self.ladder = t
         self.net.loop.schedule(t, self._send_setup)
         eps = self.net.estimator_cfg.interval_ns
         for k in (1, 2, 3):
-            self.net.loop.schedule(t + k * eps // 2, self._retry)
-        self.net.loop.schedule(t + 2 * eps, self._retry)
+            self.net.loop.schedule(t + k * eps // 2, self._retry, t)
+        self.net.loop.schedule(t + 2 * eps, self._retry, t)
 
     def _send_setup(self) -> None:
         req = source.build_setup_request(self.keys, self.plan, self.src,
                                          self.node.local_time(self.net.loop.now))
         self._send(req, TrafficClass.BEST_EFFORT)
 
-    def _retry(self) -> None:
-        if not self.started:
+    def _retry(self, ladder: int) -> None:
+        if not self.started and ladder == self.ladder:
             self._send_setup()
 
     def _send_renewal(self) -> None:
@@ -869,11 +872,10 @@ class Network:
         return self._uid
 
     def new_frame(self, msg, plan, route, cls, origin, size: int | None = None) -> Frame:
-        """A frame carrying ``msg``, sized as its encoding: a data packet's
-        ``total_len``, a setup message's encoded length. Filler (``msg``
-        None) takes its sender's ``size``."""
+        """A frame carrying ``msg``, sized by its ``total_len``. Filler
+        (``msg`` None) takes its sender's ``size``."""
         if size is None:
-            size = msg.total_len if isinstance(msg, wire.DataPacket) else len(wire.encode(msg))
+            size = msg.total_len
         return Frame(self.next_uid(), msg, size, plan, route, 0, cls, origin, self.loop.now)
 
     def log(self, line: str) -> None:

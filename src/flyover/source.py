@@ -1,14 +1,15 @@
 """Source-AS reservation service.
 
 Builds setup requests, verifies and stores sealed grants, composes
-hop-level reservations across paths (concurrent split or exclusive
-maximum), emits reservation packets, and constructs bounded backward
-replies. Composition works in exact rationals so feasibility checks are
-not at the mercy of float rounding.
+hop-level reservations into per-path send rates (concurrent split or
+exclusive maximum), emits reservation packets, and constructs bounded
+backward replies. Rates are exact rationals, so the rates through a
+flyover never sum past its bandwidth by float rounding.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -169,55 +170,33 @@ def ingest_response(store: GrantStore, keys: dict[int, bytes], resp: wire.SetupR
 
 @dataclass(frozen=True)
 class CompositionPlan:
-    strategy: str
-    path_rates: dict[str, Fraction]  # bps; 0 for paths flagged partial
-    flyover_shares: dict[tuple, Fraction]  # per (flyover key, path name)
-    schedule: tuple[tuple[int, str], ...]  # (slot index, path) round-robin, maximum only
-    flagged: frozenset[str]  # paths with a missing or expired grant
+    path_rates: dict[str, Fraction]  # bps; 0 for a path with a missing or expired grant
 
 
 def compose(store: GrantStore, paths: list[PathPlan], strategy: str, now: int) -> CompositionPlan:
     """Assign send rates to paths from the stored grants.
 
+    A path missing a stored, unexpired forward grant sends at rate 0.
     Concurrent: every flyover's bandwidth is split equally among this
     source's usable paths that traverse it; a path sends at the minimum of
-    its shares. Maximum: each path may use the full flyover bandwidth, but
-    shared flyovers are time-multiplexed, so the plan carries a round-robin
-    schedule and concurrent use is forbidden.
+    its shares. Maximum: each path may use the full flyover bandwidth, so
+    paths that share a flyover must take turns, never send at once.
     """
     if strategy not in (CONCURRENT, MAXIMUM):
         raise ValueError(f"unknown strategy {strategy!r}")
-    names = [p.name or f"path{i}" for i, p in enumerate(paths)]
-    usable: dict[str, list[tuple]] = {}
-    flagged = set()
-    for name, plan in zip(names, paths):
-        keys = [k for _, k in plan.forward_keys]
-        if all(store.get(k, now) is not None for k in keys):
-            usable[name] = keys
-        else:
-            flagged.add(name)
-
-    users: dict[tuple, list[str]] = {}
-    for name, keys in usable.items():
-        for k in keys:
-            users.setdefault(k, []).append(name)
-
-    shares: dict[tuple, Fraction] = {}
-    rates: dict[str, Fraction] = {name: Fraction(0) for name in names}
-    for name, keys in usable.items():
-        per_hop = []
-        for k in keys:
-            bw = Fraction(store.get(k, now).bw)
-            share = bw / len(users[k]) if strategy == CONCURRENT else bw
-            shares[(k, name)] = share
-            per_hop.append(share)
-        rates[name] = min(per_hop) if per_hop else Fraction(0)
-
-    schedule: tuple[tuple[int, str], ...] = ()
-    if strategy == MAXIMUM:
-        ordered = sorted(usable)
-        schedule = tuple((slot, name) for slot, name in enumerate(ordered))
-    return CompositionPlan(strategy, rates, shares, schedule, frozenset(flagged))
+    rates: dict[str, Fraction] = {}
+    usable: dict[str, list[tuple[tuple, FlyoverGrant]]] = {}
+    for i, plan in enumerate(paths):
+        name = plan.name or f"path{i}"
+        grants = [(k, store.get(k, now)) for _, k in plan.forward_keys]
+        rates[name] = Fraction(0)
+        if all(g is not None for _, g in grants):
+            usable[name] = grants
+    users = Counter(k for grants in usable.values() for k, _ in grants)
+    for name, grants in usable.items():
+        rates[name] = min((Fraction(g.bw, users[k] if strategy == CONCURRENT else 1)
+                           for k, g in grants), default=Fraction(0))
+    return CompositionPlan(rates)
 
 
 def emit_packet(store: GrantStore, plan: PathPlan, src: int, payload: bytes,

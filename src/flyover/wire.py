@@ -15,7 +15,9 @@ All integers are big-endian. Layouts (sizes in bytes):
 Hop lists are sorted by hop index without duplicates. Setup messages must
 consume the whole buffer; for data packets everything after the declared
 field lists is payload. Decoding is the exact inverse of encoding on valid
-messages.
+messages. Every message knows its encoded size (``total_len``) without
+being encoded, and the encoder leaves each integer's range to the
+``struct`` layout that packs it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ class SetupRequest:
     bw_min: int | None = None
 
     @property
+    def total_len(self) -> int:
+        head = _REQ_HEAD if self.bw_demand is None else _REQ_DEMAND_HEAD
+        return head.size + _REQ_ENTRY.size * len(self.entries)
+
+    @property
     def last_hop(self) -> int:
         return max(e.hop for e in self.entries) if self.entries else -1
 
@@ -102,6 +109,10 @@ class SetupResponse:
     src: int
     ts_req: int
     entries: tuple[RespEntry, ...] = ()
+
+    @property
+    def total_len(self) -> int:
+        return _RESP_HEAD.size + RESP_ENTRY_LEN * len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -136,42 +147,37 @@ def is_renewal(msg) -> bool:
             and msg.payload[0] in (MSG_SETUP_REQ, MSG_SETUP_REQ_DEMAND))
 
 
-def _check_u(value: int, bits: int, what: str) -> int:
-    if not 0 <= value < 1 << bits:
-        raise EncodeError(f"{what} out of range for u{bits}")
-    return value
-
-
-def _check_hops(hops: list[int], what: str) -> None:
-    if len(hops) > 255:
-        raise EncodeError(f"too many {what} entries")
-    if any(not 0 <= h <= 255 for h in hops):
-        raise EncodeError(f"{what} hop index out of range")
-    if hops != sorted(set(hops)):
-        raise EncodeError(f"{what} entries must be sorted by hop with no duplicates")
+def _check_rising(keys: list, what: str) -> None:
+    for a, b in zip(keys, keys[1:]):
+        if a >= b:
+            raise EncodeError(f"{what} entries must rise strictly: sorted by hop, no duplicates")
 
 
 def encode(msg) -> bytes:
-    if isinstance(msg, SetupRequest):
-        return _encode_request(msg)
-    if isinstance(msg, SetupResponse):
-        return _encode_response(msg)
-    if isinstance(msg, DataPacket):
-        return _encode_data(msg)
-    raise EncodeError(f"cannot encode {type(msg).__name__}")
+    """The message's bytes, or :class:`EncodeError` for an invalid message.
+
+    The ``struct`` layouts check every integer's range; the encoders check
+    only what a layout cannot: string sizes, the response direction, demand
+    pairing, hop order and a data packet's 65535-byte limit.
+    """
+    encoder = _ENCODERS.get(type(msg))
+    if encoder is None:
+        raise EncodeError(f"cannot encode {type(msg).__name__}")
+    try:
+        return encoder(msg)
+    except struct.error as exc:
+        raise EncodeError(f"{type(msg).__name__}: {exc}") from None
 
 
 def _encode_request(msg: SetupRequest) -> bytes:
-    _check_hops([e.hop for e in msg.entries], "request")
+    _check_rising([e.hop for e in msg.entries], "request")
     if (msg.bw_demand is None) != (msg.bw_min is None):
         raise EncodeError("demand fields must be given together")
-    src, ts_req = _check_u(msg.src, 64, "src"), _check_u(msg.ts_req, 64, "tsReq")
     if msg.bw_demand is None:
-        parts = [_REQ_HEAD.pack(MSG_SETUP_REQ, src, ts_req, len(msg.entries))]
+        parts = [_REQ_HEAD.pack(MSG_SETUP_REQ, msg.src, msg.ts_req, len(msg.entries))]
     else:
-        parts = [_REQ_DEMAND_HEAD.pack(MSG_SETUP_REQ_DEMAND, src, ts_req,
-                                       _check_u(msg.bw_demand, 64, "bwDem"),
-                                       _check_u(msg.bw_min, 64, "bwMin"), len(msg.entries))]
+        parts = [_REQ_DEMAND_HEAD.pack(MSG_SETUP_REQ_DEMAND, msg.src, msg.ts_req, msg.bw_demand,
+                                       msg.bw_min, len(msg.entries))]
     for e in msg.entries:
         if len(e.auth) != 16:
             raise EncodeError("request auth must be 16 bytes")
@@ -181,32 +187,25 @@ def _encode_request(msg: SetupRequest) -> bytes:
 
 
 def _encode_response(msg: SetupResponse) -> bytes:
-    if len(msg.entries) > 255:
-        raise EncodeError("too many response entries")
     # hop may repeat once: forward and backward entries for the same hop
-    keys = [(e.hop, e.direction) for e in msg.entries]
-    if keys != sorted(set(keys)):
-        raise EncodeError("response entries must be sorted by (hop, direction), no duplicates")
-    parts = [_RESP_HEAD.pack(MSG_SETUP_RESP, _check_u(msg.src, 64, "src"),
-                             _check_u(msg.ts_req, 64, "tsReq"), len(msg.entries))]
+    _check_rising([(e.hop, e.direction) for e in msg.entries], "response")
+    parts = [_RESP_HEAD.pack(MSG_SETUP_RESP, msg.src, msg.ts_req, len(msg.entries))]
     for e in msg.entries:
         if e.direction not in (FORWARD, BACKWARD):
             raise EncodeError("bad response direction")
         if len(e.nonce) != 12 or len(e.enc_auth) != 16 or len(e.tag) != 16:
             raise EncodeError("bad response entry field size")
-        parts.append(_RESP_ENTRY.pack(_check_u(e.hop, 8, "response hop"), e.direction,
-                                      e.nonce, e.enc_auth, e.tag,
-                                      _check_u(e.bw, 64, "bw"), _check_u(e.ts_exp, 64, "tsExp")))
+        parts.append(_RESP_ENTRY.pack(e.hop, e.direction, e.nonce, e.enc_auth, e.tag,
+                                      e.bw, e.ts_exp))
     return b"".join(parts)
 
 
 def _encode_data(msg: DataPacket) -> bytes:
-    _check_hops([h for h, _ in msg.rvfs], "rvf")
-    _check_hops([h for h, _ in msg.bvfs], "bvf")
+    _check_rising([h for h, _ in msg.rvfs], "rvf")
+    _check_rising([h for h, _ in msg.bvfs], "bvf")
     if msg.total_len > 0xFFFF:
         raise EncodeError("packet exceeds 65535 bytes")
-    parts = [_DATA_HEAD.pack(MSG_DATA, _check_u(msg.src, 64, "src"), 1 if msg.d_flag else 0,
-                             _check_u(msg.ts_pkt, 64, "tsPkt"), _check_u(msg.len_b, 16, "lenB"),
+    parts = [_DATA_HEAD.pack(MSG_DATA, msg.src, 1 if msg.d_flag else 0, msg.ts_pkt, msg.len_b,
                              len(msg.rvfs), len(msg.bvfs))]
     for hop, f in msg.rvfs + msg.bvfs:
         if len(f) != 3:
@@ -214,6 +213,10 @@ def _encode_data(msg: DataPacket) -> bytes:
         parts.append(_DATA_FIELD.pack(hop, f))
     parts.append(msg.payload)
     return b"".join(parts)
+
+
+_ENCODERS = {SetupRequest: _encode_request, SetupResponse: _encode_response,
+             DataPacket: _encode_data}
 
 
 def decode(data: bytes):

@@ -36,7 +36,7 @@ def test_every_traced_boundary_resolves():
 
 # the boundary each workload's ops cross, so a run that did no work fails
 _WORK = {"datapath": "router.Router.handle_data", "control": "router.Router.handle_setup",
-         "scenario": "simnet.Network.process_at_node"}
+         "scenario": "simnet.Network.process_at_node", "topo_cover": "topo.ReservationStudy"}
 
 
 @pytest.mark.parametrize("workload", sorted(_WORK))
@@ -50,6 +50,6 @@ def test_traced_tiny_run_is_correct(workload):
     assert result["correct"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert metrics[f"{_WORK[workload]}.calls"] > 0
-    if workload != "control":  # C8, read from the tracer's priority tags
+    if workload in ("datapath", "scenario"):  # C8, read from the tracer's priority tags
         assert metrics["crypto.macs_per_validated_hop"] == 2
         assert metrics["crypto.prf_per_validated_hop"] == 0

@@ -245,6 +245,40 @@ def test_flow_without_renew_stops_at_its_lapse():
     assert [line.split()[1] for line in r.log_lines if "emit_blocked" in line] == ["emit_blocked"]
 
 
+def _reverse_flood_renewal():
+    """A renewing flow under a forward flood on 2 -> 3 and, from 4 s, a
+    reverse flood on 3 -> 2 -> 1 that drops its renewal's response, so the
+    grant lapses at 7.2 s and the flow requests again, best effort."""
+    cfg = _load("best_effort_flood.json")
+    cfg["duration"] = "14s"
+    cfg["estimator"]["interval"] = "4s"
+    cfg["flows"][0].update(renew=True, stop_at="13s")
+    cfg["adversaries"][0].update(stop_at="13s", rate="100Mbps")
+    cfg["topology"]["ases"].append({"id": 8})
+    cfg["topology"]["links"].append({"a": 8, "b": 3, "capacity": "500Mbps", "delay": "1ms"})
+    cfg["adversaries"].append({"kind": "best_effort_flood", "name": "reverse", "src": 8,
+                               "path": [8, 3, 2, 1], "rate": "100Mbps", "packet_size": 1500,
+                               "start": "4s", "stop_at": "13s"})
+    return cfg
+
+
+def test_a_new_retry_ladder_supersedes_the_old_one(monkeypatch):
+    """After a lapse only the newest ladder's rungs request: the first
+    ladder's 2*eps rung at 8 s stays silent."""
+    requests = []
+    send_setup = simnet.ReservationFlow._send_setup
+
+    def recording(flow):
+        requests.append(flow.net.loop.now)
+        send_setup(flow)
+
+    monkeypatch.setattr(simnet.ReservationFlow, "_send_setup", recording)
+    simnet.run_scenario(_reverse_flood_renewal())
+    lapse = 7_202_186_812  # the first renewal's response died in the reverse flood
+    eps = 4 * 10**9
+    assert requests == [0] + [lapse + k * eps // 2 for k in range(4)]
+
+
 def test_traffic_on_an_expired_grant_is_demoted():
     cfg = _load("baseline.json")
     cfg["duration"] = "26s"
@@ -336,6 +370,22 @@ def test_every_scenario_frame_encodes_to_its_size(monkeypatch, name):
     sent, visited = _checking_frames(monkeypatch)
     _run(name)
     assert sent and visited
+
+
+def test_request_frames_are_sized_without_encoding(monkeypatch):
+    """A request flood's frames take their size from ``total_len``; with no
+    link observer and no renewal, nothing in the run is encoded."""
+    encoded = []
+    encode = wire.encode
+
+    def counting(msg):
+        encoded.append(msg)
+        return encode(msg)
+
+    monkeypatch.setattr(wire, "encode", counting)
+    r = _run("request_flood.json")
+    assert encoded == []
+    assert sum(adv.count for adv in r.adversaries.values()) > 0
 
 
 def test_only_a_renewal_payload_is_parsed(monkeypatch):

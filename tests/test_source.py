@@ -134,7 +134,6 @@ def test_compose_shared_flyover_concurrent_and_maximum():
     assert conc.path_rates == {"p1": Fraction(5), "p2": Fraction(5)}
     maxi = source.compose(st, [p1, p2], source.MAXIMUM, now=0)
     assert maxi.path_rates == {"p1": Fraction(10), "p2": Fraction(10)}
-    assert len(maxi.schedule) == 2  # mutually exclusive use
 
 
 def test_compose_single_path_min_rule():
@@ -150,10 +149,18 @@ def test_compose_single_path_min_rule():
 
 
 def test_compose_expired_grant_flags_path():
+    """A path with an expired or missing grant reads rate 0 and leaves its
+    share of a flyover it would cross to the usable paths."""
     p = _plan("p", [(50, 1, 2), (51, 1, 0)])
     st = _store_with({(50, 1, 2, wire.FORWARD): 8, (51, 1, 0, wire.FORWARD): 9}, exp=100)
     plan = source.compose(st, [p], source.CONCURRENT, now=200)
-    assert plan.path_rates["p"] == 0 and plan.flagged == {"p"}
+    assert plan.path_rates == {"p": 0}
+    shared = (50, 1, 2)
+    ok, missing = _plan("ok", [shared, (61, 1, 0)]), _plan("missing", [shared, (62, 1, 0)])
+    st = _store_with({(50, 1, 2, wire.FORWARD): 10, (61, 1, 0, wire.FORWARD): 100})
+    for strategy in (source.CONCURRENT, source.MAXIMUM):
+        plan = source.compose(st, [ok, missing], strategy, now=0)
+        assert plan.path_rates == {"ok": Fraction(10), "missing": 0}
 
 
 def test_compose_reads_only_the_reserved_hops():
@@ -162,11 +169,12 @@ def test_compose_reads_only_the_reserved_hops():
     st = _store_with({(53, 1, 0, wire.FORWARD): 7})
     for strategy in (source.CONCURRENT, source.MAXIMUM):
         plan = source.compose(st, [p], strategy, now=0)
-        assert plan.path_rates == {"p": Fraction(7)} and plan.flagged == frozenset()
+        assert plan.path_rates == {"p": Fraction(7)}
 
 
 def test_compose_concurrent_feasible_randomized():
-    """For every flyover, the path shares sum to at most its bandwidth."""
+    """For every flyover, the rates of the paths through it sum to at most
+    its bandwidth."""
     rng = random.Random(9)
     for _ in range(100):
         n_fly = rng.randrange(2, 8)
@@ -179,19 +187,12 @@ def test_compose_concurrent_feasible_randomized():
             paths.append(_plan(f"p{p}", hops))
         plan = source.compose(st, paths, source.CONCURRENT, now=0)
         per_fly: dict[tuple, Fraction] = {}
-        for (fkey, pname), share in plan.flyover_shares.items():
-            per_fly[fkey] = per_fly.get(fkey, Fraction(0)) + share
+        for p in paths:
+            assert plan.path_rates[p.name] > 0
+            for _, fkey in p.forward_keys:
+                per_fly[fkey] = per_fly.get(fkey, Fraction(0)) + plan.path_rates[p.name]
         for fkey, total in per_fly.items():
-            assert total <= Fraction(bws[fkey])
-
-
-def test_compose_maximum_schedule_exclusive():
-    fly = (50, 1, 2)
-    paths = [_plan(f"p{i}", [fly]) for i in range(4)]
-    st = _store_with({(*fly, wire.FORWARD): 10})
-    plan = source.compose(st, paths, source.MAXIMUM, now=0)
-    slots = [slot for slot, _ in plan.schedule]
-    assert len(slots) == len(set(slots)) == 4  # one path per slot, ever
+            assert total <= bws[fkey]
 
 
 def test_compose_rejects_unknown_strategy():

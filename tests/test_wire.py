@@ -89,6 +89,14 @@ def test_roundtrip_random_messages():
 
 
 @settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       kind=st.sampled_from([_random_request, _random_response, _random_data]))
+def test_total_len_is_the_encoded_size(seed, kind):
+    msg = kind(random.Random(seed))
+    assert len(wire.encode(msg)) == msg.total_len
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.binary(max_size=200))
 def test_decode_never_crashes(data):
     try:
@@ -137,16 +145,61 @@ def test_decode_rejects_unsorted_hops():
     assert e.value.reason == "bad_counts"
 
 
+def _resp_entry(hop=0, bw=0, ts_exp=0):
+    return wire.RespEntry(hop, wire.FORWARD, bytes(12), bytes(16), bytes(16), bw, ts_exp)
+
+
+def _req_entry(hop):
+    return wire.ReqEntry(hop, True, False, bytes(16))
+
+
+# each u64 field of each message, built with a given value
+_U64_FIELDS = {
+    "request src": lambda v: wire.SetupRequest(v, 0, ()),
+    "request ts": lambda v: wire.SetupRequest(0, v, ()),
+    "demand bw_demand": lambda v: wire.SetupRequest(0, 0, (), v, 0),
+    "demand bw_min": lambda v: wire.SetupRequest(0, 0, (), 0, v),
+    "response src": lambda v: wire.SetupResponse(v, 0),
+    "response ts": lambda v: wire.SetupResponse(0, v),
+    "response bw": lambda v: wire.SetupResponse(0, 0, (_resp_entry(bw=v),)),
+    "response ts_exp": lambda v: wire.SetupResponse(0, 0, (_resp_entry(ts_exp=v),)),
+    "data src": lambda v: wire.DataPacket(v, False, 0, 0),
+    "data ts": lambda v: wire.DataPacket(0, False, v, 0),
+}
+
+
 def test_encode_rejects_invariant_violations():
     with pytest.raises(wire.EncodeError):
-        wire.encode(wire.SetupRequest(1, 2, (wire.ReqEntry(3, True, False, bytes(16)),
-                                             wire.ReqEntry(1, True, False, bytes(16)))))
+        wire.encode(wire.SetupRequest(1, 2, (_req_entry(3), _req_entry(1))))
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.DataPacket(1, False, 0, 0, payload=b"x" * 66_000))
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.DataPacket(1, False, 0, 0, rvfs=((1, b"toolong"),)))
     with pytest.raises(wire.EncodeError):
         wire.encode(wire.SetupRequest(2**64, 0, ()))
+    for build in _U64_FIELDS.values():
+        for bad in (-1, 2**64):
+            with pytest.raises(wire.EncodeError):
+                wire.encode(build(bad))
+            wire.encode(build(bad % 2**64))  # the range's two ends encode
+    for bad in (-1, 2**16):  # u16 len_b
+        with pytest.raises(wire.EncodeError):
+            wire.encode(wire.DataPacket(1, False, 0, bad))
+    for bad in (-1, 256):  # u8 hop in every hop list
+        for msg in (wire.SetupRequest(1, 2, (_req_entry(bad),)),
+                    wire.SetupResponse(1, 2, (_resp_entry(hop=bad),)),
+                    wire.DataPacket(1, False, 0, 0, rvfs=((bad, bytes(3)),)),
+                    wire.DataPacket(1, False, 0, 0, bvfs=((bad, bytes(3)),))):
+            with pytest.raises(wire.EncodeError):
+                wire.encode(msg)
+    # 256 entries in strictly rising hop order overflow the u8 count
+    for msg in (wire.SetupRequest(1, 2, tuple(_req_entry(h) for h in range(256))),
+                wire.SetupResponse(1, 2, tuple(_resp_entry(hop=h) for h in range(256))),
+                wire.DataPacket(1, False, 0, 0, rvfs=tuple((h, bytes(3)) for h in range(256)))):
+        with pytest.raises(wire.EncodeError):
+            wire.encode(msg)
+    with pytest.raises(wire.EncodeError, match="SetupRequest"):  # an integer field as a float
+        wire.encode(wire.SetupRequest(1.0, 2, ()))
 
 
 def test_golden_fixtures():
