@@ -28,7 +28,7 @@ import difflib
 import heapq
 import json
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -165,9 +165,10 @@ class _Sender:
 
     The first ``_emit`` runs at ``start`` (ns, >= 0). ``_emit(t)``
     sends at most one frame and returns whether to send again, ``gap`` ns
-    later; sending ends at ``stop`` if one is given. A sender that stamps
-    timestamps (``STAMPS``) needs its AS's clock at or past 0 from ``start``,
-    as ``_parse_scenario`` checks.
+    later; sending ends at ``stop`` if one is given. The path must start at
+    ``src``, visit no AS twice and take only links of the topology, and a
+    sender that stamps timestamps (``STAMPS``) needs its AS's clock at or
+    past 0 from ``start``; a sender checks both before it plans.
     """
 
     STAMPS = True
@@ -177,8 +178,15 @@ class _Sender:
         self.net = net
         self.name = spec["name"]
         self.src = spec["src"]
+        self.route = route = spec["path"]
+        _refuse(f"{self.name}: path {list(route)}",
+                (route[0] != self.src, "does not start at src"),
+                (len(set(route)) < len(route), "visits an AS twice"),
+                (not all(ln in net.links for ln in zip(route, route[1:])),
+                 "takes a link not in links"))
         self.node = net.nodes[self.src]
-        self.route = spec["path"]
+        _refuse(self.name, (self.STAMPS and self.node.local_time(start) < 0,
+                            f"AS {self.src}'s clock is below 0 at the start"))
         self.backward = backward
         self.plan = net.plan_for(self.route, backward, name=self.name)
         self._first_link = net.links[self.route[0], self.route[1]]
@@ -193,6 +201,14 @@ class _Sender:
             if router:
                 keys[h.as_id] = crypto.derive_drkey(router.prepared_secret, self.src)
         return keys
+
+    def _data_len(self, fields: int, payload: int) -> int:
+        """The size of this sender's data packets, which must fit their
+        16-bit length."""
+        size = wire.data_packet_len(fields, payload)
+        _refuse(self.name, (size > _U16_MAX, f"packet_size {payload} makes {size}-byte data "
+                                             f"packets, over {_U16_MAX}"))
+        return size
 
     def _send(self, msg, cls: TrafficClass, size: int | None = None) -> None:
         """Hand a new frame to the source AS's first link; no self-validation."""
@@ -219,7 +235,7 @@ class ReservationFlow(_Sender):
         super().__init__(net, spec, spec["backward"], spec["setup_at"], spec["stop_at"])
         self.factor = spec.get("factor", 1)  # send rate / granted rate
         self.packet_size = spec["packet_size"]
-        self.wire_size = wire.data_packet_len(
+        self.wire_size = self._data_len(
             len(self.plan.forward_hops) + len(self.plan.backward_hops), self.packet_size)
         self.rate = spec["rate"]  # bps; None sends at the rate the grants compose to
         self.len_b = spec["len_b"]
@@ -360,6 +376,7 @@ class Spoofer(_Sender):
         self.victim = spec["victim"]
         self.count = spec["count"]
         self.packet_size = spec["packet_size"]
+        self._data_len(len(self.plan.hops), self.packet_size)  # it forges every hop's field
         self.gap = spec["gap"]
         self.sent = 0
         self.succeeded = 0  # frames some router classified as priority
@@ -522,8 +539,9 @@ def _check_policing(result, req) -> tuple[bool, str]:
 # (float also integers); others raise TypeError or ValueError. A range names
 # a test in _RANGES. A default is parsed like a given value: ``...`` marks a
 # required key, None an optional one, and a function computes the default from
-# the keys before it. Network runs _parse_scenario first; all later code reads
-# parsed values.
+# the keys before it. Network parses the scenario first and reads only parsed
+# values; each reference to another part of the scenario (an AS, a link, a
+# sender's name) is checked where the network builds what it names.
 
 
 class ConfigError(ValueError):
@@ -695,66 +713,6 @@ _SCENARIO_KEYS = {
     "requirements": (_sections("requirements", _REQUIREMENTS, "r"), None, [])}
 
 
-def _parse_scenario(cfg) -> dict:
-    """``cfg`` parsed by the schema, with its cross-references checked."""
-    cfg = _parse(cfg, _SCENARIO_KEYS, "scenario")
-    ids = [spec["id"] for spec in cfg["topology"]["ases"]]
-    ases = set(ids)
-    _refuse("topology", (len(ases) < len(ids), f"lists an AS id twice: {ids}"))
-    links: set[tuple[int, int]] = set()  # both directions of every link
-    for a, b in ((ln["a"], ln["b"]) for ln in cfg["topology"]["links"]):
-        _refuse(f"topology: link {a}-{b}", (a == b, "is a self-loop"),
-                ((a, b) in links, "is listed twice"),
-                (not {a, b} <= ases, "ends at an AS not in ases"))
-        links |= {(a, b), (b, a)}
-    degree = Counter(a for a, _ in links)
-    for spec in cfg["topology"]["ases"]:  # a row per link and one for the internal interface
-        size, matrix = 1 + degree[spec["id"]], spec["matrix"]
-        _refuse(f"topology: AS {spec['id']}", (matrix is not None and matrix.n_interfaces != size,
-                                               f"matrix must be {size}x{size}"))
-    skews = cfg["clock_skew"]
-    _refuse("clock_skew", (not skews.keys() <= ases, "names an AS not in ases"))
-    enabled = {spec["id"] for spec in cfg["topology"]["ases"] if spec["enabled"]}
-    senders: dict[str, type] = {}
-    for spec in cfg["flows"] + cfg["adversaries"]:
-        name, route = spec["name"], spec["path"] if "path" in spec else None
-        # frames are traced back to their sender by this name
-        _refuse(name, (name in senders, "is used by another flow or adversary"),
-                ("link" in spec and spec["link"] not in links, "observes no link"))
-        senders[name] = cls = (_FLOW_TYPES[spec["type"]] if "type" in spec
-                               else _ADVERSARY_KINDS[spec["kind"]])[0]
-        if route is not None:
-            _refuse(f"{name}: path {list(route)}",
-                    (route[0] != spec["src"], "does not start at src"),
-                    (len(set(route)) < len(route), "visits an AS twice"),
-                    (not links.issuperset(zip(route, route[1:])), "takes a link not in links"))
-        if issubclass(cls, (ReservationFlow, Spoofer)):
-            # a field per enabled AS after the source, each way; a spoofer forges every hop's
-            fields = (len(route) - 1 if cls is Spoofer else
-                      sum(a in enabled for a in route[1:]) * (2 if spec["backward"] else 1))
-            size = wire.data_packet_len(fields, spec["packet_size"])
-            _refuse(name, (size > _U16_MAX, f"packet_size {spec['packet_size']} makes "
-                                             f"{size}-byte data packets, over {_U16_MAX}"))
-        if issubclass(cls, _Sender) and cls.STAMPS:
-            start = spec["setup_at"] if "setup_at" in spec else 0
-            _refuse(name, (start + skews.get(spec["src"], 0) < 0,
-                           f"AS {spec['src']}'s clock is below 0 at the start"))
-    for req in cfg["requirements"]:
-        _check_names(req, senders, ases)
-    return cfg
-
-
-def _check_names(req: dict, senders: dict[str, type], ases) -> None:
-    """Refuse a requirement that names an AS, or a sender of the kind its
-    check reads, that the run does not have."""
-    where = f"requirement {req['r']}"
-    _refuse(where, ("src" in req and req["src"] not in ases, "src names an AS not in ases"))
-    for key, cls in _NAMED.items():
-        name = req[key] if key in req else None
-        wrong = name is not None and not issubclass(senders.get(name, type(None)), cls)
-        _refuse(where, (wrong, f"{key} {name!r} names no {cls.__name__} of the run"))
-
-
 def _refuse(where: str, *checks: tuple[bool, str]) -> None:
     """ConfigError for the first check whose condition holds."""
     for wrong, why in checks:
@@ -768,7 +726,7 @@ def _refuse(where: str, *checks: tuple[bool, str]) -> None:
 
 class Network:
     def __init__(self, cfg: dict):
-        cfg = _parse_scenario(cfg)
+        cfg = _parse(cfg, _SCENARIO_KEYS, "scenario")
         self.seed = cfg["seed"]
         self.rng = random.Random(self.seed)
         self.loop = EventLoop()
@@ -794,24 +752,50 @@ class Network:
             self._add(_FLOW_TYPES[spec["type"]][0](self, spec))
         for spec in cfg["adversaries"]:
             self._add(_ADVERSARY_KINDS[spec["kind"]][0](self, spec))
+        self.requirements: list[dict] = cfg["requirements"]
+        for req in self.requirements:
+            self._check_names(req)
         if cfg["warm_start"]:
             self._warm_start_sources()
-        self.requirements: list[dict] = cfg["requirements"]
+
+    def _senders(self) -> dict[str, object]:
+        """Every flow and adversary by name, flows first."""
+        return {**self.flows, **self.adversaries}
 
     def _add(self, obj) -> None:
+        # frames are traced back to their sender by this name
+        _refuse(obj.name, (obj.name in self._senders(), "is used by another flow or adversary"))
+        if isinstance(obj, (Replayer, LinkObserver)):
+            _refuse(obj.name, (obj.link not in self.links, "observes no link"))
+            self.links[obj.link].observers.append(obj)
         if isinstance(obj, tuple(cls for cls, _ in _FLOW_TYPES.values())):
             self.flows[obj.name] = obj
         else:
             self.adversaries[obj.name] = obj
-        if isinstance(obj, (Replayer, LinkObserver)):
-            self.links[obj.link].observers.append(obj)
+
+    def _check_names(self, req: dict) -> None:
+        """Refuse a requirement that names an AS, or a sender of the kind its
+        check reads, that the run does not have."""
+        where = f"requirement {req['r']}"
+        _refuse(where, ("src" in req and req["src"] not in self.nodes,
+                        "src names an AS not in ases"))
+        senders = self._senders()
+        for key, cls in _NAMED.items():
+            name = req[key] if key in req else None
+            wrong = name is not None and not isinstance(senders.get(name), cls)
+            _refuse(where, (wrong, f"{key} {name!r} names no {cls.__name__} of the run"))
 
     # topology -----------------------------------------------------------
 
     def _build_topology(self, topo: dict, be_buffer: int, skews: dict[int, int]) -> None:
-        neighbors: dict[int, list[tuple[int, int]]] = {a["id"]: [] for a in topo["ases"]}
+        ids = [spec["id"] for spec in topo["ases"]]
+        neighbors: dict[int, list[tuple[int, int]]] = {a: [] for a in ids}
+        _refuse("topology", (len(neighbors) < len(ids), f"lists an AS id twice: {ids}"))
         for ln in topo["links"]:
             a, b, cap = ln["a"], ln["b"], ln["capacity"]
+            _refuse(f"topology: link {a}-{b}", (a == b, "is a self-loop"),
+                    ((a, b) in self.links, "is listed twice"),
+                    (not {a, b} <= neighbors.keys(), "ends at an AS not in ases"))
             neighbors[a].append((b, cap))
             neighbors[b].append((a, cap))
             self.links[(a, b)] = Link(self, cap, ln["delay"], be_buffer)
@@ -821,14 +805,18 @@ class Network:
             caps = [0] + [cap for _, cap in neighbors[as_id]]
             caps[0] = max(caps[1:], default=0)  # internal interface
             if_to = {nbr: i + 1 for i, (nbr, _) in enumerate(neighbors[as_id])}
+            size, matrix = len(caps), spec["matrix"]  # a row per interface
+            _refuse(f"topology: AS {as_id}", (matrix is not None and matrix.n_interfaces != size,
+                                              f"matrix must be {size}x{size}"))
             router = None
             if spec["enabled"]:
-                matrix = spec["matrix"] or AllocationMatrix.from_capacities(caps)
+                matrix = matrix or AllocationMatrix.from_capacities(caps)
                 secret = spec["secret"] or \
                     crypto.cbc_mac(b"topology-secret-", as_id.to_bytes(8, "big") * 2)
                 router = Router(as_id, secret, matrix, self.router_cfg, now=0,
                                 rng=random.Random((self.seed << 16) ^ as_id))
             self.nodes[as_id] = Node(as_id, router, skews.get(as_id, 0), if_to)
+        _refuse("clock_skew", (not skews.keys() <= self.nodes.keys(), "names an AS not in ases"))
 
     def _warm_start_sources(self) -> None:
         """Pre-register the sources that request reservations as grantable,
@@ -837,7 +825,7 @@ class Network:
         arithmetic stays consistent with a real request history (no
         over-allocation)."""
         warm: dict[int, set[int]] = {}
-        for sender in list(self.flows.values()) + list(self.adversaries.values()):
+        for sender in self._senders().values():
             if not isinstance(sender, (ReservationFlow, RequestFlood)):
                 continue
             for hop in sender.plan.hops:
@@ -853,7 +841,7 @@ class Network:
                     est.requesters = max(est.requesters, len(warm[id(est)]))
 
     def plan_for(self, route: tuple[int, ...], backward: bool, name: str = "") -> source.PathPlan:
-        """The plan of a route whose every link exists, as the schema checks."""
+        """The plan of a route whose every link exists, as each sender checks."""
         hops = []
         for k in range(1, len(route)):
             as_id = route[k]
@@ -933,7 +921,7 @@ class Network:
             frame.worst = TrafficClass.BEST_EFFORT
         if frame.pos == len(frame.route) - 1:
             self._deliver(frame)
-        else:  # plan_for checked every link of a route
+        else:  # its sender checked every link of the route
             self.links[as_id, frame.route[frame.pos + 1]].send(frame, self.loop.now)
 
     def _router_process(self, node: Node, frame: Frame, hop_index: int, hop: source.PathHop
@@ -1023,7 +1011,7 @@ class Network:
 
     def run(self) -> "Network":
         """Run for the configured duration; the network is its own result."""
-        for sender in list(self.flows.values()) + list(self.adversaries.values()):
+        for sender in self._senders().values():
             if isinstance(sender, _Sender):
                 sender.start()
         self.loop.run_until(self.duration)
@@ -1087,8 +1075,7 @@ def assert_requirement(result: Network, req: dict) -> tuple[bool, str]:
     Returns (ok, detail); detail carries the counterexample on failure.
     """
     req, = _sections("requirement", _REQUIREMENTS, "r")([req])
-    senders = {name: type(obj) for name, obj in {**result.flows, **result.adversaries}.items()}
-    _check_names(req, senders, result.nodes)
+    result._check_names(req)
     return _REQUIREMENTS[req["r"]][0](result, req)
 
 

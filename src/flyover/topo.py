@@ -61,10 +61,7 @@ class TopologyGraph:
         for u in range(n):
             ext = [edge_capacity[_ekey(u, v)] for v in self.adj[u]]
             self.capacities.append([max(ext, default=0)] + ext)
-
-    @property
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
+        self.degrees: list[int] = [len(a) for a in self.adj]
 
     @property
     def n_edges(self) -> int:

@@ -30,10 +30,6 @@ MSG_SETUP_RESP = 0x02
 MSG_DATA = 0x03
 MSG_SETUP_REQ_DEMAND = 0x04
 
-DATA_FIXED_HEADER = 22  # type + src + flags + tsPkt + lenB + nF + nB
-FIELD_ENTRY_LEN = 4  # hop byte + 3-byte validation field
-RESP_ENTRY_LEN = 62
-
 FORWARD = 0
 BACKWARD = 1
 
@@ -46,6 +42,10 @@ _RESP_ENTRY = struct.Struct(">BB12s16s16sQQ")  # hop, dir, nonce, encAuth, tag, 
 _DATA_HEAD = struct.Struct(">BQBQHBB")  # type, src, flags, tsPkt, lenB, nF, nB
 _DATA_FIELD = struct.Struct(">B3s")  # hop, validation field
 _DATA_FLAGS_AT = 9  # offset of the data flags byte, after type and src
+
+DATA_FIXED_HEADER = _DATA_HEAD.size  # 22
+FIELD_ENTRY_LEN = _DATA_FIELD.size  # 4
+RESP_ENTRY_LEN = _RESP_ENTRY.size  # 62
 
 
 class EncodeError(ValueError):
@@ -147,10 +147,20 @@ def is_renewal(msg) -> bool:
             and msg.payload[0] in (MSG_SETUP_REQ, MSG_SETUP_REQ_DEMAND))
 
 
-def _check_rising(keys: list, what: str) -> None:
-    for a, b in zip(keys, keys[1:]):
-        if a >= b:
-            raise EncodeError(f"{what} entries must rise strictly: sorted by hop, no duplicates")
+def _rising(keys) -> bool:
+    """Whether ``keys`` rise strictly, the order of every hop list: sorted
+    by hop, no duplicates. One plain pass: a router decodes a data packet
+    at every hop."""
+    keys = iter(keys)
+    prev = next(keys, None)
+    for key in keys:
+        if key <= prev:
+            return False
+        prev = key
+    return True
+
+
+_NOT_RISING = "entries must rise strictly: sorted by hop, no duplicates"
 
 
 def encode(msg) -> bytes:
@@ -170,7 +180,8 @@ def encode(msg) -> bytes:
 
 
 def _encode_request(msg: SetupRequest) -> bytes:
-    _check_rising([e.hop for e in msg.entries], "request")
+    if not _rising([e.hop for e in msg.entries]):
+        raise EncodeError(f"request {_NOT_RISING}")
     if (msg.bw_demand is None) != (msg.bw_min is None):
         raise EncodeError("demand fields must be given together")
     if msg.bw_demand is None:
@@ -188,7 +199,8 @@ def _encode_request(msg: SetupRequest) -> bytes:
 
 def _encode_response(msg: SetupResponse) -> bytes:
     # hop may repeat once: forward and backward entries for the same hop
-    _check_rising([(e.hop, e.direction) for e in msg.entries], "response")
+    if not _rising([(e.hop, e.direction) for e in msg.entries]):
+        raise EncodeError(f"response {_NOT_RISING}")
     parts = [_RESP_HEAD.pack(MSG_SETUP_RESP, msg.src, msg.ts_req, len(msg.entries))]
     for e in msg.entries:
         if e.direction not in (FORWARD, BACKWARD):
@@ -201,8 +213,9 @@ def _encode_response(msg: SetupResponse) -> bytes:
 
 
 def _encode_data(msg: DataPacket) -> bytes:
-    _check_rising([h for h, _ in msg.rvfs], "rvf")
-    _check_rising([h for h, _ in msg.bvfs], "bvf")
+    for what, fields in (("rvf", msg.rvfs), ("bvf", msg.bvfs)):
+        if not _rising([h for h, _ in fields]):
+            raise EncodeError(f"{what} {_NOT_RISING}")
     if msg.total_len > 0xFFFF:
         raise EncodeError("packet exceeds 65535 bytes")
     parts = [_DATA_HEAD.pack(MSG_DATA, msg.src, 1 if msg.d_flag else 0, msg.ts_pkt, msg.len_b,
@@ -236,9 +249,10 @@ def decode(data: bytes):
         if len(data) < head.size:
             raise DecodeError("truncated", "request header")
         fields = head.unpack_from(data)
-        raw = tuple(_setup_entries(data, head.size, fields[-1], _REQ_ENTRY, 0x03,
-                                   "unknown request flag bits"))
-        _check_sorted(raw)
+        raw = _setup_entries(data, head.size, fields[-1], _REQ_ENTRY, 0x03,
+                             "unknown request flag bits")
+        if not _rising(data[head.size::_REQ_ENTRY.size]):  # each entry's hop byte
+            raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
         entries = tuple(ReqEntry(hop, bool(flags & 1), bool(flags & 2), auth)
                         for hop, flags, auth in raw)
         bw_demand, bw_min = fields[3:5] if kind == MSG_SETUP_REQ_DEMAND else (None, None)
@@ -250,8 +264,7 @@ def decode(data: bytes):
         raw = _setup_entries(data, _RESP_HEAD.size, count, _RESP_ENTRY, 0x01,
                              "bad direction byte")
         entries = tuple(RespEntry(*e) for e in raw)
-        keys = [(e.hop, e.direction) for e in entries]
-        if keys != sorted(set(keys)):
+        if not _rising([(e.hop, e.direction) for e in entries]):
             raise DecodeError("bad_counts", "response entries unsorted or duplicated")
         return SetupResponse(src, ts_req, entries)
     raise DecodeError("bad_magic", f"unknown message type {kind:#04x}")
@@ -269,11 +282,13 @@ def _decode_data(data: bytes) -> DataPacket:
     end = DATA_FIXED_HEADER + FIELD_ENTRY_LEN * (n_f + n_b)
     if size < end:
         raise DecodeError("truncated", f"{n_f + n_b} validation fields")
+    mid = DATA_FIXED_HEADER + FIELD_ENTRY_LEN * n_f
+    # the hop bytes of each list; a list of one field or none rises
+    if (n_f > 1 and not _rising(data[DATA_FIXED_HEADER:mid:FIELD_ENTRY_LEN])
+            or n_b > 1 and not _rising(data[mid:end:FIELD_ENTRY_LEN])):
+        raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
     fields = tuple(_DATA_FIELD.iter_unpack(data[DATA_FIXED_HEADER:end]))
-    rvfs, bvfs = fields[:n_f], fields[n_f:]
-    _check_sorted(rvfs)
-    _check_sorted(bvfs)
-    return DataPacket(src, flags == 1, ts_pkt, len_b, rvfs, bvfs, data[end:])
+    return DataPacket(src, flags == 1, ts_pkt, len_b, fields[:n_f], fields[n_f:], data[end:])
 
 
 def _setup_entries(data: bytes, head_size: int, count: int, entry: struct.Struct,
@@ -295,11 +310,3 @@ def _setup_entries(data: bytes, head_size: int, count: int, entry: struct.Struct
         raise DecodeError("bad_counts", "trailing bytes after message")
     return entry.iter_unpack(data[head_size:])
 
-
-def _check_sorted(entries) -> None:
-    """Entries, tuples led by their hop index, must be in strictly rising hop order."""
-    prev = -1
-    for entry in entries:
-        if entry[0] <= prev:
-            raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
-        prev = entry[0]

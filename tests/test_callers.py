@@ -1,0 +1,59 @@
+"""Every function, class and method defined in flyover has a caller: its
+name is referenced somewhere outside its own definition."""
+
+import ast
+import os
+from collections import Counter
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "flyover")
+# where a caller may live; perfbench patches some names given as dotted strings
+SEARCHED = ("src", "tests", "perfbench", "demos")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees(top: str):
+    for dirpath, _, files in os.walk(top):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path) as fh:
+                    yield path, ast.parse(fh.read(), path)
+
+
+def _references(node: ast.AST) -> Counter:
+    """Each name, each attribute and each part of a string that is a dotted
+    name (a quoted annotation, a patch point) under ``node``, counted. Prose
+    in docstrings is no reference."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                refs.update(parts)
+    return refs
+
+
+def _uncalled() -> list[str]:
+    refs = Counter()
+    for top in SEARCHED:
+        for _, tree in _trees(os.path.join(ROOT, top)):
+            refs.update(_references(tree))
+    uncalled = []
+    for path, tree in _trees(SRC):
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if not isinstance(node, _DEFS) or (name.startswith("__") and name.endswith("__")):
+                continue
+            # a recursive call or a class naming itself inside is no caller
+            if refs[name] - _references(node)[name] <= 0:
+                uncalled.append(f"{os.path.basename(path)}:{node.lineno} {name}")
+    return uncalled
+
+
+def test_every_definition_has_a_caller():
+    assert _uncalled() == []

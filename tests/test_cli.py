@@ -283,20 +283,21 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
         "non_integer_seed", "string_boolean", "stop_at_on_request_flood", "path_not_from_src",
         "r1_on_unknown_as", "matrix_of_wrong_size", "infinite_link_capacity",
         "json_infinity_link_capacity", "nan_link_delay", "infinite_overuse_factor"])
-def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, edit):
+def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, request, edit):
+    """Each config is refused with its golden message, before the run."""
+    want = dict(line.split("\t") for line in _golden("invalid_configs.txt").splitlines())
     cfg = simnet.load_scenario(os.path.join(SCENARIOS, "baseline.json"))
     edit(cfg)
     cfg_path = tmp_path / "invalid.json"
     cfg_path.write_text(json.dumps(cfg))
     with _deadline(20):  # a config that slips through may hang the run
-        with pytest.raises(simnet.ConfigError):
-            simnet._parse_scenario(cfg)  # the whole scenario is checked before any build
-        with pytest.raises(simnet.ConfigError):
+        with pytest.raises(simnet.ConfigError) as refused:
             simnet.Network(cfg)
         rc = cli.main(["scenario", "run", str(cfg_path)])
     captured = capsys.readouterr()
+    assert str(refused.value) == want[request.node.callspec.id]
     assert rc == 2
-    assert "error:" in captured.err and "PASS" not in captured.out
+    assert f"error: {refused.value}" in captured.err and "PASS" not in captured.out
 
 
 _SPOOFER = {"name": "spoof", "kind": "spoofer", "src": 2, "victim": 1, "path": [2, 3]}

@@ -462,7 +462,7 @@ def test_largest_data_packet_is_accepted():
     (True, (), 8), (True, (3,), 6), (False, (2, 3, 4, 5), 0)],
     ids=["backward", "backward_past_a_legacy_as", "no_enabled_hop"])
 def test_schema_counts_the_fields_a_flow_sends(backward, disabled, fields):
-    """The schema bounds packet_size by a field per enabled AS after the
+    """A flow bounds packet_size by a field per enabled AS after the
     source, each way: the largest it accepts makes 65535-byte packets."""
     cfg = _load("baseline.json")
     cfg["flows"][0]["backward"] = backward
@@ -473,7 +473,7 @@ def test_schema_counts_the_fields_a_flow_sends(backward, disabled, fields):
     assert simnet.Network(cfg).flows["critical"].wire_size == 0xFFFF
     cfg["flows"][0]["packet_size"] = largest + 1
     with pytest.raises(simnet.ConfigError, match="65536-byte data packets"):
-        simnet._parse_scenario(cfg)
+        simnet.Network(cfg)
 
 
 def test_unknown_path_rejected():
