@@ -147,11 +147,11 @@ class Grant:
 class RequesterEstimator:
     """Rotating-filter requester counter for one interface pair (or ingress).
 
-    ``granted`` is read-only between rotations; requests only insert into
-    ``current`` and consult ``granted``. Tentative slots hand out the
-    unreserved remainder to first-time requesters, at most ``tentative_slots``
-    distinct ASes per interval, and those grants expire at the interval end
-    so the instantaneous total never exceeds the full entry.
+    Only rotations and :meth:`warm_up` change ``granted``; requests only
+    insert into ``current`` and consult ``granted``. Tentative slots hand
+    out the unreserved remainder to first-time requesters, at most
+    ``tentative_slots`` distinct ASes per interval, and those grants expire
+    at the interval end so the instantaneous total stays within the full entry.
     """
 
     def __init__(self, config: EstimatorConfig, now: int = 0):
@@ -160,7 +160,6 @@ class RequesterEstimator:
         self.previous = config.make_filter()
         self.current = config.make_filter()
         self.requesters = config.min_requesters
-        self.slots_used = 0
         self._tentative_holders: dict[int, int] = {}  # src -> granted bw this interval
         self.next_rotation = now + config.interval_ns
 
@@ -183,9 +182,17 @@ class RequesterEstimator:
                 self.current,
                 self.granted.reset(),
             )
-        self.slots_used = 0
         self._tentative_holders.clear()
         self.next_rotation += due * interval
+
+    def warm_up(self, sources) -> None:
+        """Make ``sources`` grantable now, as if each had requested two intervals
+        ago, counting each once so their grants cannot over-allocate."""
+        sources = set(sources)
+        for src in sources:
+            for f in (self.granted, self.previous, self.current):
+                f.add(src)
+        self.requesters = max(self.requesters, len(sources))
 
     def request(self, src: int, entry_bw: int, now: int) -> Grant | None:
         """Admit one request against ``entry_bw``; None means retry later.
@@ -203,8 +210,7 @@ class RequesterEstimator:
         if src in self._tentative_holders:
             # repeat first-timer in the same interval: same slot, same grant
             return Grant(self._tentative_holders[src], self.next_rotation, tentative=True)
-        if self.slots_used < cfg.tentative_slots:
-            self.slots_used += 1
+        if len(self._tentative_holders) < cfg.tentative_slots:
             bw = entry_bw * (den - num) // (den * cfg.tentative_slots)
             self._tentative_holders[src] = bw
             return Grant(bw, self.next_rotation, tentative=True)
@@ -348,14 +354,12 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
     request regardless so ASes later on the path can still admit it.
 
     The ingress role admits the forward reservation and the egress role the
-    backward one (with the interface pair swapped); both are handled here
-    because this codebase models one router per AS.
+    backward one; with one router per AS, both are handled here.
     """
     entry = req.entry_for(hop_index)
     if entry is None or not (entry.flag_r or entry.flag_b):
         return []
-    cfg = state.config
-    if not -cfg.delta_ns <= now - req.ts_req <= cfg.lifetime_ns + cfg.delta_ns:
+    if not state.config.in_window(req.ts_req, now):
         return []
     # one AES context serves the request-auth MAC and both grants' seals
     drkey = crypto.PreparedKey(crypto.derive_drkey(state.prepared_secret, req.src))
@@ -369,17 +373,14 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
     state.note_request(req.src, req.ts_req)
 
     out = []
-    for direction, wants, pair in (
-        (wire.FORWARD, entry.flag_r, (ingress, egress)),
-        (wire.BACKWARD, entry.flag_b, (egress, ingress)),
-    ):
+    for direction, wants in ((wire.FORWARD, entry.flag_r), (wire.BACKWARD, entry.flag_b)):
         if not wants:
             continue
-        grant = state.policy.get_bandwidth(req.src, pair[0], pair[1], now)
+        pair = wire.directed_pair(ingress, egress, direction)
+        grant = state.policy.get_bandwidth(req.src, *pair, now)
         if grant is None:
             continue
-        alpha = crypto.compute_authenticator(state.prepared_secret, req.src, pair[0],
-                                             pair[1])
+        alpha = crypto.compute_authenticator(state.prepared_secret, req.src, *pair)
         nonce = nonce_source.randbytes(12) if nonce_source is not None else None
         nonce, enc_auth, tag = crypto.seal_grant(drkey, alpha, grant.bw, grant.ts_exp, nonce)
         out.append(wire.RespEntry(hop_index, direction, nonce, enc_auth, tag,

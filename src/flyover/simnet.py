@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import crypto, source, wire
-from .admission import AllocationMatrix, EstimatorConfig
+from .admission import AllocationMatrix, EstimatorConfig, RequesterEstimator
 from .router import Decision, Router, RouterConfig, TrafficClass
 from .units import parse_bandwidth, parse_duration
 
@@ -203,11 +203,10 @@ class _Sender:
         return keys
 
     def _data_len(self, fields: int, payload: int) -> int:
-        """The size of this sender's data packets, which must fit their
-        16-bit length."""
+        """The size of this sender's data packets, which must fit in 16 bits."""
         size = wire.data_packet_len(fields, payload)
-        _refuse(self.name, (size > _U16_MAX, f"packet_size {payload} makes {size}-byte data "
-                                             f"packets, over {_U16_MAX}"))
+        _refuse(self.name, (size > wire.MAX_LEN, f"packet_size {payload} makes {size}-byte "
+                                                 f"data packets, over {wire.MAX_LEN}"))
         return size
 
     def _send(self, msg, cls: TrafficClass, size: int | None = None) -> None:
@@ -548,11 +547,10 @@ class ConfigError(ValueError):
     pass
 
 
-_U16_MAX = 0xFFFF  # a data packet's length and its len_b are 16-bit fields
 _JSON = (int, float, bool, str, list, dict)
 _RANGES = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
            "[0, 1]": lambda v: 0 <= v <= 1, "(0, 1]": lambda v: 0 < v <= 1,
-           "[0, 65535]": lambda v: 0 <= v <= _U16_MAX, "[0, 2^64)": lambda v: 0 <= v < 2**64,
+           "[0, 65535]": lambda v: 0 <= v <= wire.MAX_LEN, "[0, 2^64)": lambda v: 0 <= v < 2**64,
            "16 bytes": lambda v: len(v) == 16}
 
 
@@ -819,12 +817,9 @@ class Network:
         _refuse("clock_skew", (not skews.keys() <= self.nodes.keys(), "names an AS not in ases"))
 
     def _warm_start_sources(self) -> None:
-        """Pre-register the sources that request reservations as grantable,
-        as if they had requested two intervals ago. The requester count is
-        raised to the number of warm sources per estimator so the grant
-        arithmetic stays consistent with a real request history (no
-        over-allocation)."""
-        warm: dict[int, set[int]] = {}
+        """Warm up every estimator on a reservation requester's path with
+        the requesters that cross it (see ``RequesterEstimator.warm_up``)."""
+        warm: dict[RequesterEstimator, set[int]] = {}
         for sender in self._senders().values():
             if not isinstance(sender, (ReservationFlow, RequestFlood)):
                 continue
@@ -832,13 +827,12 @@ class Network:
                 node = self.nodes[hop.as_id]
                 if node.router is None:
                     continue
-                for pair in ((hop.ingress, hop.egress), (hop.egress, hop.ingress)):
+                for direction in (wire.FORWARD, wire.BACKWARD):
+                    pair = wire.directed_pair(hop.ingress, hop.egress, direction)
                     est = node.router.policy.estimator_for(*pair)
-                    est.granted.add(sender.src)
-                    est.previous.add(sender.src)
-                    est.current.add(sender.src)
-                    warm.setdefault(id(est), set()).add(sender.src)
-                    est.requesters = max(est.requesters, len(warm[id(est)]))
+                    warm.setdefault(est, set()).add(sender.src)
+        for est, sources in warm.items():
+            est.warm_up(sources)
 
     def plan_for(self, route: tuple[int, ...], backward: bool, name: str = "") -> source.PathPlan:
         """The plan of a route whose every link exists, as each sender checks."""

@@ -69,9 +69,7 @@ class PathPlan:
 
     def flyover_key(self, hop_index: int, direction: int) -> tuple:
         h = self.hops[hop_index]
-        if direction == wire.FORWARD:
-            return (h.as_id, h.ingress, h.egress, wire.FORWARD)
-        return (h.as_id, h.egress, h.ingress, wire.BACKWARD)
+        return (h.as_id, *wire.directed_pair(h.ingress, h.egress, direction), direction)
 
 
 @dataclass
@@ -212,7 +210,7 @@ def emit_packet(store: GrantStore, plan: PathPlan, src: int, payload: bytes,
     """
     n_f, n_b = len(plan.forward_keys), len(plan.backward_keys)
     total_len = wire.data_packet_len(n_f + n_b, len(payload))
-    if total_len > 0xFFFF:
+    if total_len > wire.MAX_LEN:
         raise ValueError("packet too large")
     rvfs, bvfs = [], []
     for idx, fkey in plan.forward_keys:

@@ -239,7 +239,11 @@ class ReservationStudy:
             self._spans.append((src, start, len(children)))
         self._pairs = list(ids)  # pair id -> (node, ingress, egress)
         self._counts = Counter(chain(pair_ids, deliveries))  # pair id -> requesters
-        self.pair_requesters = {key: self._counts[i] for i, key in enumerate(self._pairs)}
+
+    @cached_property
+    def pair_requesters(self) -> dict[tuple[int, int, int], int]:
+        """Requester count per (node, ingress, egress) pair in use."""
+        return {key: self._counts[i] for i, key in enumerate(self._pairs)}
 
     def _shares(self, divide) -> list:
         """divide(admission entry, requesters floored at min_requesters) per pair id."""

@@ -32,6 +32,7 @@ MSG_SETUP_REQ_DEMAND = 0x04
 
 FORWARD = 0
 BACKWARD = 1
+MAX_LEN = 0xFFFF  # a data packet's length and its len_b are 16-bit fields
 
 # Precompiled layouts, shared by the encoder and the decoder.
 _REQ_HEAD = struct.Struct(">BQQB")  # type, src, tsReq, n
@@ -141,6 +142,11 @@ def data_packet_len(fields: int, payload: int = 0) -> int:
     return DATA_FIXED_HEADER + FIELD_ENTRY_LEN * fields + payload
 
 
+def directed_pair(ingress: int, egress: int, direction: int) -> tuple[int, int]:
+    """A hop's forward (ingress, egress) pair as a ``direction`` flyover holds it."""
+    return (egress, ingress) if direction == BACKWARD else (ingress, egress)
+
+
 def is_renewal(msg) -> bool:
     """A renewal is a forward data packet whose payload is a setup request."""
     return (isinstance(msg, DataPacket) and not msg.d_flag and msg.payload != b""
@@ -216,8 +222,8 @@ def _encode_data(msg: DataPacket) -> bytes:
     for what, fields in (("rvf", msg.rvfs), ("bvf", msg.bvfs)):
         if not _rising([h for h, _ in fields]):
             raise EncodeError(f"{what} {_NOT_RISING}")
-    if msg.total_len > 0xFFFF:
-        raise EncodeError("packet exceeds 65535 bytes")
+    if msg.total_len > MAX_LEN:
+        raise EncodeError(f"packet exceeds {MAX_LEN} bytes")
     parts = [_DATA_HEAD.pack(MSG_DATA, msg.src, 1 if msg.d_flag else 0, msg.ts_pkt, msg.len_b,
                              len(msg.rvfs), len(msg.bvfs))]
     for hop, f in msg.rvfs + msg.bvfs:

@@ -91,7 +91,23 @@ def test_tentative_slots_exhaust_and_repeat_holder_keeps_slot():
     g3 = est.request(3, 100 * GBPS, 3)
     assert g1.tentative and g2.tentative and g3 is None
     assert g1_again == g1  # same holder, same slot, no extra slot burned
-    assert est.slots_used == 2
+    assert len(est._tentative_holders) == 2
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "bloom"])
+def test_warm_up_grants_firmly_at_once_and_counts_each_source_once(exact):
+    est = RequesterEstimator(exact_cfg(exact=exact, min_requesters=2))
+    est.warm_up([5, 6, 7, 5])
+    assert est.requesters == 3  # 5 counted once
+    est.warm_up([5])
+    assert est.requesters == 3  # never lowered below an earlier count
+    g = est.request(5, 90 * GBPS, 0)
+    assert not g.tentative and g.bw == 90 * GBPS * 4 // (5 * 3)
+    est.rotate(EPS)  # warm sources requested in both collection filters
+    assert 5 in est.granted and est.request(6, 90 * GBPS, EPS).tentative is False
+    low = RequesterEstimator(exact_cfg(exact=exact, min_requesters=4))
+    low.warm_up([1])
+    assert low.requesters == 4  # the floor still holds
 
 
 def test_tentative_grant_expires_at_interval_end():
@@ -416,7 +432,6 @@ def _rotate_stepwise(est, now):
         union = est.current.union_cardinality(est.previous)
         est.requesters = max(union, est.config.min_requesters)
         est.granted, est.previous, est.current = est.previous, est.current, est.granted.reset()
-        est.slots_used = 0
         est._tentative_holders.clear()
         est.next_rotation += est.config.interval_ns
 
@@ -426,7 +441,7 @@ def _contents(f):
 
 
 def _state(est):
-    return (est.requesters, est.next_rotation, est.slots_used, dict(est._tentative_holders),
+    return (est.requesters, est.next_rotation, dict(est._tentative_holders),
             _contents(est.granted), _contents(est.previous), _contents(est.current))
 
 

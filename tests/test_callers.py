@@ -1,5 +1,6 @@
-"""Every function, class and method defined in flyover has a caller: its
-name is referenced somewhere outside its own definition."""
+"""Every function, class and method defined in flyover, and every name a
+module assigns at its top level, has a caller: its name is referenced
+somewhere outside its own definition."""
 
 import ast
 import os
@@ -38,6 +39,21 @@ def _references(node: ast.AST) -> Counter:
     return refs
 
 
+def _definitions(tree: ast.Module):
+    """(name, defining node) for every def and class, and for every name
+    assigned by a top-level statement of the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, _DEFS):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+
+
 def _uncalled() -> list[str]:
     refs = Counter()
     for top in SEARCHED:
@@ -45,11 +61,11 @@ def _uncalled() -> list[str]:
             refs.update(_references(tree))
     uncalled = []
     for path, tree in _trees(SRC):
-        for node in ast.walk(tree):
-            name = getattr(node, "name", "")
-            if not isinstance(node, _DEFS) or (name.startswith("__") and name.endswith("__")):
+        for name, node in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
                 continue
-            # a recursive call or a class naming itself inside is no caller
+            # a recursive call, a class naming itself inside or the
+            # assignment's own target is no caller
             if refs[name] - _references(node)[name] <= 0:
                 uncalled.append(f"{os.path.basename(path)}:{node.lineno} {name}")
     return uncalled

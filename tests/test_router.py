@@ -189,6 +189,25 @@ def test_stale_timestamp_demotes_without_crypto(aes_contexts):
     assert crypto.ops.macs == 0 and aes_contexts["aes"] == 0
 
 
+_DELTA, _LIFETIME = RouterConfig.delta_ns, RouterConfig.lifetime_ns
+
+
+@pytest.mark.parametrize("age, accepted", [
+    (-_DELTA - 1, False), (-_DELTA, True), (_LIFETIME + _DELTA, True),
+    (_LIFETIME + _DELTA + 1, False)], ids=["ahead_past_delta", "ahead_by_delta",
+                                           "oldest_accepted", "too_old"])
+def test_setup_and_data_share_the_validity_window_edges(age, accepted):
+    ts = 10 * S
+    r, plan = _single_hop()
+    store, keys, plan = full_setup([r], plan, SRC, now=ts - _DELTA - 1)
+    pkt = _emit(store, plan, now=ts)
+    req = source.build_setup_request(keys, plan, SRC, ts_req=ts)
+    assert r.handle_data(pkt, 0, 1, 0, now=ts + age) is (
+        Decision.OK if accepted else Decision.STALE_TS)
+    _, entries = r.handle_setup(req, 0, 1, 0, now=ts + age)
+    assert bool(entries) is accepted
+
+
 def test_missing_field_demotes_without_crypto(aes_contexts):
     r, plan = _single_hop()
     crypto.ops.reset()
