@@ -1,8 +1,8 @@
 """Topology experiments: reservation sizes and coverage on scale-free graphs.
 
 Graphs are preferential-attachment (Barabási–Albert) with degree-gravity
-link capacities: each edge lands in one of ten buckets (40..400 Gbps by
-default) by the quantile of its endpoint degree product, ties toward the
+link capacities: each edge lands in one of ten 40 Gbps buckets (40..400
+Gbps) by the quantile of its endpoint degree product, ties toward the
 lower bucket. Every node gets an internal interface 0 whose capacity is
 the maximum of its external links, plus one interface per incident edge,
 and an allocation matrix built from those capacities.
@@ -13,15 +13,17 @@ shortest paths cross the pair; paths are BFS shortest paths with
 lowest-node-id tie-breaking, which makes every run reproducible. A study
 walks each source's tree once and records the tree edges that carry
 demand as integer columns; the requester counts, both strategies' sizes
-and every cover and row query read those columns, and the shares are
-computed once per study. Per-pair arithmetic is exact (integers and
-rationals); the per-destination minima use floats for speed, which is
-safe because dividing by an integer count never increases a float. The
-same size kernel over the exact shares is the rational reference.
+and every cover and row query read those columns. Per-pair arithmetic is
+exact (integers and rationals); the per-destination minima use floats
+for speed, which is safe because dividing by an integer count never
+increases a float. The rational reference is an independent per-path
+oracle in the test suite (``tests/oracles.py``), which shares no code
+with the study.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from array import array
@@ -68,20 +70,7 @@ class TopologyGraph:
         return sum(self.degrees) // 2
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        return self.n == 0 or len(shortest_path_tree(self, 0)[1]) == self.n
 
 
 def _ekey(u: int, v: int) -> tuple[int, int]:
@@ -96,23 +85,16 @@ def generate_topology(n: int, attachment: int = 2, seed: int = 1) -> TopologyGra
     if not 1 <= attachment < n:
         raise ValueError(f"attachment must be in [1, n), got m={attachment} with n={n}")
     g = nx.barabasi_albert_graph(n, attachment, seed=seed)
-    edges = [(_ekey(u, v)) for u, v in g.edges()]
+    edges = [_ekey(u, v) for u, v in g.edges()]
     deg = dict(g.degree())
-    return _assign_capacities(n, edges, deg, 40 * GBPS, 10)
-
-
-def _assign_capacities(n, edges, deg, step, buckets) -> TopologyGraph:
     products = {e: deg[e[0]] * deg[e[1]] for e in edges}
-    ordered = sorted(products.values())
     # rank of the first occurrence: equal products share the lower bucket
     first_rank: dict[int, int] = {}
-    for i, p in enumerate(ordered):
+    for i, p in enumerate(sorted(products.values())):
         first_rank.setdefault(p, i)
     m = len(edges)
-    capacity = {
-        e: step * (first_rank[products[e]] * buckets // m + 1) for e in edges
-    }
-    return TopologyGraph(n, edges, capacity)
+    return TopologyGraph(n, edges, {e: 40 * GBPS * (first_rank[products[e]] * 10 // m + 1)
+                                    for e in edges})
 
 
 def build_matrices(g: TopologyGraph) -> list[AllocationMatrix]:
@@ -193,10 +175,11 @@ class ReservationStudy:
 
     The constructor walks each source's tree once and keeps the tree edges
     that carry demand as flat columns, with dense pair ids in first-seen
-    order. Every query reads those columns. The shares are computed once
-    per study, as floats for ``covers`` and ``reservation_rows`` and as
-    exact rationals for ``pair_bandwidth`` and ``reservations_exact``; each
-    demand's float sizes under both strategies are kept on first use.
+    order. Every query reads those columns: each demand's float sizes
+    under both strategies are computed in one pass on first use and kept
+    for ``covers`` and ``reservation_rows``; ``pair_bandwidth`` computes
+    the exact rational shares on each call. The exact per-demand sizes
+    are the test suite's per-path oracle (``tests/oracles.py``).
     """
 
     def __init__(self, g: TopologyGraph, matrices: list[AllocationMatrix],
@@ -252,18 +235,19 @@ class ReservationStudy:
                 for i, (node, a, b) in enumerate(self._pairs)]
 
     @cached_property
-    def _exact_shares(self) -> list[Fraction]:
-        return self._shares(Fraction)
+    def _float_columns(self) -> tuple[array, array, array, array]:
+        """(src, dst, maximum size, concurrent size) for every demand, in
+        tree order.
 
-    def _sizes(self, shares: list):
-        """Yield (src, dst, maximum size, concurrent size) for every demand.
-
-        A size is the minimum over the on-path pair shares (indexed by pair
-        id), then the delivery share; the concurrent strategy divides each
-        on-path share by the number of this source's paths through the
-        pair, the maximum strategy uses the full share per path.
+        A size is the minimum over the on-path pair shares, then the
+        delivery share; the concurrent strategy divides each on-path share
+        by the number of this source's paths through the pair, the maximum
+        strategy uses the full share per path. Int true division is
+        correctly rounded, so each float share is float() of the exact one.
         """
-        top = [float("inf")] * self.g.n  # above every share, float or Fraction
+        shares = self._shares(operator.truediv)
+        srcs, dsts, maxima, concs = columns = array("i"), array("i"), array("d"), array("d")
+        top = [math.inf] * self.g.n
         parents, children, pair_ids, deliveries, through = self._edges
         for src, start, end in self._spans:
             best_max, best_conc = top[:], top[:]
@@ -278,28 +262,18 @@ class ReservationStudy:
                 best_conc[v] = size_conc = share if share < up else up
                 if delivery >= 0:
                     term = shares[delivery]
-                    yield (src, v, term if term < size_max else size_max,
-                           term if term < size_conc else size_conc)
-
-    @cached_property
-    def _float_columns(self) -> tuple[array, array, array, array]:
-        """(src, dst, maximum size, concurrent size) columns over float
-        shares. Int true division is correctly rounded, so each float share
-        is float() of the exact one."""
-        srcs, dsts, maxima, concs = array("i"), array("i"), array("d"), array("d")
-        for src, dst, size_max, size_conc in self._sizes(self._shares(operator.truediv)):
-            srcs.append(src)
-            dsts.append(dst)
-            maxima.append(size_max)
-            concs.append(size_conc)
-        return srcs, dsts, maxima, concs
+                    srcs.append(src)
+                    dsts.append(v)
+                    maxima.append(term if term < size_max else size_max)
+                    concs.append(term if term < size_conc else size_conc)
+        return columns
 
     # derived quantities -----------------------------------------------------
 
     def pair_bandwidth(self) -> dict[tuple[int, int, int], Fraction]:
-        """Exact per-source share for every used interface pair; a new dict
-        on each call."""
-        return dict(zip(self._pairs, self._exact_shares))
+        """Exact per-source share for every used interface pair, computed on
+        each call."""
+        return dict(zip(self._pairs, self._shares(Fraction)))
 
     def covers(self, gamma: float) -> dict[str, "CoverResult"]:
         """Coverage under both composition strategies, from the cached sizes.
@@ -313,14 +287,8 @@ class ReservationStudy:
             # per source, the number of its sizes above gamma (gamma < size)
             covered = Counter(compress(srcs, map(operator.lt, repeat(gamma), sizes)))
             out[strategy] = CoverResult(
-                {src: covered[src] / len(dests) for src, dests in self.demands.items()},
-                gamma)
+                {src: covered[src] / len(dests) for src, dests in self.demands.items()})
         return out
-
-    def reservations_exact(self, strategy: str) -> dict[tuple[int, int], Fraction]:
-        """Exact end-to-end sizes for every (src, dst) demand. Small graphs."""
-        col = 3 if strategy == CONCURRENT else 2
-        return {(row[0], row[1]): row[col] for row in self._sizes(self._exact_shares)}
 
     def reservation_rows(self, strategy: str):
         """(src, dst, size_bps_float) for every demand, read from the cached
@@ -332,7 +300,6 @@ class ReservationStudy:
 @dataclass(frozen=True)
 class CoverResult:
     per_node: dict[int, float]
-    gamma: float
 
     @property
     def median(self) -> float:
@@ -348,4 +315,4 @@ def gamma_cover(reservations: dict[tuple[int, int], Fraction | float],
             continue
         covered = sum(1 for d in dests if reservations.get((src, d), 0) > gamma)
         per_node[src] = covered / len(dests)
-    return CoverResult(per_node, gamma)
+    return CoverResult(per_node)

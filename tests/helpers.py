@@ -35,9 +35,7 @@ def make_router(as_id=10, n_if=3, entry_bw=100 * GBPS, seed=1, config=None, now=
 def warm_router(router, src, pairs):
     """Pre-register ``src`` as grantable on the given interface pairs."""
     for ing, egr in pairs:
-        est = router.policy.estimator_for(ing, egr)
-        est.granted.add(src)
-        est.previous.add(src)
+        router.policy.estimator_for(ing, egr).warm_up([src])
 
 
 def line_path(routers, src):

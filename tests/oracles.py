@@ -4,9 +4,11 @@ import hashlib
 import heapq
 import math
 import struct
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 from flyover import wire
+from flyover.source import CONCURRENT, MAXIMUM
 from flyover.wire import DecodeError
 
 
@@ -215,3 +217,68 @@ def fraction_allocation_rows(capacities: list[int]) -> list[list[int]]:
             for b in range(n):
                 m[a][b] *= scale
     return [[int(m[a][b]) for b in range(n)] for a in range(n)]
+
+
+def per_path_reservations(g, matrices, demands, min_requesters=1, float_shares=False):
+    """Exact end-to-end reservation sizes, enumerated path by path.
+
+    Returns ``(requesters, sizes)``: the number of distinct sources whose
+    paths cross each (node, ingress, egress) pair, and
+    ``sizes[strategy][(src, dst)]`` as a ``Fraction``. Each path is a BFS
+    shortest path with lowest-id tie-breaking, found by a BFS of its own
+    over ``g.adj``; its pairs are the source's internal-to-egress pair,
+    each transit pair and the destination's ingress-to-internal pair, with
+    interface i + 1 facing a node's i-th lowest neighbour. A pair's share
+    is its admission value over its requester count, floored at
+    ``min_requesters``. The maximum size is the least share on the path;
+    the concurrent size is the least share divided by the number of the
+    source's paths through that pair.
+
+    With ``float_shares`` each share is first rounded to the nearest float,
+    as the study's float columns hold it; every size is then the exact
+    minimum over those floats (divided by path counts), so its ``float()``
+    is what one float division per term and a float minimum give. Kept
+    deliberately plain so it stays independent of
+    :class:`flyover.topo.ReservationStudy`, which it is used to verify.
+    """
+    def interface(node, nbr):
+        return 1 + sorted(g.adj[node]).index(nbr)
+
+    paths = {}  # (src, dst) -> the path's (node, ingress, egress) pairs
+    for src, dests in demands.items():
+        parent = {src: src}
+        frontier = [src]
+        while frontier:  # level by level, each level in visit order
+            next_level = []
+            for u in frontier:
+                for v in sorted(g.adj[u]):
+                    if v not in parent:
+                        parent[v] = u
+                        next_level.append(v)
+            frontier = next_level
+        for dst in dests:
+            hops = [dst]
+            while hops[-1] != src:
+                hops.append(parent[hops[-1]])
+            hops.reverse()
+            paths[(src, dst)] = [
+                (node, interface(node, hops[i - 1]) if i else 0,
+                 interface(node, hops[i + 1]) if i + 1 < len(hops) else 0)
+                for i, node in enumerate(hops)]
+    holders = defaultdict(set)  # pair -> sources whose paths cross it
+    through = Counter()  # (src, pair) -> the source's paths through the pair
+    for (src, _), pairs in paths.items():
+        for pair in pairs:
+            holders[pair].add(src)
+            through[src, pair] += 1
+    share = {pair: Fraction(matrices[pair[0]].admission_value(pair[1], pair[2]),
+                            max(len(srcs), min_requesters))
+             for pair, srcs in holders.items()}
+    if float_shares:
+        share = {pair: Fraction(float(s)) for pair, s in share.items()}
+    sizes = {
+        MAXIMUM: {key: min(share[p] for p in pairs) for key, pairs in paths.items()},
+        CONCURRENT: {(src, dst): min(share[p] / through[src, p] for p in pairs)
+                     for (src, dst), pairs in paths.items()},
+    }
+    return {pair: len(srcs) for pair, srcs in holders.items()}, sizes

@@ -246,10 +246,25 @@ def test_bloom_vs_exact_agree_without_false_positives():
 # allocation matrix ----------------------------------------------------------
 
 def test_matrix_invariants_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="diagonal"):
         AllocationMatrix([[1, 0], [0, 0]])  # nonzero diagonal
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=">= 0"):
         AllocationMatrix([[0, -1], [1, 0]])
+    for rows in ([[0, 1, 1], [1, 0, 1]], [[0, 1], [1]]):
+        with pytest.raises(ValueError, match="square"):
+            AllocationMatrix(rows)
+    m = AllocationMatrix([[0, 5], [5, 0]])
+    for a, b in ((2, 0), (0, 2), (-1, 1), (1, -1)):
+        with pytest.raises(IndexError):
+            m.admission_value(a, b)
+        with pytest.raises(IndexError):
+            m.update(a, b, 1, now=0, validity_ns=EPS)
+    with pytest.raises(ValueError, match=">= 0"):
+        m.update(0, 1, -1, now=0, validity_ns=EPS)
+    with pytest.raises(ValueError, match="diagonal"):
+        m.update(1, 1, 5, now=0, validity_ns=EPS)
+    assert m.rows() == [[0, 5], [5, 0]]  # a refused update changes nothing
+    m.update(1, 1, 0, now=0, validity_ns=EPS)  # a zero diagonal is kept
 
 
 def test_matrix_from_capacities_worked_example():
@@ -365,9 +380,9 @@ def test_config_rejects_fraction_above_one():
 
 @pytest.mark.parametrize("kw", [dict(interval_ns=0), dict(interval_ns=-EPS),
                                 dict(tentative_slots=-1), dict(filter_bits=0),
-                                dict(hash_count=0)],
+                                dict(hash_count=0), dict(min_requesters=0)],
                          ids=["zero_interval", "negative_interval", "negative_slots",
-                              "no_filter_bits", "no_hashes"])
+                              "no_filter_bits", "no_hashes", "no_min_requesters"])
 def test_config_rejects_degenerate_estimator(kw):
     with pytest.raises(ValueError):
         EstimatorConfig(**kw)

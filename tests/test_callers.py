@@ -10,6 +10,7 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "flyover")
 # where a caller may live; perfbench patches some names given as dotted strings
 SEARCHED = ("src", "tests", "perfbench", "demos")
+PROGRAM = ("src", "perfbench", "demos")  # the callers that are not tests
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -54,9 +55,11 @@ def _definitions(tree: ast.Module):
                         yield n.id, node
 
 
-def _uncalled() -> list[str]:
+def _uncalled(searched=SEARCHED) -> list[tuple[str, int, str]]:
+    """(file, line, name) of every definition that nothing under
+    ``searched`` refers to."""
     refs = Counter()
-    for top in SEARCHED:
+    for top in searched:
         for _, tree in _trees(os.path.join(ROOT, top)):
             refs.update(_references(tree))
     uncalled = []
@@ -67,9 +70,17 @@ def _uncalled() -> list[str]:
             # a recursive call, a class naming itself inside or the
             # assignment's own target is no caller
             if refs[name] - _references(node)[name] <= 0:
-                uncalled.append(f"{os.path.basename(path)}:{node.lineno} {name}")
+                uncalled.append((os.path.basename(path), node.lineno, name))
     return uncalled
 
 
 def test_every_definition_has_a_caller():
     assert _uncalled() == []
+
+
+def test_only_sweep_waits_for_a_program_caller():
+    """With tests not counted as callers, the one definition left is
+    ``TrafficMonitor.sweep``, which the router is to run on estimator
+    rotation (ROADMAP item 3); move this pin when it does. Test oracles
+    live in ``tests/oracles.py``, not in ``src``."""
+    assert [(path, name) for path, _, name in _uncalled(PROGRAM)] == [("policing.py", "sweep")]

@@ -191,6 +191,9 @@ def test_seal_requires_fresh_nonce_shape():
     k = os.urandom(16)
     with pytest.raises(ValueError):
         crypto.seal_grant(k, os.urandom(16), 1, 1, nonce=b"short")
+    for auth in (bytes(15), bytes(17)):
+        with pytest.raises(ValueError, match="authenticator must be 16 bytes"):
+            crypto.seal_grant(k, auth, 1, 1)
     n1, _, _ = crypto.seal_grant(k, os.urandom(16), 1, 1)
     n2, _, _ = crypto.seal_grant(k, os.urandom(16), 1, 1)
     assert len(n1) == 12 and n1 != n2

@@ -76,7 +76,21 @@ def test_bucket_serializes_to_eight_bytes():
     assert struct.unpack(">d", raw)[0] == b.ts
 
 
+@pytest.mark.parametrize("rate", [0, 0.0, -1e-9, -2])
+def test_bucket_rejects_non_positive_rate(rate):
+    with pytest.raises(ValueError, match="rate must be positive"):
+        TokenBucket(rate, 1000)
+
+
 # monitor ---------------------------------------------------------------------
+
+def test_register_rejects_negative_bandwidth():
+    mon = TrafficMonitor()
+    with pytest.raises(ValueError, match="bandwidth must be >= 0"):
+        mon.register(5, -1, 10 * S, 0, now=0)
+    assert mon.entries == {}
+    mon.register(5, 0, 10 * S, 0, now=0)  # zero is a (useless) valid grant
+
 
 def test_register_twice_keeps_single_entry_and_bucket_state():
     mon = TrafficMonitor()

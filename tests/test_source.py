@@ -195,6 +195,15 @@ def test_compose_concurrent_feasible_randomized():
             assert total <= bws[fkey]
 
 
+def test_path_plan_rejects_hops_outside_the_path():
+    _, plan = _chain(3, warm=False)
+    for kw in (dict(forward_hops=frozenset({3})), dict(forward_hops=frozenset({-1})),
+               dict(backward_hops=frozenset({0, 3}))):
+        with pytest.raises(ValueError, match="requested hop outside the path"):
+            source.PathPlan(plan.hops, **kw)
+    source.PathPlan(plan.hops, backward_hops=frozenset({0, 2}))  # the ends are inside
+
+
 def test_compose_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         source.compose(source.GrantStore(), [], "fastest", now=0)
@@ -211,6 +220,18 @@ def test_emit_five_hop_packet_validates_everywhere():
         hop = plan.hops[i]
         d = r.handle_data(pkt, i, hop.ingress, hop.egress, now=600)
         assert d.traffic_class is TrafficClass.PRIORITY, i
+
+
+def test_emit_rejects_packet_over_the_length_ceiling():
+    """The size is checked before any grant is read or any MAC computed."""
+    _, plan = _chain(3, warm=False)
+    room = wire.MAX_LEN - wire.data_packet_len(len(plan.forward_keys))
+    crypto.ops.reset()
+    with pytest.raises(ValueError, match="packet too large"):
+        source.emit_packet(source.GrantStore(), plan, SRC, bytes(room + 1), 0, now=0)
+    assert crypto.ops.macs == 0
+    with pytest.raises(source.MissingGrant):  # one byte less passes the check
+        source.emit_packet(source.GrantStore(), plan, SRC, bytes(room), 0, now=0)
 
 
 def test_emit_timestamps_change_fields():

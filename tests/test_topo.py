@@ -1,5 +1,6 @@
 """Topology experiments: generation, matrices, sampling, reservations, cover."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,8 @@ import pytest
 
 from flyover import topo
 from flyover.admission import AllocationMatrix
+
+from oracles import per_path_reservations
 
 GBPS = 10**9
 
@@ -29,11 +32,16 @@ def test_interfaces_one_per_edge_plus_internal():
 
 
 def test_equal_degree_graph_all_lowest_bucket():
-    # 4-cycle: all degree 2, all products equal -> everyone in bucket 0
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    g = topo._assign_capacities(4, edges, {0: 2, 1: 2, 2: 2, 3: 2},
-                                40 * GBPS, 10)
-    assert set(g.edge_capacity.values()) == {40 * GBPS}
+    # the seed star of 3 nodes: both edges have degree product 2 -> both in
+    # bucket 0 (ranked apart, the second edge would land in bucket 5)
+    g = topo.generate_topology(3, attachment=2, seed=1)
+    assert g.edge_capacity == {(0, 1): 40 * GBPS, (0, 2): 40 * GBPS}
+    # on a larger graph, equal degree products always share one capacity
+    g = topo.generate_topology(300, attachment=2, seed=7)
+    by_product = {}
+    for (u, v), cap in g.edge_capacity.items():
+        by_product.setdefault(g.degrees[u] * g.degrees[v], set()).add(cap)
+    assert all(len(caps) == 1 for caps in by_product.values())
 
 
 def test_capacities_monotone_in_degree_product():
@@ -106,6 +114,22 @@ def _line3() -> tuple[topo.TopologyGraph, list[AllocationMatrix]]:
     return g, topo.build_matrices(g)
 
 
+def _rows(study, strategy) -> dict[tuple[int, int], float]:
+    return {(src, dst): size for src, dst, size in study.reservation_rows(strategy)}
+
+
+def _assert_study_matches_oracle(study, g, mats, demands, min_requesters=1):
+    """The study's requester counts equal the per-path oracle's, and each
+    strategy's rows equal the oracle's sizes over the float shares the rows
+    are computed from, at float equality."""
+    requesters, sizes = per_path_reservations(g, mats, demands, min_requesters,
+                                              float_shares=True)
+    assert study.pair_requesters == requesters
+    for strategy in (topo.MAXIMUM, topo.CONCURRENT):
+        assert _rows(study, strategy) == {k: float(v) for k, v in sizes[strategy].items()}, \
+            strategy
+
+
 def test_three_node_line_single_demand():
     """Hand-computed chain: min over source egress, transit, and delivery."""
     g, mats = _line3()
@@ -115,9 +139,11 @@ def test_three_node_line_single_demand():
     assert mats[2].admission_value(1, 0) == 40 * GBPS
     study = topo.ReservationStudy(g, mats, {0: [2]}, min_requesters=1)
     assert study.pair_requesters == {(0, 0, 1): 1, (1, 1, 2): 1, (2, 1, 0): 1}
-    res = study.reservations_exact(topo.MAXIMUM)
-    assert res == {(0, 2): Fraction(20 * GBPS)}
-    assert study.reservations_exact(topo.CONCURRENT) == res  # single path
+    requesters, sizes = per_path_reservations(g, mats, {0: [2]})
+    assert requesters == study.pair_requesters
+    assert sizes[topo.MAXIMUM] == sizes[topo.CONCURRENT] == {(0, 2): Fraction(20 * GBPS)}
+    for strategy in (topo.MAXIMUM, topo.CONCURRENT):  # single path
+        assert list(study.reservation_rows(strategy)) == [(0, 2, 20e9)]
 
 
 def test_two_sources_split_shared_pair():
@@ -132,8 +158,10 @@ def test_two_sources_split_shared_pair():
 def test_min_requesters_floor_shrinks_shares():
     g, mats = _line3()
     study = topo.ReservationStudy(g, mats, {0: [2]}, min_requesters=4)
-    res = study.reservations_exact(topo.MAXIMUM)
-    assert res[(0, 2)] == Fraction(20 * GBPS, 4)
+    _, sizes = per_path_reservations(g, mats, {0: [2]}, min_requesters=4)
+    assert sizes[topo.MAXIMUM] == {(0, 2): Fraction(20 * GBPS, 4)}
+    assert list(study.reservation_rows(topo.MAXIMUM)) == [(0, 2, 5e9)]
+    _assert_study_matches_oracle(study, g, mats, {0: [2]}, min_requesters=4)
 
 
 def test_maximum_dominates_concurrent_pointwise():
@@ -142,22 +170,30 @@ def test_maximum_dominates_concurrent_pointwise():
     mats = topo.build_matrices(g)
     demands = topo.build_demands(g, 0.3, cfg_seed)
     study = topo.ReservationStudy(g, mats, demands)
-    conc = study.reservations_exact(topo.CONCURRENT)
-    maxi = study.reservations_exact(topo.MAXIMUM)
+    _assert_study_matches_oracle(study, g, mats, demands)
+    conc, maxi = _rows(study, topo.CONCURRENT), _rows(study, topo.MAXIMUM)
     assert set(conc) == set(maxi)
     assert all(maxi[k] >= conc[k] for k in conc)
     assert any(maxi[k] > conc[k] for k in conc)
 
 
 def test_streamed_rows_match_exact():
-    g = topo.generate_topology(60, seed=13)
-    mats = topo.build_matrices(g)
-    demands = topo.build_demands(g, 0.2, 13)
-    study = topo.ReservationStudy(g, mats, demands)
-    for strategy in (topo.MAXIMUM, topo.CONCURRENT):
-        exact = study.reservations_exact(strategy)
-        streamed = {(s, d): v for s, d, v in study.reservation_rows(strategy)}
-        assert streamed == {k: float(v) for k, v in exact.items()}, strategy
+    """Against the exact sizes, a maximum row is the nearest float. A
+    concurrent row divides an already rounded share by the path count, so
+    it may sit one ulp from the nearest float (on 64 of the 4320 demands of
+    the n=120 graph), never further."""
+    for n, r, seed in ((60, 0.2, 13), (120, 0.3, 11)):
+        g = topo.generate_topology(n, seed=seed)
+        mats = topo.build_matrices(g)
+        demands = topo.build_demands(g, r, seed)
+        study = topo.ReservationStudy(g, mats, demands)
+        _assert_study_matches_oracle(study, g, mats, demands)
+        _, exact = per_path_reservations(g, mats, demands)
+        assert _rows(study, topo.MAXIMUM) == {k: float(v) for k, v in exact[topo.MAXIMUM].items()}
+        conc = _rows(study, topo.CONCURRENT)
+        assert conc.keys() == exact[topo.CONCURRENT].keys()
+        for key, size in exact[topo.CONCURRENT].items():
+            assert abs(conc[key] - float(size)) <= math.ulp(float(size)), key
 
 
 def test_cached_shares_survive_caller_mutation():
@@ -173,7 +209,7 @@ def test_cached_shares_survive_caller_mutation():
     assert study.pair_bandwidth() == fresh.pair_bandwidth()
     assert study.covers(1e8) == fresh.covers(1e8)
     for strategy in (topo.MAXIMUM, topo.CONCURRENT):
-        assert study.reservations_exact(strategy) == fresh.reservations_exact(strategy)
+        assert list(study.reservation_rows(strategy)) == list(fresh.reservation_rows(strategy))
     assert study.pair_bandwidth() is not study.pair_bandwidth()
 
 
@@ -192,8 +228,9 @@ def test_concurrent_divides_shared_egress_among_paths():
     assert set(study.pair_requesters.values()) == {1}
     # maximum: min(40G egress, 133.3G transit, 40G delivery) = 40G per path;
     # concurrent: the egress share is halved over the source's two paths
-    assert study.reservations_exact(topo.MAXIMUM) == {(0, 2): 40 * GBPS, (0, 3): 40 * GBPS}
-    assert study.reservations_exact(topo.CONCURRENT) == {(0, 2): 20 * GBPS, (0, 3): 20 * GBPS}
+    _, sizes = per_path_reservations(g, mats, {0: [2, 3]})
+    assert sizes[topo.MAXIMUM] == {(0, 2): 40 * GBPS, (0, 3): 40 * GBPS}
+    assert sizes[topo.CONCURRENT] == {(0, 2): 20 * GBPS, (0, 3): 20 * GBPS}
     assert list(study.reservation_rows(topo.MAXIMUM)) == [(0, 2, 40e9), (0, 3, 40e9)]
     assert list(study.reservation_rows(topo.CONCURRENT)) == [(0, 2, 20e9), (0, 3, 20e9)]
     covers = study.covers(30e9)
@@ -219,7 +256,6 @@ def test_study_walks_each_source_once(monkeypatch):
     for strategy in (topo.MAXIMUM, topo.CONCURRENT):
         assert len(list(study.reservation_rows(strategy))) == 40 * 20
     study.pair_bandwidth()
-    study.reservations_exact(topo.CONCURRENT)
     assert walked == Counter(range(40))
 
 
@@ -270,16 +306,14 @@ def test_requesters_nondecreasing_with_rate():
 def test_cover_all_above_threshold():
     g, mats = _line3()
     study = topo.ReservationStudy(g, mats, {0: [2], 2: [0]})
-    res = study.reservations_exact(topo.MAXIMUM)
-    cover = topo.gamma_cover(res, {0: [2], 2: [0]}, gamma=1)
+    cover = topo.gamma_cover(_rows(study, topo.MAXIMUM), {0: [2], 2: [0]}, gamma=1)
     assert cover.per_node == {0: 1.0, 2: 1.0} and cover.median == 1.0
 
 
 def test_cover_zero_when_gamma_above_everything():
     g, mats = _line3()
     study = topo.ReservationStudy(g, mats, {0: [2]})
-    res = study.reservations_exact(topo.MAXIMUM)
-    cover = topo.gamma_cover(res, {0: [2]}, gamma=10**15)
+    cover = topo.gamma_cover(_rows(study, topo.MAXIMUM), {0: [2]}, gamma=10**15)
     assert cover.median == 0.0
 
 
@@ -289,11 +323,12 @@ def test_integrated_covers_match_enumeration_oracle():
     mats = topo.build_matrices(g)
     demands = topo.build_demands(g, 0.25, 23)
     study = topo.ReservationStudy(g, mats, demands)
+    _assert_study_matches_oracle(study, g, mats, demands)
+    _, exact = per_path_reservations(g, mats, demands)
     gamma = 100_000.0
     fast = study.covers(gamma)
     for strategy in (topo.MAXIMUM, topo.CONCURRENT):
-        exact = study.reservations_exact(strategy)
-        oracle = topo.gamma_cover(exact, demands, gamma)
+        oracle = topo.gamma_cover(exact[strategy], demands, gamma)
         assert fast[strategy].per_node == pytest.approx(oracle.per_node)
         assert fast[strategy].median == pytest.approx(oracle.median)
 
@@ -306,3 +341,6 @@ def test_topology_and_sampling_arguments_rejected():
     for r in [0, -0.5, 1.5, 3]:
         with pytest.raises(ValueError):
             topo.build_demands(g, r, 1)
+    for floor in (0, -1):
+        with pytest.raises(ValueError, match="min_requesters"):
+            topo.ReservationStudy(g, topo.build_matrices(g), {0: [1]}, min_requesters=floor)

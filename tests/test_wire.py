@@ -2,6 +2,7 @@
 
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,29 @@ def test_encode_rejects_invariant_violations():
             wire.encode(msg)
     with pytest.raises(wire.EncodeError, match="SetupRequest"):  # an integer field as a float
         wire.encode(wire.SetupRequest(1.0, 2, ()))
+    vf = bytes(3)
+    for msg, message in [
+            (object(), "cannot encode object"),
+            (wire.SetupRequest(1, 2, (), 5, None), "demand fields must be given together"),
+            (wire.SetupRequest(1, 2, (), None, 5), "demand fields must be given together"),
+            (wire.SetupRequest(1, 2, (wire.ReqEntry(1, True, False, bytes(15)),)),
+             "request auth must be 16 bytes"),
+            (wire.SetupResponse(1, 2, (_resp_entry(hop=3), _resp_entry(hop=1))),
+             "response entries must rise strictly"),
+            (wire.SetupResponse(1, 2, (_resp_entry(), _resp_entry())),
+             "response entries must rise strictly"),
+            (wire.SetupResponse(1, 2, (replace(_resp_entry(), direction=2),)),
+             "bad response direction"),
+            (wire.SetupResponse(1, 2, (replace(_resp_entry(), nonce=bytes(11)),)),
+             "bad response entry field size"),
+            (wire.SetupResponse(1, 2, (replace(_resp_entry(), enc_auth=bytes(17)),)),
+             "bad response entry field size"),
+            (wire.SetupResponse(1, 2, (replace(_resp_entry(), tag=bytes(15)),)),
+             "bad response entry field size"),
+            (wire.DataPacket(1, False, 0, 0, rvfs=((3, vf), (1, vf))), "rvf entries must rise"),
+            (wire.DataPacket(1, False, 0, 0, bvfs=((2, vf), (2, vf))), "bvf entries must rise")]:
+        with pytest.raises(wire.EncodeError, match=message):
+            wire.encode(msg)
 
 
 def test_golden_fixtures():
