@@ -629,6 +629,11 @@ def _topology(value) -> dict:
             raise ConfigError(f"topology: matrices for ASes not in 0..{gen['n'] - 1}")
         value = {"ases": [{"id": int(i), **({"matrix": matrices[i]} if i in matrices else {})}
                           for i in ids], "links": gen["links"]}
+        topology = _parse(value, _TOPOLOGY_KEYS, "topology")
+        # an AS numbers its interfaces in links order; `topo` and the
+        # matrices number them by ascending neighbour id, which this order gives
+        topology["links"].sort(key=lambda ln: sorted((ln["a"], ln["b"])))
+        return topology
     return _parse(value, _TOPOLOGY_KEYS, "topology")
 
 

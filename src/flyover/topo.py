@@ -1,11 +1,12 @@
 """Topology experiments: reservation sizes and coverage on scale-free graphs.
 
-Graphs are preferential-attachment (Barabási–Albert) with degree-gravity
-link capacities: each edge lands in one of ten 40 Gbps buckets (40..400
-Gbps) by the quantile of its endpoint degree product, ties toward the
-lower bucket. Every node gets an internal interface 0 whose capacity is
-the maximum of its external links, plus one interface per incident edge,
-and an allocation matrix built from those capacities.
+Graphs are preferential-attachment (Barabási–Albert), grown in this
+module from ``random.Random(seed)``, with degree-gravity link capacities:
+each edge lands in one of ten 40 Gbps buckets (40..400 Gbps) by the
+quantile of its endpoint degree product, ties toward the lower bucket.
+Every node gets an internal interface 0 whose capacity is the maximum of
+its external links, plus one interface per incident edge, and an
+allocation matrix built from those capacities.
 
 Reservation sizes between node pairs follow the per-pair share formula
 with the requester count taken as the exact number of sources whose
@@ -33,8 +34,6 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from statistics import median
-
-import networkx as nx
 
 from .admission import AllocationMatrix
 from .source import CONCURRENT, MAXIMUM
@@ -84,9 +83,21 @@ def generate_topology(n: int, attachment: int = 2, seed: int = 1) -> TopologyGra
         raise ValueError(f"need at least two nodes, got n={n}")
     if not 1 <= attachment < n:
         raise ValueError(f"attachment must be in [1, n), got m={attachment} with n={n}")
-    g = nx.barabasi_albert_graph(n, attachment, seed=seed)
-    edges = [_ekey(u, v) for u, v in g.edges()]
-    deg = dict(g.degree())
+    # from the star on attachment + 1 nodes, each new node links to
+    # ``attachment`` distinct targets drawn from the list that holds every
+    # node once per edge end; the draws and the set order fix the graph
+    rng = random.Random(seed)
+    edges = [(0, v) for v in range(1, attachment + 1)]
+    ends = [0] * attachment + list(range(1, attachment + 1))
+    for new in range(attachment + 1, n):
+        targets: set[int] = set()
+        while len(targets) < attachment:
+            targets.add(rng.choice(ends))
+        edges += ((t, new) for t in targets)
+        ends += targets
+        ends += [new] * attachment
+    edges.sort()
+    deg = Counter(ends)
     products = {e: deg[e[0]] * deg[e[1]] for e in edges}
     # rank of the first occurrence: equal products share the lower bucket
     first_rank: dict[int, int] = {}

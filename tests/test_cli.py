@@ -456,6 +456,25 @@ def test_generated_topology_file_drives_scenarios(tmp_path):
     assert cli.main(["scenario", "run", str(cfg_path)]) == 0
 
 
+@pytest.mark.parametrize("n", [10, 60])
+def test_generated_document_numbers_interfaces_as_topo_does(tmp_path, n):
+    """A `topo gen` document's links may come in any order: each AS still
+    numbers its interfaces by ascending neighbour id, as `topo` and the
+    document's matrices do."""
+    topo_file = tmp_path / "topo.json"
+    assert cli.main(["topo", "gen", "--n", str(n), "--seed", "2", "--matrices",
+                     "-o", str(topo_file)]) == 0
+    doc = json.loads(topo_file.read_text())
+    g = topo.generate_topology(n, 2, 2)
+    rows = [m.rows() for m in topo.build_matrices(g)]
+    assert [doc["matrices"][str(u)] for u in range(n)] == rows
+    reversed_links = {**doc, "links": doc["links"][::-1]}
+    for document in (doc, reversed_links):
+        net = simnet.Network({"topology": document})
+        assert [net.nodes[u].if_to for u in range(n)] == g.if_index
+        assert [net.nodes[u].router.matrix.rows() for u in range(n)] == rows
+
+
 def _option_table(parser, prefix=""):
     """Command path -> sorted (option strings, default, required, choices) of
     every option the command takes, help aside."""

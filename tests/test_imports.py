@@ -1,11 +1,16 @@
-"""Every name a flyover module imports is used in that module."""
+"""Every name a flyover module imports is used in that module, and every
+module it imports is the standard library's or a declared dependency."""
 
 import ast
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "flyover")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "flyover")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
 
 
@@ -51,3 +56,39 @@ def test_no_unused_imports(module):
     used = _referenced(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{module}: imported but never used: {unused}"
+
+
+def _dependencies() -> set[str]:
+    """The names in pyproject's ``[project].dependencies``, read by pattern:
+    Python 3.10 has no ``tomllib``."""
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        project = fh.read().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S)[1]
+    return {re.match(r"[\w.-]+", spec)[0] for spec in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_imports_are_the_standard_library_or_declared():
+    third_party = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module)) as fh:
+            tree = ast.parse(fh.read(), module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue  # a relative import stays inside flyover
+            third_party.update((top, f"{module}:{node.lineno}") for top in tops
+                               if top not in sys.stdlib_module_names and top != "flyover")
+    assert third_party.keys() <= {"cryptography"}, third_party
+    assert third_party.keys() <= _dependencies(), third_party
+
+
+def test_the_cli_loads_no_networkx():
+    code = "import sys, flyover.cli; print(flyover.cli.__file__, 'networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.abspath(os.path.join(ROOT, "src")), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == [os.path.join(os.path.abspath(SRC), "cli.py"), "False"]

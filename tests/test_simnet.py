@@ -549,6 +549,94 @@ def test_r5_reads_no_expired_conform():
         "no conform verdicts beyond expiry"
 
 
+# requirement checks that fail --------------------------------------------------------
+# Each failure is built from a configuration where one can be; otherwise the
+# finished network is edited to what the check must refuse.
+
+def _refused(result, req, detail):
+    assert simnet.assert_requirement(result, req) == (False, detail)
+
+
+def _sender(cfg, name):
+    return next(s for s in cfg["flows"] + cfg.get("adversaries", []) if s["name"] == name)
+
+
+def test_a_flow_that_never_starts_fails_r2_and_r4():
+    cfg = _load("baseline.json")
+    _sender(cfg, "critical")["setup_at"] = "4s"  # after the 3 s run
+    r = simnet.run_scenario(cfg)
+    _refused(r, {"r": "R2", "flow": "critical"}, "flow critical never granted")
+    _refused(r, {"r": "R4", "flow": "critical"}, "flow critical sent nothing")
+
+
+def test_r2_fails_on_a_tentative_grant_alone():
+    cfg = _load("baseline.json")
+    cfg["warm_start"] = False
+    cfg["estimator"]["tentative_slots"] = 4  # the 3 s run ends inside the first interval
+    _refused(simnet.run_scenario(cfg), {"r": "R2", "flow": "critical"},
+             "AS 2 never firmly granted src 1")
+
+
+def test_r2_fails_at_an_as_that_saw_no_request():
+    r = _run("baseline.json")
+    r.nodes[3].router.first_request_ts.clear()  # edit: AS 3 forgets the request
+    _refused(r, {"r": "R2", "flow": "critical"}, "AS 3 never saw a request from 1")
+
+
+def test_r2_fails_past_two_intervals():
+    r = _run("baseline.json")
+    # edit: the request arrived 1 ns more than two intervals before its grant
+    r.nodes[2].router.first_request_ts[1] -= 20_000_000_001
+    _refused(r, {"r": "R2", "flow": "critical"},
+             "AS 2: grant took 20000000001 ns > bound 20000000000 ns")
+
+
+def test_r3_fails_past_its_allowance():
+    cfg = _load("spoofer.json")
+    cfg["adversaries"][0]["count"] = 100
+    r = simnet.run_scenario(cfg)
+    r.adversaries["forger"].succeeded = 3  # edit: three forgeries rode priority
+    _refused(r, {"r": "R3", "adversary": "forger"}, "spoofer landed 3 priority packets > 2")
+
+
+def test_r4_fails_on_demoted_packets():
+    cfg = _load("replay_overuse.json")
+    _sender(cfg, "honest")["rate"] = "10Mbps"  # past its grant: the excess is demoted
+    _refused(simnet.run_scenario(cfg), {"r": "R4", "flow": "honest"},
+             "flow honest: sent=5457 delivered=5457 priority=1976")
+
+
+def test_r4_fails_past_its_delay_bound():
+    r = _run("baseline.json")
+    r.flows["critical"].stats.max_delay = r.delay_bound_ns("critical") + 1  # edit
+    _refused(r, {"r": "R4", "flow": "critical"},
+             "max delay 4008525 ns exceeds bound 4008524 ns")
+
+
+def test_r5_fails_on_an_overuser_never_policed():
+    cfg = _load("replay_overuse.json")
+    _sender(cfg, "greedy")["setup_at"] = "6s"  # after the 5 s run
+    _refused(simnet.run_scenario(cfg), {"r": "R5", "overuser": "greedy"},
+             "overuser was never policed")
+
+
+@pytest.mark.parametrize("change, detail", [
+    ({"link": [2, 1]}, "replayer injected nothing"),  # only setup responses go this way
+    ({"delay": "10s"}, "replayed copies delivered=0 dropped=0/1092"),  # still in flight
+], ids=["nothing_injected", "copies_in_flight"])
+def test_r5_fails_on_replayed_copies_not_dropped(change, detail):
+    cfg = _load("replay_overuse.json")
+    _sender(cfg, "echo").update(change)
+    _refused(simnet.run_scenario(cfg), {"r": "R5", "replayer": "echo"}, detail)
+
+
+def test_r5_fails_on_a_charge_past_expiry():
+    r = _run("baseline.json")
+    entry = r.nodes[3].router.monitor.entries[(1, wire.FORWARD)]
+    entry.bucket.ts = entry.ts_exp + r.router_cfg.bucket_window_ns + 1  # edit
+    _refused(r, {"r": "R5", "no_expired_conform": True}, "AS 3 charged src 1 past expiry")
+
+
 def _readme_key_tables() -> dict[str, set[str]]:
     """Each label a ``####`` heading of README's Scenarios section gives in
     backticks -> the keys of the table under it, plus those of a label a

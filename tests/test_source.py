@@ -79,15 +79,19 @@ def test_ingest_well_formed_three_hops():
     assert len(store.grants) == 3
 
 
-def test_ingest_isolates_corrupted_entry():
-    routers, plan = _chain(3)
+def _response(routers, plan):
+    """Each router's answer to one request over ``plan``: (keys, response)."""
     keys = {r.as_id: crypto.derive_drkey(r.secret, SRC) for r in routers}
     req = source.build_setup_request(keys, plan, SRC, ts_req=0)
-    entries = []
-    for i, r in enumerate(routers):
-        hop = plan.hops[i]
-        _, es = r.handle_setup(req, i, hop.ingress, hop.egress, now=0)
-        entries.extend(es)
+    entries = [e for i, (r, hop) in enumerate(zip(routers, plan.hops))
+               for e in r.handle_setup(req, i, hop.ingress, hop.egress, now=0)[1]]
+    return keys, wire.SetupResponse(SRC, 0, tuple(entries))
+
+
+def test_ingest_isolates_corrupted_entry():
+    routers, plan = _chain(3)
+    keys, resp = _response(routers, plan)
+    entries = list(resp.entries)
     bad = entries[1]
     entries[1] = wire.RespEntry(bad.hop, bad.direction, bad.nonce,
                                 bytes(16), bad.tag, bad.bw, bad.ts_exp)
@@ -95,6 +99,22 @@ def test_ingest_isolates_corrupted_entry():
     store = source.GrantStore()
     accepted = source.ingest_response(store, keys, resp, plan)
     assert len(accepted) == 2 and len(store.grants) == 2
+
+
+def test_ingest_skips_an_entry_outside_the_plan():
+    routers, plan = _chain(3)
+    keys, resp = _response(routers, plan)
+    short = source.PathPlan(plan.hops[:2])  # the third hop's entry names no hop of it
+    accepted = source.ingest_response(source.GrantStore(), keys, resp, short)
+    assert accepted == [short.flyover_key(0, wire.FORWARD), short.flyover_key(1, wire.FORWARD)]
+
+
+def test_ingest_skips_an_entry_without_a_key():
+    routers, plan = _chain(3)
+    keys, resp = _response(routers, plan)
+    del keys[routers[1].as_id]
+    accepted = source.ingest_response(source.GrantStore(), keys, resp, plan)
+    assert accepted == [plan.flyover_key(0, wire.FORWARD), plan.flyover_key(2, wire.FORWARD)]
 
 
 def test_renewal_keeps_alpha_updates_terms():
@@ -248,6 +268,14 @@ def test_emit_missing_grant_raises():
     del store.grants[(routers[1].as_id, 1, 0, wire.FORWARD)]
     with pytest.raises(source.MissingGrant):
         source.emit_packet(store, plan, SRC, b"x", 0, now=100)
+
+
+def test_emit_missing_backward_grant_raises():
+    routers, plan = _chain(2)
+    store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
+    del store.grants[plan.flyover_key(1, wire.BACKWARD)]
+    with pytest.raises(source.MissingGrant, match="^backward hop 1$"):
+        source.emit_packet(store, plan, SRC, b"x", 100, now=100)
 
 
 def test_bidirectional_reply_validates_on_backward_hops():

@@ -1,6 +1,8 @@
 """Topology experiments: generation, matrices, sampling, reservations, cover."""
 
+import hashlib
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +15,7 @@ from flyover.admission import AllocationMatrix
 from oracles import per_path_reservations
 
 GBPS = 10**9
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 # generation ------------------------------------------------------------------
@@ -21,6 +24,17 @@ def test_ba_edge_count_and_connectivity():
     g = topo.generate_topology(500, attachment=2, seed=1)
     assert g.n_edges == 2 * (500 - 2)  # m * (n - m)
     assert g.is_connected()
+
+
+def test_generated_graphs_match_the_golden():
+    """The C5 sweep's and topo_cover's graphs, pinned by a hash of their
+    capacities: the generator draws them itself, so they move only with it."""
+    with open(os.path.join(GOLDEN, "topology_edges.txt")) as fh:
+        rows = [line.split() for line in fh if not line.startswith("#")]
+    assert len(rows) == 20
+    for n, m, seed, digest in rows:
+        items = sorted(topo.generate_topology(int(n), int(m), int(seed)).edge_capacity.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == digest, (n, m, seed)
 
 
 def test_interfaces_one_per_edge_plus_internal():

@@ -23,3 +23,11 @@ def test_anything_but_a_finite_decimal_is_a_value_error(text):
         parse_duration(text)
     with pytest.raises(ValueError):
         parse_bandwidth(text)
+
+
+@pytest.mark.parametrize("value", [True, None, [1]])
+def test_anything_but_a_number_or_a_string_is_a_type_error(value):
+    with pytest.raises(TypeError):
+        parse_duration(value)
+    with pytest.raises(TypeError):
+        parse_bandwidth(value)
