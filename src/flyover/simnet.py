@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import crypto, source, wire
+from . import crypto, source, topo, wire
 from .admission import AllocationMatrix, EstimatorConfig, RequesterEstimator
 from .router import Decision, Router, RouterConfig, TrafficClass
 from .units import parse_bandwidth, parse_duration
@@ -160,6 +160,13 @@ class FlowStats:
         self.replies_received = 0
 
 
+def _counted(msg) -> bool:
+    """Whether a flow's ``sent``, ``delivered`` and ``dropped`` count a frame of
+    ``msg``: data packets and filler, not setup messages, renewals or replies."""
+    return msg is None or (isinstance(msg, wire.DataPacket) and not msg.d_flag
+                           and not wire.is_renewal(msg))
+
+
 class _Sender:
     """A flow or adversary that injects frames at its source AS.
 
@@ -195,12 +202,9 @@ class _Sender:
 
     def _drkeys(self) -> dict[int, bytes]:
         """The source's DRKey at each router on the path."""
-        keys = {}
-        for h in self.plan.hops:
-            router = self.net.nodes[h.as_id].router
-            if router:
-                keys[h.as_id] = crypto.derive_drkey(router.prepared_secret, self.src)
-        return keys
+        nodes = self.net.nodes
+        return {as_id: crypto.derive_drkey(nodes[as_id].router.prepared_secret, self.src)
+                for _, (as_id, *_) in self.plan.forward_keys}
 
     def _data_len(self, fields: int, payload: int) -> int:
         """The size of this sender's data packets, which must fit in 16 bits."""
@@ -295,9 +299,9 @@ class ReservationFlow(_Sender):
                 # expiry, one validity period before it
                 self.granted_at = exp - self.net.estimator_cfg.interval_ns
                 self.net.log(f"granted flow={self.name} t={self.granted_at}")
+            self._configure_rate()  # a renewal may change the composed rate
             if not self.started:
                 self.started = True
-                self._configure_rate()
                 self.net.loop.schedule(now + 1, self._tick)
             if self.renew and extends:  # a same-expiry response renews nothing
                 eps = self.net.estimator_cfg.interval_ns
@@ -451,21 +455,19 @@ def _check_granted_within(result, req) -> tuple[bool, str]:
     if flow.granted_at is None:
         return False, f"flow {flow.name} never granted"
     worst = 0
-    for hop in flow.plan.hops:
-        router = result.nodes[hop.as_id].router
-        if router is None:
-            continue
+    for _, (as_id, *_) in flow.plan.forward_keys:
+        router = result.nodes[as_id].router
         first = router.first_request_ts.get(flow.src)
         if first is None:
-            return False, f"AS {hop.as_id} never saw a request from {flow.src}"
+            return False, f"AS {as_id} never saw a request from {flow.src}"
         firm = [ts for ts, src, tent in router.grant_request_ts
                 if src == flow.src and not tent]
         if not firm:
-            return False, f"AS {hop.as_id} never firmly granted src {flow.src}"
+            return False, f"AS {as_id} never firmly granted src {flow.src}"
         took = min(firm) - first
         worst = max(worst, took)
         if took > bound:
-            return False, f"AS {hop.as_id}: grant took {took} ns > bound {bound} ns"
+            return False, f"AS {as_id}: grant took {took} ns > bound {bound} ns"
     return True, f"granted at every hop within {worst} ns (bound {bound})"
 
 
@@ -498,11 +500,11 @@ def _check_policing(result, req) -> tuple[bool, str]:
         flow = result.flows[req["overuser"]]
         src = flow.src
         conform = overuse = 0
-        for hop in flow.plan.hops:
-            router = result.nodes[hop.as_id].router
-            if router is None or src not in router.monitor.counters:
+        for _, (as_id, *_) in flow.plan.forward_keys:
+            counters = result.nodes[as_id].router.monitor.counters
+            if src not in counters:
                 continue
-            c = router.monitor.counters[src]
+            c = counters[src]
             conform += c.conform_bytes
             overuse += c.overuse_bytes
             break  # the first policing AS on the path decides the demotion share
@@ -629,11 +631,6 @@ def _topology(value) -> dict:
             raise ConfigError(f"topology: matrices for ASes not in 0..{gen['n'] - 1}")
         value = {"ases": [{"id": int(i), **({"matrix": matrices[i]} if i in matrices else {})}
                           for i in ids], "links": gen["links"]}
-        topology = _parse(value, _TOPOLOGY_KEYS, "topology")
-        # an AS numbers its interfaces in links order; `topo` and the
-        # matrices number them by ascending neighbour id, which this order gives
-        topology["links"].sort(key=lambda ln: sorted((ln["a"], ln["b"])))
-        return topology
     return _parse(value, _TOPOLOGY_KEYS, "topology")
 
 
@@ -790,24 +787,21 @@ class Network:
 
     # topology -----------------------------------------------------------
 
-    def _build_topology(self, topo: dict, be_buffer: int, skews: dict[int, int]) -> None:
-        ids = [spec["id"] for spec in topo["ases"]]
-        neighbors: dict[int, list[tuple[int, int]]] = {a: [] for a in ids}
-        _refuse("topology", (len(neighbors) < len(ids), f"lists an AS id twice: {ids}"))
-        for ln in topo["links"]:
+    def _build_topology(self, topology: dict, be_buffer: int, skews: dict[int, int]) -> None:
+        ids = [spec["id"] for spec in topology["ases"]]
+        links: dict[int, dict[int, int]] = {a: {} for a in ids}  # AS -> neighbour -> capacity
+        _refuse("topology", (len(links) < len(ids), f"lists an AS id twice: {ids}"))
+        for ln in topology["links"]:
             a, b, cap = ln["a"], ln["b"], ln["capacity"]
             _refuse(f"topology: link {a}-{b}", (a == b, "is a self-loop"),
                     ((a, b) in self.links, "is listed twice"),
-                    (not {a, b} <= neighbors.keys(), "ends at an AS not in ases"))
-            neighbors[a].append((b, cap))
-            neighbors[b].append((a, cap))
+                    (not {a, b} <= links.keys(), "ends at an AS not in ases"))
+            links[a][b] = links[b][a] = cap
             self.links[(a, b)] = Link(self, cap, ln["delay"], be_buffer)
             self.links[(b, a)] = Link(self, cap, ln["delay"], be_buffer)
-        for spec in topo["ases"]:
+        for spec in topology["ases"]:
             as_id = spec["id"]
-            caps = [0] + [cap for _, cap in neighbors[as_id]]
-            caps[0] = max(caps[1:], default=0)  # internal interface
-            if_to = {nbr: i + 1 for i, (nbr, _) in enumerate(neighbors[as_id])}
+            if_to, caps = topo.interfaces(links[as_id])
             size, matrix = len(caps), spec["matrix"]  # a row per interface
             _refuse(f"topology: AS {as_id}", (matrix is not None and matrix.n_interfaces != size,
                                               f"matrix must be {size}x{size}"))
@@ -828,13 +822,10 @@ class Network:
         for sender in self._senders().values():
             if not isinstance(sender, (ReservationFlow, RequestFlood)):
                 continue
-            for hop in sender.plan.hops:
-                node = self.nodes[hop.as_id]
-                if node.router is None:
-                    continue
+            for _, (as_id, ingress, egress, _) in sender.plan.forward_keys:
+                policy = self.nodes[as_id].router.policy
                 for direction in (wire.FORWARD, wire.BACKWARD):
-                    pair = wire.directed_pair(hop.ingress, hop.egress, direction)
-                    est = node.router.policy.estimator_for(*pair)
+                    est = policy.estimator_for(*wire.directed_pair(ingress, egress, direction))
                     warm.setdefault(est, set()).add(sender.src)
         for est, sources in warm.items():
             est.warm_up(sources)
@@ -870,7 +861,7 @@ class Network:
 
     def _frame_dropped(self, frame: Frame, why: str) -> None:
         flow = self.flows.get(frame.origin)
-        if flow is not None:
+        if flow is not None and _counted(frame.msg):
             flow.stats.dropped += 1
         if self.log_verdicts:
             self.log(f"drop pkt={frame.uid} origin={frame.origin} why={why}")
@@ -976,13 +967,14 @@ class Network:
         adv = self.adversaries.get(frame.origin)
         if isinstance(adv, Replayer):
             adv.copies_delivered += 1
-        if flow is None or isinstance(msg, wire.SetupRequest) or wire.is_renewal(msg):
+        if flow is None:
             return
         st = flow.stats
-        is_data = msg is not None
-        if is_data and msg.d_flag:
-            st.replies_received += 1
+        if not _counted(msg):
+            if isinstance(msg, wire.DataPacket) and msg.d_flag:
+                st.replies_received += 1
             return
+        is_data = msg is not None
         st.delivered += 1
         delay = self.loop.now - frame.created
         st.max_delay = max(st.max_delay, delay)
@@ -1038,13 +1030,13 @@ class Network:
                 for row in router.monitor.report_rows()]
 
     def delay_bound_ns(self, flow_name: str) -> int:
-        """Propagation + own transmission + one max-size serialization per hop."""
+        """Per link: propagation, the transmission of the flow's own data
+        packet, and of one 1600-byte frame already in service."""
         flow = self.flows[flow_name]
-        size = flow.packet_size + 64
         total = 0
-        for k in range(len(flow.route) - 1):
-            link = self.links[(flow.route[k], flow.route[k + 1])]
-            total += link.delay + link.tx_time(size) + link.tx_time(1600)
+        for a, b in zip(flow.route, flow.route[1:]):
+            link = self.links[a, b]
+            total += link.delay + link.tx_time(flow.wire_size) + link.tx_time(1600)
         return total
 
 

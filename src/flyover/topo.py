@@ -4,9 +4,9 @@ Graphs are preferential-attachment (Barabási–Albert), grown in this
 module from ``random.Random(seed)``, with degree-gravity link capacities:
 each edge lands in one of ten 40 Gbps buckets (40..400 Gbps) by the
 quantile of its endpoint degree product, ties toward the lower bucket.
-Every node gets an internal interface 0 whose capacity is the maximum of
-its external links, plus one interface per incident edge, and an
-allocation matrix built from those capacities.
+Every node gets an internal interface 0 with the capacity of its largest
+link, then one per incident edge by ascending neighbour id (``interfaces``,
+which scenarios share), and an allocation matrix from those capacities.
 
 Reservation sizes between node pairs follow the per-pair share formula
 with the requester count taken as the exact number of sources whose
@@ -54,14 +54,9 @@ class TopologyGraph:
         for lst in self.adj:
             lst.sort()  # ascending ids give the deterministic BFS tie-break
         self.edge_capacity = edge_capacity
-        # interface 0 is internal; externals numbered in ascending neighbor id
-        self.if_index: list[dict[int, int]] = [
-            {nbr: i + 1 for i, nbr in enumerate(self.adj[u])} for u in range(n)
-        ]
-        self.capacities: list[list[int]] = []
-        for u in range(n):
-            ext = [edge_capacity[_ekey(u, v)] for v in self.adj[u]]
-            self.capacities.append([max(ext, default=0)] + ext)
+        ifs = [interfaces({v: edge_capacity[_ekey(u, v)] for v in self.adj[u]}) for u in range(n)]
+        self.if_index: list[dict[int, int]] = [if_to for if_to, _ in ifs]
+        self.capacities: list[list[int]] = [caps for _, caps in ifs]
         self.degrees: list[int] = [len(a) for a in self.adj]
 
     @property
@@ -70,6 +65,15 @@ class TopologyGraph:
 
     def is_connected(self) -> bool:
         return self.n == 0 or len(shortest_path_tree(self, 0)[1]) == self.n
+
+
+def interfaces(links: dict[int, int]) -> tuple[dict[int, int], list[int]]:
+    """An AS's interfaces from its links (neighbour -> capacity): the interface
+    of each neighbour, from 1 by ascending id, and each interface's capacity,
+    where interface 0 is internal and has the capacity of the largest link."""
+    nbrs = sorted(links)
+    ext = [links[v] for v in nbrs]
+    return {v: i for i, v in enumerate(nbrs, 1)}, [max(ext, default=0), *ext]
 
 
 def _ekey(u: int, v: int) -> tuple[int, int]:

@@ -261,6 +261,9 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     lambda cfg: cfg["topology"]["links"][0].update(delay="nanms"),
     lambda cfg: cfg.update(adversaries=[{"name": "greedy", "kind": "overuser", "src": 2,
                                          "path": [2, 3], "factor": float("inf")}]),
+    lambda cfg: cfg.update(estimator=5),
+    lambda cfg: cfg.update(topology={"n": 2, "links": [{"a": 0, "b": 1}],
+                                     "matrices": {"2": [[0, 1], [1, 0]]}}),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -282,7 +285,8 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
         "path_visits_an_as_twice", "link_without_a", "as_without_id", "flows_not_a_list",
         "non_integer_seed", "string_boolean", "stop_at_on_request_flood", "path_not_from_src",
         "r1_on_unknown_as", "matrix_of_wrong_size", "infinite_link_capacity",
-        "json_infinity_link_capacity", "nan_link_delay", "infinite_overuse_factor"])
+        "json_infinity_link_capacity", "nan_link_delay", "infinite_overuse_factor",
+        "estimator_not_an_object", "topo_gen_matrix_for_an_unknown_as"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, request, edit):
     """Each config is refused with its golden message, before the run."""
     want = dict(line.split("\t") for line in _golden("invalid_configs.txt").splitlines())

@@ -141,6 +141,13 @@ def test_observer_never_sees_plaintext_authenticator():
     assert not simnet.observer_saw_plaintext_auth(r, "tap")
 
 
+def test_observer_that_captured_an_authenticator_is_caught():
+    r = _run("observer_skew.json")
+    grant = next(iter(r.flows["critical"].store.grants.values()))
+    r.adversaries["tap"].captured.append(b"prefix" + grant.auth)  # edit: the tap saw it
+    assert simnet.observer_saw_plaintext_auth(r, "tap")
+
+
 def test_observer_capture_is_pinned():
     """A wiretap records the encoding of every message that crosses its link,
     and a response entry per entry a request has collected there."""
@@ -155,6 +162,15 @@ def test_clock_skew_within_bound_no_false_demotion():
     st = r.flows["critical"].stats
     assert st.delivered == st.sent and st.delivered_priority == st.sent
     assert st.replies_received > 0  # bidirectional replies also validated
+
+
+def test_no_reply_when_len_b_leaves_no_room():
+    """A backward flow whose ``len_b`` cannot hold a reply's header gets none,
+    and its forward packets still arrive at priority."""
+    cfg = _load("baseline.json")
+    cfg["flows"][0].update(backward=True, len_b=0)
+    st = simnet.run_scenario(cfg).flows["critical"].stats
+    assert (st.sent, st.delivered, st.delivered_priority, st.replies_received) == (592, 592, 592, 0)
 
 
 # renewal ----------------------------------------------------------------------------
@@ -277,6 +293,50 @@ def test_a_new_retry_ladder_supersedes_the_old_one(monkeypatch):
     lapse = 7_202_186_812  # the first renewal's response died in the reverse flood
     eps = 4 * 10**9
     assert requests == [0] + [lapse + k * eps // 2 for k in range(4)]
+
+
+def test_dropped_counts_only_the_packets_sent_counts(monkeypatch):
+    """The reverse flood drops four of the flow's control frames: the
+    renewal's response and three best-effort requests. None is a packet
+    that ``sent`` counts, so the summary's ``dropped`` stays 0."""
+    drops = []
+    frame_dropped = simnet.Network._frame_dropped
+
+    def recording(net, frame, why):
+        if frame.origin == "critical":
+            drops.append((net.loop.now // 10**6, type(frame.msg).__name__))
+        frame_dropped(net, frame, why)
+
+    monkeypatch.setattr(simnet.Network, "_frame_dropped", recording)
+    r = simnet.run_scenario(_reverse_flood_renewal())
+    assert drops == [(6406, "SetupResponse"), (7203, "SetupRequest"), (9203, "SetupRequest"),
+                     (11203, "SetupRequest")]
+    st = r.flows["critical"].stats
+    assert (st.sent, st.delivered, st.dropped) == (1657, 1657, 0)
+
+
+@pytest.mark.parametrize("skew, requests", [("0ms", [0]), ("300ms", [0, 801_000_072])],
+                         ids=["in_time", "past_the_local_expiry"])
+def test_a_renewal_past_its_grant_falls_back_to_a_request(monkeypatch, skew, requests):
+    """The renewal fires eps/5 before the grant's expiry by the network's
+    clock. A source clock 300 ms ahead is already past that expiry, so the
+    renewal finds no usable grant and the flow sends a best-effort request
+    instead; either way the response extends the grant."""
+    sent = []
+    send_setup = simnet.ReservationFlow._send_setup
+
+    def recording(flow):
+        sent.append(flow.net.loop.now)
+        send_setup(flow)
+
+    monkeypatch.setattr(simnet.ReservationFlow, "_send_setup", recording)
+    cfg = _load("baseline.json")
+    cfg.update(duration="1500ms", clock_skew={"1": skew})
+    cfg["estimator"]["interval"] = "1s"
+    cfg["flows"][0].update(renew=True, stop_at="100ms")  # stopped: no emit sees the lapse
+    flow = simnet.run_scenario(cfg).flows["critical"]
+    assert sent == requests
+    assert flow.grant_expiry > simnet.parse_duration("1800ms")
 
 
 def test_traffic_on_an_expired_grant_is_demoted():
@@ -431,6 +491,34 @@ def test_auto_rate_flow_across_an_unreserved_hop_is_granted():
     flow = simnet.run_scenario(cfg).flows["critical"]
     assert flow.granted_at is not None
     assert flow.stats.sent == flow.stats.delivered == 1205
+
+
+def test_zero_composed_rate_is_refused():
+    cfg = _load("baseline.json")
+    cfg["topology"]["ases"][1]["matrix"] = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]  # AS 2 grants 0
+    cfg["flows"][0]["rate"] = "auto"
+    with pytest.raises(simnet.ConfigError, match="^flow critical: no usable composed rate$"):
+        simnet.run_scenario(cfg)
+
+
+def test_an_as_numbers_its_interfaces_by_neighbour_id_whatever_the_links_order():
+    """AS 2's matrix reads interface 1 as its link to AS 1 and interface 2
+    as its link to AS 3, however ``links`` lists them: the flow 1 -> 3 is
+    granted 0.8 of entry [1][2], never of [2][1], and both orders give the
+    same run."""
+    links = [{"a": 1, "b": 2, "capacity": "10Mbps"}, {"a": 2, "b": 3, "capacity": "10Mbps"}]
+    matrix = [[0, 4_000_000, 4_000_000], [4_000_000, 0, 3_000_000], [4_000_000, 6_000_000, 0]]
+    runs = []
+    for order in (links, links[::-1]):
+        r = simnet.run_scenario({
+            "seed": 1, "duration": "1s", "warm_start": True,
+            "estimator": {"min_requesters": 1, "tentative_slots": 0},
+            "topology": {"ases": [{"id": 1}, {"id": 2, "matrix": matrix}, {"id": 3}],
+                         "links": order},
+            "flows": [{"name": "f", "src": 1, "path": [1, 2, 3], "stop_at": "900ms"}]})
+        assert r.flows["f"].store.grants[(2, 1, 2, wire.FORWARD)].bw == 2_400_000
+        runs.append((r.flow_summary_rows(), r.monitor_rows(), r.log_lines))
+    assert runs[0] == runs[1]
 
 
 # config validation -----------------------------------------------------------------------
@@ -610,7 +698,7 @@ def test_r4_fails_past_its_delay_bound():
     r = _run("baseline.json")
     r.flows["critical"].stats.max_delay = r.delay_bound_ns("critical") + 1  # edit
     _refused(r, {"r": "R4", "flow": "critical"},
-             "max delay 4008525 ns exceeds bound 4008524 ns")
+             "max delay 4008441 ns exceeds bound 4008440 ns")
 
 
 def test_r5_fails_on_an_overuser_never_policed():

@@ -45,6 +45,11 @@ def test_interfaces_one_per_edge_plus_internal():
         assert g.capacities[u][0] == max(g.capacities[u][1:])  # internal link
 
 
+def test_interfaces_number_neighbours_by_ascending_id():
+    assert topo.interfaces({7: 10, 2: 30, 5: 20}) == ({2: 1, 5: 2, 7: 3}, [30, 30, 20, 10])
+    assert topo.interfaces({}) == ({}, [0])  # an AS without links keeps its internal interface
+
+
 def test_equal_degree_graph_all_lowest_bucket():
     # the seed star of 3 nodes: both edges have degree product 2 -> both in
     # bucket 0 (ranked apart, the second edge would land in bucket 5)
@@ -329,6 +334,11 @@ def test_cover_zero_when_gamma_above_everything():
     study = topo.ReservationStudy(g, mats, {0: [2]})
     cover = topo.gamma_cover(_rows(study, topo.MAXIMUM), {0: [2]}, gamma=10**15)
     assert cover.median == 0.0
+
+
+def test_cover_skips_a_source_without_demands():
+    cover = topo.gamma_cover({(0, 2): 5.0, (2, 1): 0.5}, {0: [2], 1: [], 2: [0, 1]}, gamma=1)
+    assert cover.per_node == {0: 1.0, 2: 0.0}
 
 
 def test_integrated_covers_match_enumeration_oracle():
