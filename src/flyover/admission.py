@@ -17,6 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import crypto, wire
 from .policing import DedupWindow
@@ -137,8 +138,9 @@ class EstimatorConfig:
         return BloomFilter(self.filter_bits, self.hash_count)
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
+    """The bandwidth and expiry admission gives one request."""
+
     bw: int
     ts_exp: int
     tentative: bool = False

@@ -97,6 +97,7 @@ class Link:
         self.be: deque[Frame] = deque()
         self.busy = False
         self.be_dropped = 0
+        self.largest = 1600  # bytes: the largest frame put in service, at least 1600
         self.observers: list = []
 
     def tx_time(self, size: int) -> int:
@@ -119,6 +120,8 @@ class Link:
 
     def _start(self, frame: Frame, t: int) -> None:
         self.busy = True
+        if frame.size > self.largest:
+            self.largest = frame.size
         done = t + self.tx_time(frame.size)
         self.net.loop.schedule(done, self._done)
         self.net.loop.schedule(done + self.delay, self.net.arrive, self, frame)
@@ -290,8 +293,9 @@ class ReservationFlow(_Sender):
             return
         needed = [fkey for _, fkey in self.plan.forward_keys]
         now = self.net.loop.now
-        if needed and all(self.store.get(k, now) is not None for k in needed):
-            exp = min(self.store.get(k, now).ts_exp for k in needed)
+        local = self.node.local_time(now)  # the source holds its grants on its own clock
+        if needed and all(self.store.get(k, local) is not None for k in needed):
+            exp = min(self.store.get(k, local).ts_exp for k in needed)
             extends = self.grant_expiry is None or exp > self.grant_expiry
             self.grant_expiry = exp
             if self.granted_at is None:
@@ -304,14 +308,16 @@ class ReservationFlow(_Sender):
                 self.started = True
                 self.net.loop.schedule(now + 1, self._tick)
             if self.renew and extends:  # a same-expiry response renews nothing
+                # when the source's clock, which gates its sending, or the
+                # network's, which the routers expire by, reads exp - eps/5
                 eps = self.net.estimator_cfg.interval_ns
-                renew_at = max(now + 1, exp - eps // 5)
+                renew_at = max(now + 1, exp - eps // 5 - max(self.node.skew_ns, 0))
                 self.net.loop.schedule(renew_at, self._send_renewal)
 
     def _configure_rate(self) -> None:
         if self.rate is None:
             comp = source.compose(self.store, [self.plan], source.CONCURRENT,
-                                  self.net.loop.now)
+                                  self.node.local_time(self.net.loop.now))
             rate = comp.path_rates[self.name]
             if rate <= 0:
                 raise ConfigError(f"flow {self.name}: no usable composed rate")
@@ -1031,12 +1037,13 @@ class Network:
 
     def delay_bound_ns(self, flow_name: str) -> int:
         """Per link: propagation, the transmission of the flow's own data
-        packet, and of one 1600-byte frame already in service."""
+        packet, and of one frame already in service, as large as the largest
+        the link served (at least 1600 bytes)."""
         flow = self.flows[flow_name]
         total = 0
         for a, b in zip(flow.route, flow.route[1:]):
             link = self.links[a, b]
-            total += link.delay + link.tx_time(flow.wire_size) + link.tx_time(1600)
+            total += link.delay + link.tx_time(flow.wire_size) + link.tx_time(link.largest)
         return total
 
 

@@ -76,6 +76,15 @@ def test_flood_cannot_touch_reservation_traffic():
     assert flood.dropped > 0  # the flood itself saturates and loses packets
 
 
+def test_r4_bound_counts_the_largest_frame_a_link_served():
+    """R4 allows one frame in service per link: at least 1600 bytes, and the
+    flood's 9000-byte frames on the two links it shares with the flow."""
+    r = _run("jumbo_flood.json")
+    route = r.flows["critical"].route
+    assert [r.links[ln].largest for ln in zip(route, route[1:])] == [1600, 9000, 9000]
+    _require(r, {"r": "R4", "flow": "critical"})
+
+
 # request flood (R2) --------------------------------------------------------------
 
 def test_request_flood_grant_within_two_intervals():
@@ -315,27 +324,47 @@ def test_dropped_counts_only_the_packets_sent_counts(monkeypatch):
     assert (st.sent, st.delivered, st.dropped) == (1657, 1657, 0)
 
 
-@pytest.mark.parametrize("skew, requests", [("0ms", [0]), ("300ms", [0, 801_000_072])],
-                         ids=["in_time", "past_the_local_expiry"])
-def test_a_renewal_past_its_grant_falls_back_to_a_request(monkeypatch, skew, requests):
-    """The renewal fires eps/5 before the grant's expiry by the network's
-    clock. A source clock 300 ms ahead is already past that expiry, so the
-    renewal finds no usable grant and the flow sends a best-effort request
-    instead; either way the response extends the grant."""
-    sent = []
+@pytest.mark.parametrize("skew, setup_at", [("0ms", "0ms"), ("300ms", "0ms"),
+                                             ("-300ms", "400ms")],
+                         ids=["in_time", "ahead", "behind"])
+def test_a_skewed_source_renews_before_its_grant_lapses(skew, setup_at):
+    """A renewing source reads its grants on its own clock and renews when
+    that clock or the network's reads exp - eps/5, whichever is first. With
+    its clock 300 ms off either way (eps/5 is 200 ms), no grant lapses before
+    the stop, no packet is demoted, and every renewal rides a data packet:
+    the one bare request is the first."""
+    cfg = _load("skewed_renewal.json")
+    cfg["clock_skew"] = {"1": skew}
+    cfg["flows"][0]["setup_at"] = setup_at  # a clock behind must not start below 0
+    r = simnet.run_scenario(cfg)
+    flow = r.flows["critical"]
+    assert [line for line in r.log_lines if "emit_blocked" in line] == []
+    assert {line.split()[2] for line in r.log_lines if "kind=setup" in line} == {"pkt=1"}
+    assert flow.grant_expiry > flow.stop_at  # renewed past its stop
+    _require(r, {"r": "R4", "flow": "critical"})
+
+
+def test_a_renewal_that_finds_no_grant_falls_back_to_a_request(monkeypatch):
+    """A renewal whose grant is gone when it fires (a late response to an
+    older request can shorten it) sends a best-effort request instead, and
+    that response extends the grant."""
+    requests = []
     send_setup = simnet.ReservationFlow._send_setup
 
     def recording(flow):
-        sent.append(flow.net.loop.now)
+        requests.append(flow.net.loop.now)
         send_setup(flow)
 
+    def gone(*args):
+        raise source.MissingGrant("forward hop 0")
+
     monkeypatch.setattr(simnet.ReservationFlow, "_send_setup", recording)
-    cfg = _load("baseline.json")
-    cfg.update(duration="1500ms", clock_skew={"1": skew})
-    cfg["estimator"]["interval"] = "1s"
-    cfg["flows"][0].update(renew=True, stop_at="100ms")  # stopped: no emit sees the lapse
+    monkeypatch.setattr(source, "build_renewal", gone)
+    cfg = _load("skewed_renewal.json")
+    cfg.update(duration="1500ms", clock_skew={})
+    cfg["flows"][0]["stop_at"] = "100ms"  # stopped: no emit sees the lapse
     flow = simnet.run_scenario(cfg).flows["critical"]
-    assert sent == requests
+    assert requests == [0, 801_000_072]  # eps/5 before the first grant's expiry
     assert flow.grant_expiry > simnet.parse_duration("1800ms")
 
 

@@ -2,13 +2,13 @@
 
 import os
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyover import wire
+from flyover.admission import Grant
 from oracles import ref_decode
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -42,9 +42,32 @@ def test_data_header_formula_with_backward():
             assert len(wire.encode(pkt)) == 22 + 4 * n_f + 4 * n_b + 33
 
 
+def _assert_same(decoded, msg):
+    """``decoded`` is ``msg``: records compare as tuples, so ``==`` alone would
+    pass a plain tuple, another record class or 1 for True; ``repr`` names the
+    classes and shows the bools, and the hash follows the fields."""
+    assert decoded == msg
+    assert repr(decoded) == repr(msg)
+    assert hash(decoded) == hash(msg)
+
+
 def test_empty_field_lists_are_valid():
     pkt = wire.DataPacket(src=3, d_flag=False, ts_pkt=1, len_b=0, payload=b"best effort")
-    assert wire.decode(wire.encode(pkt)) == pkt
+    _assert_same(wire.decode(wire.encode(pkt)), pkt)
+
+
+@pytest.mark.parametrize("record", [
+    wire.ReqEntry(1, True, False, bytes(16)),
+    wire.SetupRequest(1, 2, (wire.ReqEntry(1, True, False, bytes(16)),)),
+    wire.RespEntry(1, wire.FORWARD, bytes(12), bytes(16), bytes(16), 5, 6),
+    wire.SetupResponse(1, 2),
+    wire.DataPacket(1, False, 2, 0, ((1, bytes(3)),)),
+    Grant(5, 6, tentative=True),
+], ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for name, value in zip(record._fields, record):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
 
 
 def _random_request(rng: random.Random) -> wire.SetupRequest:
@@ -86,7 +109,7 @@ def test_roundtrip_random_messages():
     for i in range(10_000):
         kind = i % 3
         msg = (_random_request, _random_response, _random_data)[kind](rng)
-        assert wire.decode(wire.encode(msg)) == msg
+        _assert_same(wire.decode(wire.encode(msg)), msg)
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,13 +235,13 @@ def test_encode_rejects_invariant_violations():
              "response entries must rise strictly"),
             (wire.SetupResponse(1, 2, (_resp_entry(), _resp_entry())),
              "response entries must rise strictly"),
-            (wire.SetupResponse(1, 2, (replace(_resp_entry(), direction=2),)),
+            (wire.SetupResponse(1, 2, (_resp_entry()._replace(direction=2),)),
              "bad response direction"),
-            (wire.SetupResponse(1, 2, (replace(_resp_entry(), nonce=bytes(11)),)),
+            (wire.SetupResponse(1, 2, (_resp_entry()._replace(nonce=bytes(11)),)),
              "bad response entry field size"),
-            (wire.SetupResponse(1, 2, (replace(_resp_entry(), enc_auth=bytes(17)),)),
+            (wire.SetupResponse(1, 2, (_resp_entry()._replace(enc_auth=bytes(17)),)),
              "bad response entry field size"),
-            (wire.SetupResponse(1, 2, (replace(_resp_entry(), tag=bytes(15)),)),
+            (wire.SetupResponse(1, 2, (_resp_entry()._replace(tag=bytes(15)),)),
              "bad response entry field size"),
             (wire.DataPacket(1, False, 0, 0, rvfs=((3, vf), (1, vf))), "rvf entries must rise"),
             (wire.DataPacket(1, False, 0, 0, bvfs=((2, vf), (2, vf))), "bvf entries must rise")]:
