@@ -16,11 +16,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import crypto, wire
 from .policing import DedupWindow
+
+_LOW64 = (1 << 64) - 1
 
 
 class ExactSetFilter:
@@ -53,6 +56,10 @@ class ExactSetFilter:
 class BloomFilter:
     """Bloom filter over AS ids with double hashing.
 
+    An item's 16-byte blake2b digest gives h1 (its high 8 bytes) and h2 (its
+    low 8 bytes, made odd); position i is (h1 + i * h2) mod n_bits. Both are
+    reduced mod n_bits first, which gives the same positions, since
+    (h1 + i*h2) mod n = (h1 mod n + i * (h2 mod n)) mod n, from small ints.
     The bits are packed eight to a byte in a ``bytearray``: position ``p``
     is bit ``p % 8`` of byte ``p // 8``, so ``add`` and membership touch
     only the ``n_hashes`` bytes their positions fall in. Union cardinality
@@ -70,9 +77,9 @@ class BloomFilter:
 
     def _positions(self, item: int) -> list[int]:
         digest = hashlib.blake2b(item.to_bytes(8, "big"), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
-        n = self.n_bits
+        d, n = int.from_bytes(digest, "big"), self.n_bits
+        h1 = (d >> 64) % n
+        h2 = (d & _LOW64 | 1) % n
         return [(h1 + i * h2) % n for i in range(self.n_hashes)]
 
     def add(self, item: int) -> None:
@@ -87,13 +94,17 @@ class BloomFilter:
     def add_and_test(self, item: int, other: "BloomFilter") -> bool:
         """Add ``item`` here; True iff ``other``, of the same size, holds it.
 
-        The item's positions are hashed once and serve both filters.
+        The item's positions are hashed once, and one pass sets each bit
+        here and tests it there.
         """
-        positions = self._positions(item)
         bits, theirs = self.bits, other.bits
-        for p in positions:
-            bits[p >> 3] |= 1 << (p & 7)
-        return all(theirs[p >> 3] >> (p & 7) & 1 for p in positions)
+        held = True
+        for p in self._positions(item):
+            byte, bit = p >> 3, 1 << (p & 7)
+            bits[byte] |= bit
+            if not theirs[byte] & bit:
+                held = False
+        return held
 
     def union_cardinality(self, other: "BloomFilter") -> int:
         filled = (int.from_bytes(self.bits, "little")
@@ -131,6 +142,12 @@ class EstimatorConfig:
             raise ValueError("tentative_slots must be >= 0")
         if self.filter_bits < 1 or self.hash_count < 1:
             raise ValueError("filter_bits and hash_count must be >= 1")
+
+    @cached_property
+    def reserved_ratio(self) -> tuple[int, int]:
+        """``reserved_fraction`` as its (numerator, denominator) ints, which
+        every request reads."""
+        return self.reserved_fraction.numerator, self.reserved_fraction.denominator
 
     def make_filter(self):
         if self.exact:
@@ -205,7 +222,7 @@ class RequesterEstimator:
         the caller.
         """
         cfg = self.config
-        num, den = cfg.reserved_fraction.numerator, cfg.reserved_fraction.denominator
+        num, den = cfg.reserved_ratio
         if self.current.add_and_test(src, self.granted):
             bw = entry_bw * num // (den * self.requesters)
             return Grant(bw, now + cfg.interval_ns, tentative=False)

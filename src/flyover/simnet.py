@@ -822,17 +822,17 @@ class Network:
         _refuse("clock_skew", (not skews.keys() <= self.nodes.keys(), "names an AS not in ases"))
 
     def _warm_start_sources(self) -> None:
-        """Warm up every estimator on a reservation requester's path with
-        the requesters that cross it (see ``RequesterEstimator.warm_up``)."""
+        """Warm up the estimator of every flyover a reservation requester
+        asks for, at its directed pair, with the requesters that ask for it
+        (see ``RequesterEstimator.warm_up``)."""
         warm: dict[RequesterEstimator, set[int]] = {}
         for sender in self._senders().values():
             if not isinstance(sender, (ReservationFlow, RequestFlood)):
                 continue
-            for _, (as_id, ingress, egress, _) in sender.plan.forward_keys:
-                policy = self.nodes[as_id].router.policy
-                for direction in (wire.FORWARD, wire.BACKWARD):
-                    est = policy.estimator_for(*wire.directed_pair(ingress, egress, direction))
-                    warm.setdefault(est, set()).add(sender.src)
+            plan = sender.plan
+            for _, (as_id, pair_in, pair_out, _) in plan.forward_keys + plan.backward_keys:
+                est = self.nodes[as_id].router.policy.estimator_for(pair_in, pair_out)
+                warm.setdefault(est, set()).add(sender.src)
         for est, sources in warm.items():
             est.warm_up(sources)
 

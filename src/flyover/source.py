@@ -17,6 +17,7 @@ from . import crypto, wire
 
 CONCURRENT = "concurrent"
 MAXIMUM = "maximum"
+_ZERO = Fraction(0)  # the rate of a path that cannot send; a Fraction is immutable
 
 
 class MissingKey(Exception):
@@ -72,7 +73,7 @@ class PathPlan:
         return (h.as_id, *wire.directed_pair(h.ingress, h.egress, direction), direction)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlyoverGrant:
     bw: int
     ts_exp: int
@@ -145,10 +146,11 @@ def ingest_response(store: GrantStore, keys: dict[int, bytes], resp: wire.SetupR
     """
     accepted = []
     prepared: dict[int, crypto.PreparedKey] = {}
-    for entry in resp.entries:
-        if entry.hop >= len(plan.hops):
+    n_hops = len(plan.hops)
+    for hop, direction, nonce, enc_auth, tag, bw, ts_exp in resp.entries:
+        if hop >= n_hops:
             continue
-        as_id = plan.hops[entry.hop].as_id
+        as_id = plan.hops[hop].as_id
         key = prepared.get(as_id)
         if key is None:
             raw = keys.get(as_id)
@@ -156,12 +158,11 @@ def ingest_response(store: GrantStore, keys: dict[int, bytes], resp: wire.SetupR
                 continue
             key = prepared[as_id] = crypto.PreparedKey(raw)
         try:
-            auth = crypto.unseal_grant(key, entry.nonce, entry.enc_auth, entry.tag,
-                                       entry.bw, entry.ts_exp)
+            auth = crypto.unseal_grant(key, nonce, enc_auth, tag, bw, ts_exp)
         except crypto.AuthFailure:
             continue
-        fkey = plan.flyover_key(entry.hop, entry.direction)
-        store.put(fkey, FlyoverGrant(entry.bw, entry.ts_exp, auth))
+        fkey = plan.flyover_key(hop, direction)
+        store.put(fkey, FlyoverGrant(bw, ts_exp, auth))
         accepted.append(fkey)
     return accepted
 
@@ -179,21 +180,36 @@ def compose(store: GrantStore, paths: list[PathPlan], strategy: str, now: int) -
     source's usable paths that traverse it; a path sends at the minimum of
     its shares. Maximum: each path may use the full flyover bandwidth, so
     paths that share a flyover must take turns, never send at once.
+
+    Each share bw / users is compared with the least so far by integer
+    cross-multiplication, so a path builds one ``Fraction``, its rate.
     """
     if strategy not in (CONCURRENT, MAXIMUM):
         raise ValueError(f"unknown strategy {strategy!r}")
     rates: dict[str, Fraction] = {}
-    usable: dict[str, list[tuple[tuple, FlyoverGrant]]] = {}
+    usable: dict[str, list[tuple[tuple, int]]] = {}
     for i, plan in enumerate(paths):
         name = plan.name or f"path{i}"
-        grants = [(k, store.get(k, now)) for _, k in plan.forward_keys]
-        rates[name] = Fraction(0)
-        if all(g is not None for _, g in grants):
+        rates[name] = _ZERO
+        grants = []
+        for _, k in plan.forward_keys:
+            g = store.get(k, now)
+            if g is None:
+                break
+            grants.append((k, g.bw))
+        else:
             usable[name] = grants
     users = Counter(k for grants in usable.values() for k, _ in grants)
+    concurrent = strategy == CONCURRENT
     for name, grants in usable.items():
-        rates[name] = min((Fraction(g.bw, users[k] if strategy == CONCURRENT else 1)
-                           for k, g in grants), default=Fraction(0))
+        if not grants:
+            continue
+        bw, n = 0, 0  # 0/0 stands for no share yet
+        for k, g_bw in grants:
+            g_n = users[k] if concurrent else 1
+            if n == 0 or g_bw * n < bw * g_n:
+                bw, n = g_bw, g_n
+        rates[name] = Fraction(bw, n)
     return CompositionPlan(rates)
 
 

@@ -158,10 +158,21 @@ def _check_sorted(hops: list[int]) -> None:
         raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
 
 
+def double_hash_positions(item: int, n_bits: int, n_hashes: int) -> list[int]:
+    """Textbook double hashing: the 16-byte blake2b digest of the item's 8
+    big-endian bytes gives h1 (its first 8 bytes) and h2 (its last 8, made
+    odd), and position i is (h1 + i * h2) mod n_bits, taken on the full
+    64-bit values."""
+    digest = hashlib.blake2b(item.to_bytes(8, "big"), digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:], "big") | 1
+    return [(h1 + i * h2) % n_bits for i in range(n_hashes)]
+
+
 class IntMaskBloom:
     """Bloom filter holding its bits in one Python int, built mask by mask.
 
-    Same double hashing as :class:`flyover.admission.BloomFilter`, with each
+    Textbook double hashing (:func:`double_hash_positions`), with each
     membership test building the item's full-width mask, so it checks the
     packed filter's bit layout from outside.
     """
@@ -172,12 +183,9 @@ class IntMaskBloom:
         self.n_hashes = n_hashes
 
     def _mask(self, item: int) -> int:
-        digest = hashlib.blake2b(item.to_bytes(8, "big"), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
         mask = 0
-        for i in range(self.n_hashes):
-            mask |= 1 << ((h1 + i * h2) % self.n_bits)
+        for p in double_hash_positions(item, self.n_bits, self.n_hashes):
+            mask |= 1 << p
         return mask
 
     def add(self, item: int) -> None:
@@ -192,6 +200,27 @@ class IntMaskBloom:
         if filled >= self.n_bits:
             return self.n_bits
         return math.ceil(-(self.n_bits / self.n_hashes) * math.log1p(-filled / self.n_bits))
+
+
+def ref_compose(live: dict[tuple, int], paths: dict[str, list[tuple]],
+                strategy: str) -> dict[str, Fraction]:
+    """Each path's rate as ``min(Fraction(bw, users))`` over its forward
+    flyovers, built share by share.
+
+    ``live`` maps the key of every stored, unexpired grant to its bandwidth
+    and ``paths`` each path's name to its forward flyover keys. A path is
+    usable when every one of its flyovers is live; an unusable path, or one
+    that reserves nothing, reads 0. ``users`` is the number of usable paths
+    that cross the flyover for the concurrent strategy and 1 for the
+    maximum one.
+    """
+    usable = {name: keys for name, keys in paths.items() if all(k in live for k in keys)}
+    users = Counter(k for keys in usable.values() for k in keys)
+    rates = {name: Fraction(0) for name in paths}
+    for name, keys in usable.items():
+        shares = [Fraction(live[k], users[k] if strategy == CONCURRENT else 1) for k in keys]
+        rates[name] = min(shares, default=Fraction(0))
+    return rates
 
 
 def fraction_allocation_rows(capacities: list[int]) -> list[list[int]]:

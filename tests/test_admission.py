@@ -17,7 +17,7 @@ from flyover.admission import (
 )
 from flyover.topo import generate_topology
 
-from oracles import IntMaskBloom, fraction_allocation_rows
+from oracles import IntMaskBloom, double_hash_positions, fraction_allocation_rows
 
 GBPS = 10**9
 EPS = 10_000_000_000  # default rotation interval, ns
@@ -389,6 +389,39 @@ def test_config_rejects_degenerate_estimator(kw):
 
 
 # packed Bloom filter against the int-mask reference ---------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(item=st.integers(0, 2**64 - 1),
+       n_bits=st.one_of(st.integers(1, 64), st.integers(1, 2**20)),
+       n_hashes=st.integers(1, 12))
+def test_positions_are_textbook_double_hashing(item, n_bits, n_hashes):
+    """Reducing h1 and h2 mod n_bits first gives the textbook positions."""
+    bf = BloomFilter(n_bits, n_hashes)
+    assert bf._positions(item) == double_hash_positions(item, n_bits, n_hashes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_bits=st.integers(1, 400), n_hashes=st.integers(1, 9),
+       mine=st.lists(st.integers(0, 2**64 - 1), max_size=30),
+       theirs=st.lists(st.integers(0, 2**64 - 1), max_size=30),
+       probes=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_add_and_test_sets_every_position_and_tests_every_one(n_bits, n_hashes, mine,
+                                                              theirs, probes):
+    """One pass sets all of an item's bits here and answers whether every one
+    of them is set there, on small filters where a probe is often held by
+    chance; a filter tested against itself holds what it has just added."""
+    here, there = BloomFilter(n_bits, n_hashes), BloomFilter(n_bits, n_hashes)
+    for f, items in ((here, mine), (there, theirs)):
+        for x in items:
+            f.add(x)
+    for x in probes:
+        positions = double_hash_positions(x, n_bits, n_hashes)
+        before = int.from_bytes(here.bits, "little")
+        held = all(int.from_bytes(there.bits, "little") >> p & 1 for p in positions)
+        assert here.add_and_test(x, there) is held
+        assert int.from_bytes(here.bits, "little") == before | sum({1 << p for p in positions})
+        assert there.add_and_test(x, there) is True
+
 
 @settings(max_examples=150, deadline=None)
 @given(n_bits=st.integers(1, 3000), n_hashes=st.integers(1, 9),

@@ -39,13 +39,23 @@ _WORK = {"datapath": "router.Router.handle_data", "control": "router.Router.hand
          "scenario": "simnet.Network.process_at_node", "topo_cover": "topo.ReservationStudy"}
 
 
+def _golden_digests() -> dict[str, str]:
+    with open(os.path.join(ROOT, "tests", "golden", "bench_digests.txt")) as fh:
+        return dict(line.split() for line in fh if line.strip() and not line.startswith("#"))
+
+
 @pytest.mark.parametrize("workload", sorted(_WORK))
 def test_traced_tiny_run_is_correct(workload):
+    """A traced tiny run passes its oracle, does its work and repeats the
+    committed first-batch digest, so its outcomes are those of every run
+    before it."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "tiny",
-         "--seconds", "1", "--trace", "1"],
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    digest = f"# digest {workload} seed=1 first-batch {_golden_digests()[workload]}"
+    assert digest in proc.stdout.splitlines()
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}

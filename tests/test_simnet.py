@@ -635,7 +635,7 @@ _PACED = dict(_SENDER, rate="1Mbps")
 def test_kind_table_and_warm_start(section, spec, lands_in, warm):
     """Each flow type and adversary kind lands in one of the network's two
     dicts; warm start pre-registers exactly the sources that request
-    reservations."""
+    reservations, at the directed pairs they request and no other."""
     cfg = _load("baseline.json")
     cfg["warm_start"] = True
     cfg.setdefault(section, []).append(spec)
@@ -645,10 +645,41 @@ def test_kind_table_and_warm_start(section, spec, lands_in, warm):
     if warm is None:
         return
     plan = net.plan_for(tuple(spec["path"]), False)
-    for hop in plan.hops:
-        policy = net.nodes[hop.as_id].router.policy
-        for pair in ((hop.ingress, hop.egress), (hop.egress, hop.ingress)):
-            assert (2 in policy.estimator_for(*pair).granted) is warm, (hop, pair)
+    for _, (as_id, pair_in, pair_out, _) in plan.forward_keys:
+        policy = net.nodes[as_id].router.policy
+        assert (2 in policy.estimator_for(pair_in, pair_out).granted) is warm, (as_id, pair_in)
+        # every spec here asks for forward reservations only
+        assert 2 not in policy.estimator_for(pair_out, pair_in).granted, (as_id, pair_out)
+
+
+def _opposite_flows(backward: bool) -> dict:
+    """Flows east 1->3 and west 3->1 over AS 2, warm-started, with an exact
+    estimator that counts every requester from the first request on."""
+    flows = [{"name": "east", "src": 1, "path": [1, 2, 3], "rate": "1Mbps"},
+             {"name": "west", "src": 3, "path": [3, 2, 1], "rate": "1Mbps",
+              "backward": backward}]
+    return {"seed": 1, "duration": "100ms", "warm_start": True,
+            "estimator": {"min_requesters": 1, "tentative_slots": 0, "exact": True},
+            "topology": {"ases": [{"id": 1}, {"id": 2}, {"id": 3}],
+                         "links": [{"a": 1, "b": 2}, {"a": 2, "b": 3}]},
+            "flows": flows}
+
+
+@pytest.mark.parametrize("backward, east_bw", [(False, 4 * 10**9), (True, 2 * 10**9)],
+                         ids=["forward_only", "west_asks_backward"])
+def test_warm_start_counts_a_requester_only_where_it_asks(backward, east_bw):
+    """Opposite forward flows share no flyover at AS 2: each is the one
+    requester of its pair and gets the pair's whole reserved share, 4/5 of
+    the 5 Gbps entry. When west also asks for backward reservations, it
+    requests east's pair too, and the two split that pair's share."""
+    r = simnet.run_scenario(_opposite_flows(backward))
+    node = r.nodes[2]
+    east, west = (node.if_to[1], node.if_to[3]), (node.if_to[3], node.if_to[1])
+    grants = node.router.active_grants
+    assert grants[east][1][0] == east_bw
+    assert grants[west][3][0] == 4 * 10**9
+    if backward:
+        assert grants[east][3][0] == 2 * 10**9
 
 
 def test_assert_requirement_refuses_a_name_the_run_lacks():

@@ -5,12 +5,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flyover import crypto, source, wire
 from flyover.router import TrafficClass
 
 from aes_ref import ref_cbc_mac
 from helpers import GBPS, S, full_setup, line_path, make_router, warm_router
+from oracles import ref_compose
 
 SRC = 7
 
@@ -222,6 +225,42 @@ def test_path_plan_rejects_hops_outside_the_path():
         with pytest.raises(ValueError, match="requested hop outside the path"):
             source.PathPlan(plan.hops, **kw)
     source.PathPlan(plan.hops, backward_hops=frozenset({0, 2}))  # the ends are inside
+
+
+# a flyover is stored live, stored expired or missing from the store
+_LIVE, _EXPIRED, _MISSING = "live", "expired", "missing"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), strategy=st.sampled_from([source.CONCURRENT, source.MAXIMUM]),
+       n_fly=st.integers(1, 8))
+def test_compose_equals_least_fraction_share(data, strategy, n_fly):
+    """Each path's rate is the least of its exact shares, on paths that share
+    flyovers, with grants live, expired or missing, and bandwidths up to
+    2^64 so cross-multiplication runs past 64 bits."""
+    now = 1_000
+    fly = [(100 + i, 1, 2, wire.FORWARD) for i in range(n_fly)]
+    bws = data.draw(st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**64 - 1)),
+                             min_size=n_fly, max_size=n_fly))
+    kinds = data.draw(st.lists(st.sampled_from([_LIVE, _LIVE, _LIVE, _EXPIRED, _MISSING]),
+                               min_size=n_fly, max_size=n_fly))
+    store = source.GrantStore()
+    for key, bw, kind in zip(fly, bws, kinds):
+        if kind != _MISSING:
+            store.put(key, source.FlyoverGrant(bw, now + 1 if kind == _LIVE else now - 1,
+                                               bytes(16)))
+    paths = []
+    for p in range(data.draw(st.integers(1, 5))):
+        hops = data.draw(st.lists(st.sampled_from(fly), max_size=n_fly, unique=True))
+        reserved = data.draw(st.sets(st.sampled_from(range(len(hops))))) if hops else set()
+        paths.append(source.PathPlan(tuple(source.PathHop(*h[:3]) for h in hops),
+                                     frozenset(reserved), name=f"p{p}"))
+    live = {k: bw for k, bw, kind in zip(fly, bws, kinds) if kind == _LIVE}
+    expected = ref_compose(live, {p.name: [k for _, k in p.forward_keys] for p in paths},
+                           strategy)
+    rates = source.compose(store, paths, strategy, now).path_rates
+    assert rates == expected
+    assert all(type(r) is Fraction for r in rates.values())
 
 
 def test_compose_rejects_unknown_strategy():

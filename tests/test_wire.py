@@ -1,5 +1,6 @@
 """Wire codec: layout arithmetic, roundtrips, malformed input, golden bytes."""
 
+import itertools
 import os
 import random
 
@@ -110,6 +111,31 @@ def test_roundtrip_random_messages():
         kind = i % 3
         msg = (_random_request, _random_response, _random_data)[kind](rng)
         _assert_same(wire.decode(wire.encode(msg)), msg)
+
+
+@pytest.mark.parametrize("demand", [None, (2**64 - 1, 1)], ids=["plain", "demand"])
+def test_request_roundtrip_over_every_flag_combination(demand):
+    """Three entries, each with flags 0-3: 64 requests, with and without the
+    demand fields; the decoded flags are bools, as ``repr`` shows."""
+    bw_demand, bw_min = demand or (None, None)
+    for flags in itertools.product(range(4), repeat=3):
+        entries = tuple(wire.ReqEntry(h, f & 1 == 1, f & 2 == 2, bytes([h]) * 16)
+                        for h, f in zip((0, 5, 255), flags))
+        msg = wire.SetupRequest(7, 2**64 - 1, entries, bw_demand, bw_min)
+        _assert_same(wire.decode(wire.encode(msg)), msg)
+        _assert_same(ref_decode(wire.encode(msg)), msg)
+
+
+def test_response_roundtrip_over_every_direction_combination():
+    """Every subset of forward and backward entries at hops 0, 1 and 255."""
+    keys = [(h, d) for h in (0, 1, 255) for d in (wire.FORWARD, wire.BACKWARD)]
+    for mask in range(1 << len(keys)):
+        entries = tuple(wire.RespEntry(h, d, bytes([h]) * 12, bytes([d]) * 16, bytes(16),
+                                       2**64 - 1 - h, h)
+                        for i, (h, d) in enumerate(keys) if mask >> i & 1)
+        msg = wire.SetupResponse(7, 8, entries)
+        _assert_same(wire.decode(wire.encode(msg)), msg)
+        _assert_same(ref_decode(wire.encode(msg)), msg)
 
 
 @settings(max_examples=300, deadline=None)
