@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""The deterministic traffic monitor: one 8-byte timestamp per source.
+"""The deterministic traffic monitor: one 8-byte timestamp per flyover.
 
 Shows the bucket admitting a burst, throttling a 2x sender to half its
-bytes, the per-source report, and the 800 kB footprint for 100k sources.
+bytes, the per-source report, and the 800 kB footprint for 100k flyovers.
 """
 
 from flyover.policing import TokenBucket, TrafficMonitor, Verdict
-from flyover import wire
 
 MS = 1_000_000
 
@@ -20,8 +19,8 @@ print(f"  state is a single timestamp: {bucket.serialize().hex()} ({len(bucket.s
 
 print("\n== a source sending at twice its rate ==")
 mon = TrafficMonitor(window_ns=1 * MS)
-mon.register(src=4, bw=8_000_000_000, ts_exp=10**15, direction=wire.FORWARD, now=0)
-verdicts = [mon.police(4, 1000, wire.FORWARD, now=k * 500) for k in range(40_000)]
+mon.register(src=4, bw=8_000_000_000, ts_exp=10**15, pair_in=1, pair_out=2, now=0)
+verdicts = [mon.police(4, 1000, 1, 2, now=k * 500) for k in range(40_000)]
 over = sum(v is Verdict.OVERUSE for v in verdicts)
 print(f"  {over}/{len(verdicts)} packets demoted ({over/len(verdicts):.1%}),"
       f" ~half, deterministically")
@@ -32,8 +31,8 @@ for src, conform_b, overuse_b, expired, replays in mon.report_rows():
     print(f"  src={src} conform={conform_b}B overuse={overuse_b}B "
           f"expired={expired} replays={replays}")
 
-print("\n== memory for 100000 monitored sources ==")
+print("\n== memory for 100000 monitored flyovers ==")
 big = TrafficMonitor()
 for src in range(100_000):
-    big.register(src, 1_000_000, 10**15, wire.FORWARD, now=0)
+    big.register(src, 1_000_000, 10**15, 1, 2, now=0)
 print(f"  serialized bucket state: {len(big.serialized_bucket_state())} bytes")

@@ -404,6 +404,6 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
         nonce, enc_auth, tag = crypto.seal_grant(drkey, alpha, grant.bw, grant.ts_exp, nonce)
         out.append(wire.RespEntry(hop_index, direction, nonce, enc_auth, tag,
                                   grant.bw, grant.ts_exp))
-        state.monitor.register(req.src, grant.bw, grant.ts_exp, direction, now)
+        state.monitor.register(req.src, grant.bw, grant.ts_exp, *pair, now)
         state.note_grant(req.src, pair, grant, now, req.ts_req)
     return out

@@ -1,12 +1,12 @@
-"""Deterministic per-source traffic policing and replay suppression.
+"""Deterministic per-flyover traffic policing and replay suppression.
 
-The monitor keeps one token bucket per (source AS, direction); each
-bucket's whole state is one eight-byte timestamp, so policing a hundred
-thousand sources costs 800 kB. The duplicate suppressor is an exact
-sliding window over (source, timestamp, kind), giving zero false positives
-and zero false negatives inside the admission window. It packs each triple
-into one int and files it in a set per timestamp bucket (an eighth of the
-window wide), so expiry drops whole buckets and an entry costs ~80 B.
+The monitor keeps one token bucket per flyover (source AS, directed
+interface pair); a bucket's whole state is one eight-byte timestamp, so
+policing a hundred thousand flyovers costs 800 kB. The duplicate suppressor
+is an exact sliding window over (source, timestamp, kind): no false
+positives and no false negatives inside the admission window. It packs each
+triple into one int, filed in a set per timestamp bucket an eighth of the
+window wide, so expiry drops whole buckets and an entry costs ~80 B.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ class SourceCounters:
 
 
 class TrafficMonitor:
-    """Per-source reservation registry with token-bucket policing."""
+    """Token-bucket policing per flyover (src, pair_in, pair_out); counters per source."""
 
     def __init__(self, window_ns: int = 50_000_000):
         self.window_ns = window_ns
-        self.entries: dict[tuple[int, int], MonitorEntry] = {}
+        self.entries: dict[tuple[int, int, int], MonitorEntry] = {}
         self.counters: dict[int, SourceCounters] = {}
 
     def _counters(self, src: int) -> SourceCounters:
@@ -83,15 +83,16 @@ class TrafficMonitor:
             c = self.counters[src] = SourceCounters()
         return c
 
-    def register(self, src: int, bw: int, ts_exp: int, direction: int, now: int) -> None:
-        """Create or update the single entry for (src, direction).
+    def register(self, src: int, bw: int, ts_exp: int, pair_in: int, pair_out: int,
+                 now: int) -> None:
+        """Create or update the single entry for ``src`` on the directed pair.
 
         A repeated or renewed registration keeps the bucket state: refilling
         on request would let a source launder burst capacity.
         """
         if bw < 0:
             raise ValueError("bandwidth must be >= 0")
-        key = (src, direction)
+        key = (src, pair_in, pair_out)
         rate = bw / 8 / 1e9  # bits per second -> bytes per ns
         entry = self.entries.get(key)
         if entry is None:
@@ -102,8 +103,8 @@ class TrafficMonitor:
             entry.bw = bw
             entry.ts_exp = ts_exp
 
-    def police(self, src: int, pkt_len: int, direction: int, now: int) -> Verdict:
-        entry = self.entries.get((src, direction))
+    def police(self, src: int, pkt_len: int, pair_in: int, pair_out: int, now: int) -> Verdict:
+        entry = self.entries.get((src, pair_in, pair_out))
         if entry is None:
             return Verdict.UNKNOWN
         if now > entry.ts_exp:
@@ -117,9 +118,6 @@ class TrafficMonitor:
 
     def note_replay(self, src: int) -> None:
         self._counters(src).replay_pkts += 1
-
-    def entry(self, src: int, direction: int) -> MonitorEntry | None:
-        return self.entries.get((src, direction))
 
     def sweep(self, now: int, grace_ns: int = 0) -> int:
         """Evict entries expired for longer than ``grace_ns``; returns count."""

@@ -183,4 +183,4 @@ class Router:
         if not self.dedup.check(src, ts_pkt, kind, now):
             self.monitor.note_replay(src)
             return Decision.REPLAY
-        return _POLICED[self.monitor.police(src, wire_len, direction, now)]
+        return _POLICED[self.monitor.police(src, wire_len, pair_in, pair_out, now)]

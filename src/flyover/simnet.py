@@ -143,9 +143,15 @@ class Node:
     router: Router | None  # None: AS does not speak the protocol
     skew_ns: int = 0
     if_to: dict[int, int] = field(default_factory=dict)  # neighbor AS -> interface
+    last_stamp: int = field(default=-1, init=False)
 
     def local_time(self, t: int) -> int:
         return t + self.skew_ns
+
+    def stamp(self, t: int) -> int:
+        """Local time at ``t``, yet past this AS's last stamp: senders never share one."""
+        self.last_stamp = max(self.local_time(t), self.last_stamp + 1)
+        return self.last_stamp
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +277,7 @@ class ReservationFlow(_Sender):
 
     def _send_setup(self) -> None:
         req = source.build_setup_request(self.keys, self.plan, self.src,
-                                         self.node.local_time(self.net.loop.now))
+                                         self.node.stamp(self.net.loop.now))
         self._send(req, TrafficClass.BEST_EFFORT)
 
     def _retry(self, ladder: int) -> None:
@@ -281,7 +287,7 @@ class ReservationFlow(_Sender):
     def _send_renewal(self) -> None:
         try:
             pkt = source.build_renewal(self.store, self.keys, self.plan, self.src,
-                                       self.node.local_time(self.net.loop.now))
+                                       self.node.stamp(self.net.loop.now))
         except source.MissingGrant:
             self._send_setup()  # expired: fall back to a best-effort request
             return
@@ -330,8 +336,7 @@ class ReservationFlow(_Sender):
         try:
             pkt = source.emit_packet(self.store, self.plan, self.src,
                                      bytes(self.packet_size), self.len_b,
-                                     self.node.local_time(t),
-                                     allow_expired=self.ignore_expiry)
+                                     self.node.stamp(t), allow_expired=self.ignore_expiry)
         except source.MissingGrant:
             self.net.log(f"emit_blocked flow={self.name} t={t}")
             if self.renew:  # the grant lapsed: request again, resume on a usable grant
@@ -371,8 +376,7 @@ class RequestFlood(_Sender):
 
     def _emit(self, t: int) -> bool:
         self.count += 1
-        req = source.build_setup_request(self.keys, self.plan, self.src,
-                                         self.node.local_time(t))
+        req = source.build_setup_request(self.keys, self.plan, self.src, self.node.stamp(t))
         self._send(req, TrafficClass.BEST_EFFORT)
         return True
 
@@ -445,12 +449,18 @@ class LinkObserver:
 # requirement checks
 
 
-def _check_single_reservation(result, req) -> tuple[bool, str]:
+def _check_grants_policed(result, req) -> tuple[bool, str]:
+    """Each grant a reservation flow of ``src`` holds is policed at its AS, under
+    (src, pair_in, pair_out), until the grant's expiry or later."""
     src = req["src"]
-    for as_id, router in result.routers():
-        fwd_entries = [k for k in router.monitor.entries if k[0] == src and k[1] == wire.FORWARD]
-        if len(fwd_entries) > 1:
-            return False, f"AS {as_id} holds {len(fwd_entries)} entries for src {src}"
+    for flow in result.flows.values():
+        if not isinstance(flow, ReservationFlow) or flow.src != src:
+            continue
+        for (as_id, pair_in, pair_out), grant in flow.store.grants.items():
+            entry = result.nodes[as_id].router.monitor.entries.get((src, pair_in, pair_out))
+            if entry is None or entry.ts_exp < grant.ts_exp:
+                return False, (f"AS {as_id} polices no grant of src {src} on pair "
+                               f"({pair_in}, {pair_out}) until {grant.ts_exp}")
     return True, "one reservation per source at every monitor"
 
 
@@ -503,21 +513,11 @@ def _check_delivery(result, req) -> tuple[bool, str]:
 def _check_policing(result, req) -> tuple[bool, str]:
     details = []
     if req["overuser"] is not None:
-        flow = result.flows[req["overuser"]]
-        src = flow.src
-        conform = overuse = 0
-        for _, (as_id, *_) in flow.plan.forward_keys:
-            counters = result.nodes[as_id].router.monitor.counters
-            if src not in counters:
-                continue
-            c = counters[src]
-            conform += c.conform_bytes
-            overuse += c.overuse_bytes
-            break  # the first policing AS on the path decides the demotion share
-        total = conform + overuse
+        st = result.flows[req["overuser"]].stats
+        total = st.delivered_priority + st.delivered_demoted
         if total == 0:
             return False, "overuser was never policed"
-        frac = overuse / total
+        frac = st.delivered_demoted / total
         expected, tol = req["expected_fraction"], req["tolerance"]
         if abs(frac - expected) > tol:
             return False, f"demoted fraction {frac:.4f} not within {tol} of {expected}"
@@ -533,7 +533,7 @@ def _check_policing(result, req) -> tuple[bool, str]:
     if req["no_expired_conform"]:
         window = result.router_cfg.bucket_window_ns
         for as_id, router in result.routers():
-            for (src, _), entry in router.monitor.entries.items():
+            for (src, *_), entry in router.monitor.entries.items():
                 if entry.bucket.ts > entry.ts_exp + window:
                     return False, f"AS {as_id} charged src {src} past expiry"
         details.append("no conform verdicts beyond expiry")
@@ -692,7 +692,7 @@ _ADVERSARY_KINDS = {
     "link_observer": (LinkObserver, {**_KIND, **_ON_LINK})}
 _R, _FLOW = {"r": (str, None, ...)}, {"flow": (str, None, ...)}
 _REQUIREMENTS = {  # ``r`` -> (check, keys)
-    "R1": (_check_single_reservation, {**_R, "src": (int, None, ...)}),
+    "R1": (_check_grants_policed, {**_R, "src": (int, None, ...)}),
     "R2": (_check_granted_within, {**_R, **_FLOW}),
     "R3": (_check_forgeries, {**_R, "adversary": (str, None, ...),
                               "max_successes": (int, ">= 0", 2)}),
@@ -830,7 +830,7 @@ class Network:
             if not isinstance(sender, (ReservationFlow, RequestFlood)):
                 continue
             plan = sender.plan
-            for _, (as_id, pair_in, pair_out, _) in plan.forward_keys + plan.backward_keys:
+            for _, (as_id, pair_in, pair_out) in plan.forward_keys + plan.backward_keys:
                 est = self.nodes[as_id].router.policy.estimator_for(pair_in, pair_out)
                 warm.setdefault(est, set()).add(sender.src)
         for est, sources in warm.items():

@@ -68,9 +68,10 @@ class PathPlan:
             object.__setattr__(self, name, tuple((i, self.flyover_key(i, direction))
                                                  for i in sorted(hops)))
 
-    def flyover_key(self, hop_index: int, direction: int) -> tuple:
+    def flyover_key(self, hop_index: int, direction: int) -> tuple[int, int, int]:
+        """(AS, pair_in, pair_out): the flyover that the hop's ``direction`` reserves."""
         h = self.hops[hop_index]
-        return (h.as_id, *wire.directed_pair(h.ingress, h.egress, direction), direction)
+        return (h.as_id, *wire.directed_pair(h.ingress, h.egress, direction))
 
 
 @dataclass(slots=True)
@@ -92,7 +93,7 @@ class FlyoverGrant:
 
 
 class GrantStore:
-    """Grants keyed by (provider AS, ingress, egress, direction).
+    """Grants keyed by flyover: (provider AS, pair_in, pair_out).
 
     Expired grants are surfaced as expired rather than silently used;
     ``get`` returns None for them unless asked otherwise.

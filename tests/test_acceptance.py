@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from flyover import simnet, source, topo, wire
+from flyover import simnet, source, topo
 from flyover.admission import EstimatorConfig, RequesterEstimator
 from flyover.policing import TokenBucket, TrafficMonitor
 from flyover.router import TrafficClass
@@ -147,7 +147,7 @@ def test_c3_token_bucket_oracle():
 def test_c4_monitor_footprint():
     mon = TrafficMonitor()
     for src in range(100_000):
-        mon.register(src, 1_000_000, 10**15, wire.FORWARD, now=0)
+        mon.register(src, 1_000_000, 10**15, 1, 2, now=0)
     size = len(mon.serialized_bucket_state())
     _verdict("C4 monitor footprint", size == 800_000,
              f"serialized bucket state for 100000 sources = {size} bytes")

@@ -1,6 +1,7 @@
 """Every function, class and method defined in flyover, and every name a
 module assigns at its top level, has a caller: its name is referenced
-somewhere outside its own definition."""
+somewhere outside its own definition, a method's as an attribute or in a
+dotted string."""
 
 import ast
 import os
@@ -23,55 +24,72 @@ def _trees(top: str):
                     yield path, ast.parse(fh.read(), path)
 
 
-def _references(node: ast.AST) -> Counter:
-    """Each name, each attribute and each part of a string that is a dotted
-    name (a quoted annotation, a patch point) under ``node``, counted. Prose
-    in docstrings is no reference."""
-    refs = Counter()
+def _references(node: ast.AST) -> tuple[Counter, Counter]:
+    """(bare, dotted) under ``node``: each name, and each attribute and each
+    part of a string that is a dotted name (a quoted annotation, a patch
+    point), counted. Prose in docstrings is no reference."""
+    bare, dotted = Counter(), Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            refs[n.id] += 1
+            bare[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            refs[n.attr] += 1
+            dotted[n.attr] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             parts = n.value.split(".")
             if all(part.isidentifier() for part in parts):
-                refs.update(parts)
-    return refs
+                dotted.update(parts)
+    return bare, dotted
 
 
 def _definitions(tree: ast.Module):
-    """(name, defining node) for every def and class, and for every name
-    assigned by a top-level statement of the module."""
+    """(name, defining node, whether it is a class member) for every def
+    and class, and for every name assigned by a top-level statement of the
+    module."""
+    members = {id(d) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for d in c.body if isinstance(d, _DEFS)}
     for node in ast.walk(tree):
         if isinstance(node, _DEFS):
-            yield node.name, node
+            yield node.name, node, id(node) in members
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for n in ast.walk(target):
                     if isinstance(n, ast.Name):
-                        yield n.id, node
+                        yield n.id, node, False
 
 
 def _uncalled(searched=SEARCHED) -> list[tuple[str, int, str]]:
     """(file, line, name) of every definition that nothing under
-    ``searched`` refers to."""
-    refs = Counter()
+    ``searched`` refers to. A class member is referred to only as an
+    attribute (``x.name``) or in a dotted string, never by a bare name,
+    which is some other function's or a local variable's."""
+    bare, dotted = Counter(), Counter()
     for top in searched:
         for _, tree in _trees(os.path.join(ROOT, top)):
-            refs.update(_references(tree))
+            tree_bare, tree_dotted = _references(tree)
+            bare.update(tree_bare)
+            dotted.update(tree_dotted)
     uncalled = []
     for path, tree in _trees(SRC):
-        for name, node in _definitions(tree):
+        for name, node, member in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             # a recursive call, a class naming itself inside or the
             # assignment's own target is no caller
-            if refs[name] - _references(node)[name] <= 0:
+            own_bare, own_dotted = _references(node)
+            calls = dotted[name] - own_dotted[name]
+            if not member:
+                calls += bare[name] - own_bare[name]
+            if calls <= 0:
                 uncalled.append((os.path.basename(path), node.lineno, name))
     return uncalled
+
+
+def test_a_bare_name_calls_no_class_member():
+    bare, dotted = _references(ast.parse("entry = mon.police(x)\npatch('a.sweep')"))
+    assert bare == Counter(entry=1, mon=1, x=1, patch=1)
+    assert dotted == Counter(police=1, a=1, sweep=1)
 
 
 def test_every_definition_has_a_caller():

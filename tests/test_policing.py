@@ -14,6 +14,7 @@ from oracles import CounterBucket, HeapDedupWindow
 
 MS = 1_000_000
 S = 1_000_000_000
+PAIR = (1, 2)  # a directed (ingress, egress) interface pair
 
 
 def test_fresh_bucket_admits_up_to_burst():
@@ -87,19 +88,19 @@ def test_bucket_rejects_non_positive_rate(rate):
 def test_register_rejects_negative_bandwidth():
     mon = TrafficMonitor()
     with pytest.raises(ValueError, match="bandwidth must be >= 0"):
-        mon.register(5, -1, 10 * S, 0, now=0)
+        mon.register(5, -1, 10 * S, *PAIR, now=0)
     assert mon.entries == {}
-    mon.register(5, 0, 10 * S, 0, now=0)  # zero is a (useless) valid grant
+    mon.register(5, 0, 10 * S, *PAIR, now=0)  # zero is a (useless) valid grant
 
 
 def test_register_twice_keeps_single_entry_and_bucket_state():
     mon = TrafficMonitor()
-    mon.register(5, 8_000_000_000, 10 * S, 0, now=0)
-    entry = mon.entry(5, 0)
-    mon.police(5, 1000, 0, now=0)
+    mon.register(5, 8_000_000_000, 10 * S, *PAIR, now=0)
+    entry = mon.entries[(5, *PAIR)]
+    mon.police(5, 1000, *PAIR, now=0)
     ts_after_traffic = entry.bucket.ts
-    mon.register(5, 8_000_000_000, 12 * S, 0, now=1)  # repeated request
-    assert mon.entry(5, 0) is entry
+    mon.register(5, 8_000_000_000, 12 * S, *PAIR, now=1)  # repeated request
+    assert mon.entries[(5, *PAIR)] is entry
     assert entry.bucket.ts == ts_after_traffic  # burst not refilled
     assert entry.ts_exp == 12 * S
     assert len(mon.entries) == 1
@@ -107,45 +108,59 @@ def test_register_twice_keeps_single_entry_and_bucket_state():
 
 def test_register_update_changes_rate():
     mon = TrafficMonitor()
-    mon.register(5, 8_000_000_000, 10 * S, 0, now=0)
-    mon.register(5, 16_000_000_000, 10 * S, 0, now=0)
-    assert mon.entry(5, 0).bw == 16_000_000_000
-    assert mon.entry(5, 0).bucket.rate == 2.0  # bytes per ns
+    mon.register(5, 8_000_000_000, 10 * S, *PAIR, now=0)
+    mon.register(5, 16_000_000_000, 10 * S, *PAIR, now=0)
+    assert mon.entries[(5, *PAIR)].bw == 16_000_000_000
+    assert mon.entries[(5, *PAIR)].bucket.rate == 2.0  # bytes per ns
+
+
+def test_flyovers_of_one_source_are_policed_apart():
+    """Each directed pair a source holds a grant on has its own entry, at
+    its own rate: filling one bucket leaves the other's burst untouched."""
+    mon = TrafficMonitor(window_ns=1 * MS)
+    mon.register(5, 8_000_000_000, 10 * S, 1, 2, now=0)
+    mon.register(5, 16_000_000_000, 10 * S, 1, 3, now=0)
+    assert [(k, e.bw) for k, e in mon.entries.items()] == [
+        ((5, 1, 2), 8_000_000_000), ((5, 1, 3), 16_000_000_000)]
+    while mon.police(5, 1000, 1, 2, now=0) is Verdict.CONFORM:
+        pass
+    assert mon.police(5, 1000, 1, 3, now=0) is Verdict.CONFORM
+    assert mon.police(5, 1000, 2, 1, now=0) is Verdict.UNKNOWN
 
 
 def test_monitor_footprint_100k():
     mon = TrafficMonitor()
     for src in range(100_000):
-        mon.register(src, 1_000_000, 10 * S, 0, now=0)
+        mon.register(src, 1_000_000, 10 * S, *PAIR, now=0)
     assert len(mon.serialized_bucket_state()) == 800_000
 
 
 def test_police_verdicts():
     mon = TrafficMonitor(window_ns=50 * MS)
-    assert mon.police(9, 1000, 0, 0) is Verdict.UNKNOWN
-    mon.register(9, 8_000_000_000, 5 * S, 0, now=0)
-    assert mon.police(9, 1000, 0, 100) is Verdict.CONFORM
-    assert mon.police(9, 1000, 0, 5 * S + 1) is Verdict.EXPIRED
+    assert mon.police(9, 1000, *PAIR, 0) is Verdict.UNKNOWN
+    mon.register(9, 8_000_000_000, 5 * S, *PAIR, now=0)
+    assert mon.police(9, 1000, *PAIR, 100) is Verdict.CONFORM
+    assert mon.police(9, 1000, *PAIR, 5 * S + 1) is Verdict.EXPIRED
 
 
 def test_police_conforming_rate_never_flags():
     # send exactly at the granted rate for ten full burst windows
     mon = TrafficMonitor(window_ns=1 * MS)
     bw = 8_000_000_000  # 1 B/ns
-    mon.register(3, bw, 10**12, 0, now=0)
+    mon.register(3, bw, 10**12, *PAIR, now=0)
     gap = 1000  # ns per 1000-byte packet at 1 B/ns
     for k in range(10 * MS // gap):
-        assert mon.police(3, 1000, 0, k * gap) is Verdict.CONFORM
+        assert mon.police(3, 1000, *PAIR, k * gap) is Verdict.CONFORM
 
 
 def test_police_double_rate_flags_half():
     # 1 ms burst window; the 50 ms trace spans 50 windows so the initial
     # burst contributes ~1% slack, inside the 2% tolerance
     mon = TrafficMonitor(window_ns=1 * MS)
-    mon.register(4, 8_000_000_000, 10**12, 0, now=0)
+    mon.register(4, 8_000_000_000, 10**12, *PAIR, now=0)
     verdicts = []
     for k in range(100_000):
-        verdicts.append(mon.police(4, 1000, 0, k * 500))  # 2x rate
+        verdicts.append(mon.police(4, 1000, *PAIR, k * 500))  # 2x rate
     over = sum(v is Verdict.OVERUSE for v in verdicts)
     assert abs(over / len(verdicts) - 0.5) < 0.02
     c = mon.counters[4]
@@ -160,29 +175,29 @@ def test_policing_soundness_bound():
         bw = rng.choice([8_000_000_000, 4_000_000_000, 1_000_000_000])
         rate = bw / 8 / 1e9
         mon = TrafficMonitor(window_ns=window)
-        mon.register(1, bw, 10**15, 0, now=0)
+        mon.register(1, bw, 10**15, *PAIR, now=0)
         conform = 0
         t = 0
         for _ in range(400):
             t += rng.randrange(0, 1_000_000)
             length = rng.randrange(1, 9000)
-            if mon.police(1, length, 0, t) is Verdict.CONFORM:
+            if mon.police(1, length, *PAIR, t) is Verdict.CONFORM:
                 conform += length
             assert conform <= rate * window + rate * t + 1e-6
 
 
 def test_sweep_evicts_lazily():
     mon = TrafficMonitor()
-    mon.register(1, 1000, 100, 0, now=0)
-    mon.register(2, 1000, 10**9, 0, now=0)
+    mon.register(1, 1000, 100, *PAIR, now=0)
+    mon.register(2, 1000, 10**9, *PAIR, now=0)
     assert mon.sweep(now=200) == 1
-    assert mon.entry(1, 0) is None and mon.entry(2, 0) is not None
+    assert list(mon.entries) == [(2, *PAIR)]
 
 
 def test_report_rows_schema():
     mon = TrafficMonitor(window_ns=50 * MS)
-    mon.register(7, 8_000_000_000, 10 * S, 0, now=0)
-    mon.police(7, 1000, 0, 0)
+    mon.register(7, 8_000_000_000, 10 * S, *PAIR, now=0)
+    mon.police(7, 1000, *PAIR, 0)
     mon.note_replay(7)
     rows = mon.report_rows()
     assert rows == [(7, 1000, 0, 0, 1)]

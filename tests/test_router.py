@@ -33,11 +33,11 @@ def _single_hop(now=0, warm=True, **cfg_kw):
 def test_setup_valid_request_grants_and_unseals():
     r, plan = _single_hop()
     store, keys, plan = full_setup([r], plan, SRC, now=1000)
-    g = store.get((r.as_id, 1, 0, wire.FORWARD), now=1000)
+    g = store.get((r.as_id, 1, 0), now=1000)
     assert g is not None
     assert g.auth == crypto.compute_authenticator(r.secret, SRC, 1, 0)
     assert g.bw == 80 * GBPS  # 0.8 * 100G / 1 requester
-    assert r.monitor.entry(SRC, wire.FORWARD) is not None
+    assert (SRC, 1, 0) in r.monitor.entries
 
 
 def test_setup_stale_timestamp_no_entries_but_forwarded():
@@ -69,8 +69,8 @@ def test_setup_replay_blocked_by_dedup():
 def test_setup_forward_and_backward_entries_swap_interfaces():
     r, plan = _single_hop()
     store, keys, plan = full_setup([r], plan, SRC, now=0, backward=True)
-    fwd = store.get((r.as_id, 1, 0, wire.FORWARD), 0)
-    bwd = store.get((r.as_id, 0, 1, wire.BACKWARD), 0)
+    fwd = store.get((r.as_id, 1, 0), 0)
+    bwd = store.get((r.as_id, 0, 1), 0)
     assert fwd is not None and bwd is not None
     assert fwd.auth == crypto.compute_authenticator(r.secret, SRC, 1, 0)
     assert bwd.auth == crypto.compute_authenticator(r.secret, SRC, 0, 1)
@@ -82,7 +82,7 @@ def test_repeated_requests_same_alpha_single_monitor_entry():
     auths = set()
     for k in range(3):
         store, keys, plan = full_setup([r], plan, SRC, now=1000 + k)
-        auths.add(store.get((r.as_id, 1, 0, wire.FORWARD), 2000).auth)
+        auths.add(store.get((r.as_id, 1, 0), 2000).auth)
     assert len(auths) == 1
     assert len(r.monitor.entries) == 1
 
@@ -233,10 +233,10 @@ def test_replay_drops_and_is_counted():
 def test_expired_reservation_demotes_despite_valid_alpha():
     r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
-    g = store.get((r.as_id, 1, 0, wire.FORWARD), 0)
+    g = store.get((r.as_id, 1, 0), 0)
     late = g.ts_exp + 100
     # model a misbehaving sender that keeps using the authenticator
-    store.grants[(r.as_id, 1, 0, wire.FORWARD)].ts_exp = late + 10 * S
+    store.grants[(r.as_id, 1, 0)].ts_exp = late + 10 * S
     pkt = source.emit_packet(store, plan, SRC, b"y", 0, late)
     d = r.handle_data(pkt, 0, 1, 0, now=late + 1)
     assert d.traffic_class is TrafficClass.BEST_EFFORT and d.verdict == "expired"
@@ -288,14 +288,14 @@ def test_exactly_two_macs_per_validated_packet(aes_contexts):
 def test_validation_is_stateless_beyond_monitor_entry():
     r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
-    entry = r.monitor.entry(SRC, wire.FORWARD)
+    entry = r.monitor.entries[(SRC, 1, 0)]
     bw, exp = entry.bw, entry.ts_exp
     decisions = []
     for k in range(6):
         pkt = _emit(store, plan, now=1000 + k * 10_000)
         if k == 3:  # wipe and re-register identical terms mid-stream
-            del r.monitor.entries[SRC, wire.FORWARD]
-            r.monitor.register(SRC, bw, exp, wire.FORWARD, now=1000 + k * 10_000)
+            del r.monitor.entries[(SRC, 1, 0)]
+            r.monitor.register(SRC, bw, exp, 1, 0, now=1000 + k * 10_000)
         decisions.append(r.handle_data(pkt, 0, 1, 0, now=1000 + k * 10_000).traffic_class)
     assert decisions == [TrafficClass.PRIORITY] * 6
 
@@ -399,14 +399,14 @@ def test_data_validation_never_calls_admission(monkeypatch):
     the source's setup request renews a reservation."""
     r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
-    exp = r.monitor.entry(SRC, wire.FORWARD).ts_exp
+    exp = r.monitor.entries[(SRC, 1, 0)].ts_exp
     monkeypatch.setattr(DefaultPolicy, "get_bandwidth", _no_admission)
     monkeypatch.setattr(Router, "note_grant", _no_admission)
     for now, decision in ((S, Decision.OK), (exp - S, Decision.OK),
                           (exp + S, Decision.EXPIRED), (exp + 2 * S, Decision.EXPIRED)):
         pkt = source.emit_packet(store, plan, SRC, b"x" * 100, 0, now, allow_expired=True)
         assert r.handle_data(pkt, 0, 1, 0, now=now) is decision, now
-    assert r.monitor.entry(SRC, wire.FORWARD).ts_exp == exp
+    assert r.monitor.entries[(SRC, 1, 0)].ts_exp == exp
 
 
 # no-over-allocation guard ------------------------------------------------------------

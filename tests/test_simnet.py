@@ -124,10 +124,10 @@ def test_overuser_half_demoted_honest_unharmed():
     _require(r, {"r": "R5", "no_expired_conform": True})
 
 
-def test_r5_reads_the_first_policing_as_on_the_path():
+def test_relabelling_the_ases_keeps_every_r5_verdict():
     """Relabelling transit AS 2 as AS 5, above the destination AS 3, keeps
-    every verdict: R5 reads the overuser's first policing hop, whatever the
-    AS ids."""
+    every verdict: R5 reads what the overuser's packets were delivered as,
+    whatever the AS ids."""
     def relabel(a):
         return 5 if a == 2 else a
 
@@ -545,7 +545,7 @@ def test_an_as_numbers_its_interfaces_by_neighbour_id_whatever_the_links_order()
             "topology": {"ases": [{"id": 1}, {"id": 2, "matrix": matrix}, {"id": 3}],
                          "links": order},
             "flows": [{"name": "f", "src": 1, "path": [1, 2, 3], "stop_at": "900ms"}]})
-        assert r.flows["f"].store.grants[(2, 1, 2, wire.FORWARD)].bw == 2_400_000
+        assert r.flows["f"].store.grants[(2, 1, 2)].bw == 2_400_000
         runs.append((r.flow_summary_rows(), r.monitor_rows(), r.log_lines))
     assert runs[0] == runs[1]
 
@@ -645,7 +645,7 @@ def test_kind_table_and_warm_start(section, spec, lands_in, warm):
     if warm is None:
         return
     plan = net.plan_for(tuple(spec["path"]), False)
-    for _, (as_id, pair_in, pair_out, _) in plan.forward_keys:
+    for _, (as_id, pair_in, pair_out) in plan.forward_keys:
         policy = net.nodes[as_id].router.policy
         assert (2 in policy.estimator_for(pair_in, pair_out).granted) is warm, (as_id, pair_in)
         # every spec here asks for forward reservations only
@@ -780,9 +780,30 @@ def test_r5_fails_on_replayed_copies_not_dropped(change, detail):
 
 def test_r5_fails_on_a_charge_past_expiry():
     r = _run("baseline.json")
-    entry = r.nodes[3].router.monitor.entries[(1, wire.FORWARD)]
+    node = r.nodes[3]
+    entry = node.router.monitor.entries[(1, node.if_to[2], node.if_to[4])]
     entry.bucket.ts = entry.ts_exp + r.router_cfg.bucket_window_ns + 1  # edit
     _refused(r, {"r": "R5", "no_expired_conform": True}, "AS 3 charged src 1 past expiry")
+
+
+def test_r5_reads_the_overusers_delivered_share():
+    r = _run("replay_overuse.json")
+    r.flows["greedy"].stats.delivered_demoted = 0  # edit: every packet arrived at priority
+    _refused(r, {"r": "R5", "overuser": "greedy"},
+             "demoted fraction 0.0000 not within 0.02 of 0.5")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda entries, key: entries.pop(key),
+    lambda entries, key: setattr(entries[key], "ts_exp", entries[key].ts_exp - 1),
+], ids=["no_entry", "entry_expires_first"])
+def test_r1_fails_on_a_grant_its_router_does_not_police(edit):
+    r = _run("two_flyovers.json")
+    node = r.nodes[2]
+    pair = (node.if_to[1], node.if_to[4])  # to4's flyover at AS 2
+    edit(node.router.monitor.entries, (1, *pair))
+    _refused(r, {"r": "R1", "src": 1},
+             f"AS 2 polices no grant of src 1 on pair {pair} until 10001043200")
 
 
 def _readme_key_tables() -> dict[str, set[str]]:

@@ -123,7 +123,7 @@ def test_ingest_skips_an_entry_without_a_key():
 def test_renewal_keeps_alpha_updates_terms():
     routers, plan = _chain(1)
     store, keys, plan = full_setup(routers, plan, SRC, now=0)
-    key = (routers[0].as_id, 1, 0, wire.FORWARD)
+    key = (routers[0].as_id, 1, 0)
     alpha0, exp0 = store.grants[key].auth, store.grants[key].ts_exp
     store2, *_ = full_setup(routers, plan, SRC, now=5 * S)
     assert store2.grants[key].auth == alpha0
@@ -149,9 +149,9 @@ def test_compose_shared_flyover_concurrent_and_maximum():
     p1 = _plan("p1", [shared, (61, 1, 0)])
     p2 = _plan("p2", [shared, (62, 1, 0)])
     st = _store_with({
-        (50, 1, 2, wire.FORWARD): 10,
-        (61, 1, 0, wire.FORWARD): 100,
-        (62, 1, 0, wire.FORWARD): 100,
+        (50, 1, 2): 10,
+        (61, 1, 0): 100,
+        (62, 1, 0): 100,
     })
     conc = source.compose(st, [p1, p2], source.CONCURRENT, now=0)
     assert conc.path_rates == {"p1": Fraction(5), "p2": Fraction(5)}
@@ -162,9 +162,9 @@ def test_compose_shared_flyover_concurrent_and_maximum():
 def test_compose_single_path_min_rule():
     p = _plan("p", [(50, 1, 2), (51, 1, 2), (52, 1, 0)])
     st = _store_with({
-        (50, 1, 2, wire.FORWARD): 8,
-        (51, 1, 2, wire.FORWARD): 4,
-        (52, 1, 0, wire.FORWARD): 6,
+        (50, 1, 2): 8,
+        (51, 1, 2): 4,
+        (52, 1, 0): 6,
     })
     for strategy in (source.CONCURRENT, source.MAXIMUM):
         plan = source.compose(st, [p], strategy, now=0)
@@ -175,12 +175,12 @@ def test_compose_expired_grant_flags_path():
     """A path with an expired or missing grant reads rate 0 and leaves its
     share of a flyover it would cross to the usable paths."""
     p = _plan("p", [(50, 1, 2), (51, 1, 0)])
-    st = _store_with({(50, 1, 2, wire.FORWARD): 8, (51, 1, 0, wire.FORWARD): 9}, exp=100)
+    st = _store_with({(50, 1, 2): 8, (51, 1, 0): 9}, exp=100)
     plan = source.compose(st, [p], source.CONCURRENT, now=200)
     assert plan.path_rates == {"p": 0}
     shared = (50, 1, 2)
     ok, missing = _plan("ok", [shared, (61, 1, 0)]), _plan("missing", [shared, (62, 1, 0)])
-    st = _store_with({(50, 1, 2, wire.FORWARD): 10, (61, 1, 0, wire.FORWARD): 100})
+    st = _store_with({(50, 1, 2): 10, (61, 1, 0): 100})
     for strategy in (source.CONCURRENT, source.MAXIMUM):
         plan = source.compose(st, [ok, missing], strategy, now=0)
         assert plan.path_rates == {"ok": Fraction(10), "missing": 0}
@@ -189,7 +189,7 @@ def test_compose_expired_grant_flags_path():
 def test_compose_reads_only_the_reserved_hops():
     hops = tuple(source.PathHop(*h) for h in [(50, 1, 2), (51, 1, 2), (52, 1, 2), (53, 1, 0)])
     p = source.PathPlan(hops, frozenset({3}), name="p")  # only the last hop is reserved
-    st = _store_with({(53, 1, 0, wire.FORWARD): 7})
+    st = _store_with({(53, 1, 0): 7})
     for strategy in (source.CONCURRENT, source.MAXIMUM):
         plan = source.compose(st, [p], strategy, now=0)
         assert plan.path_rates == {"p": Fraction(7)}
@@ -202,7 +202,7 @@ def test_compose_concurrent_feasible_randomized():
     for _ in range(100):
         n_fly = rng.randrange(2, 8)
         fly = [(100 + i, 1, 2) for i in range(n_fly)]
-        bws = {(*f, wire.FORWARD): rng.randrange(1, 10**12) for f in fly}
+        bws = {f: rng.randrange(1, 10**12) for f in fly}
         st = _store_with(bws)
         paths = []
         for p in range(rng.randrange(1, 6)):
@@ -239,7 +239,7 @@ def test_compose_equals_least_fraction_share(data, strategy, n_fly):
     flyovers, with grants live, expired or missing, and bandwidths up to
     2^64 so cross-multiplication runs past 64 bits."""
     now = 1_000
-    fly = [(100 + i, 1, 2, wire.FORWARD) for i in range(n_fly)]
+    fly = [(100 + i, 1, 2) for i in range(n_fly)]
     bws = data.draw(st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**64 - 1)),
                              min_size=n_fly, max_size=n_fly))
     kinds = data.draw(st.lists(st.sampled_from([_LIVE, _LIVE, _LIVE, _EXPIRED, _MISSING]),
@@ -253,7 +253,7 @@ def test_compose_equals_least_fraction_share(data, strategy, n_fly):
     for p in range(data.draw(st.integers(1, 5))):
         hops = data.draw(st.lists(st.sampled_from(fly), max_size=n_fly, unique=True))
         reserved = data.draw(st.sets(st.sampled_from(range(len(hops))))) if hops else set()
-        paths.append(source.PathPlan(tuple(source.PathHop(*h[:3]) for h in hops),
+        paths.append(source.PathPlan(tuple(source.PathHop(*h) for h in hops),
                                      frozenset(reserved), name=f"p{p}"))
     live = {k: bw for k, bw, kind in zip(fly, bws, kinds) if kind == _LIVE}
     expected = ref_compose(live, {p.name: [k for _, k in p.forward_keys] for p in paths},
@@ -304,7 +304,7 @@ def test_emit_timestamps_change_fields():
 def test_emit_missing_grant_raises():
     routers, plan = _chain(2)
     store, keys, plan = full_setup(routers, plan, SRC, now=0)
-    del store.grants[(routers[1].as_id, 1, 0, wire.FORWARD)]
+    del store.grants[(routers[1].as_id, 1, 0)]
     with pytest.raises(source.MissingGrant):
         source.emit_packet(store, plan, SRC, b"x", 0, now=100)
 
@@ -355,14 +355,14 @@ def test_renewal_rides_reservation_and_refreshes():
     resp = wire.SetupResponse(SRC, inner.ts_req, tuple(entries))
     accepted = source.ingest_response(store, keys, resp, plan)
     assert len(accepted) == 2
-    key = (routers[0].as_id, 1, 2, wire.FORWARD)
+    key = (routers[0].as_id, 1, 2)
     assert store.grants[key].ts_exp == 4 * S + 10 * S
 
 
 def test_renewal_after_expiry_needs_best_effort_path():
     routers, plan = _chain(1)
     store, keys, plan = full_setup(routers, plan, SRC, now=0)
-    exp = store.grants[(routers[0].as_id, 1, 0, wire.FORWARD)].ts_exp
+    exp = store.grants[(routers[0].as_id, 1, 0)].ts_exp
     with pytest.raises(source.MissingGrant):
         source.build_renewal(store, keys, plan, SRC, now=exp + 1)
 
