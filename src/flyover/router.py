@@ -60,6 +60,8 @@ class Decision(Enum):
 
 _POLICED = {Verdict.CONFORM: Decision.OK, Verdict.OVERUSE: Decision.OVERUSE,
             Verdict.EXPIRED: Decision.EXPIRED, Verdict.UNKNOWN: Decision.UNKNOWN}
+# bound once: an Enum member read off its class, or hashed as a dict key, is slow
+_CONFORM, _OK = Verdict.CONFORM, Decision.OK
 
 
 @dataclass(frozen=True)
@@ -183,4 +185,5 @@ class Router:
         if not self.dedup.check(src, ts_pkt, kind, now):
             self.monitor.note_replay(src)
             return Decision.REPLAY
-        return _POLICED[self.monitor.police(src, wire_len, pair_in, pair_out, now)]
+        verdict = self.monitor.police(src, wire_len, pair_in, pair_out, now)
+        return _OK if verdict is _CONFORM else _POLICED[verdict]

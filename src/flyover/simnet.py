@@ -2,10 +2,18 @@
 
 Links are capacity-limited with strict priority queuing: the priority queue
 is always served before best effort, and only the finite best-effort buffer
-drops on overflow. Packets are discrete; service happens at departure
-events. The event loop is single-threaded and fully determined by the
-scenario seed, so two runs with the same configuration produce identical
-event logs.
+drops on overflow. Packets are discrete; a frame's departure from a link
+starts the next queued frame. The event loop is single-threaded and fully
+determined by the scenario seed, so two runs with the same configuration
+produce identical event logs.
+
+A departure is an event only when a frame waits for it. Its place in the
+event order is reserved when its frame starts, and a frame reaching the
+link in the departure's nanosecond finds the link busy or free by that
+place (see ``Link``). So every event, and every tie between two events at
+one nanosecond, runs in the order it would if each departure were pushed
+when its frame starts: a run's log does not depend on how many departures
+were pushed.
 
 A frame is the message its sender built and that message's size on the
 wire, its ``total_len``; no frame is encoded to be sized. Routers read the
@@ -43,59 +51,96 @@ from .units import parse_bandwidth, parse_duration
 
 
 class EventLoop:
+    """Events run in (time, seq) order, where seq counts the events in the
+    order they were scheduled, so events at one nanosecond run in the order
+    they were scheduled. ``now`` and ``seq`` are the key of the running event.
+
+    ``reserve`` hands out the next seq without pushing an event; the event
+    may be pushed later under that seq (``schedule(..., seq=...)``) and then
+    runs exactly where it would have run had it been pushed at once.
+    """
+
     def __init__(self):
         self._heap: list = []
-        self._seq = 0
+        self.issued = 0  # the last seq handed out
         self.now = 0
+        self.seq = 0
 
-    def schedule(self, t: int, fn, *args) -> None:
+    def reserve(self) -> int:
+        self.issued += 1
+        return self.issued
+
+    def schedule(self, t: int, fn, *args, seq: int | None = None) -> None:
         if t < self.now:
             raise AssertionError("cannot schedule into the past")
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        if seq is None:
+            self.issued += 1
+            seq = self.issued
+        heapq.heappush(self._heap, (t, seq, fn, args))
 
     def run_until(self, t_end: int) -> None:
-        while self._heap and self._heap[0][0] <= t_end:
-            t, _, fn, args = heapq.heappop(self._heap)
-            self.now = t
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= t_end:
+            t, seq, fn, args = pop(heap)
+            self.now, self.seq = t, seq
             fn(*args)
-        self.now = t_end
+        # every event at or before t_end has run, reserved ones included
+        self.now, self.seq = t_end, self.issued
 
 
 # ---------------------------------------------------------------------------
 # frames and links
 
+# Enum members bound once: reading one off its class costs several dict lookups
+_PRIORITY, _BEST_EFFORT = TrafficClass.PRIORITY, TrafficClass.BEST_EFFORT
+_OK, _REPLAY = Decision.OK, Decision.REPLAY
+# a verdict's log text, by the decision's verdict string
+_VERDICT_LOG = {d.verdict: f"verdict={d.verdict} class={d.traffic_class.value}" for d in Decision}
 
-@dataclass
+
+@dataclass(slots=True)
 class Frame:
     uid: int
     # the message the frame was built from; None for best-effort filler
     msg: wire.SetupRequest | wire.SetupResponse | wire.DataPacket | None
     size: int
     plan: source.PathPlan | None
-    route: tuple[int, ...]  # AS ids including the source AS
-    pos: int  # index into route of the node currently holding the frame
+    steps: tuple  # (node, link to the next AS or None) per AS of the route, source first
+    pos: int  # index into steps of the node holding the frame, or of the one it travels to
     cls: TrafficClass
-    origin: str  # flow or adversary name, for attribution
+    sender: object  # the flow or adversary that built it, for attribution
     created: int
-    resp_entries: list = field(default_factory=list)
-    worst: TrafficClass = TrafficClass.PRIORITY
-    is_replay_copy: bool = False
+    resp_entries: tuple = ()
+    worst: TrafficClass = _PRIORITY
 
 
 class Link:
-    """Directed link with strict-priority service and a drop-tail BE buffer."""
+    """Directed link with strict-priority service and a drop-tail BE buffer.
+
+    The frame in service leaves the link at its departure, key (``free_at``,
+    ``free_seq``), and that departure starts the next queued frame. The
+    departure's seq is reserved when the frame starts, but the departure is
+    pushed only when a frame queues behind it: most departures find no
+    frame waiting, and a departure with nothing to start is no event. The
+    link is busy while the running event's key is before the departure's,
+    so a frame that reaches the link at the departure's very nanosecond
+    queues (or, with a full buffer, drops) exactly when the departure, had
+    it been pushed, would not yet have run. Every event keeps the key it
+    would have under eager departures, and every tie breaks as it would.
+    """
 
     PRIO_GUARD = 100_000  # admission bounds priority load; this only guards bugs
 
     def __init__(self, net: "Network", capacity_bps: int, delay_ns: int, be_buffer: int):
         self.net = net
+        self.loop = net.loop
         self.capacity = capacity_bps
         self.delay = delay_ns
         self.be_buffer = be_buffer
         self.prio: deque[Frame] = deque()
         self.be: deque[Frame] = deque()
-        self.busy = False
+        self.free_at = -1
+        self.free_seq = 0
         self.be_dropped = 0
         self.largest = 1600  # bytes: the largest frame put in service, at least 1600
         self.observers: list = []
@@ -104,33 +149,46 @@ class Link:
         return max(1, (size * 8 * 10**9) // self.capacity)
 
     def send(self, frame: Frame, t: int) -> None:
-        if self.busy:
-            if frame.cls is TrafficClass.PRIORITY:
-                if len(self.prio) >= self.PRIO_GUARD:
+        """Hand ``frame`` to the link at ``t``, the running event's time."""
+        frame.pos += 1  # it travels to the link's receiving end
+        loop = self.loop
+        if t < self.free_at or (t == self.free_at and loop.seq < self.free_seq):
+            prio, be = self.prio, self.be
+            if frame.cls is _PRIORITY:
+                if len(prio) >= self.PRIO_GUARD:
                     raise AssertionError("priority queue overflow: admission broken")
-                self.prio.append(frame)
+                queue = prio
+            elif len(be) >= self.be_buffer:
+                self.be_dropped += 1
+                self.net._frame_dropped(frame, "be_buffer_full")
+                return
             else:
-                if len(self.be) >= self.be_buffer:
-                    self.be_dropped += 1
-                    self.net._frame_dropped(frame, "be_buffer_full")
-                    return
-                self.be.append(frame)
+                queue = be
+            if not (prio or be):  # the first frame to wait: the departure must run
+                loop.schedule(self.free_at, self._done, seq=self.free_seq)
+            queue.append(frame)
             return
         self._start(frame, t)
 
     def _start(self, frame: Frame, t: int) -> None:
-        self.busy = True
         if frame.size > self.largest:
             self.largest = frame.size
-        done = t + self.tx_time(frame.size)
-        self.net.loop.schedule(done, self._done)
-        self.net.loop.schedule(done + self.delay, self.net.arrive, self, frame)
+        loop = self.loop
+        self.free_at = done = t + self.tx_time(frame.size)
+        self.free_seq = loop.reserve()
+        if self.prio or self.be:  # a frame already waits for this departure
+            loop.schedule(done, self._done, seq=self.free_seq)
+        loop.schedule(done + self.delay,
+                      self._arrive if self.observers else self.net.process_at_node, frame)
 
     def _done(self) -> None:
-        self.busy = False
-        queue = self.prio or self.be
-        if queue:
-            self._start(queue.popleft(), self.net.loop.now)
+        queue = self.prio or self.be  # pushed only when a frame waits
+        self._start(queue.popleft(), self.free_at)
+
+    def _arrive(self, frame: Frame) -> None:
+        for obs in self.observers:
+            obs.on_frame(self, frame)
+        self.net.process_at_node(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +246,7 @@ class _Sender:
     """
 
     STAMPS = True
+    stats: FlowStats | None = None  # a flow counts its frames here
 
     def __init__(self, net: "Network", spec: dict, backward: bool = False, start: int = 0,
                  stop: int | None = None):
@@ -205,7 +264,7 @@ class _Sender:
                             f"AS {self.src}'s clock is below 0 at the start"))
         self.backward = backward
         self.plan = net.plan_for(self.route, backward, name=self.name)
-        self._first_link = net.links[self.route[0], self.route[1]]
+        self.steps = net.steps(route)
         self.start_at = start
         self.stop_at = stop
 
@@ -224,8 +283,8 @@ class _Sender:
 
     def _send(self, msg, cls: TrafficClass, size: int | None = None) -> None:
         """Hand a new frame to the source AS's first link; no self-validation."""
-        frame = self.net.new_frame(msg, self.plan, self.route, cls, self.name, size)
-        self._first_link.send(frame, self.net.loop.now)
+        frame = self.net.new_frame(msg, self.plan, self.steps, cls, self, size)
+        self.steps[0][1].send(frame, self.net.loop.now)
 
     def start(self) -> None:
         self.net.loop.schedule(self.start_at, self._tick)
@@ -392,7 +451,14 @@ class Spoofer(_Sender):
         self._data_len(len(self.plan.hops), self.packet_size)  # it forges every hop's field
         self.gap = spec["gap"]
         self.sent = 0
-        self.succeeded = 0  # frames some router classified as priority
+        self.succeeded = 0  # frames some router classified as priority, each counted once
+        self._landed: set[int] = set()  # their uids
+
+    def landed(self, frame: Frame) -> None:
+        """A router classified ``frame`` as priority."""
+        if frame.uid not in self._landed:
+            self._landed.add(frame.uid)
+            self.succeeded += 1
 
     def _emit(self, t: int) -> bool:
         if self.sent >= self.count:
@@ -409,6 +475,8 @@ class Spoofer(_Sender):
 class Replayer:
     """On-link adversary duplicating every data frame it observes."""
 
+    stats = None  # its copies count in no flow
+
     def __init__(self, net: "Network", spec: dict):
         self.net = net
         self.name = spec["name"]
@@ -420,14 +488,14 @@ class Replayer:
         self.copies_delivered = 0
 
     def on_frame(self, link: Link, frame: Frame) -> None:
-        if not isinstance(frame.msg, wire.DataPacket) or frame.is_replay_copy:
+        if not isinstance(frame.msg, wire.DataPacket) or isinstance(frame.sender, Replayer):
             return
         net = self.net
         for _ in range(self.copies):
             self.injected += 1
             # the message it saw, injected at the link's receiving end
-            copy = Frame(net.next_uid(), frame.msg, frame.size, frame.plan, frame.route,
-                         frame.pos + 1, frame.cls, self.name, net.loop.now, is_replay_copy=True)
+            copy = net.new_frame(frame.msg, frame.plan, frame.steps, frame.cls, self, frame.size,
+                                 frame.pos)
             net.loop.schedule(net.loop.now + self.delay, net.process_at_node, copy)
 
 
@@ -740,6 +808,7 @@ class Network:
         self.log_verdicts = cfg["log_verdicts"]
         self.log_lines: list[str] = []
         self._uid = 0
+        self._steps: dict[tuple[int, ...], tuple] = {}
 
         est = cfg["estimator"]
         self.estimator_cfg = EstimatorConfig(
@@ -851,131 +920,125 @@ class Network:
 
     # frame machinery ------------------------------------------------------
 
-    def next_uid(self) -> int:
-        self._uid += 1
-        return self._uid
+    def steps(self, route: tuple[int, ...]) -> tuple:
+        """(node, link to the next AS or None) at each AS of ``route``, whose
+        every link exists; built once per route."""
+        steps = self._steps.get(route)
+        if steps is None:
+            nodes, links = self.nodes, self.links
+            steps = self._steps[route] = tuple(
+                (nodes[a], links[a, b] if b is not None else None)
+                for a, b in zip(route, route[1:] + (None,)))
+        return steps
 
-    def new_frame(self, msg, plan, route, cls, origin, size: int | None = None) -> Frame:
+    def new_frame(self, msg, plan, steps, cls, sender, size: int | None = None,
+                  pos: int = 0) -> Frame:
         """A frame carrying ``msg``, sized by its ``total_len``. Filler
         (``msg`` None) takes its sender's ``size``."""
         if size is None:
             size = msg.total_len
-        return Frame(self.next_uid(), msg, size, plan, route, 0, cls, origin, self.loop.now)
+        self._uid += 1
+        return Frame(self._uid, msg, size, plan, steps, pos, cls, sender, self.loop.now)
 
     def log(self, line: str) -> None:
         self.log_lines.append(f"{self.loop.now} {line}")
 
     def _frame_dropped(self, frame: Frame, why: str) -> None:
-        flow = self.flows.get(frame.origin)
-        if flow is not None and _counted(frame.msg):
-            flow.stats.dropped += 1
+        sender = frame.sender
+        if sender.stats is not None and _counted(frame.msg):
+            sender.stats.dropped += 1
         if self.log_verdicts:
-            self.log(f"drop pkt={frame.uid} origin={frame.origin} why={why}")
-
-    def arrive(self, link: Link, frame: Frame) -> None:
-        for obs in link.observers:
-            obs.on_frame(link, frame)
-        frame.pos += 1
-        self.process_at_node(frame)
+            self.log_lines.append(f"{self.loop.now} drop pkt={frame.uid} origin={sender.name} "
+                                  f"why={why}")
 
     # node processing -------------------------------------------------------
 
-    def _hop_context(self, frame: Frame) -> tuple[int, source.PathHop] | None:
-        """(hop_index, hop) for the node at frame.pos, or None off the plan
-        and for filler."""
-        if frame.plan is None or frame.msg is None:
-            return None
-        backward = isinstance(frame.msg, wire.DataPacket) and frame.msg.d_flag
-        # a reversed route's position 0 is the destination, the last hop
-        hop_index = len(frame.plan.hops) - 1 - frame.pos if backward else frame.pos - 1
-        if not 0 <= hop_index < len(frame.plan.hops):
-            return None
-        return hop_index, frame.plan.hops[hop_index]
-
     def process_at_node(self, frame: Frame) -> None:
-        as_id = frame.route[frame.pos]
-        node = self.nodes[as_id]
-        msg = frame.msg
-        ctx = None if node.router is None else self._hop_context(frame)
-
-        if ctx is None:  # forwarded unprocessed
-            frame.cls = TrafficClass.BEST_EFFORT
+        """Run the frame through the router of the AS at ``frame.pos``, where
+        the frame's plan has a hop there, then forward it on the route's next
+        link or deliver it at the route's end. A setup request the frame
+        carries, the message or a renewal's in the payload of a forward data
+        packet that is no replay, is admitted too."""
+        node, link = frame.steps[frame.pos]
+        msg, plan, router = frame.msg, frame.plan, node.router
+        hop_index = -1
+        if router is not None and plan is not None and msg is not None:
+            # a reversed route's position 0 is the destination, the last hop
+            if isinstance(msg, wire.DataPacket) and msg.d_flag:
+                hop_index = len(plan.hops) - 1 - frame.pos
+            else:
+                hop_index = frame.pos - 1
+        if hop_index < 0:  # forwarded unprocessed
+            frame.cls = _BEST_EFFORT
         else:
-            decision, req = self._router_process(node, frame, *ctx)
-            if decision is Decision.REPLAY:
-                adv = self.adversaries.get(frame.origin)
-                if isinstance(adv, Replayer):
-                    adv.copies_dropped += 1
+            hop = plan.hops[hop_index]
+            now = node.local_time(self.loop.now)
+            if isinstance(msg, wire.SetupRequest):
+                decision, req = None, msg
+            else:
+                req = None
+                decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress, now,
+                                              wire_len=frame.size)
+                if decision is _OK and isinstance(frame.sender, Spoofer):
+                    frame.sender.landed(frame)
+                if decision is not _REPLAY and wire.is_renewal(msg):
+                    try:
+                        req = wire.decode(msg.payload)
+                    except wire.DecodeError:
+                        pass
+            if req is not None:
+                admitted, entries = router.handle_setup(req, hop_index, hop.ingress, hop.egress,
+                                                        now)
+                frame.resp_entries += tuple(entries)
+                if decision is None:  # a bare request grows by its entries; a renewal does not
+                    decision = admitted
+                    frame.size += wire.RESP_ENTRY_LEN * len(entries)
+            if self.log_verdicts:
+                self.log_lines.append(f"{self.loop.now} as={node.as_id} pkt={frame.uid} "
+                                      f"kind={'setup' if req is msg else 'data'} "
+                                      f"{_VERDICT_LOG[decision.verdict]}")
+            if decision is _REPLAY:
+                if isinstance(frame.sender, Replayer):
+                    frame.sender.copies_dropped += 1
                 self._frame_dropped(frame, decision.verdict)
                 return
             frame.cls = decision.traffic_class
-            if req is not None and ctx[0] == req.last_hop:
+            if req is not None and hop_index == req.last_hop:
                 self._turn_around(frame, req)
                 if req is msg:  # a bare request ends at its last hop
                     return
-        if frame.cls is TrafficClass.BEST_EFFORT and isinstance(msg, wire.DataPacket):
-            frame.worst = TrafficClass.BEST_EFFORT
-        if frame.pos == len(frame.route) - 1:
+        if frame.cls is _BEST_EFFORT and isinstance(msg, wire.DataPacket):
+            frame.worst = _BEST_EFFORT
+        if link is None:
             self._deliver(frame)
-        else:  # its sender checked every link of the route
-            self.links[as_id, frame.route[frame.pos + 1]].send(frame, self.loop.now)
-
-    def _router_process(self, node: Node, frame: Frame, hop_index: int, hop: source.PathHop
-                        ) -> tuple[Decision, wire.SetupRequest | None]:
-        """Run the router on the frame's message and admit the setup request
-        the frame carries, if any: the message, or a renewal's in the payload
-        of a forward data packet that is no replay. Returns the decision and
-        that request."""
-        router = node.router
-        now = node.local_time(self.loop.now)
-        msg = frame.msg
-        if isinstance(msg, wire.SetupRequest):
-            decision, req = None, msg
         else:
-            req = None
-            decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress, now,
-                                          wire_len=frame.size)
-            adv = self.adversaries.get(frame.origin)
-            if isinstance(adv, Spoofer) and decision is Decision.OK:
-                adv.succeeded += 1
-            if decision is not Decision.REPLAY and wire.is_renewal(msg):
-                try:
-                    req = wire.decode(msg.payload)
-                except wire.DecodeError:
-                    pass
-        if req is not None:
-            admitted, entries = router.handle_setup(req, hop_index, hop.ingress, hop.egress, now)
-            frame.resp_entries.extend(entries)
-            if decision is None:  # a bare request grows by its entries; a renewal does not
-                decision = admitted
-                frame.size += wire.RESP_ENTRY_LEN * len(entries)
-        if self.log_verdicts:
-            self.log(f"as={node.as_id} pkt={frame.uid} kind={'setup' if req is msg else 'data'} "
-                     f"verdict={decision.verdict} class={decision.traffic_class.value}")
-        return decision, req
+            link.send(frame, self.loop.now)
+
+    def _steps_back(self, frame: Frame) -> tuple:
+        """The steps from the frame's node back to its route's first AS."""
+        return self.steps(tuple(node.as_id for node, _ in frame.steps[frame.pos::-1]))
 
     def _turn_around(self, frame: Frame, req: wire.SetupRequest) -> None:
         """Build the aggregated response to ``req`` and send it back to the
         source, best effort: no router can validate a bare response."""
         entries = tuple(sorted(frame.resp_entries, key=lambda e: (e.hop, e.direction)))
-        back_route = tuple(reversed(frame.route[: frame.pos + 1]))  # two ASes or more
+        back = self._steps_back(frame)  # two ASes or more
         resp_frame = self.new_frame(wire.SetupResponse(req.src, req.ts_req, entries), None,
-                                    back_route, TrafficClass.BEST_EFFORT, frame.origin)
-        self.links[back_route[0], back_route[1]].send(resp_frame, self.loop.now)
+                                    back, _BEST_EFFORT, frame.sender)
+        back[0][1].send(resp_frame, self.loop.now)
 
     def _deliver(self, frame: Frame) -> None:
-        flow = self.flows.get(frame.origin)
-        msg = frame.msg
+        sender, msg = frame.sender, frame.msg
         if isinstance(msg, wire.SetupResponse):
-            if flow is not None:
-                flow.on_response(msg)
+            if isinstance(sender, ReservationFlow):
+                sender.on_response(msg)
             return
-        adv = self.adversaries.get(frame.origin)
-        if isinstance(adv, Replayer):
-            adv.copies_delivered += 1
-        if flow is None:
+        if isinstance(sender, Replayer):
+            sender.copies_delivered += 1
             return
-        st = flow.stats
+        st = sender.stats
+        if st is None:
+            return
         if not _counted(msg):
             if isinstance(msg, wire.DataPacket) and msg.d_flag:
                 st.replies_received += 1
@@ -985,14 +1048,14 @@ class Network:
         delay = self.loop.now - frame.created
         st.max_delay = max(st.max_delay, delay)
         if is_data:
-            if frame.worst is TrafficClass.PRIORITY:
+            if frame.worst is _PRIORITY:
                 st.delivered_priority += 1
             else:
                 st.delivered_demoted += 1
         if self.log_verdicts:
-            self.log(f"deliver pkt={frame.uid} flow={frame.origin} delay={delay} "
-                     f"class={frame.worst.value}")
-        if flow.backward and is_data:
+            self.log_lines.append(f"{self.loop.now} deliver pkt={frame.uid} flow={sender.name} "
+                                  f"delay={delay} class={'P' if frame.worst is _PRIORITY else 'B'}")
+        if sender.backward and is_data:
             self._auto_reply(frame)
 
     def _auto_reply(self, frame: Frame) -> None:
@@ -1001,7 +1064,7 @@ class Network:
         if budget < 0:
             return
         back = self.new_frame(source.build_reply(pkt, bytes(min(budget, 64))), frame.plan,
-                              tuple(reversed(frame.route)), TrafficClass.PRIORITY, frame.origin)
+                              self._steps_back(frame), _PRIORITY, frame.sender)
         self.process_at_node(back)  # destination router validates its own egress
 
     # run ---------------------------------------------------------------------

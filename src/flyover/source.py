@@ -47,7 +47,8 @@ class PathPlan:
     first AS after the source. Backward reservations only make sense where
     the return path overlaps the forward one, which for this codec means
     the same hop list. ``forward_keys`` / ``backward_keys`` pair each
-    requested hop index, in hop order, with its flyover key.
+    requested hop index, in hop order, with its flyover key, and
+    ``requested`` maps each requested (hop index, direction) to that key.
     """
 
     hops: tuple[PathHop, ...]
@@ -56,6 +57,7 @@ class PathPlan:
     name: str = ""
     forward_keys: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
     backward_keys: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
+    requested: dict[tuple[int, int], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.forward_hops is None:
@@ -67,6 +69,9 @@ class PathPlan:
                                       ("backward_keys", self.backward_hops, wire.BACKWARD)):
             object.__setattr__(self, name, tuple((i, self.flyover_key(i, direction))
                                                  for i in sorted(hops)))
+        object.__setattr__(self, "requested", {
+            **{(i, wire.FORWARD): k for i, k in self.forward_keys},
+            **{(i, wire.BACKWARD): k for i, k in self.backward_keys}})
 
     def flyover_key(self, hop_index: int, direction: int) -> tuple[int, int, int]:
         """(AS, pair_in, pair_out): the flyover that the hop's ``direction`` reserves."""
@@ -141,17 +146,19 @@ def build_setup_request(keys: dict[int, bytes], plan: PathPlan, src: int, ts_req
 def ingest_response(store: GrantStore, keys: dict[int, bytes], resp: wire.SetupResponse,
                     plan: PathPlan) -> list[tuple]:
     """Unseal and store each verifiable entry; bad entries are skipped alone.
+    An entry for a hop and direction the plan never requested is a bad one.
 
     Each hop's key is prepared once per call, so its forward and backward
     entries share one AES context.
     """
     accepted = []
     prepared: dict[int, crypto.PreparedKey] = {}
-    n_hops = len(plan.hops)
+    requested = plan.requested
     for hop, direction, nonce, enc_auth, tag, bw, ts_exp in resp.entries:
-        if hop >= n_hops:
+        fkey = requested.get((hop, direction))
+        if fkey is None:
             continue
-        as_id = plan.hops[hop].as_id
+        as_id = fkey[0]
         key = prepared.get(as_id)
         if key is None:
             raw = keys.get(as_id)
@@ -162,7 +169,6 @@ def ingest_response(store: GrantStore, keys: dict[int, bytes], resp: wire.SetupR
             auth = crypto.unseal_grant(key, nonce, enc_auth, tag, bw, ts_exp)
         except crypto.AuthFailure:
             continue
-        fkey = plan.flyover_key(hop, direction)
         store.put(fkey, FlyoverGrant(bw, ts_exp, auth))
         accepted.append(fkey)
     return accepted

@@ -46,7 +46,7 @@ def _one_bucket_per_source(monkeypatch):
 
 @pytest.mark.parametrize("fault, scenario, edit, failing", [
     (_forward_every_packet, "spoofer.json", {"count": 100},
-     [({"r": "R3", "adversary": "forger"}, "spoofer landed ")]),
+     [({"r": "R3", "adversary": "forger"}, "spoofer landed 100 priority packets ")]),
     (_forget_every_packet, "replay_overuse.json", {},
      [({"r": "R5", "replayer": "echo"}, "replayed copies delivered=")]),
     (_forward_overuse_and_expired, "replay_overuse.json", {},

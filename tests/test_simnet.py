@@ -312,7 +312,7 @@ def test_dropped_counts_only_the_packets_sent_counts(monkeypatch):
     frame_dropped = simnet.Network._frame_dropped
 
     def recording(net, frame, why):
-        if frame.origin == "critical":
+        if frame.sender.name == "critical":
             drops.append((net.loop.now // 10**6, type(frame.msg).__name__))
         frame_dropped(net, frame, why)
 
@@ -443,10 +443,10 @@ def test_frames_carry_their_bytes_and_no_hop_parses_them(monkeypatch, make_cfg):
     kinds = {type(f.msg) for f in sent}
     assert {wire.SetupRequest, wire.SetupResponse, wire.DataPacket} <= kinds
     if "echo" in r.adversaries:
-        copies = [f for f in sent if f.is_replay_copy]
+        copies = [f for f in sent if isinstance(f.sender, simnet.Replayer)]
         assert len(copies) == r.adversaries["echo"].injected > 0
         # a copy holds the very message of the frame the replayer saw, at its size
-        originals = {id(f.msg): f for f in sent if not f.is_replay_copy}
+        originals = {id(f.msg): f for f in sent if not isinstance(f.sender, simnet.Replayer)}
         assert all(originals[id(c.msg)].msg is c.msg and originals[id(c.msg)].size == c.size
                    for c in copies)
 
@@ -612,6 +612,72 @@ def test_no_overallocation_assertion_holds_on_all_runs():
                 total = sum(bw for bw, _ in grants.values())
                 cap = node.router.matrix.capacity_value(pair[0], pair[1], 0)
                 assert total <= cap
+
+
+def _one_link(be_buffer=100):
+    """A network of one 8 Mbps, 1 ms link from AS 1 to AS 2, driven by hand:
+    (network, link, a maker of 1000-byte filler frames, 1 ms on the wire)."""
+    net = simnet.Network({
+        "seed": 1, "be_buffer": be_buffer,
+        "topology": {"ases": [{"id": 1}, {"id": 2}],
+                     "links": [{"a": 1, "b": 2, "capacity": "8Mbps"}]},
+        "flows": [{"type": "best_effort", "name": "be", "src": 1, "path": [1, 2],
+                   "rate": "1Mbps"}]})
+    flow = net.flows["be"]
+
+    def frame():
+        return net.new_frame(None, None, flow.steps, TrafficClass.BEST_EFFORT, flow, size=1000)
+
+    return net, net.links[1, 2], frame
+
+
+def test_a_frame_at_the_departure_nanosecond_meets_the_link_by_event_order():
+    """With no best-effort buffer, a frame that reaches the link at the very
+    nanosecond the frame in service leaves is dropped if its event runs
+    before the departure's reserved key, and served if it runs after, as
+    with every departure pushed when its frame starts."""
+    net, link, frame = _one_link(be_buffer=0)
+    loop = net.loop
+    done = link.tx_time(1000)
+    early, first, late = frame(), frame(), frame()
+
+    def send(f):
+        link.send(f, loop.now)
+
+    loop.schedule(done, send, early)  # keyed before the departure, reserved below
+    loop.schedule(0, send, first)  # in service from 0 to done
+    loop.schedule(0, lambda: loop.schedule(done, send, late))  # keyed after the departure
+    loop.run_until(10**9)
+    assert link.be_dropped == 1
+    assert f"{done} drop pkt={early.uid} origin=be why=be_buffer_full" in net.log_lines
+    assert [line for line in net.log_lines if "deliver" in line] == [
+        f"{done + link.delay} deliver pkt={first.uid} flow=be delay={done + link.delay} class=P",
+        f"{2 * done + link.delay} deliver pkt={late.uid} flow=be "
+        f"delay={2 * done + link.delay} class=P"]
+
+
+def test_a_departure_is_an_event_only_when_a_frame_waits():
+    """A frame on an idle link adds one heap event, its arrival. A frame that
+    queues behind it pushes the departure that will start it."""
+    net, link, frame = _one_link()
+    loop = net.loop
+    done = link.tx_time(1000)
+    pushed = []
+    schedule = loop.schedule
+
+    def recording(t, fn, *args, **kw):
+        pushed.append((t, fn.__name__))
+        schedule(t, fn, *args, **kw)
+
+    loop.schedule = recording
+    link.send(frame(), 0)
+    assert pushed == [(done + link.delay, "process_at_node")]
+    link.send(frame(), 0)
+    assert pushed[1:] == [(done, "_done")]
+    loop.run_until(10**9)
+    # the second frame's own departure finds no frame waiting
+    assert pushed[2:] == [(2 * done + link.delay, "process_at_node")]
+    assert net.flows["be"].stats.delivered == 2
 
 
 # kinds and warm start -------------------------------------------------------------------

@@ -112,6 +112,28 @@ def test_ingest_skips_an_entry_outside_the_plan():
     assert accepted == [short.flyover_key(0, wire.FORWARD), short.flyover_key(1, wire.FORWARD)]
 
 
+def test_ingest_skips_an_entry_the_plan_never_requested(monkeypatch):
+    """Hop 1 forward and every backward entry answer no request of a plan
+    that asks for hops 0 and 2 forward: each is skipped before it is
+    unsealed, though its hop is on the path and its AS's key is held."""
+    routers, plan = _chain(3)
+    both = source.PathPlan(plan.hops, backward_hops=frozenset(range(3)))
+    keys, resp = _response(routers, both)
+    assert len(resp.entries) == 6
+    unsealed = []
+    unseal = crypto.unseal_grant
+
+    def counting(key, nonce, *args):
+        unsealed.append(nonce)
+        return unseal(key, nonce, *args)
+
+    monkeypatch.setattr(crypto, "unseal_grant", counting)
+    partial = source.PathPlan(plan.hops, frozenset({0, 2}))
+    accepted = source.ingest_response(source.GrantStore(), keys, resp, partial)
+    assert accepted == [partial.flyover_key(0, wire.FORWARD), partial.flyover_key(2, wire.FORWARD)]
+    assert len(unsealed) == 2
+
+
 def test_ingest_skips_an_entry_without_a_key():
     routers, plan = _chain(3)
     keys, resp = _response(routers, plan)
