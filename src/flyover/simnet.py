@@ -51,13 +51,16 @@ from .units import parse_bandwidth, parse_duration
 
 
 class EventLoop:
-    """Events run in (time, seq) order, where seq counts the events in the
-    order they were scheduled, so events at one nanosecond run in the order
-    they were scheduled. ``now`` and ``seq`` are the key of the running event.
+    """Events run in (time, seq) order. seq numbers the events in the order
+    they were scheduled, so events at one nanosecond run in that order: a
+    run's log, and which frame a full link drops, depend on how such ties
+    break. ``now`` and ``seq`` are the key of the running event.
 
-    ``reserve`` hands out the next seq without pushing an event; the event
-    may be pushed later under that seq (``schedule(..., seq=...)``) and then
-    runs exactly where it would have run had it been pushed at once.
+    ``reserve`` hands out the next seq without pushing an event. A link
+    reserves its departure's seq when a frame starts, and pushes the
+    departure under it (``schedule(..., seq=...)``) only once a frame waits
+    (see ``Link``): the departure then runs exactly where it would have run
+    had it been pushed at once.
     """
 
     def __init__(self):
@@ -126,7 +129,8 @@ class Link:
     so a frame that reaches the link at the departure's very nanosecond
     queues (or, with a full buffer, drops) exactly when the departure, had
     it been pushed, would not yet have run. Every event keeps the key it
-    would have under eager departures, and every tie breaks as it would.
+    would have if every departure were pushed when its frame starts, and
+    every tie breaks as it would then.
     """
 
     PRIO_GUARD = 100_000  # admission bounds priority load; this only guards bugs
@@ -186,6 +190,7 @@ class Link:
         self._start(queue.popleft(), self.free_at)
 
     def _arrive(self, frame: Frame) -> None:
+        """The frame reaches the far end of an observed link."""
         for obs in self.observers:
             obs.on_frame(self, frame)
         self.net.process_at_node(frame)

@@ -65,13 +65,15 @@ class PathPlan:
         for h in self.forward_hops | self.backward_hops:
             if not 0 <= h < len(self.hops):
                 raise ValueError("requested hop outside the path")
+        requested = {}
         for name, hops, direction in (("forward_keys", self.forward_hops, wire.FORWARD),
                                       ("backward_keys", self.backward_hops, wire.BACKWARD)):
-            object.__setattr__(self, name, tuple((i, self.flyover_key(i, direction))
-                                                 for i in sorted(hops)))
-        object.__setattr__(self, "requested", {
-            **{(i, wire.FORWARD): k for i, k in self.forward_keys},
-            **{(i, wire.BACKWARD): k for i, k in self.backward_keys}})
+            keys = []
+            for i in sorted(hops):
+                key = requested[i, direction] = self.flyover_key(i, direction)
+                keys.append((i, key))
+            object.__setattr__(self, name, tuple(keys))
+        object.__setattr__(self, "requested", requested)
 
     def flyover_key(self, hop_index: int, direction: int) -> tuple[int, int, int]:
         """(AS, pair_in, pair_out): the flyover that the hop's ``direction`` reserves."""
