@@ -6,6 +6,7 @@ bytes, the per-source report, and the 800 kB footprint for 100k flyovers.
 """
 
 from flyover.policing import TokenBucket, TrafficMonitor, Verdict
+from flyover.router import RouterConfig
 
 MS = 1_000_000
 
@@ -32,7 +33,7 @@ for src, conform_b, overuse_b, expired, replays in mon.report_rows():
           f"expired={expired} replays={replays}")
 
 print("\n== memory for 100000 monitored flyovers ==")
-big = TrafficMonitor()
+big = TrafficMonitor(RouterConfig().bucket_window_ns)
 for src in range(100_000):
     big.register(src, 1_000_000, 10**15, 1, 2, now=0)
 print(f"  serialized bucket state: {len(big.serialized_bucket_state())} bytes")

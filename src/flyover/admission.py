@@ -70,7 +70,7 @@ class BloomFilter:
 
     __slots__ = ("bits", "n_bits", "n_hashes")
 
-    def __init__(self, n_bits: int = 95_851, n_hashes: int = 7):
+    def __init__(self, n_bits: int, n_hashes: int):
         self.bits = bytearray((n_bits + 7) // 8)
         self.n_bits = n_bits
         self.n_hashes = n_hashes
@@ -121,7 +121,8 @@ class BloomFilter:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator parameters; the reserved fraction must stay in (0, 1]."""
+    """Estimator parameters; the reserved fraction must stay in (0, 1].
+    The defaults are the protocol's, which the scenario schema reads."""
 
     interval_ns: int = 10_000_000_000  # rotation period
     min_requesters: int = 16
@@ -400,7 +401,7 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
         if grant is None:
             continue
         alpha = crypto.compute_authenticator(state.prepared_secret, req.src, *pair)
-        nonce = nonce_source.randbytes(12) if nonce_source is not None else None
+        nonce = nonce_source.randbytes(crypto.NONCE_LEN) if nonce_source is not None else None
         nonce, enc_auth, tag = crypto.seal_grant(drkey, alpha, grant.bw, grant.ts_exp, nonce)
         out.append(wire.RespEntry(hop_index, direction, nonce, enc_auth, tag,
                                   grant.bw, grant.ts_exp))

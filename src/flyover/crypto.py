@@ -52,6 +52,8 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 KEY_LEN = 16
 BLOCK_LEN = 16
 NONCE_LEN = 12
+# Length of a ChaCha20-Poly1305 tag, in bytes.
+TAG_LEN = 16
 # Truncation length of validation fields, in bytes.
 VALIDATION_FIELD_LEN = 3
 

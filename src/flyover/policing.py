@@ -2,7 +2,11 @@
 
 The monitor keeps one token bucket per flyover (source AS, directed
 interface pair); a bucket's whole state is one eight-byte timestamp, so
-policing a hundred thousand flyovers costs 800 kB. The duplicate suppressor
+policing a hundred thousand flyovers costs 800 kB. An entry polices its
+grant until the grant's ``ts_exp``; from that nanosecond on, by
+:func:`wire.expired`, it answers ``EXPIRED``, as the router's guard counts
+the grant dead then. The caller passes the bucket window, which
+``RouterConfig`` holds. The duplicate suppressor
 is an exact sliding window over (source, timestamp, kind): no false
 positives and no false negatives inside the admission window. It packs each
 triple into one int, filed in a set per timestamp bucket an eighth of the
@@ -15,12 +19,19 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
+from .wire import expired
+
 
 class Verdict(Enum):
     CONFORM = "conform"
     OVERUSE = "overuse"
     EXPIRED = "expired"
     UNKNOWN = "unknown"
+
+
+# bound once: an Enum member read off its class is slow, and police runs per packet
+_CONFORM, _OVERUSE, _EXPIRED, _UNKNOWN = (Verdict.CONFORM, Verdict.OVERUSE, Verdict.EXPIRED,
+                                          Verdict.UNKNOWN)
 
 
 class TokenBucket:
@@ -72,7 +83,7 @@ class SourceCounters:
 class TrafficMonitor:
     """Token-bucket policing per flyover (src, pair_in, pair_out); counters per source."""
 
-    def __init__(self, window_ns: int = 50_000_000):
+    def __init__(self, window_ns: int):
         self.window_ns = window_ns
         self.entries: dict[tuple[int, int, int], MonitorEntry] = {}
         self.counters: dict[int, SourceCounters] = {}
@@ -106,22 +117,22 @@ class TrafficMonitor:
     def police(self, src: int, pkt_len: int, pair_in: int, pair_out: int, now: int) -> Verdict:
         entry = self.entries.get((src, pair_in, pair_out))
         if entry is None:
-            return Verdict.UNKNOWN
-        if now > entry.ts_exp:
+            return _UNKNOWN
+        if expired(entry.ts_exp, now):
             self._counters(src).expired_pkts += 1
-            return Verdict.EXPIRED
+            return _EXPIRED
         if entry.bucket.check(pkt_len, now):
             self._counters(src).conform_bytes += pkt_len
-            return Verdict.CONFORM
+            return _CONFORM
         self._counters(src).overuse_bytes += pkt_len
-        return Verdict.OVERUSE
+        return _OVERUSE
 
     def note_replay(self, src: int) -> None:
         self._counters(src).replay_pkts += 1
 
     def sweep(self, now: int, grace_ns: int = 0) -> int:
-        """Evict entries expired for longer than ``grace_ns``; returns count."""
-        dead = [k for k, e in self.entries.items() if now > e.ts_exp + grace_ns]
+        """Evict entries expired for ``grace_ns`` or longer; returns count."""
+        dead = [k for k, e in self.entries.items() if expired(e.ts_exp + grace_ns, now)]
         for k in dead:
             del self.entries[k]
         return len(dead)

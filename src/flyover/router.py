@@ -18,6 +18,13 @@ guard). The guard keeps a running total of the live grants per interface
 pair and a heap of their expiries, so a grant costs amortized O(log n) in
 the pair's holders rather than a re-sum of all of them; a clock that runs
 backwards for a pair rebuilds that pair's total once from its holders.
+A grant counts against the pair before its ``ts_exp`` and no longer from
+that nanosecond on, by :func:`wire.expired`: the monitor stops passing its
+traffic as conforming at the same nanosecond, so the grants whose traffic
+conforms never sum past the capacity the guard checks.
+
+``RouterConfig`` and its ``EstimatorConfig`` hold the protocol's defaults:
+the timestamp window, the bucket window and the estimator's parameters.
 """
 
 from __future__ import annotations
@@ -62,6 +69,9 @@ _POLICED = {Verdict.CONFORM: Decision.OK, Verdict.OVERUSE: Decision.OVERUSE,
             Verdict.EXPIRED: Decision.EXPIRED, Verdict.UNKNOWN: Decision.UNKNOWN}
 # bound once: an Enum member read off its class, or hashed as a dict key, is slow
 _CONFORM, _OK = Verdict.CONFORM, Decision.OK
+_STALE_TS, _MISSING_FIELD, _REPLY_TOO_LONG, _BAD_MAC, _REPLAY = (
+    Decision.STALE_TS, Decision.MISSING_FIELD, Decision.REPLY_TOO_LONG, Decision.BAD_MAC,
+    Decision.REPLAY)
 
 
 @dataclass(frozen=True)
@@ -128,19 +138,20 @@ class Router:
         holders = self.active_grants.setdefault(pair, {})
         live = self._live.get(pair)
         if live is None or now < live[1]:
-            heap = [(held[1], s, held) for s, held in holders.items() if held[1] > now]
+            heap = [(held[1], s, held) for s, held in holders.items()
+                    if not wire.expired(held[1], now)]
             heapq.heapify(heap)
             live = self._live[pair] = [sum(held[0] for _, _, held in heap), now, heap]
         total, _, heap = live
-        while heap and heap[0][0] <= now:
+        while heap and wire.expired(heap[0][0], now):
             _, s, held = heapq.heappop(heap)
             if holders.get(s) is held:
                 total -= held[0]
         old = holders.get(src)
-        if old is not None and old[1] > now:
+        if old is not None and not wire.expired(old[1], now):
             total -= old[0]
         entry = holders[src] = (grant.bw, grant.ts_exp)
-        if grant.ts_exp > now:
+        if not wire.expired(grant.ts_exp, now):
             total += grant.bw
             heapq.heappush(heap, (grant.ts_exp, src, entry))
         live[0], live[1] = total, now
@@ -168,22 +179,22 @@ class Router:
         if wire_len is None:
             wire_len = wire.data_packet_len(len(rvfs) + len(bvfs), len(payload))
         if not self.config.in_window(ts_pkt, now):
-            return Decision.STALE_TS
+            return _STALE_TS
         for hop, field_bytes in (bvfs if backward else rvfs):
             if hop == hop_index:
                 break
         else:
-            return Decision.MISSING_FIELD
+            return _MISSING_FIELD
         if backward and wire_len > len_b:
-            return Decision.REPLY_TOO_LONG
+            return _REPLY_TOO_LONG
         mac_len = len_b if backward else wire_len
         pair_in, pair_out = wire.directed_pair(ingress, egress, direction)
         alpha = crypto.compute_authenticator(self.prepared_secret, src, pair_in, pair_out)
         if crypto.compute_validation_field(alpha, ts_pkt, mac_len) != field_bytes:
-            return Decision.BAD_MAC
+            return _BAD_MAC
         kind = DedupWindow.KIND_DATA_BWD if backward else DedupWindow.KIND_DATA_FWD
         if not self.dedup.check(src, ts_pkt, kind, now):
             self.monitor.note_replay(src)
-            return Decision.REPLAY
+            return _REPLAY
         verdict = self.monitor.police(src, wire_len, pair_in, pair_out, now)
         return _OK if verdict is _CONFORM else _POLICED[verdict]

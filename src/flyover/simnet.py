@@ -101,6 +101,13 @@ _OK, _REPLAY = Decision.OK, Decision.REPLAY
 _VERDICT_LOG = {d.verdict: f"verdict={d.verdict} class={d.traffic_class.value}" for d in Decision}
 
 
+def tx_time(size: int, bps: int) -> int:
+    """Nanoseconds to put ``size`` bytes on a wire of ``bps`` bits per second,
+    floored, and at least 1: a link serves a frame for this long, and a
+    best-effort flow sends one frame per this long at its rate."""
+    return max(1, size * 8 * 10**9 // bps)
+
+
 @dataclass(slots=True)
 class Frame:
     uid: int
@@ -149,9 +156,6 @@ class Link:
         self.largest = 1600  # bytes: the largest frame put in service, at least 1600
         self.observers: list = []
 
-    def tx_time(self, size: int) -> int:
-        return max(1, (size * 8 * 10**9) // self.capacity)
-
     def send(self, frame: Frame, t: int) -> None:
         """Hand ``frame`` to the link at ``t``, the running event's time."""
         frame.pos += 1  # it travels to the link's receiving end
@@ -178,7 +182,7 @@ class Link:
         if frame.size > self.largest:
             self.largest = frame.size
         loop = self.loop
-        self.free_at = done = t + self.tx_time(frame.size)
+        self.free_at = done = t + tx_time(frame.size, self.capacity)
         self.free_seq = loop.reserve()
         if self.prio or self.be:  # a frame already waits for this departure
             loop.schedule(done, self._done, seq=self.free_seq)
@@ -330,14 +334,15 @@ class ReservationFlow(_Sender):
 
     def _request(self, t: int) -> None:
         """Request at ``t``, then climb the retry ladder until a usable grant
-        starts the sending: every eps/2, plus the guaranteed-success point
-        at 2*eps. A new ladder supersedes the rungs of an older one."""
+        starts the sending: a rung every eps/2 up to the guaranteed-success
+        point at 2*eps, the fourth. A new ladder supersedes the rungs of an
+        older one."""
         self.ladder = t
-        self.net.loop.schedule(t, self._send_setup)
+        loop = self.net.loop
+        loop.schedule(t, self._send_setup)
         eps = self.net.estimator_cfg.interval_ns
-        for k in (1, 2, 3):
-            self.net.loop.schedule(t + k * eps // 2, self._retry, t)
-        self.net.loop.schedule(t + 2 * eps, self._retry, t)
+        for k in range(1, 5):
+            loop.schedule(t + k * eps // 2, self._retry, t)
 
     def _send_setup(self) -> None:
         req = source.build_setup_request(self.keys, self.plan, self.src,
@@ -420,7 +425,7 @@ class BestEffortFlow(_Sender):
     def __init__(self, net: "Network", spec: dict):
         super().__init__(net, spec, start=spec["start"], stop=spec["stop_at"])
         self.packet_size = spec["packet_size"]
-        self.gap = max(1, (self.packet_size * 8 * 10**9) // spec["rate"])
+        self.gap = tx_time(self.packet_size, spec["rate"])
         self.stats = FlowStats()
 
     def _emit(self, t: int) -> bool:
@@ -471,7 +476,8 @@ class Spoofer(_Sender):
         self.sent += 1
         rng = self.net.rng
         ts = self.node.local_time(t)
-        rvfs = tuple((i, rng.randbytes(3)) for i in range(len(self.plan.hops)))
+        rvfs = tuple((i, rng.randbytes(crypto.VALIDATION_FIELD_LEN))
+                     for i in range(len(self.plan.hops)))
         pkt = wire.DataPacket(self.victim, False, ts, 0, rvfs, (), bytes(self.packet_size))
         self._send(pkt, TrafficClass.PRIORITY)
         return True
@@ -607,7 +613,9 @@ def _check_policing(result, req) -> tuple[bool, str]:
         window = result.router_cfg.bucket_window_ns
         for as_id, router in result.routers():
             for (src, *_), entry in router.monitor.entries.items():
-                if entry.bucket.ts > entry.ts_exp + window:
+                # a packet that conformed at ``now`` left the bucket's end at
+                # most ``now + window``: the latest one came no earlier than this
+                if wire.expired(entry.ts_exp, entry.bucket.ts - window):
                     return False, f"AS {as_id} charged src {src} past expiry"
         details.append("no conform verdicts beyond expiry")
     return True, "; ".join(details) if details else "nothing to check"
@@ -629,10 +637,11 @@ class ConfigError(ValueError):
 
 
 _JSON = (int, float, bool, str, list, dict)
+_KEY_BYTES = f"{crypto.KEY_LEN} bytes"
 _RANGES = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
            "[0, 1]": lambda v: 0 <= v <= 1, "(0, 1]": lambda v: 0 < v <= 1,
            "[0, 65535]": lambda v: 0 <= v <= wire.MAX_LEN, "[0, 2^64)": lambda v: 0 <= v < 2**64,
-           "16 bytes": lambda v: len(v) == 16}
+           _KEY_BYTES: lambda v: len(v) == crypto.KEY_LEN}
 
 
 def _parse(raw, table: dict, where: str) -> dict:
@@ -701,8 +710,7 @@ def _topology(value) -> dict:
     """An inline topology, a `topo gen` document, or the path of a file
     holding either, parsed to the inline form."""
     if type(value) is str:
-        with open(value) as fh:
-            value = json.load(fh)
+        value = _read_json(value, "topology")
     if type(value) is dict and "n" in value and "ases" not in value:
         gen = _parse(value, _TOPO_GEN_KEYS, "topology")
         ids, matrices = [str(i) for i in range(gen["n"])], gen["matrices"]
@@ -716,7 +724,7 @@ def _topology(value) -> dict:
 _AS_KEYS = {"id": (int, "[0, 2^64)", ...),
             "enabled": (bool, None, True),  # false: the AS forwards unaware of the protocol
             "matrix": (AllocationMatrix, None, None),  # None: from the link capacities
-            "secret": (bytes.fromhex, "16 bytes", None)}  # None: derived from the AS id
+            "secret": (bytes.fromhex, _KEY_BYTES, None)}  # None: derived from the AS id
 _LINK_KEYS = {"a": (int, None, ...), "b": (int, None, ...),
               "capacity": (parse_bandwidth, "> 0", "10Gbps"),
               "delay": (parse_duration, ">= 0", "1ms")}
@@ -726,11 +734,20 @@ _TOPO_GEN_KEYS = {"n": (int, "> 0", ...), "links": (list, None, ...),
                   "matrices": (dict, None, {}),  # str(AS id) -> matrix
                   # how `topo gen` made the file; not read
                   "seed": (int, None, None), "attachment": (int, None, None)}
+# The protocol's defaults are RouterConfig's and EstimatorConfig's, read here,
+# but for two estimator keys. The library's floor of 16 requesters and its
+# Bloom filter suit a router that serves many sources; a scenario has a
+# handful per pair, so it counts them exactly (exact) and lets them split the
+# reserved part among themselves (min_requesters 1), the shares its flows'
+# rates and requirements are written for.
+_DEFAULTS = RouterConfig()
+_EST = _DEFAULTS.estimator
 _ESTIMATOR_KEYS = {
-    "interval": (parse_duration, "> 0", "10s"), "min_requesters": (int, "> 0", 1),
-    "reserved_fraction": (lambda v: Fraction(str(v)), "(0, 1]", "0.8"),
-    "tentative_slots": (int, ">= 0", 8), "filter_bits": (int, "> 0", 95_851),
-    "hash_count": (int, "> 0", 7), "exact": (bool, None, True)}
+    "interval": (parse_duration, "> 0", _EST.interval_ns), "min_requesters": (int, "> 0", 1),
+    "reserved_fraction": (lambda v: Fraction(str(v)), "(0, 1]", _EST.reserved_fraction),
+    "tentative_slots": (int, ">= 0", _EST.tentative_slots),
+    "filter_bits": (int, "> 0", _EST.filter_bits), "hash_count": (int, "> 0", _EST.hash_count),
+    "exact": (bool, None, True)}
 _SENDER_KEYS = {"name": (str, None, ...), "src": (int, None, ...), "path": (_route, None, ...)}
 _RESERVATION_KEYS = {
     **_SENDER_KEYS, "setup_at": (parse_duration, ">= 0", 0),
@@ -780,8 +797,10 @@ _NAMED = {"flow": ReservationFlow, "overuser": ReservationFlow, "adversary": Spo
 _SCENARIO_KEYS = {
     "seed": (int, None, 0), "duration": (parse_duration, "> 0", "5s"),
     "log_verdicts": (bool, None, True), "warm_start": (bool, None, False),
-    "delta": (parse_duration, ">= 0", "500ms"), "lifetime": (parse_duration, ">= 0", "1s"),
-    "bucket_window": (parse_duration, "> 0", "50ms"), "be_buffer": (int, ">= 0", 100),
+    "delta": (parse_duration, ">= 0", _DEFAULTS.delta_ns),
+    "lifetime": (parse_duration, ">= 0", _DEFAULTS.lifetime_ns),
+    "bucket_window": (parse_duration, "> 0", _DEFAULTS.bucket_window_ns),
+    "be_buffer": (int, ">= 0", 100),
     # AS id (a string, as JSON object keys are) -> clock offset
     "clock_skew": (lambda v: {int(a): parse_duration(t) for a, t in _json(v, dict).items()},
                    None, {}),
@@ -1009,7 +1028,10 @@ class Network:
                 return
             frame.cls = decision.traffic_class
             if req is not None and hop_index == req.last_hop:
-                self._turn_around(frame, req)
+                # the aggregated response returns best effort: no router can
+                # validate a bare response, so it has no plan
+                self._send_back(frame, wire.SetupResponse(req.src, req.ts_req,
+                                                          frame.resp_entries), None, _BEST_EFFORT)
                 if req is msg:  # a bare request ends at its last hop
                     return
         if frame.cls is _BEST_EFFORT and isinstance(msg, wire.DataPacket):
@@ -1019,18 +1041,13 @@ class Network:
         else:
             link.send(frame, self.loop.now)
 
-    def _steps_back(self, frame: Frame) -> tuple:
-        """The steps from the frame's node back to its route's first AS."""
-        return self.steps(tuple(node.as_id for node, _ in frame.steps[frame.pos::-1]))
-
-    def _turn_around(self, frame: Frame, req: wire.SetupRequest) -> None:
-        """Build the aggregated response to ``req`` and send it back to the
-        source, best effort: no router can validate a bare response."""
-        entries = tuple(sorted(frame.resp_entries, key=lambda e: (e.hop, e.direction)))
-        back = self._steps_back(frame)  # two ASes or more
-        resp_frame = self.new_frame(wire.SetupResponse(req.src, req.ts_req, entries), None,
-                                    back, _BEST_EFFORT, frame.sender)
-        back[0][1].send(resp_frame, self.loop.now)
+    def _send_back(self, frame: Frame, msg, plan, cls: TrafficClass) -> None:
+        """Send ``msg`` as a new frame of the frame's sender, from the frame's
+        AS back along its route to the route's first AS. The new frame starts
+        at this AS, whose router validates it where ``plan`` has a hop here;
+        a frame without a plan is forwarded best effort."""
+        back = self.steps(tuple(node.as_id for node, _ in frame.steps[frame.pos::-1]))
+        self.process_at_node(self.new_frame(msg, plan, back, cls, frame.sender))
 
     def _deliver(self, frame: Frame) -> None:
         sender, msg = frame.sender, frame.msg
@@ -1068,9 +1085,9 @@ class Network:
         budget = source.max_reply_payload(pkt)
         if budget < 0:
             return
-        back = self.new_frame(source.build_reply(pkt, bytes(min(budget, 64))), frame.plan,
-                              self._steps_back(frame), _PRIORITY, frame.sender)
-        self.process_at_node(back)  # destination router validates its own egress
+        # the destination's router validates its own egress first
+        self._send_back(frame, source.build_reply(pkt, bytes(min(budget, 64))), frame.plan,
+                        _PRIORITY)
 
     # run ---------------------------------------------------------------------
 
@@ -1111,7 +1128,8 @@ class Network:
         total = 0
         for a, b in zip(flow.route, flow.route[1:]):
             link = self.links[a, b]
-            total += link.delay + link.tx_time(flow.wire_size) + link.tx_time(link.largest)
+            total += (link.delay + tx_time(flow.wire_size, link.capacity)
+                      + tx_time(link.largest, link.capacity))
         return total
 
 
@@ -1119,12 +1137,18 @@ class Network:
 # loading and running
 
 
-def load_scenario(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON document in the file at ``path``; a ConfigError naming the
+    file and ``what`` it should hold if it is not JSON."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad scenario file {path}: {exc}") from exc
+            raise ConfigError(f"bad {what} file {path}: {exc}") from exc
+
+
+def load_scenario(path: str) -> dict:
+    return _read_json(path, "scenario")
 
 
 def run_scenario(cfg: dict, seed: int | None = None) -> Network:

@@ -4,7 +4,9 @@ Builds setup requests, verifies and stores sealed grants, composes
 hop-level reservations into per-path send rates (concurrent split or
 exclusive maximum), emits reservation packets, and constructs bounded
 backward replies. Rates are exact rationals, so the rates through a
-flyover never sum past its bandwidth by float rounding.
+flyover never sum past its bandwidth by float rounding. A stored grant is
+usable before its ``ts_exp`` and expired from that nanosecond on, by
+:func:`wire.expired`, the rule the routers police and guard by.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class FlyoverGrant:
     key: crypto.PreparedKey | None = field(default=None, repr=False, compare=False)
 
     def expired(self, now: int) -> bool:
-        return now > self.ts_exp
+        return wire.expired(self.ts_exp, now)
 
     def mac_key(self) -> crypto.PreparedKey:
         """The authenticator's prepared key, built on first use."""

@@ -12,6 +12,8 @@ All integers are big-endian. Layouts (sizes in bytes):
                    | nF * [hop(1) rvf(3)] | nB * [hop(1) bvf(3)] | payload
                    flags: bit0 = direction (0 forward, 1 backward)
 
+The widths of the crypto fields (auth, nonce, encAuth, tag, rvf, bvf) are
+``crypto``'s, which the layouts and the encoder's size checks read.
 Hop lists are sorted by hop index without duplicates. Setup messages must
 consume the whole buffer; for data packets everything after the declared
 field lists is payload. Decoding is the exact inverse of encoding on valid
@@ -37,6 +39,8 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
+from .crypto import BLOCK_LEN, NONCE_LEN, TAG_LEN, VALIDATION_FIELD_LEN
+
 MSG_SETUP_REQ = 0x01
 MSG_SETUP_RESP = 0x02
 MSG_DATA = 0x03
@@ -49,11 +53,12 @@ MAX_LEN = 0xFFFF  # a data packet's length and its len_b are 16-bit fields
 # Precompiled layouts, shared by the encoder and the decoder.
 _REQ_HEAD = struct.Struct(">BQQB")  # type, src, tsReq, n
 _REQ_DEMAND_HEAD = struct.Struct(">BQQQQB")  # type, src, tsReq, bwDem, bwMin, n
-_REQ_ENTRY = struct.Struct(">BB16s")  # hop, flags, auth
+_REQ_ENTRY = struct.Struct(f">BB{BLOCK_LEN}s")  # hop, flags, auth
 _RESP_HEAD = struct.Struct(">BQQB")  # type, src, tsReq, m
-_RESP_ENTRY = struct.Struct(">BB12s16s16sQQ")  # hop, dir, nonce, encAuth, tag, bw, tsExp
+_RESP_ENTRY = struct.Struct(  # hop, dir, nonce, encAuth, tag, bw, tsExp
+    f">BB{NONCE_LEN}s{BLOCK_LEN}s{TAG_LEN}sQQ")
 _DATA_HEAD = struct.Struct(">BQBQHBB")  # type, src, flags, tsPkt, lenB, nF, nB
-_DATA_FIELD = struct.Struct(">B3s")  # hop, validation field
+_DATA_FIELD = struct.Struct(f">B{VALIDATION_FIELD_LEN}s")  # hop, validation field
 _DATA_FLAGS_AT = 9  # offset of the data flags byte, after type and src
 
 DATA_FIXED_HEADER = _DATA_HEAD.size  # 22
@@ -78,7 +83,7 @@ class ReqEntry(NamedTuple):
     hop: int
     flag_r: bool
     flag_b: bool
-    auth: bytes  # 16-byte request tag
+    auth: bytes  # request tag, a MAC block
 
 
 class SetupRequest(NamedTuple):
@@ -112,6 +117,13 @@ class RespEntry(NamedTuple):
     tag: bytes
     bw: int
     ts_exp: int
+
+
+def expired(ts_exp: int, now: int) -> bool:
+    """Whether a grant expiring at ``ts_exp`` is dead at ``now``: it is live
+    before that nanosecond and dead from it on. The source's grant store,
+    the monitor and the router's over-allocation guard all read this rule."""
+    return now >= ts_exp
 
 
 class SetupResponse(NamedTuple):
@@ -197,8 +209,8 @@ def _encode_request(msg: SetupRequest) -> bytes:
         parts = [_REQ_DEMAND_HEAD.pack(MSG_SETUP_REQ_DEMAND, msg.src, msg.ts_req, msg.bw_demand,
                                        msg.bw_min, len(msg.entries))]
     for e in msg.entries:
-        if len(e.auth) != 16:
-            raise EncodeError("request auth must be 16 bytes")
+        if len(e.auth) != BLOCK_LEN:
+            raise EncodeError(f"request auth must be {BLOCK_LEN} bytes")
         parts.append(_REQ_ENTRY.pack(e.hop, (1 if e.flag_r else 0) | (2 if e.flag_b else 0),
                                      e.auth))
     return b"".join(parts)
@@ -212,7 +224,7 @@ def _encode_response(msg: SetupResponse) -> bytes:
     for hop, direction, nonce, enc_auth, tag, bw, ts_exp in msg.entries:
         if direction not in (FORWARD, BACKWARD):
             raise EncodeError("bad response direction")
-        if len(nonce) != 12 or len(enc_auth) != 16 or len(tag) != 16:
+        if len(nonce) != NONCE_LEN or len(enc_auth) != BLOCK_LEN or len(tag) != TAG_LEN:
             raise EncodeError("bad response entry field size")
         parts.append(_RESP_ENTRY.pack(hop, direction, nonce, enc_auth, tag, bw, ts_exp))
     return b"".join(parts)
@@ -227,8 +239,8 @@ def _encode_data(msg: DataPacket) -> bytes:
     parts = [_DATA_HEAD.pack(MSG_DATA, msg.src, 1 if msg.d_flag else 0, msg.ts_pkt, msg.len_b,
                              len(msg.rvfs), len(msg.bvfs))]
     for hop, f in msg.rvfs + msg.bvfs:
-        if len(f) != 3:
-            raise EncodeError("validation field must be 3 bytes")
+        if len(f) != VALIDATION_FIELD_LEN:
+            raise EncodeError(f"validation field must be {VALIDATION_FIELD_LEN} bytes")
         parts.append(_DATA_FIELD.pack(hop, f))
     parts.append(msg.payload)
     return b"".join(parts)

@@ -19,7 +19,7 @@ import pytest
 from flyover import simnet, source, topo
 from flyover.admission import EstimatorConfig, RequesterEstimator
 from flyover.policing import TokenBucket, TrafficMonitor
-from flyover.router import TrafficClass
+from flyover.router import RouterConfig, TrafficClass
 from flyover import crypto
 
 from helpers import GBPS, S, full_setup, line_path, make_router, router_cfg, warm_router
@@ -145,7 +145,7 @@ def test_c3_token_bucket_oracle():
 
 
 def test_c4_monitor_footprint():
-    mon = TrafficMonitor()
+    mon = TrafficMonitor(RouterConfig().bucket_window_ns)
     for src in range(100_000):
         mon.register(src, 1_000_000, 10**15, 1, 2, now=0)
     size = len(mon.serialized_bucket_state())

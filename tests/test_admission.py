@@ -205,7 +205,7 @@ def test_bloom_membership_and_reset():
 
 
 def test_bloom_union_cardinality_close_and_conservative_here():
-    bf1, bf2 = BloomFilter(), BloomFilter()
+    bf1, bf2 = EstimatorConfig().make_filter(), EstimatorConfig().make_filter()  # the default size
     for x in range(400):
         bf1.add(x)
     for x in range(200, 700):

@@ -161,6 +161,21 @@ def test_scenario_bad_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
+    """Scenario and topology files are read by one reader: either one that is
+    not JSON is a configuration error (exit 2) that names the file."""
+    bad_topology = tmp_path / "topology.json"
+    bad_topology.write_text('{"ases": [}')
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"topology": str(bad_topology)}))
+    bad_scenario = tmp_path / "bad.json"
+    bad_scenario.write_text("{not json")
+    for path, what in ((scenario, "topology"), (bad_scenario, "scenario")):
+        assert cli.main(["scenario", "run", str(path)]) == 2
+        bad = bad_topology if what == "topology" else bad_scenario
+        assert capsys.readouterr().err.startswith(f"error: bad {what} file {bad}: Expecting")
+
+
 @pytest.mark.parametrize("edit", [
     lambda cfg: cfg["topology"]["links"][1].update(capacity="0bps"),
     lambda cfg: cfg["flows"][0].pop("name"),

@@ -86,7 +86,7 @@ def test_bucket_rejects_non_positive_rate(rate):
 # monitor ---------------------------------------------------------------------
 
 def test_register_rejects_negative_bandwidth():
-    mon = TrafficMonitor()
+    mon = TrafficMonitor(window_ns=50 * MS)
     with pytest.raises(ValueError, match="bandwidth must be >= 0"):
         mon.register(5, -1, 10 * S, *PAIR, now=0)
     assert mon.entries == {}
@@ -94,7 +94,7 @@ def test_register_rejects_negative_bandwidth():
 
 
 def test_register_twice_keeps_single_entry_and_bucket_state():
-    mon = TrafficMonitor()
+    mon = TrafficMonitor(window_ns=50 * MS)
     mon.register(5, 8_000_000_000, 10 * S, *PAIR, now=0)
     entry = mon.entries[(5, *PAIR)]
     mon.police(5, 1000, *PAIR, now=0)
@@ -107,7 +107,7 @@ def test_register_twice_keeps_single_entry_and_bucket_state():
 
 
 def test_register_update_changes_rate():
-    mon = TrafficMonitor()
+    mon = TrafficMonitor(window_ns=50 * MS)
     mon.register(5, 8_000_000_000, 10 * S, *PAIR, now=0)
     mon.register(5, 16_000_000_000, 10 * S, *PAIR, now=0)
     assert mon.entries[(5, *PAIR)].bw == 16_000_000_000
@@ -129,7 +129,7 @@ def test_flyovers_of_one_source_are_policed_apart():
 
 
 def test_monitor_footprint_100k():
-    mon = TrafficMonitor()
+    mon = TrafficMonitor(window_ns=50 * MS)
     for src in range(100_000):
         mon.register(src, 1_000_000, 10 * S, *PAIR, now=0)
     assert len(mon.serialized_bucket_state()) == 800_000
@@ -187,7 +187,7 @@ def test_policing_soundness_bound():
 
 
 def test_sweep_evicts_lazily():
-    mon = TrafficMonitor()
+    mon = TrafficMonitor(window_ns=50 * MS)
     mon.register(1, 1000, 100, *PAIR, now=0)
     mon.register(2, 1000, 10**9, *PAIR, now=0)
     assert mon.sweep(now=200) == 1

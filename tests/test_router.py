@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from flyover import crypto, source, wire
 from flyover.admission import AllocationMatrix, DefaultPolicy, Grant
 from flyover.router import Decision, Router, RouterConfig, TrafficClass
-from flyover.policing import DedupWindow
+from flyover.policing import DedupWindow, Verdict
 
 from helpers import GBPS, S, estimator_cfg, full_setup, line_path, make_router, router_cfg, warm_router
 
@@ -438,6 +438,53 @@ def test_guard_total_matches_resum_under_any_clock(capacity, steps):
         else:
             assert expected <= capacity
     assert r.active_grants == held
+
+
+@pytest.mark.parametrize("before, live", [(1, True), (0, False)], ids=["ts_exp-1", "ts_exp"])
+def test_the_source_the_monitor_and_the_guard_end_a_grant_together(before, live):
+    """A grant is live for the source's store, the monitor and the
+    over-allocation guard at ``ts_exp - 1``, and dead for all three from
+    ``ts_exp`` on."""
+    ts_exp, cap = 5 * S, 10 * GBPS
+    now = ts_exp - before
+    r = Router(20, bytes(16), AllocationMatrix([[0, cap], [cap, 0]]), router_cfg())
+    r.monitor.register(SRC, cap, ts_exp, 0, 1, now=0)
+    r.note_grant(SRC, (0, 1), Grant(cap, ts_exp), 0, ts_req=0)
+    store = source.GrantStore()
+    store.put((r.as_id, 0, 1), source.FlyoverGrant(cap, ts_exp, bytes(16)))
+    assert (store.get((r.as_id, 0, 1), now) is not None) is live
+    assert r.monitor.police(SRC, 1, 0, 1, now) is (Verdict.CONFORM if live else Verdict.EXPIRED)
+    # another source's 1 bps overfills the pair only while the full grant counts
+    try:
+        r.note_grant(SRC + 1, (0, 1), Grant(1, ts_exp + S), now, ts_req=now)
+    except AssertionError:
+        counted = True
+    else:
+        counted = False
+    assert counted is live
+
+
+def test_the_grants_the_monitor_passes_never_sum_past_the_capacity():
+    """A tentative grant ends at the rotation where the next interval's
+    tentative grant starts. It stops conforming at that nanosecond, as the
+    guard stops counting it, so the grants whose traffic conforms hold the
+    pair's capacity, not 1.2 times it."""
+    cap = GBPS
+    cfg = router_cfg(estimator_kw=dict(interval_ns=1000, min_requesters=2, tentative_slots=1))
+    r = Router(20, bytes(16), AllocationMatrix([[0, cap], [cap, 0]]), cfg)
+    r.policy.estimator_for(0, 1).warm_up({10, 11})
+    plan = source.PathPlan((source.PathHop(r.as_id, 0, 1),))
+    grants = {}
+    for src, t in ((10, 1), (11, 1), (20, 5), (21, 1000)):
+        keys = {r.as_id: crypto.derive_drkey(r.secret, src)}
+        _, (entry,) = r.handle_setup(source.build_setup_request(keys, plan, src, t), 0, 0, 1, t)
+        grants[src] = (entry.bw, entry.ts_exp)
+    assert grants == {10: (cap * 2 // 5, 1001), 11: (cap * 2 // 5, 1001),
+                      20: (cap // 5, 1000), 21: (cap // 5, 2000)}
+    conforming = {src for src in grants
+                  if r.monitor.police(src, 1, 0, 1, 1000) is Verdict.CONFORM}
+    assert sum(grants[src][0] for src in conforming) <= cap
+    assert conforming == {10, 11, 21}
 
 
 def _over_grant(policy, src, ingress, egress, now):

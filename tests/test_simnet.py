@@ -1,5 +1,6 @@
 """Scenario engine: determinism, priority protection, adversaries, skew."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +9,9 @@ import re
 import pytest
 
 from flyover import crypto, simnet, source, wire
-from flyover.router import Router, TrafficClass
+from flyover.admission import BloomFilter, EstimatorConfig
+from flyover.policing import TrafficMonitor
+from flyover.router import Router, RouterConfig, TrafficClass
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -638,7 +641,7 @@ def test_a_frame_at_the_departure_nanosecond_meets_the_link_by_event_order():
     with every departure pushed when its frame starts."""
     net, link, frame = _one_link(be_buffer=0)
     loop = net.loop
-    done = link.tx_time(1000)
+    done = simnet.tx_time(1000, link.capacity)
     early, first, late = frame(), frame(), frame()
 
     def send(f):
@@ -661,7 +664,7 @@ def test_a_departure_is_an_event_only_when_a_frame_waits():
     queues behind it pushes the departure that will start it."""
     net, link, frame = _one_link()
     loop = net.loop
-    done = link.tx_time(1000)
+    done = simnet.tx_time(1000, link.capacity)
     pushed = []
     schedule = loop.schedule
 
@@ -848,7 +851,8 @@ def test_r5_fails_on_a_charge_past_expiry():
     r = _run("baseline.json")
     node = r.nodes[3]
     entry = node.router.monitor.entries[(1, node.if_to[2], node.if_to[4])]
-    entry.bucket.ts = entry.ts_exp + r.router_cfg.bucket_window_ns + 1  # edit
+    # edit: a full bucket charged at ts_exp, where the grant is already dead
+    entry.bucket.ts = entry.ts_exp + r.router_cfg.bucket_window_ns
     _refused(r, {"r": "R5", "no_expired_conform": True}, "AS 3 charged src 1 past expiry")
 
 
@@ -906,6 +910,20 @@ def test_readme_key_tables_match_the_schema():
     assert readme.keys() == schema.keys()
     for label, keys in schema.items():
         assert readme[label] == set(keys), label
+
+
+def test_the_protocol_defaults_are_the_configs():
+    """A scenario that sets no protocol key runs RouterConfig's and
+    EstimatorConfig's defaults, but for its own ``min_requesters`` and
+    ``exact``; the filter and the monitor take their sizes from the caller."""
+    net = simnet.Network({"topology": {"ases": [{"id": 1}, {"id": 2}],
+                                       "links": [{"a": 1, "b": 2}]}})
+    assert net.router_cfg == RouterConfig(estimator=dataclasses.replace(
+        EstimatorConfig(), min_requesters=1, exact=True))
+    with pytest.raises(TypeError):
+        BloomFilter()
+    with pytest.raises(TypeError):
+        TrafficMonitor()
 
 
 def test_building_a_network_keeps_the_op_counters():

@@ -3,6 +3,8 @@
 import itertools
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,24 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def _vf(b: int) -> bytes:
     return bytes([b & 0xFF, (b >> 8) & 0xFF, (b >> 16) & 0xFF])
+
+
+def test_the_crypto_fields_take_their_widths_from_crypto():
+    """Every crypto field's width in the layouts and the encoder's size
+    checks is crypto's: with other widths there, wire's entries follow."""
+    code = ("from flyover import crypto\n"
+            "crypto.BLOCK_LEN, crypto.NONCE_LEN, crypto.TAG_LEN = 20, 13, 17\n"
+            "crypto.VALIDATION_FIELD_LEN = 5\n"
+            "from flyover import wire\n"
+            "req = wire.SetupRequest(1, 2, (wire.ReqEntry(0, True, False, bytes(20)),))\n"
+            "pkt = wire.DataPacket(1, False, 2, 0, ((0, bytes(5)),))\n"
+            "print(len(wire.encode(req)), wire.RESP_ENTRY_LEN, len(wire.encode(pkt)))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == [str(18 + 2 + 20), str(2 + 13 + 20 + 17 + 16),
+                                  str(wire.DATA_FIXED_HEADER + 1 + 5)], out.stderr
 
 
 def test_data_header_arithmetic():
