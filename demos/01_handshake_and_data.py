@@ -9,8 +9,9 @@ tokens from a 16-byte local secret.
 import random
 
 from flyover import crypto, source, wire
-from flyover.admission import AllocationMatrix, EstimatorConfig
+from flyover.admission import EstimatorConfig
 from flyover.router import Router, RouterConfig
+from flyover.topo import AllocationMatrix
 
 S = 1_000_000_000
 SRC = 7

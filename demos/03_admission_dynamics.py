@@ -53,9 +53,9 @@ print(f"  max concurrent firm allocation over a random schedule: "
       f"{float(worst):.4f} of the entry (bound {float(cfg.reserved_fraction)})")
 
 print("\n== allocation-matrix updates take effect asymmetrically ==")
-from flyover.admission import AllocationMatrix
+from flyover.topo import AllocationMatrix
 m = AllocationMatrix([[0, 100], [100, 0]])
-upd = m.update(0, 1, 50, now=1000, validity_ns=EPS)
+m.update(0, 1, 50, now=1000, validity_ns=EPS)
 print(f"  decrease 100->50 at t=1000: admission={m.admission_value(0, 1)}, "
       f"capacity@t+1={m.capacity_value(0, 1, 1001)}, "
       f"capacity@t+interval={m.capacity_value(0, 1, 1000 + EPS)}")

@@ -35,8 +35,9 @@ from enum import Enum
 from functools import cached_property
 
 from . import crypto, wire
-from .admission import AllocationMatrix, DefaultPolicy, EstimatorConfig, Grant, admit_setup
+from .admission import DefaultPolicy, EstimatorConfig, Grant, admit_setup
 from .policing import DedupWindow, TrafficMonitor, Verdict
+from .topo import AllocationMatrix
 
 
 class TrafficClass(Enum):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import crypto, source, topo, wire
-from .admission import AllocationMatrix, EstimatorConfig, RequesterEstimator
+from .admission import EstimatorConfig, RequesterEstimator
 from .router import Decision, Router, RouterConfig, TrafficClass
 from .units import parse_bandwidth, parse_duration
 
@@ -723,7 +723,7 @@ def _topology(value) -> dict:
 
 _AS_KEYS = {"id": (int, "[0, 2^64)", ...),
             "enabled": (bool, None, True),  # false: the AS forwards unaware of the protocol
-            "matrix": (AllocationMatrix, None, None),  # None: from the link capacities
+            "matrix": (topo.AllocationMatrix, None, None),  # None: from the link capacities
             "secret": (bytes.fromhex, _KEY_BYTES, None)}  # None: derived from the AS id
 _LINK_KEYS = {"a": (int, None, ...), "b": (int, None, ...),
               "capacity": (parse_bandwidth, "> 0", "10Gbps"),
@@ -906,7 +906,7 @@ class Network:
                                               f"matrix must be {size}x{size}"))
             router = None
             if spec["enabled"]:
-                matrix = matrix or AllocationMatrix.from_capacities(caps)
+                matrix = matrix or topo.AllocationMatrix.from_capacities(caps)
                 secret = spec["secret"] or \
                     crypto.cbc_mac(b"topology-secret-", as_id.to_bytes(8, "big") * 2)
                 router = Router(as_id, secret, matrix, self.router_cfg, now=0,

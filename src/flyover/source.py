@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import crypto, wire
+from .topo import CONCURRENT, MAXIMUM
 
-CONCURRENT = "concurrent"
-MAXIMUM = "maximum"
 _ZERO = Fraction(0)  # the rate of a path that cannot send; a Fraction is immutable
 
 

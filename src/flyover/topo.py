@@ -1,12 +1,17 @@
 """Topology experiments: reservation sizes and coverage on scale-free graphs.
 
+An AS's interfaces and reservable bandwidth follow from its links here
+(``interfaces``, ``AllocationMatrix``), beside the names of the two
+composition strategies; the protocol modules read all three from here.
+This module imports no other flyover module, nor the crypto backend.
+
 Graphs are preferential-attachment (Barabási–Albert), grown in this
 module from ``random.Random(seed)``, with degree-gravity link capacities:
 each edge lands in one of ten 40 Gbps buckets (40..400 Gbps) by the
 quantile of its endpoint degree product, ties toward the lower bucket.
 Every node gets an internal interface 0 with the capacity of its largest
-link, then one per incident edge by ascending neighbour id (``interfaces``,
-which scenarios share), and an allocation matrix from those capacities.
+link, then one per incident edge by ascending neighbour id, and an
+allocation matrix from those capacities.
 
 Reservation sizes between node pairs follow the per-pair share formula
 with the requester count taken as the exact number of sources whose
@@ -35,10 +40,10 @@ from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from statistics import median
 
-from .admission import AllocationMatrix
-from .source import CONCURRENT, MAXIMUM
-
 GBPS = 10**9
+# the two ways a source composes hop reservations into path sizes
+CONCURRENT = "concurrent"
+MAXIMUM = "maximum"
 
 
 class TopologyGraph:
@@ -74,6 +79,94 @@ def interfaces(links: dict[int, int]) -> tuple[dict[int, int], list[int]]:
     nbrs = sorted(links)
     ext = [links[v] for v in nbrs]
     return {v: i for i, v in enumerate(nbrs, 1)}, [max(ext, default=0), *ext]
+
+
+class AllocationMatrix:
+    """Reservable bandwidth between interface pairs of one AS.
+
+    Decreases apply to admission immediately but to capacity only one
+    reservation validity period later; increases apply to both at once.
+    Entries are non-negative with a zero diagonal; interface 0 is the
+    AS-internal interface.
+    """
+
+    def __init__(self, entries: list[list[int]]):
+        n = len(entries)
+        for row in entries:
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+        for i in range(n):
+            if entries[i][i] != 0:
+                raise ValueError("diagonal entries must be 0")
+            for j in range(n):
+                if entries[i][j] < 0:
+                    raise ValueError("entries must be >= 0")
+        self.n_interfaces = n
+        self._admission = [list(row) for row in entries]
+        self._capacity_timeline: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._base_capacity = [list(row) for row in entries]
+
+    @classmethod
+    def from_capacities(cls, capacities: list[int]) -> "AllocationMatrix":
+        """Build from per-interface link capacities.
+
+        Each entry (a, b) starts at the capacity of the egress link b, then
+        columns are scaled so they sum to that capacity, and any row whose
+        sum exceeds the ingress link capacity is scaled down to equality;
+        the exact rationals are floored to integer bit rates.
+
+        In closed form: column b holds n-1 copies of cap_b, so its scaling
+        makes every entry cap_b / (n-1). Row a then sums to rest / (n-1),
+        with rest the sum of the other capacities; when rest > (n-1)·cap_a
+        it is scaled by cap_a·(n-1) / rest, leaving cap_b·cap_a / rest.
+        Each entry is the floor of that same rational, taken by one integer
+        division (rest > 0 wherever it divides), so no Fraction is built.
+        """
+        total, k = sum(capacities), max(len(capacities) - 1, 1)  # n = 1 has no off-diagonal
+        rows = []
+        for a, cap_a in enumerate(capacities):
+            rest = total - cap_a
+            if rest > k * cap_a:
+                row = [cap_b * cap_a // rest for cap_b in capacities]
+            else:
+                row = [cap_b // k for cap_b in capacities]
+            row[a] = 0
+            rows.append(row)
+        return cls(rows)
+
+    def _check_pair(self, a: int, b: int) -> None:
+        if not (0 <= a < self.n_interfaces and 0 <= b < self.n_interfaces):
+            raise IndexError("interface out of range")
+
+    def admission_value(self, ingress: int, egress: int) -> int:
+        self._check_pair(ingress, egress)
+        return self._admission[ingress][egress]
+
+    def capacity_value(self, ingress: int, egress: int, now: int) -> int:
+        self._check_pair(ingress, egress)
+        value = self._base_capacity[ingress][egress]
+        for effective, new in self._capacity_timeline.get((ingress, egress), ()):
+            if now >= effective:
+                value = new
+        return value
+
+    def update(self, ingress: int, egress: int, new_value: int, now: int,
+               validity_ns: int) -> int:
+        """Change one entry, which admission reads from ``now`` on; returns
+        the nanosecond from which the capacity plane reads it."""
+        self._check_pair(ingress, egress)
+        if new_value < 0:
+            raise ValueError("entry must be >= 0")
+        if ingress == egress and new_value != 0:
+            raise ValueError("diagonal entries must stay 0")
+        old = self._admission[ingress][egress]
+        self._admission[ingress][egress] = new_value
+        cap_at = now if new_value >= old else now + validity_ns
+        self._capacity_timeline.setdefault((ingress, egress), []).append((cap_at, new_value))
+        return cap_at
+
+    def rows(self) -> list[list[int]]:
+        return [list(r) for r in self._admission]
 
 
 def _ekey(u: int, v: int) -> tuple[int, int]:

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 from flyover import source, wire
-from flyover.admission import AllocationMatrix, EstimatorConfig
+from flyover.admission import EstimatorConfig
 from flyover.router import Router, RouterConfig
+from flyover.topo import AllocationMatrix
 
 S = 1_000_000_000
 GBPS = 10**9

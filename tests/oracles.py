@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 from flyover import wire
-from flyover.source import CONCURRENT, MAXIMUM
+from flyover.topo import CONCURRENT, MAXIMUM
 from flyover.wire import DecodeError
 
 
@@ -228,7 +228,7 @@ def fraction_allocation_rows(capacities: list[int]) -> list[list[int]]:
     rationals: each entry (a, b) starts at the egress capacity, columns are
     scaled to sum to it, rows over the ingress capacity are scaled down to
     it, and the result is floored. Kept as the reference that the closed
-    form of :meth:`flyover.admission.AllocationMatrix.from_capacities` is
+    form of :meth:`flyover.topo.AllocationMatrix.from_capacities` is
     checked against.
     """
     n = len(capacities)

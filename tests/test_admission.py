@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyover.admission import (
-    AllocationMatrix,
     BloomFilter,
     DefaultPolicy,
     EstimatorConfig,
     ExactSetFilter,
     RequesterEstimator,
 )
-from flyover.topo import generate_topology
+from flyover.topo import AllocationMatrix, generate_topology
 
 from oracles import IntMaskBloom, double_hash_positions, fraction_allocation_rows
 
@@ -326,21 +325,21 @@ def test_matrix_closed_form_takes_both_row_branches():
 def test_matrix_update_decrease_semantics():
     m = AllocationMatrix([[0, 100, 100], [100, 0, 100], [100, 100, 0]])
     t = 1_000
-    upd = m.update(0, 1, 50, t, validity_ns=EPS)
+    cap_at = m.update(0, 1, 50, t, validity_ns=EPS)
     assert m.admission_value(0, 1) == 50  # admission sees it at once
     assert m.capacity_value(0, 1, t + 1) == 100  # capacity lags one period
     assert m.capacity_value(0, 1, t + EPS) == 50
-    assert upd.capacity_effective == t + EPS
+    assert cap_at == t + EPS
     # untouched entries unaffected
     assert m.admission_value(0, 2) == 100 and m.capacity_value(0, 2, t + EPS) == 100
 
 
 def test_matrix_update_increase_semantics():
     m = AllocationMatrix([[0, 50], [50, 0]])
-    upd = m.update(0, 1, 100, 500, validity_ns=EPS)
+    cap_at = m.update(0, 1, 100, 500, validity_ns=EPS)
     assert m.admission_value(0, 1) == 100
     assert m.capacity_value(0, 1, 500) == 100  # effective immediately
-    assert upd.capacity_effective == 500
+    assert cap_at == 500
 
 
 def test_matrix_update_then_grant_uses_new_value():

@@ -85,10 +85,23 @@ def test_imports_are_the_standard_library_or_declared():
     assert third_party.keys() <= _dependencies(), third_party
 
 
-def test_the_cli_loads_no_networkx():
-    code = "import sys, flyover.cli; print(flyover.cli.__file__, 'networkx' in sys.modules)"
+def _fresh(code: str) -> list[str]:
+    """The words ``code`` prints in a fresh interpreter that imports this
+    checkout's flyover."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.abspath(os.path.join(ROOT, "src")), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_the_cli_loads_no_networkx():
+    out = _fresh("import sys, flyover.cli; print(flyover.cli.__file__, 'networkx' in sys.modules)")
     assert out == [os.path.join(os.path.abspath(SRC), "cli.py"), "False"]
+
+
+def test_the_topology_study_loads_no_protocol_module():
+    """``topo`` is the study half of the paper: it loads no other flyover
+    module and so no crypto backend."""
+    out = _fresh("import sys, flyover.topo; print(flyover.topo.__file__, *sorted("
+                 "m for m in sys.modules if m.split('.')[0] in ('flyover', 'cryptography')))")
+    assert out == [os.path.join(os.path.abspath(SRC), "topo.py"), "flyover", "flyover.topo"]

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flyover import crypto, source, wire
-from flyover.admission import AllocationMatrix, DefaultPolicy, Grant
+from flyover.admission import DefaultPolicy, Grant
 from flyover.router import Decision, Router, RouterConfig, TrafficClass
 from flyover.policing import DedupWindow, Verdict
+from flyover.topo import AllocationMatrix
 
 from helpers import GBPS, S, estimator_cfg, full_setup, line_path, make_router, router_cfg, warm_router
 

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from flyover import crypto, simnet, source, wire
+from flyover import crypto, simnet, source, topo, wire
 from flyover.admission import BloomFilter, EstimatorConfig
 from flyover.policing import TrafficMonitor
 from flyover.router import Router, RouterConfig, TrafficClass
@@ -749,6 +749,39 @@ def test_warm_start_counts_a_requester_only_where_it_asks(backward, east_bw):
     assert grants[west][3][0] == 4 * 10**9
     if backward:
         assert grants[east][3][0] == 2 * 10**9
+
+
+@pytest.mark.parametrize("n, seed, r", [(30, 1, 0.3), (40, 2, 0.5)])
+def test_protocol_grants_equal_the_study_shares(n, seed, r):
+    """The protocol reproduces the topology study grant for grant: on a
+    study graph, with one flow per demand along its study path, every grant
+    a source stores is the study's per-pair share, 4/5 of the pair's entry
+    split among the sources the study counts there. The flows send no data;
+    only their handshakes run."""
+    g = topo.generate_topology(n, seed=seed)
+    demands = topo.build_demands(g, r, seed)
+    study = topo.ReservationStudy(g, topo.build_matrices(g), demands)
+    flows = []
+    for src, dests in demands.items():
+        parent, _ = topo.shortest_path_tree(g, src)
+        for dst in dests:
+            path = [dst]
+            while path[-1] != src:
+                path.append(parent[path[-1]])
+            flows.append({"name": f"{src}-{dst}", "src": src, "path": path[::-1], "stop_at": 0})
+    net = simnet.run_scenario({
+        "duration": "20ms", "warm_start": True,
+        "estimator": {"exact": True, "min_requesters": 1, "tentative_slots": 0},
+        "topology": {"n": n, "links": [{"a": a, "b": b, "capacity": cap}
+                                       for (a, b), cap in g.edge_capacity.items()]},
+        "flows": flows})
+    for flow in net.flows.values():
+        grants = flow.store.grants
+        assert grants.keys() == {key for _, key in flow.plan.forward_keys}, flow.name
+        for (as_id, pair_in, pair_out), grant in grants.items():
+            entry = study.matrices[as_id].admission_value(pair_in, pair_out)
+            assert grant.bw == entry * 4 // (5 * study.pair_requesters[as_id, pair_in, pair_out]), \
+                (flow.name, as_id)
 
 
 def test_assert_requirement_refuses_a_name_the_run_lacks():

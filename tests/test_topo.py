@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from flyover import topo
-from flyover.admission import AllocationMatrix
+from flyover.topo import AllocationMatrix
 
 from oracles import per_path_reservations
 
