@@ -1,16 +1,17 @@
 """Deterministic per-flyover traffic policing and replay suppression.
 
-The monitor keeps one token bucket per flyover (source AS, directed
-interface pair); a bucket's whole state is one eight-byte timestamp, so
-policing a hundred thousand flyovers costs 800 kB. An entry polices its
-grant until the grant's ``ts_exp``; from that nanosecond on, by
-:func:`wire.expired`, it answers ``EXPIRED``, as the router's guard counts
-the grant dead then. The caller passes the bucket window, which
-``RouterConfig`` holds. The duplicate suppressor
-is an exact sliding window over (source, timestamp, kind): no false
-positives and no false negatives inside the admission window. It packs each
-triple into one int, filed in a set per timestamp bucket an eighth of the
-window wide, so expiry drops whole buckets and an entry costs ~80 B.
+The monitor keeps one token bucket per flyover (source AS, directed interface
+pair); a bucket's whole state is one eight-byte timestamp, so a hundred
+thousand flyovers serialize to 800 kB, though in memory an entry with its key
+takes 244 B (tracemalloc, CPython 3.11.7, x86-64; it depends on the host and
+the Python version). An entry polices its grant until the grant's ``ts_exp``;
+from that nanosecond on, by :func:`wire.expired`, it answers ``EXPIRED``, as
+the router's guard counts the grant dead then. The caller passes the bucket
+window, which ``RouterConfig`` holds. The duplicate suppressor is an exact
+sliding window over (source, timestamp, kind): no false positives and no false
+negatives inside the admission window. It packs each triple into one int,
+filed in a set per timestamp bucket an eighth of the window wide, so expiry
+drops whole buckets and an entry costs ~80 B.
 """
 
 from __future__ import annotations
@@ -65,11 +66,18 @@ class TokenBucket:
         return struct.pack(">d", self.ts)
 
 
-@dataclass
-class MonitorEntry:
-    bucket: TokenBucket
-    bw: int  # granted rate, bits per second
-    ts_exp: int
+class MonitorEntry(TokenBucket):
+    """One flyover's bucket and its grant: ``bw`` bits per second until ``ts_exp``."""
+
+    __slots__ = ("bw", "ts_exp")
+
+    def __init__(self, window_ns: int, now: int):
+        self.window, self.ts = window_ns, now  # a fresh bucket is full
+
+    def grant(self, bw: int, ts_exp: int) -> None:
+        """Police at ``bw`` from now on; the bucket state stays."""
+        self.rate = max(bw / 8 / 1e9, 1e-18)  # bits per second -> bytes per ns
+        self.bw, self.ts_exp = bw, ts_exp
 
 
 @dataclass
@@ -104,15 +112,10 @@ class TrafficMonitor:
         if bw < 0:
             raise ValueError("bandwidth must be >= 0")
         key = (src, pair_in, pair_out)
-        rate = bw / 8 / 1e9  # bits per second -> bytes per ns
         entry = self.entries.get(key)
         if entry is None:
-            bucket = TokenBucket(max(rate, 1e-18), self.window_ns, now)
-            self.entries[key] = MonitorEntry(bucket, bw, ts_exp)
-        else:
-            entry.bucket.rate = max(rate, 1e-18)
-            entry.bw = bw
-            entry.ts_exp = ts_exp
+            entry = self.entries[key] = MonitorEntry(self.window_ns, now)
+        entry.grant(bw, ts_exp)
 
     def police(self, src: int, pkt_len: int, pair_in: int, pair_out: int, now: int) -> Verdict:
         entry = self.entries.get((src, pair_in, pair_out))
@@ -121,7 +124,7 @@ class TrafficMonitor:
         if expired(entry.ts_exp, now):
             self._counters(src).expired_pkts += 1
             return _EXPIRED
-        if entry.bucket.check(pkt_len, now):
+        if entry.check(pkt_len, now):
             self._counters(src).conform_bytes += pkt_len
             return _CONFORM
         self._counters(src).overuse_bytes += pkt_len
@@ -139,7 +142,7 @@ class TrafficMonitor:
 
     def serialized_bucket_state(self) -> bytes:
         """All bucket state back to back: 8 bytes per registered entry."""
-        return b"".join(e.bucket.serialize() for e in self.entries.values())
+        return b"".join(e.serialize() for e in self.entries.values())
 
     def report_rows(self) -> list[tuple[int, int, int, int, int]]:
         """(src, conform_bytes, overuse_bytes, expired_pkts, replay_pkts) rows."""

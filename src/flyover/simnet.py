@@ -39,6 +39,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import crypto, source, topo, wire
 from .admission import EstimatorConfig, RequesterEstimator
@@ -366,11 +367,11 @@ class ReservationFlow(_Sender):
         accepted = source.ingest_response(self.store, self.keys, resp, self.plan)
         if not accepted:
             return
-        needed = [fkey for _, fkey in self.plan.forward_keys]
         now = self.net.loop.now
         local = self.node.local_time(now)  # the source holds its grants on its own clock
-        if needed and all(self.store.get(k, local) is not None for k in needed):
-            exp = min(self.store.get(k, local).ts_exp for k in needed)
+        grants = [self.store.get(fkey, local) for _, fkey in self.plan.forward_keys]
+        if grants and None not in grants:
+            exp = min(grant.ts_exp for grant in grants)
             extends = self.grant_expiry is None or exp > self.grant_expiry
             self.grant_expiry = exp
             if self.granted_at is None:
@@ -461,14 +462,11 @@ class Spoofer(_Sender):
         self._data_len(len(self.plan.hops), self.packet_size)  # it forges every hop's field
         self.gap = spec["gap"]
         self.sent = 0
-        self.succeeded = 0  # frames some router classified as priority, each counted once
-        self._landed: set[int] = set()  # their uids
+        self.landed_uids: set[int] = set()  # uids of the forged frames some router gave priority
 
-    def landed(self, frame: Frame) -> None:
-        """A router classified ``frame`` as priority."""
-        if frame.uid not in self._landed:
-            self._landed.add(frame.uid)
-            self.succeeded += 1
+    @property
+    def succeeded(self) -> int:
+        return len(self.landed_uids)
 
     def _emit(self, t: int) -> bool:
         if self.sent >= self.count:
@@ -615,7 +613,7 @@ def _check_policing(result, req) -> tuple[bool, str]:
             for (src, *_), entry in router.monitor.entries.items():
                 # a packet that conformed at ``now`` left the bucket's end at
                 # most ``now + window``: the latest one came no earlier than this
-                if wire.expired(entry.ts_exp, entry.bucket.ts - window):
+                if wire.expired(entry.ts_exp, entry.ts - window):
                     return False, f"AS {as_id} charged src {src} past expiry"
         details.append("no conform verdicts beyond expiry")
     return True, "; ".join(details) if details else "nothing to check"
@@ -768,6 +766,7 @@ _ON_LINK = {"name": (str, None, ...), "link": (lambda v: _route(v, 2), None, ...
 # class is a flow wherever it is configured: its frames count in its ``stats``.
 _FLOW_TYPES = {"reservation": (ReservationFlow, {**_TYPE, **_RESERVATION_KEYS}),
                "best_effort": (BestEffortFlow, {**_TYPE, **_BEST_EFFORT_KEYS})}
+_FLOW_CLASSES = tuple(cls for cls, _ in _FLOW_TYPES.values())
 _ADVERSARY_KINDS = {
     "best_effort_flood": (BestEffortFlow, {**_KIND, **_BEST_EFFORT_KEYS}),
     "overuser": (ReservationFlow, {**_KIND, **_RESERVATION_KEYS,
@@ -857,17 +856,14 @@ class Network:
         if cfg["warm_start"]:
             self._warm_start_sources()
 
-    def _senders(self) -> dict[str, object]:
-        """Every flow and adversary by name, flows first."""
-        return {**self.flows, **self.adversaries}
-
     def _add(self, obj) -> None:
         # frames are traced back to their sender by this name
-        _refuse(obj.name, (obj.name in self._senders(), "is used by another flow or adversary"))
+        _refuse(obj.name, (obj.name in self.flows or obj.name in self.adversaries,
+                           "is used by another flow or adversary"))
         if isinstance(obj, (Replayer, LinkObserver)):
             _refuse(obj.name, (obj.link not in self.links, "observes no link"))
             self.links[obj.link].observers.append(obj)
-        if isinstance(obj, tuple(cls for cls, _ in _FLOW_TYPES.values())):
+        if isinstance(obj, _FLOW_CLASSES):
             self.flows[obj.name] = obj
         else:
             self.adversaries[obj.name] = obj
@@ -878,10 +874,10 @@ class Network:
         where = f"requirement {req['r']}"
         _refuse(where, ("src" in req and req["src"] not in self.nodes,
                         "src names an AS not in ases"))
-        senders = self._senders()
         for key, cls in _NAMED.items():
             name = req[key] if key in req else None
-            wrong = name is not None and not isinstance(senders.get(name), cls)
+            sender = self.flows[name] if name in self.flows else self.adversaries.get(name)
+            wrong = name is not None and not isinstance(sender, cls)
             _refuse(where, (wrong, f"{key} {name!r} names no {cls.__name__} of the run"))
 
     # topology -----------------------------------------------------------
@@ -919,7 +915,7 @@ class Network:
         asks for, at its directed pair, with the requesters that ask for it
         (see ``RequesterEstimator.warm_up``)."""
         warm: dict[RequesterEstimator, set[int]] = {}
-        for sender in self._senders().values():
+        for sender in chain(self.flows.values(), self.adversaries.values()):
             if not isinstance(sender, (ReservationFlow, RequestFlood)):
                 continue
             plan = sender.plan
@@ -1004,7 +1000,7 @@ class Network:
                 decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress, now,
                                               wire_len=frame.size)
                 if decision is _OK and isinstance(frame.sender, Spoofer):
-                    frame.sender.landed(frame)
+                    frame.sender.landed_uids.add(frame.uid)
                 if decision is not _REPLAY and wire.is_renewal(msg):
                     try:
                         req = wire.decode(msg.payload)
@@ -1093,7 +1089,8 @@ class Network:
 
     def run(self) -> "Network":
         """Run for the configured duration; the network is its own result."""
-        for sender in self._senders().values():
+        # flows, then adversaries: the start order fixes every event's seq
+        for sender in chain(self.flows.values(), self.adversaries.values()):
             if isinstance(sender, _Sender):
                 sender.start()
         self.loop.run_until(self.duration)

@@ -98,10 +98,10 @@ def test_register_twice_keeps_single_entry_and_bucket_state():
     mon.register(5, 8_000_000_000, 10 * S, *PAIR, now=0)
     entry = mon.entries[(5, *PAIR)]
     mon.police(5, 1000, *PAIR, now=0)
-    ts_after_traffic = entry.bucket.ts
+    ts_after_traffic = entry.ts
     mon.register(5, 8_000_000_000, 12 * S, *PAIR, now=1)  # repeated request
     assert mon.entries[(5, *PAIR)] is entry
-    assert entry.bucket.ts == ts_after_traffic  # burst not refilled
+    assert entry.ts == ts_after_traffic  # burst not refilled
     assert entry.ts_exp == 12 * S
     assert len(mon.entries) == 1
 
@@ -111,7 +111,7 @@ def test_register_update_changes_rate():
     mon.register(5, 8_000_000_000, 10 * S, *PAIR, now=0)
     mon.register(5, 16_000_000_000, 10 * S, *PAIR, now=0)
     assert mon.entries[(5, *PAIR)].bw == 16_000_000_000
-    assert mon.entries[(5, *PAIR)].bucket.rate == 2.0  # bytes per ns
+    assert mon.entries[(5, *PAIR)].rate == 2.0  # bytes per ns
 
 
 def test_flyovers_of_one_source_are_policed_apart():
@@ -126,6 +126,18 @@ def test_flyovers_of_one_source_are_policed_apart():
         pass
     assert mon.police(5, 1000, 1, 3, now=0) is Verdict.CONFORM
     assert mon.police(5, 1000, 2, 1, now=0) is Verdict.UNKNOWN
+
+
+def test_a_monitor_entry_is_one_slotted_bucket():
+    """Each policed flyover is one object: a token bucket that also holds its
+    grant's rate and expiry, with no per-instance dict."""
+    mon = TrafficMonitor(window_ns=50 * MS)
+    mon.register(5, 8_000_000_000, 10 * S, *PAIR, now=0)
+    entry = mon.entries[(5, *PAIR)]
+    assert isinstance(entry, TokenBucket)
+    assert not hasattr(entry, "__dict__") and not hasattr(entry, "bucket")
+    assert (entry.rate, entry.window, entry.ts, entry.bw, entry.ts_exp) == (
+        1.0, 50 * MS, 0, 8_000_000_000, 10 * S)
 
 
 def test_monitor_footprint_100k():

@@ -721,6 +721,60 @@ def test_kind_table_and_warm_start(section, spec, lands_in, warm):
         assert 2 not in policy.estimator_for(pair_out, pair_in).granted, (as_id, pair_out)
 
 
+class _CountingRegistry(dict):
+    """A sender registry that counts the entries read out of it, one by one
+    or by a walk over all of them. Overriding ``__iter__`` also sends a
+    ``{**registry}`` copy through ``keys`` and ``__getitem__``."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def keys(self):
+        self.reads += len(self)
+        return super().keys()
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+
+def test_adding_a_sender_reads_no_other():
+    """Adding n senders reads O(n) registry entries, not a copy of both
+    registries per sender."""
+    net = simnet.Network({"topology": {"ases": [{"id": 1}, {"id": 2}],
+                                       "links": [{"a": 1, "b": 2}]}})
+    net.flows, net.adversaries = _CountingRegistry(), _CountingRegistry()
+    n = 200
+    stub = type("Stub", (), {})
+    for i in range(n):
+        flow = simnet.BestEffortFlow.__new__(simnet.BestEffortFlow)  # a flow class: in flows
+        flow.name = f"f{i}"
+        net._add(flow)
+        adversary = stub()
+        adversary.name = f"a{i}"
+        net._add(adversary)
+    assert len(net.flows) == len(net.adversaries) == n
+    assert net.flows.reads + net.adversaries.reads <= 2 * n
+    adversary.name = "f0"
+    with pytest.raises(simnet.ConfigError, match="f0: is used by another flow or adversary"):
+        net._add(adversary)
+
+
 def _opposite_flows(backward: bool) -> dict:
     """Flows east 1->3 and west 3->1 over AS 2, warm-started, with an exact
     estimator that counts every requester from the first request on."""
@@ -845,7 +899,7 @@ def test_r3_fails_past_its_allowance():
     cfg = _load("spoofer.json")
     cfg["adversaries"][0]["count"] = 100
     r = simnet.run_scenario(cfg)
-    r.adversaries["forger"].succeeded = 3  # edit: three forgeries rode priority
+    r.adversaries["forger"].landed_uids.update({-1, -2, -3})  # edit: three forgeries rode priority
     _refused(r, {"r": "R3", "adversary": "forger"}, "spoofer landed 3 priority packets > 2")
 
 
@@ -885,7 +939,7 @@ def test_r5_fails_on_a_charge_past_expiry():
     node = r.nodes[3]
     entry = node.router.monitor.entries[(1, node.if_to[2], node.if_to[4])]
     # edit: a full bucket charged at ts_exp, where the grant is already dead
-    entry.bucket.ts = entry.ts_exp + r.router_cfg.bucket_window_ns
+    entry.ts = entry.ts_exp + r.router_cfg.bucket_window_ns
     _refused(r, {"r": "R5", "no_expired_conform": True}, "AS 3 charged src 1 past expiry")
 
 
@@ -943,6 +997,33 @@ def test_readme_key_tables_match_the_schema():
     assert readme.keys() == schema.keys()
     for label, keys in schema.items():
         assert readme[label] == set(keys), label
+
+
+def _shape(line: str) -> tuple[str, ...]:
+    """A log line's kind and field names: its words after the time, each
+    up to its ``=``."""
+    return tuple(word.split("=")[0] for word in line.split()[1:])
+
+
+def test_readme_documents_every_event_log_line():
+    """Every kind of line the baseline and the best-effort flood log, with
+    its fields, is a row of README's event-log table; without
+    ``log_verdicts`` only the ``granted`` and ``emit_blocked`` lines stay."""
+    with open(README) as fh:
+        text = fh.read()
+    section = text[text.index("### The event log"):text.index("## Scenarios")]
+    documented = {_shape("0 " + line.split("`")[1])
+                  for line in section.splitlines() if line.startswith("| `")}
+    assert len(documented) == 5
+    for name in ("baseline.json", "best_effort_flood.json"):
+        cfg = _load(name)
+        logged = simnet.run_scenario(cfg).log_lines
+        assert {_shape(line) for line in logged} <= documented, name
+        cfg["log_verdicts"] = False
+        quiet = simnet.run_scenario(cfg).log_lines
+        assert quiet == [line for line in logged
+                         if _shape(line)[0] in ("granted", "emit_blocked")], name
+    assert any(_shape(line)[0] == "granted" for line in quiet)
 
 
 def test_the_protocol_defaults_are_the_configs():
