@@ -23,8 +23,7 @@ Where each context is built:
 - once per router secret: a border router prepares its AS-local secret, so
   the authenticator MAC and the key derivation reuse that context;
 - once per stored grant at the source: a grant prepares its authenticator
-  on the first packet that uses it and keeps it across renewals that
-  return the same authenticator;
+  on the first packet that uses it, and a renewed grant prepares its own;
 - once per admitted setup request for the router's DRKey: the derived key
   serves the request-auth MAC and the AEAD key of every grant it seals;
 - once per hop per setup response at the source: the hop's DRKey serves

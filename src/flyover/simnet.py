@@ -123,6 +123,7 @@ class Frame:
     created: int
     resp_entries: tuple = ()
     worst: TrafficClass = _PRIORITY
+    books: FlowStats | None = None  # the sending flow's, if they count the frame
 
 
 class Link:
@@ -227,6 +228,11 @@ class Node:
 
 
 class FlowStats:
+    """A flow's books. ``sent``, ``delivered`` and ``dropped`` count the
+    frames the flow marks as it sends them: its data packets and filler,
+    not its setup messages, renewals or replies. A reply that arrives adds
+    to ``replies_received``."""
+
     def __init__(self):
         self.sent = 0
         self.delivered = 0
@@ -235,13 +241,6 @@ class FlowStats:
         self.dropped = 0
         self.max_delay = 0
         self.replies_received = 0
-
-
-def _counted(msg) -> bool:
-    """Whether a flow's ``sent``, ``delivered`` and ``dropped`` count a frame of
-    ``msg``: data packets and filler, not setup messages, renewals or replies."""
-    return msg is None or (isinstance(msg, wire.DataPacket) and not msg.d_flag
-                           and not wire.is_renewal(msg))
 
 
 class _Sender:
@@ -256,7 +255,6 @@ class _Sender:
     """
 
     STAMPS = True
-    stats: FlowStats | None = None  # a flow counts its frames here
 
     def __init__(self, net: "Network", spec: dict, backward: bool = False, start: int = 0,
                  stop: int | None = None):
@@ -291,10 +289,23 @@ class _Sender:
                                                  f"data packets, over {wire.MAX_LEN}"))
         return size
 
-    def _send(self, msg, cls: TrafficClass, size: int | None = None) -> None:
-        """Hand a new frame to the source AS's first link; no self-validation."""
+    def _send(self, msg, cls: TrafficClass, size: int | None = None,
+              counted: bool = False) -> None:
+        """Hand a new frame to the source AS's first link; no self-validation.
+        A ``counted`` frame is one of a flow's data packets or filler: it
+        adds to the flow's ``sent`` here and carries the flow's books, which
+        its delivery or drop adds to where it ends."""
         frame = self.net.new_frame(msg, self.plan, self.steps, cls, self, size)
+        if counted:
+            self.stats.sent += 1
+            frame.books = self.stats
         self.steps[0][1].send(frame, self.net.loop.now)
+
+    def _send_setup(self) -> None:
+        """Send an authentic setup request for the plan's hops, best effort."""
+        req = source.build_setup_request(self.keys, self.plan, self.src,
+                                         self.node.stamp(self.net.loop.now))
+        self._send(req, _BEST_EFFORT)
 
     def start(self) -> None:
         self.net.loop.schedule(self.start_at, self._tick)
@@ -327,8 +338,8 @@ class ReservationFlow(_Sender):
         self.stats = FlowStats()
         self.granted_at: int | None = None
         self.grant_expiry: int | None = None
-        self.started = False
-        self.ladder: int | None = None  # start of the newest retry ladder
+        # the start of the retry ladder the flow climbs; None while it sends
+        self.ladder: int | None = None
 
     def start(self) -> None:
         self._request(self.start_at)
@@ -345,13 +356,8 @@ class ReservationFlow(_Sender):
         for k in range(1, 5):
             loop.schedule(t + k * eps // 2, self._retry, t)
 
-    def _send_setup(self) -> None:
-        req = source.build_setup_request(self.keys, self.plan, self.src,
-                                         self.node.stamp(self.net.loop.now))
-        self._send(req, TrafficClass.BEST_EFFORT)
-
     def _retry(self, ladder: int) -> None:
-        if not self.started and ladder == self.ladder:
+        if ladder == self.ladder:
             self._send_setup()
 
     def _send_renewal(self) -> None:
@@ -380,8 +386,8 @@ class ReservationFlow(_Sender):
                 self.granted_at = exp - self.net.estimator_cfg.interval_ns
                 self.net.log(f"granted flow={self.name} t={self.granted_at}")
             self._configure_rate()  # a renewal may change the composed rate
-            if not self.started:
-                self.started = True
+            if self.ladder is not None:
+                self.ladder = None
                 self.net.loop.schedule(now + 1, self._tick)
             if self.renew and extends:  # a same-expiry response renews nothing
                 # when the source's clock, which gates its sending, or the
@@ -410,11 +416,9 @@ class ReservationFlow(_Sender):
         except source.MissingGrant:
             self.net.log(f"emit_blocked flow={self.name} t={t}")
             if self.renew:  # the grant lapsed: request again, resume on a usable grant
-                self.started = False
                 self._request(t)
             return False
-        self.stats.sent += 1
-        self._send(pkt, TrafficClass.PRIORITY)
+        self._send(pkt, _PRIORITY, counted=True)
         return True
 
 
@@ -430,8 +434,7 @@ class BestEffortFlow(_Sender):
         self.stats = FlowStats()
 
     def _emit(self, t: int) -> bool:
-        self.stats.sent += 1
-        self._send(None, TrafficClass.BEST_EFFORT, size=self.packet_size)
+        self._send(None, _BEST_EFFORT, size=self.packet_size, counted=True)
         return True
 
 
@@ -446,8 +449,7 @@ class RequestFlood(_Sender):
 
     def _emit(self, t: int) -> bool:
         self.count += 1
-        req = source.build_setup_request(self.keys, self.plan, self.src, self.node.stamp(t))
-        self._send(req, TrafficClass.BEST_EFFORT)
+        self._send_setup()
         return True
 
 
@@ -483,8 +485,6 @@ class Spoofer(_Sender):
 
 class Replayer:
     """On-link adversary duplicating every data frame it observes."""
-
-    stats = None  # its copies count in no flow
 
     def __init__(self, net: "Network", spec: dict):
         self.net = net
@@ -964,12 +964,11 @@ class Network:
         self.log_lines.append(f"{self.loop.now} {line}")
 
     def _frame_dropped(self, frame: Frame, why: str) -> None:
-        sender = frame.sender
-        if sender.stats is not None and _counted(frame.msg):
-            sender.stats.dropped += 1
+        if frame.books is not None:
+            frame.books.dropped += 1
         if self.log_verdicts:
-            self.log_lines.append(f"{self.loop.now} drop pkt={frame.uid} origin={sender.name} "
-                                  f"why={why}")
+            self.log_lines.append(f"{self.loop.now} drop pkt={frame.uid} "
+                                  f"origin={frame.sender.name} why={why}")
 
     # node processing -------------------------------------------------------
 
@@ -1030,7 +1029,7 @@ class Network:
                                                           frame.resp_entries), None, _BEST_EFFORT)
                 if req is msg:  # a bare request ends at its last hop
                     return
-        if frame.cls is _BEST_EFFORT and isinstance(msg, wire.DataPacket):
+        if frame.cls is _BEST_EFFORT:
             frame.worst = _BEST_EFFORT
         if link is None:
             self._deliver(frame)
@@ -1046,20 +1045,15 @@ class Network:
         self.process_at_node(self.new_frame(msg, plan, back, cls, frame.sender))
 
     def _deliver(self, frame: Frame) -> None:
-        sender, msg = frame.sender, frame.msg
-        if isinstance(msg, wire.SetupResponse):
-            if isinstance(sender, ReservationFlow):
-                sender.on_response(msg)
-            return
-        if isinstance(sender, Replayer):
-            sender.copies_delivered += 1
-            return
-        st = sender.stats
-        if st is None:
-            return
-        if not _counted(msg):
-            if isinstance(msg, wire.DataPacket) and msg.d_flag:
-                st.replies_received += 1
+        sender, msg, st = frame.sender, frame.msg, frame.books
+        if st is None:  # a frame no flow's books count
+            if isinstance(msg, wire.SetupResponse):
+                if isinstance(sender, ReservationFlow):
+                    sender.on_response(msg)
+            elif isinstance(sender, Replayer):
+                sender.copies_delivered += 1
+            elif isinstance(msg, wire.DataPacket) and msg.d_flag:  # only flows reply
+                sender.stats.replies_received += 1
             return
         is_data = msg is not None
         st.delivered += 1

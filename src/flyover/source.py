@@ -110,14 +110,6 @@ class GrantStore:
     def __init__(self):
         self.grants: dict[tuple, FlyoverGrant] = {}
 
-    def put(self, key: tuple, grant: FlyoverGrant) -> None:
-        old = self.grants.get(key)
-        # an authenticator depends on neither bandwidth nor expiry, so a
-        # renewal that returns the same one keeps its prepared key
-        if old is not None and grant.key is None and old.auth == grant.auth:
-            grant.key = old.key
-        self.grants[key] = grant
-
     def get(self, key: tuple, now: int, allow_expired: bool = False) -> FlyoverGrant | None:
         g = self.grants.get(key)
         if g is None or (g.expired(now) and not allow_expired):
@@ -172,7 +164,7 @@ def ingest_response(store: GrantStore, keys: dict[int, bytes], resp: wire.SetupR
             auth = crypto.unseal_grant(key, nonce, enc_auth, tag, bw, ts_exp)
         except crypto.AuthFailure:
             continue
-        store.put(fkey, FlyoverGrant(bw, ts_exp, auth))
+        store.grants[fkey] = FlyoverGrant(bw, ts_exp, auth)
         accepted.append(fkey)
     return accepted
 

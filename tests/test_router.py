@@ -452,7 +452,7 @@ def test_the_source_the_monitor_and_the_guard_end_a_grant_together(before, live)
     r.monitor.register(SRC, cap, ts_exp, 0, 1, now=0)
     r.note_grant(SRC, (0, 1), Grant(cap, ts_exp), 0, ts_req=0)
     store = source.GrantStore()
-    store.put((r.as_id, 0, 1), source.FlyoverGrant(cap, ts_exp, bytes(16)))
+    store.grants[r.as_id, 0, 1] = source.FlyoverGrant(cap, ts_exp, bytes(16))
     assert (store.get((r.as_id, 0, 1), now) is not None) is live
     assert r.monitor.police(SRC, 1, 0, 1, now) is (Verdict.CONFORM if live else Verdict.EXPIRED)
     # another source's 1 bps overfills the pair only while the full grant counts

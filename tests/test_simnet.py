@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import re
+from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -77,6 +79,19 @@ def test_flood_cannot_touch_reservation_traffic():
     _require(r, {"r": "R4", "flow": "critical"})
     flood = r.flows["flood"].stats
     assert flood.dropped > 0  # the flood itself saturates and loses packets
+
+
+def test_a_deliver_line_reads_class_p_only_for_a_frame_kept_at_priority():
+    """Each flow's deliver lines read class=P as often as its summary counts
+    packets delivered at priority, and class=B for the rest: the flood's
+    filler, which no router validates, is best effort at every hop."""
+    r = _run("best_effort_flood.json")
+    classes = Counter(tuple(re.search(r" flow=(\S+) .* class=([PB])$", line).groups())
+                      for line in r.log_lines if line.split()[1] == "deliver")
+    rows = r.flow_summary_rows()
+    assert all(delivered > 0 for _, _, delivered, *_ in rows)
+    for name, _, delivered, priority, *_ in rows:
+        assert (classes[name, "P"], classes[name, "B"]) == (priority, delivered - priority), name
 
 
 def test_r4_bound_counts_the_largest_frame_a_link_served():
@@ -458,10 +473,18 @@ def test_frames_carry_their_bytes_and_no_hop_parses_them(monkeypatch, make_cfg):
 def test_every_scenario_frame_encodes_to_its_size(monkeypatch, name):
     """The codec's range checks hold over all simulated traffic: in every
     committed scenario, every message a frame carries encodes, to the
-    frame's size."""
+    frame's size. And each flow's books balance: every frame it sent was
+    delivered, dropped, or is still in flight when the run ends, in a link
+    queue or in a pending event."""
     sent, visited = _checking_frames(monkeypatch)
-    _run(name)
+    r = _run(name)
     assert sent and visited
+    queued = (f for link in r.links.values() for f in chain(link.prio, link.be))
+    pending = (arg for *_, args in r.loop._heap for arg in args)
+    in_flight = Counter(f.books for f in chain(queued, pending) if isinstance(f, simnet.Frame))
+    for flow in r.flows.values():
+        st = flow.stats
+        assert st.sent == st.delivered + st.dropped + in_flight[st], flow.name
 
 
 def test_request_frames_are_sized_without_encoding(monkeypatch):
@@ -629,7 +652,9 @@ def _one_link(be_buffer=100):
     flow = net.flows["be"]
 
     def frame():
-        return net.new_frame(None, None, flow.steps, TrafficClass.BEST_EFFORT, flow, size=1000)
+        f = net.new_frame(None, None, flow.steps, TrafficClass.BEST_EFFORT, flow, size=1000)
+        f.books = flow.stats  # counted, as the flow's own filler is
+        return f
 
     return net, net.links[1, 2], frame
 
@@ -654,9 +679,9 @@ def test_a_frame_at_the_departure_nanosecond_meets_the_link_by_event_order():
     assert link.be_dropped == 1
     assert f"{done} drop pkt={early.uid} origin=be why=be_buffer_full" in net.log_lines
     assert [line for line in net.log_lines if "deliver" in line] == [
-        f"{done + link.delay} deliver pkt={first.uid} flow=be delay={done + link.delay} class=P",
+        f"{done + link.delay} deliver pkt={first.uid} flow=be delay={done + link.delay} class=B",
         f"{2 * done + link.delay} deliver pkt={late.uid} flow=be "
-        f"delay={2 * done + link.delay} class=P"]
+        f"delay={2 * done + link.delay} class=B"]
 
 
 def test_a_departure_is_an_event_only_when_a_frame_waits():

@@ -157,7 +157,7 @@ def test_renewal_keeps_alpha_updates_terms():
 def _store_with(grants: dict[tuple, int], exp=10**15) -> source.GrantStore:
     st = source.GrantStore()
     for key, bw in grants.items():
-        st.put(key, source.FlyoverGrant(bw, exp, bytes(16)))
+        st.grants[key] = source.FlyoverGrant(bw, exp, bytes(16))
     return st
 
 
@@ -269,8 +269,8 @@ def test_compose_equals_least_fraction_share(data, strategy, n_fly):
     store = source.GrantStore()
     for key, bw, kind in zip(fly, bws, kinds):
         if kind != _MISSING:
-            store.put(key, source.FlyoverGrant(bw, now + 1 if kind == _LIVE else now - 1,
-                                               bytes(16)))
+            store.grants[key] = source.FlyoverGrant(bw, now + 1 if kind == _LIVE else now - 1,
+                                                    bytes(16))
     paths = []
     for p in range(data.draw(st.integers(1, 5))):
         hops = data.draw(st.lists(st.sampled_from(fly), max_size=n_fly, unique=True))
@@ -484,25 +484,25 @@ def test_emit_fields_match_reference_mac():
                                   for i, fkey in plan.backward_keys]
 
 
-def test_renewal_keeps_prepared_key_of_same_auth(contexts):
+def test_a_renewed_grant_prepares_its_own_key(contexts):
+    """A renewal stores new grants under the same authenticators. The first
+    packet after it prepares one key per grant, and its fields still equal
+    the reference CBC-MAC over the raw authenticator."""
     routers, plan = _chain(2)
     store, keys, plan = full_setup(routers, plan, SRC, now=0)
     source.emit_packet(store, plan, SRC, b"x", 0, now=100)
-    prepared = {k: g.key for k, g in store.grants.items()}
     old = dict(store.grants)
-    contexts.clear()
     full_setup(routers, plan, SRC, now=4 * S, store=store)
-    source.emit_packet(store, plan, SRC, b"x", 0, now=4 * S + 100)
-    assert all(store.grants[k] is not old[k] for k in old)  # renewed terms
-    assert {k: g.key for k, g in store.grants.items()} == prepared
-    assert contexts["prepared"] == 0
-    # a grant under another authenticator prepares its own key
-    fkey = plan.forward_keys[0][1]
-    g = store.grants[fkey]
-    store.put(fkey, source.FlyoverGrant(g.bw, g.ts_exp, bytes(16)))
-    source.emit_packet(store, plan, SRC, b"x", 0, now=4 * S + 200)
-    assert contexts["prepared"] == 1
-    assert store.grants[fkey].key is not prepared[fkey]
+    assert all(store.grants[k] is not g and store.grants[k].auth == g.auth
+               for k, g in old.items())
+    contexts.clear()
+    now = 4 * S + 100
+    pkt = source.emit_packet(store, plan, SRC, b"x", 0, now)
+    assert contexts["prepared"] == len(old) == len(pkt.rvfs)
+    msg = now.to_bytes(8, "big") + pkt.total_len.to_bytes(2, "big")
+    assert list(pkt.rvfs) == [
+        (i, ref_cbc_mac(store.grants[fkey].auth, msg)[:crypto.VALIDATION_FIELD_LEN])
+        for i, fkey in plan.forward_keys]
 
 
 # end-to-end soundness ----------------------------------------------------------------
