@@ -2,8 +2,12 @@
 """The deterministic traffic monitor: one 8-byte timestamp per flyover.
 
 Shows the bucket admitting a burst, throttling a 2x sender to half its
-bytes, the per-source report, and the 800 kB footprint for 100k flyovers.
+bytes, a per-source tally of the monitor's verdicts, and the 800 kB
+footprint for 100k flyovers. The monitor only decides; whoever asks it
+counts, as a scenario's network does for its ``--summary`` table.
 """
+
+from collections import Counter
 
 from flyover.policing import TokenBucket, TrafficMonitor, Verdict
 from flyover.router import RouterConfig
@@ -26,11 +30,11 @@ over = sum(v is Verdict.OVERUSE for v in verdicts)
 print(f"  {over}/{len(verdicts)} packets demoted ({over/len(verdicts):.1%}),"
       f" ~half, deterministically")
 
-print("\n== per-source accounting ==")
-mon.note_replay(4)
-for src, conform_b, overuse_b, expired, replays in mon.report_rows():
-    print(f"  src={src} conform={conform_b}B overuse={overuse_b}B "
-          f"expired={expired} replays={replays}")
+print("\n== per-source accounting, tallied from the verdicts ==")
+verdicts += [mon.police(4, 1000, 1, 2, now=10**15)]  # the grant has expired
+tally = Counter(verdicts)  # replays never reach the monitor: the router drops them first
+conform, overuse = tally[Verdict.CONFORM] * 1000, tally[Verdict.OVERUSE] * 1000
+print(f"  src=4 conform={conform}B overuse={overuse}B expired={tally[Verdict.EXPIRED]}")
 
 print("\n== memory for 100000 monitored flyovers ==")
 big = TrafficMonitor(RouterConfig().bucket_window_ns)

@@ -6,18 +6,21 @@ thousand flyovers serialize to 800 kB, though in memory an entry with its key
 takes 244 B (tracemalloc, CPython 3.11.7, x86-64; it depends on the host and
 the Python version). An entry polices its grant until the grant's ``ts_exp``;
 from that nanosecond on, by :func:`wire.expired`, it answers ``EXPIRED``, as
-the router's guard counts the grant dead then. The caller passes the bucket
-window, which ``RouterConfig`` holds. The duplicate suppressor is an exact
-sliding window over (source, timestamp, kind): no false positives and no false
-negatives inside the admission window. It packs each triple into one int,
-filed in a set per timestamp bucket an eighth of the window wide, so expiry
-drops whole buckets and an entry costs ~80 B.
+the router's guard counts the grant dead then. The monitor only decides:
+it holds its entries and nothing else, so once ``sweep`` has evicted the
+expired ones it keeps nothing that grows with the sources it has policed;
+the network tallies each hop's verdicts (``simnet.Network.monitor_rows``).
+The caller passes the bucket window, which ``RouterConfig`` holds. The
+duplicate suppressor is an exact sliding window over (source, timestamp,
+kind): no false positives and no false negatives inside the admission
+window. It packs each triple into one int, filed in a set per timestamp
+bucket an eighth of the window wide, so expiry drops whole buckets and an
+entry costs ~80 B.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 
 from .wire import expired
@@ -80,27 +83,12 @@ class MonitorEntry(TokenBucket):
         self.bw, self.ts_exp = bw, ts_exp
 
 
-@dataclass
-class SourceCounters:
-    conform_bytes: int = 0
-    overuse_bytes: int = 0
-    expired_pkts: int = 0
-    replay_pkts: int = 0
-
-
 class TrafficMonitor:
-    """Token-bucket policing per flyover (src, pair_in, pair_out); counters per source."""
+    """Token-bucket policing per flyover (src, pair_in, pair_out)."""
 
     def __init__(self, window_ns: int):
         self.window_ns = window_ns
         self.entries: dict[tuple[int, int, int], MonitorEntry] = {}
-        self.counters: dict[int, SourceCounters] = {}
-
-    def _counters(self, src: int) -> SourceCounters:
-        c = self.counters.get(src)
-        if c is None:
-            c = self.counters[src] = SourceCounters()
-        return c
 
     def register(self, src: int, bw: int, ts_exp: int, pair_in: int, pair_out: int,
                  now: int) -> None:
@@ -118,20 +106,13 @@ class TrafficMonitor:
         entry.grant(bw, ts_exp)
 
     def police(self, src: int, pkt_len: int, pair_in: int, pair_out: int, now: int) -> Verdict:
+        """The flyover's verdict on the packet; only ``CONFORM`` charges its bucket."""
         entry = self.entries.get((src, pair_in, pair_out))
         if entry is None:
             return _UNKNOWN
         if expired(entry.ts_exp, now):
-            self._counters(src).expired_pkts += 1
             return _EXPIRED
-        if entry.check(pkt_len, now):
-            self._counters(src).conform_bytes += pkt_len
-            return _CONFORM
-        self._counters(src).overuse_bytes += pkt_len
-        return _OVERUSE
-
-    def note_replay(self, src: int) -> None:
-        self._counters(src).replay_pkts += 1
+        return _CONFORM if entry.check(pkt_len, now) else _OVERUSE
 
     def sweep(self, now: int, grace_ns: int = 0) -> int:
         """Evict entries expired for ``grace_ns`` or longer; returns count."""
@@ -143,13 +124,6 @@ class TrafficMonitor:
     def serialized_bucket_state(self) -> bytes:
         """All bucket state back to back: 8 bytes per registered entry."""
         return b"".join(e.serialize() for e in self.entries.values())
-
-    def report_rows(self) -> list[tuple[int, int, int, int, int]]:
-        """(src, conform_bytes, overuse_bytes, expired_pkts, replay_pkts) rows."""
-        return [
-            (src, c.conform_bytes, c.overuse_bytes, c.expired_pkts, c.replay_pkts)
-            for src, c in sorted(self.counters.items())
-        ]
 
 
 # timestamp buckets per replay window; expiry drops whole buckets

@@ -195,7 +195,6 @@ class Router:
             return _BAD_MAC
         kind = DedupWindow.KIND_DATA_BWD if backward else DedupWindow.KIND_DATA_FWD
         if not self.dedup.check(src, ts_pkt, kind, now):
-            self.monitor.note_replay(src)
             return _REPLAY
         verdict = self.monitor.police(src, wire_len, pair_in, pair_out, now)
         return _OK if verdict is _CONFORM else _POLICED[verdict]

@@ -100,6 +100,9 @@ _PRIORITY, _BEST_EFFORT = TrafficClass.PRIORITY, TrafficClass.BEST_EFFORT
 _OK, _REPLAY = Decision.OK, Decision.REPLAY
 # a verdict's log text, by the decision's verdict string
 _VERDICT_LOG = {d.verdict: f"verdict={d.verdict} class={d.traffic_class.value}" for d in Decision}
+# a data verdict's column in its monitor row: bytes for ok and overuse,
+# packets for expired and replay
+_MONITOR_COLUMN = {"ok": 0, "overuse": 1, "expired": 2, "replay": 3}
 
 
 def tx_time(size: int, bps: int) -> int:
@@ -230,8 +233,9 @@ class Node:
 class FlowStats:
     """A flow's books. ``sent``, ``delivered`` and ``dropped`` count the
     frames the flow marks as it sends them: its data packets and filler,
-    not its setup messages, renewals or replies. A reply that arrives adds
-    to ``replies_received``."""
+    not its setup messages, renewals or replies. ``delivered_priority`` and
+    ``delivered_demoted`` split ``delivered`` by whether a frame kept
+    priority at every hop. A reply that arrives adds to ``replies_received``."""
 
     def __init__(self):
         self.sent = 0
@@ -830,6 +834,9 @@ class Network:
         self.duration = cfg["duration"]
         self.log_verdicts = cfg["log_verdicts"]
         self.log_lines: list[str] = []
+        # (AS, packet src) -> [conform bytes, overuse bytes, expired packets,
+        # replayed packets]: what its router decided on the source's data
+        self.monitor_tally: dict[tuple[int, int], list[int]] = {}
         self._uid = 0
         self._steps: dict[tuple[int, ...], tuple] = {}
 
@@ -998,6 +1005,12 @@ class Network:
                 req = None
                 decision = router.handle_data(msg, hop_index, hop.ingress, hop.egress, now,
                                               wire_len=frame.size)
+                column = _MONITOR_COLUMN.get(decision.verdict)
+                if column is not None:
+                    row = self.monitor_tally.get((node.as_id, msg.src))
+                    if row is None:
+                        row = self.monitor_tally[node.as_id, msg.src] = [0, 0, 0, 0]
+                    row[column] += frame.size if column < 2 else 1
                 if decision is _OK and isinstance(frame.sender, Spoofer):
                     frame.sender.landed_uids.add(frame.uid)
                 if decision is not _REPLAY and wire.is_renewal(msg):
@@ -1055,19 +1068,17 @@ class Network:
             elif isinstance(msg, wire.DataPacket) and msg.d_flag:  # only flows reply
                 sender.stats.replies_received += 1
             return
-        is_data = msg is not None
         st.delivered += 1
         delay = self.loop.now - frame.created
         st.max_delay = max(st.max_delay, delay)
-        if is_data:
-            if frame.worst is _PRIORITY:
-                st.delivered_priority += 1
-            else:
-                st.delivered_demoted += 1
+        if frame.worst is _PRIORITY:
+            st.delivered_priority += 1
+        else:
+            st.delivered_demoted += 1
         if self.log_verdicts:
             self.log_lines.append(f"{self.loop.now} deliver pkt={frame.uid} flow={sender.name} "
                                   f"delay={delay} class={'P' if frame.worst is _PRIORITY else 'B'}")
-        if sender.backward and is_data:
+        if sender.backward:  # a backward flow sends data packets only
             self._auto_reply(frame)
 
     def _auto_reply(self, frame: Frame) -> None:
@@ -1108,8 +1119,10 @@ class Network:
                 if self.nodes[a].router is not None]
 
     def monitor_rows(self) -> list[tuple]:
-        return [(as_id, *row) for as_id, router in self.routers()
-                for row in router.monitor.report_rows()]
+        """(AS, src, conform bytes, overuse bytes, expired packets, replayed
+        packets) per (AS, src) pair whose router gave the source's data an
+        ok, overuse, expired or replay verdict, in (AS, src) order."""
+        return [(*key, *row) for key, row in sorted(self.monitor_tally.items())]
 
     def delay_bound_ns(self, flow_name: str) -> int:
         """Per link: propagation, the transmission of the flow's own data

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -440,6 +441,37 @@ def test_scenario_golden(tmp_path, capsys, name):
                 if not line.startswith("#")]
     assert rc == 0
     assert "".join(verdicts) + summary.read_text() == _golden(f"scenarios/{name}.csv")
+
+
+def test_readme_documents_the_summary_columns(tmp_path, capsys):
+    """README's summary section names each column of the flow table, and its
+    table has one row per column of the monitor table, in the file's order."""
+    summary = tmp_path / "summary.csv"
+    cli.main(["scenario", "run", os.path.join(SCENARIOS, "baseline.json"),
+              "--summary", str(summary)])
+    flow_table, monitor_table = summary.read_text().split("\n\n")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    section = readme[readme.index("### The summary"):readme.index("### The event log")]
+    assert all(f"`{column}`" in section for column in flow_table.splitlines()[0].split(","))
+    rows = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert rows == monitor_table.splitlines()[0].split(",")
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scenario_log_digest(tmp_path, capsys, name):
+    """Every committed scenario's ``--log``, at its own seed and at ``--seed
+    7``, hashes to its committed SHA-256, and every scenario has both."""
+    lines = [line.split() for line in _golden("scenario_logs.sha256").splitlines()
+             if not line.startswith("#")]
+    want = {(scenario, seed): digest for scenario, seed, digest in lines}
+    assert sorted(want) == sorted((n, s) for n in SCENARIO_NAMES for s in ("seed=own", "seed=7"))
+    for seed, argv in (("seed=own", []), ("seed=7", ["--seed", "7"])):
+        log = tmp_path / "events.log"
+        rc = cli.main(["scenario", "run", os.path.join(SCENARIOS, f"{name}.json"),
+                       "--log", str(log), *argv])
+        assert rc == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == want[name, seed], seed
 
 
 def test_bandwidth_flag_units(tmp_path):

@@ -219,16 +219,15 @@ def test_missing_field_demotes_without_crypto(aes_contexts):
     assert crypto.ops.macs == 0 and aes_contexts["aes"] == 0
 
 
-def test_replay_drops_and_is_counted():
+def test_replay_drops_and_charges_no_bucket():
     r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
     pkt = _emit(store, plan, now=100)
     assert r.handle_data(pkt, 0, 1, 0, now=150).traffic_class is TrafficClass.PRIORITY
+    charged = r.monitor.entries[(SRC, 1, 0)].ts
     d = r.handle_data(pkt, 0, 1, 0, now=160)
     assert d.traffic_class is TrafficClass.DROP and d.verdict == "replay"
-    assert r.monitor.counters[SRC].replay_pkts == 1
-    # replays charge no bucket
-    assert r.monitor.counters[SRC].conform_bytes == pkt.total_len
+    assert r.monitor.entries[(SRC, 1, 0)].ts == charged
 
 
 def test_expired_reservation_demotes_despite_valid_alpha():

@@ -160,6 +160,40 @@ def test_relabelling_the_ases_keeps_every_r5_verdict():
     assert simnet.run_scenario(cfg).verdicts() == _run("replay_overuse.json").verdicts()
 
 
+def test_monitor_rows_tally_each_data_verdict(monkeypatch):
+    """Each hop's ok and overuse verdict adds its frame's size to its (AS,
+    src) row, and each expired and replay verdict adds one packet; a forgery
+    or a request adds to no row."""
+    decided = []
+    handle_data = Router.handle_data
+
+    def recording(router, pkt, *args, **kw):
+        decision = handle_data(router, pkt, *args, **kw)
+        decided.append((router.as_id, pkt.src, decision.verdict))
+        return decision
+
+    monkeypatch.setattr(Router, "handle_data", recording)
+    cfg = _load("replay_overuse.json")
+    cfg["estimator"]["interval"] = "2s"  # the grants expire inside the run
+    _sender(cfg, "honest")["ignore_expiry"] = True  # and honest sends on past them
+    cfg["adversaries"].append({"kind": "spoofer", "name": "forger", "src": 8, "victim": 5,
+                               "path": [8, 2, 3], "count": 50})
+    r = simnet.run_scenario(cfg)
+    sizes = {1: r.flows["honest"].wire_size, 8: r.flows["greedy"].wire_size}
+    seen = Counter(decided)
+    assert seen[2, 5, "bad_mac"] == 50
+    columns = ("ok", "overuse", "expired", "replay")
+    want = {}
+    for (as_id, src, verdict), n in seen.items():
+        if verdict in columns:
+            row = want.setdefault((as_id, src), [as_id, src, 0, 0, 0, 0])
+            row[2 + columns.index(verdict)] += n * sizes[src] if verdict in columns[:2] else n
+    assert r.monitor_rows() == [tuple(want[key]) for key in sorted(want)]
+    honest, greedy = want[2, 1], want[2, 8]
+    assert honest[2] and honest[4] and honest[5]  # ok, expired, replay
+    assert greedy[2] and greedy[3]  # ok, overuse
+
+
 # confidentiality + skew -------------------------------------------------------------
 
 def test_observer_never_sees_plaintext_authenticator():
