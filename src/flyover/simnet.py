@@ -340,7 +340,7 @@ class ReservationFlow(_Sender):
         self.store = source.GrantStore()
         self.keys = self._drkeys()
         self.stats = FlowStats()
-        self.granted_at: int | None = None
+        self.granted_at: int | None = None  # when the source first held every forward grant
         self.grant_expiry: int | None = None
         # the start of the retry ladder the flow climbs; None while it sends
         self.ladder: int | None = None
@@ -385,10 +385,8 @@ class ReservationFlow(_Sender):
             extends = self.grant_expiry is None or exp > self.grant_expiry
             self.grant_expiry = exp
             if self.granted_at is None:
-                # granting happened at the routers when they stamped the
-                # expiry, one validity period before it
-                self.granted_at = exp - self.net.estimator_cfg.interval_ns
-                self.net.log(f"granted flow={self.name} t={self.granted_at}")
+                self.granted_at = now
+                self.net.log(f"granted flow={self.name}")
             self._configure_rate()  # a renewal may change the composed rate
             if self.ladder is not None:
                 self.ladder = None
@@ -418,7 +416,7 @@ class ReservationFlow(_Sender):
                                      bytes(self.packet_size), self.len_b,
                                      self.node.stamp(t), allow_expired=self.ignore_expiry)
         except source.MissingGrant:
-            self.net.log(f"emit_blocked flow={self.name} t={t}")
+            self.net.log(f"emit_blocked flow={self.name}")
             if self.renew:  # the grant lapsed: request again, resume on a usable grant
                 self._request(t)
             return False
@@ -639,11 +637,8 @@ class ConfigError(ValueError):
 
 
 _JSON = (int, float, bool, str, list, dict)
-_KEY_BYTES = f"{crypto.KEY_LEN} bytes"
-_RANGES = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
-           "[0, 1]": lambda v: 0 <= v <= 1, "(0, 1]": lambda v: 0 < v <= 1,
-           "[0, 65535]": lambda v: 0 <= v <= wire.MAX_LEN, "[0, 2^64)": lambda v: 0 <= v < 2**64,
-           _KEY_BYTES: lambda v: len(v) == crypto.KEY_LEN}
+_RANGES = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, "[0, 1]": lambda v: 0 <= v <= 1,
+           "[0, 65535]": lambda v: 0 <= v <= wire.MAX_LEN, "[0, 2^64)": lambda v: 0 <= v < 2**64}
 
 
 def _parse(raw, table: dict, where: str) -> dict:
@@ -725,8 +720,7 @@ def _topology(value) -> dict:
 
 _AS_KEYS = {"id": (int, "[0, 2^64)", ...),
             "enabled": (bool, None, True),  # false: the AS forwards unaware of the protocol
-            "matrix": (topo.AllocationMatrix, None, None),  # None: from the link capacities
-            "secret": (bytes.fromhex, _KEY_BYTES, None)}  # None: derived from the AS id
+            "matrix": (topo.AllocationMatrix, None, None)}  # None: from the link capacities
 _LINK_KEYS = {"a": (int, None, ...), "b": (int, None, ...),
               "capacity": (parse_bandwidth, "> 0", "10Gbps"),
               "delay": (parse_duration, ">= 0", "1ms")}
@@ -736,20 +730,12 @@ _TOPO_GEN_KEYS = {"n": (int, "> 0", ...), "links": (list, None, ...),
                   "matrices": (dict, None, {}),  # str(AS id) -> matrix
                   # how `topo gen` made the file; not read
                   "seed": (int, None, None), "attachment": (int, None, None)}
-# The protocol's defaults are RouterConfig's and EstimatorConfig's, read here,
-# but for two estimator keys. The library's floor of 16 requesters and its
-# Bloom filter suit a router that serves many sources; a scenario has a
-# handful per pair, so it counts them exactly (exact) and lets them split the
-# reserved part among themselves (min_requesters 1), the shares its flows'
-# rates and requirements are written for.
 _DEFAULTS = RouterConfig()
 _EST = _DEFAULTS.estimator
 _ESTIMATOR_KEYS = {
-    "interval": (parse_duration, "> 0", _EST.interval_ns), "min_requesters": (int, "> 0", 1),
-    "reserved_fraction": (lambda v: Fraction(str(v)), "(0, 1]", _EST.reserved_fraction),
-    "tentative_slots": (int, ">= 0", _EST.tentative_slots),
-    "filter_bits": (int, "> 0", _EST.filter_bits), "hash_count": (int, "> 0", _EST.hash_count),
-    "exact": (bool, None, True)}
+    "interval": (parse_duration, "> 0", _EST.interval_ns),
+    "min_requesters": (int, "> 0", _EST.min_requesters),
+    "tentative_slots": (int, ">= 0", _EST.tentative_slots), "exact": (bool, None, _EST.exact)}
 _SENDER_KEYS = {"name": (str, None, ...), "src": (int, None, ...), "path": (_route, None, ...)}
 _RESERVATION_KEYS = {
     **_SENDER_KEYS, "setup_at": (parse_duration, ">= 0", 0),
@@ -800,8 +786,6 @@ _NAMED = {"flow": ReservationFlow, "overuser": ReservationFlow, "adversary": Spo
 _SCENARIO_KEYS = {
     "seed": (int, None, 0), "duration": (parse_duration, "> 0", "5s"),
     "log_verdicts": (bool, None, True), "warm_start": (bool, None, False),
-    "delta": (parse_duration, ">= 0", _DEFAULTS.delta_ns),
-    "lifetime": (parse_duration, ">= 0", _DEFAULTS.lifetime_ns),
     "bucket_window": (parse_duration, "> 0", _DEFAULTS.bucket_window_ns),
     "be_buffer": (int, ">= 0", 100),
     # AS id (a string, as JSON object keys are) -> clock offset
@@ -842,10 +826,10 @@ class Network:
 
         est = cfg["estimator"]
         self.estimator_cfg = EstimatorConfig(
-            est["interval"], est["min_requesters"], est["reserved_fraction"],
-            est["tentative_slots"], est["filter_bits"], est["hash_count"], est["exact"])
-        self.router_cfg = RouterConfig(cfg["delta"], cfg["lifetime"], cfg["bucket_window"],
-                                       self.estimator_cfg)
+            interval_ns=est["interval"], min_requesters=est["min_requesters"],
+            tentative_slots=est["tentative_slots"], exact=est["exact"])
+        self.router_cfg = RouterConfig(bucket_window_ns=cfg["bucket_window"],
+                                       estimator=self.estimator_cfg)
 
         self.nodes: dict[int, Node] = {}
         self.links: dict[tuple[int, int], Link] = {}
@@ -910,8 +894,7 @@ class Network:
             router = None
             if spec["enabled"]:
                 matrix = matrix or topo.AllocationMatrix.from_capacities(caps)
-                secret = spec["secret"] or \
-                    crypto.cbc_mac(b"topology-secret-", as_id.to_bytes(8, "big") * 2)
+                secret = crypto.cbc_mac(b"topology-secret-", as_id.to_bytes(8, "big") * 2)
                 router = Router(as_id, secret, matrix, self.router_cfg, now=0,
                                 rng=random.Random((self.seed << 16) ^ as_id))
             self.nodes[as_id] = Node(as_id, router, skews.get(as_id, 0), if_to)

@@ -1,11 +1,16 @@
 """Every function, class and method defined in flyover, and every name a
 module assigns at its top level, has a caller: its name is referenced
 somewhere outside its own definition, a method's as an attribute or in a
-dotted string."""
+dotted string. Every key of the scenario schema has a setter: a committed
+run sets it."""
 
 import ast
+import glob
+import json
 import os
 from collections import Counter
+
+from flyover import simnet
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "flyover")
@@ -102,3 +107,54 @@ def test_only_sweep_waits_for_a_program_caller():
     rotation (ROADMAP item 3); move this pin when it does. Test oracles
     live in ``tests/oracles.py``, not in ``src``."""
     assert [(path, name) for path, _, name in _uncalled(PROGRAM)] == [("policing.py", "sweep")]
+
+
+# the scenario keys that no scenario, demo, benchmark or `topo gen` file sets
+# yet; move a key out of this pin when a committed run sets it
+KEYS_WAITING_FOR_A_SETTER = {"enabled", "matrix", "be_buffer", "start"}
+
+
+def _set_keys(node: ast.AST) -> set[str]:
+    """Each quoted key under ``node`` that a dict literal or an assignment
+    to a subscript sets."""
+    keys = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Dict):
+            keys.update(k.value for k in n.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif (isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+              and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)):
+            keys.add(n.slice.value)
+    return keys
+
+
+def _json_keys(doc) -> set[str]:
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_json_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_json_keys, doc))
+    return set()
+
+
+def test_only_these_scenario_keys_wait_for_a_setter():
+    """Every key of the scenario schema is set by a committed scenario, a
+    demo, the benchmark or the `topo gen` writer, but the pinned ones: a key
+    that no run sets is a setting no run has tried."""
+    tables = [simnet._SCENARIO_KEYS, simnet._ESTIMATOR_KEYS, simnet._TOPOLOGY_KEYS,
+              simnet._TOPO_GEN_KEYS, simnet._AS_KEYS, simnet._LINK_KEYS]
+    tables += [keys for tagged in (simnet._FLOW_TYPES, simnet._ADVERSARY_KINDS,
+                                   simnet._REQUIREMENTS) for _, keys in tagged.values()]
+    schema = set().union(*tables)
+    set_keys = set()
+    for path in glob.glob(os.path.join(ROOT, "scenarios", "*.json")):
+        with open(path) as fh:
+            set_keys |= _json_keys(json.load(fh))
+    for path in glob.glob(os.path.join(ROOT, "demos", "*.py")) + \
+            glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
+        with open(path) as fh:
+            set_keys |= _set_keys(ast.parse(fh.read(), path))
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        cli = ast.parse(fh.read())
+    set_keys |= _set_keys(next(n for n in ast.walk(cli)
+                               if isinstance(n, ast.FunctionDef) and n.name == "cmd_topo_gen"))
+    assert schema - set_keys == KEYS_WAITING_FOR_A_SETTER

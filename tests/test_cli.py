@@ -241,8 +241,6 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
     lambda cfg: cfg.update(adversaries=[{"name": "critical", "kind": "spoofer", "src": 2,
                                          "victim": 1, "path": [2, 3]}]),
     lambda cfg: cfg.update(bucket_window="0s"),
-    lambda cfg: cfg.update(lifetime="-1ms"),
-    lambda cfg: cfg.update(delta="-1ms"),
     lambda cfg: cfg.update(be_buffer=-1),
     lambda cfg: cfg.update(adversaries=[{"name": "echo", "kind": "replayer", "link": [1, 2],
                                          "copies": 0}]),
@@ -293,8 +291,8 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
         "negative_flood_packet_size", "empty_flood_packets", "negative_spoofer_packet_size",
         "negative_overuser_packet_size", "negative_link_delay", "negative_setup_at",
         "negative_best_effort_start", "unknown_source_as", "duplicate_flow_name",
-        "adversary_named_as_a_flow", "zero_bucket_window", "negative_lifetime",
-        "negative_delta", "negative_be_buffer", "zero_replay_copies", "len_b_over_u16",
+        "adversary_named_as_a_flow", "zero_bucket_window",
+        "negative_be_buffer", "zero_replay_copies", "len_b_over_u16",
         "negative_len_b", "oversized_flow_packet", "oversized_overuser_packet",
         "oversized_spoofer_packet", "sender_clock_below_zero_at_start", "link_to_unknown_as",
         "duplicate_as_id", "duplicate_link", "self_loop_link", "clock_skew_on_unknown_as",

@@ -1,5 +1,8 @@
 """Fault matrix: each protocol fault, patched into the code, fails the
-requirement named for it on its committed scenario.
+requirement named for it on its committed scenario. R5 has a row for each
+of its three checks: replay and overuse on ``replay_overuse.json``, and
+charging past a grant's expiry on ``expired_grant.json``, whose flow keeps
+sending on its lapsed grants.
 
 R2 has no row. It reads the router's own request lists, since the wire
 does not tell a source whether a grant is tentative, and on
@@ -34,6 +37,12 @@ def _forward_overuse_and_expired(monkeypatch):
     monkeypatch.setitem(router._POLICED, Verdict.EXPIRED, Decision.OK)
 
 
+def _grants_never_expire(monkeypatch):
+    """The monitor holds every grant as unexpired, so it charges packets on
+    a lapsed grant as conforming."""
+    monkeypatch.setattr("flyover.policing.expired", lambda ts_exp, now: False)
+
+
 def _one_bucket_per_source(monkeypatch):
     """The monitor keyed by (source, direction), not by flyover: every pair
     of a forward-only source lands on one entry, one token bucket."""
@@ -51,11 +60,13 @@ def _one_bucket_per_source(monkeypatch):
      [({"r": "R5", "replayer": "echo"}, "replayed copies delivered=")]),
     (_forward_overuse_and_expired, "replay_overuse.json", {},
      [({"r": "R5", "overuser": "greedy"}, "demoted fraction 0.0000 ")]),
+    (_grants_never_expire, "expired_grant.json", {},
+     [({"r": "R5", "no_expired_conform": True}, "AS 2 charged src 1 past expiry")]),
     (_one_bucket_per_source, "two_flyovers.json", {},
      [({"r": "R1", "src": 1}, "AS 2 polices no grant of src 1 "),
       ({"r": "R4", "flow": "to4"}, "flow to4: ")]),
 ], ids=["handle_data_forwards_all", "dedup_forgets", "policing_forwards_all",
-        "monitor_keyed_by_direction"])
+        "grants_never_expire", "monitor_keyed_by_direction"])
 def test_each_fault_fails_its_requirement(monkeypatch, fault, scenario, edit, failing):
     """Without the fault each of these requirements passes (the scenario
     goldens); with it, each fails with its detail."""

@@ -1,6 +1,5 @@
 """Scenario engine: determinism, priority protection, adversaries, skew."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +10,7 @@ from itertools import chain
 import pytest
 
 from flyover import crypto, simnet, source, topo, wire
-from flyover.admission import BloomFilter, EstimatorConfig
+from flyover.admission import BloomFilter
 from flyover.policing import TrafficMonitor
 from flyover.router import Router, RouterConfig, TrafficClass
 
@@ -601,7 +600,7 @@ def test_an_as_numbers_its_interfaces_by_neighbour_id_whatever_the_links_order()
     for order in (links, links[::-1]):
         r = simnet.run_scenario({
             "seed": 1, "duration": "1s", "warm_start": True,
-            "estimator": {"min_requesters": 1, "tentative_slots": 0},
+            "estimator": {"min_requesters": 1, "tentative_slots": 0, "exact": True},
             "topology": {"ases": [{"id": 1}, {"id": 2, "matrix": matrix}, {"id": 3}],
                          "links": order},
             "flows": [{"name": "f", "src": 1, "path": [1, 2, 3], "stop_at": "900ms"}]})
@@ -1087,12 +1086,11 @@ def test_readme_documents_every_event_log_line():
 
 def test_the_protocol_defaults_are_the_configs():
     """A scenario that sets no protocol key runs RouterConfig's and
-    EstimatorConfig's defaults, but for its own ``min_requesters`` and
-    ``exact``; the filter and the monitor take their sizes from the caller."""
+    EstimatorConfig's defaults; the filter and the monitor take their sizes
+    from the caller."""
     net = simnet.Network({"topology": {"ases": [{"id": 1}, {"id": 2}],
                                        "links": [{"a": 1, "b": 2}]}})
-    assert net.router_cfg == RouterConfig(estimator=dataclasses.replace(
-        EstimatorConfig(), min_requesters=1, exact=True))
+    assert net.router_cfg == RouterConfig()
     with pytest.raises(TypeError):
         BloomFilter()
     with pytest.raises(TypeError):
