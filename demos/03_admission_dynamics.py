@@ -9,14 +9,13 @@ the allocation entry, whatever the request schedule does.
 
 from fractions import Fraction
 
-from flyover.admission import EstimatorConfig, RequesterEstimator
+from flyover.admission import RESERVED_DEN, RESERVED_NUM, EstimatorConfig, RequesterEstimator
 
 S = 1_000_000_000
 EPS = 10 * S
 ENTRY = 100 * 10**9  # matrix entry for this interface pair
 
-cfg = EstimatorConfig(interval_ns=EPS, min_requesters=1,
-                      reserved_fraction=Fraction(4, 5), tentative_slots=2, exact=True)
+cfg = EstimatorConfig(interval_ns=EPS, min_requesters=1, tentative_slots=2, exact=True)
 est = RequesterEstimator(cfg, now=0)
 
 print("== first requests land in tentative slots ==")
@@ -50,7 +49,7 @@ for _ in range(4000):
         firm = sum(x.bw for x in latest.values() if x.ts_exp > t and not x.tentative)
         worst = max(worst, Fraction(firm, ENTRY))
 print(f"  max concurrent firm allocation over a random schedule: "
-      f"{float(worst):.4f} of the entry (bound {float(cfg.reserved_fraction)})")
+      f"{float(worst):.4f} of the entry (bound {RESERVED_NUM / RESERVED_DEN})")
 
 print("\n== allocation-matrix updates take effect asymmetrically ==")
 from flyover.topo import AllocationMatrix

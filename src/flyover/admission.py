@@ -10,6 +10,9 @@ grant at most two intervals after its first request, while the union
 cardinality of the two collection filters keeps the count high enough that
 the sum of grants can never exceed the reserved fraction of the entry.
 The entries are an AS's ``topo.AllocationMatrix``, which admission reads.
+
+The protocol fixes the reserved fraction at 4/5 and the Bloom filters' size
+(the module constants); ``EstimatorConfig`` holds what a run may set.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import crypto, wire
@@ -26,6 +27,11 @@ from .policing import DedupWindow
 from .topo import AllocationMatrix
 
 _LOW64 = (1 << 64) - 1
+
+# firm grants share RESERVED_NUM / RESERVED_DEN of an entry, tentative slots the rest
+RESERVED_NUM, RESERVED_DEN = 4, 5
+FILTER_BITS = 95_851  # each requester filter's bits
+HASH_COUNT = 7  # positions per item
 
 
 class ExactSetFilter:
@@ -123,39 +129,27 @@ class BloomFilter:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator parameters; the reserved fraction must stay in (0, 1].
-    The defaults are the protocol's, which the scenario schema reads."""
+    """The estimator parameters a run may set. The defaults are the
+    protocol's, which the scenario schema reads; ``exact`` swaps the Bloom
+    filters for exact sets, the oracle mode."""
 
     interval_ns: int = 10_000_000_000  # rotation period
     min_requesters: int = 16
-    reserved_fraction: Fraction = Fraction(4, 5)
     tentative_slots: int = 8
-    filter_bits: int = 95_851
-    hash_count: int = 7
     exact: bool = False
 
     def __post_init__(self):
-        if not 0 < self.reserved_fraction <= 1:
-            raise ValueError("reserved_fraction must be in (0, 1]")
         if self.min_requesters < 1:
             raise ValueError("min_requesters must be >= 1")
         if self.interval_ns < 1:
             raise ValueError("interval_ns must be >= 1")
         if self.tentative_slots < 0:
             raise ValueError("tentative_slots must be >= 0")
-        if self.filter_bits < 1 or self.hash_count < 1:
-            raise ValueError("filter_bits and hash_count must be >= 1")
-
-    @cached_property
-    def reserved_ratio(self) -> tuple[int, int]:
-        """``reserved_fraction`` as its (numerator, denominator) ints, which
-        every request reads."""
-        return self.reserved_fraction.numerator, self.reserved_fraction.denominator
 
     def make_filter(self):
         if self.exact:
             return ExactSetFilter()
-        return BloomFilter(self.filter_bits, self.hash_count)
+        return BloomFilter(FILTER_BITS, HASH_COUNT)
 
 
 class Grant(NamedTuple):
@@ -225,15 +219,14 @@ class RequesterEstimator:
         the caller.
         """
         cfg = self.config
-        num, den = cfg.reserved_ratio
         if self.current.add_and_test(src, self.granted):
-            bw = entry_bw * num // (den * self.requesters)
+            bw = entry_bw * RESERVED_NUM // (RESERVED_DEN * self.requesters)
             return Grant(bw, now + cfg.interval_ns, tentative=False)
         if src in self._tentative_holders:
             # repeat first-timer in the same interval: same slot, same grant
             return Grant(self._tentative_holders[src], self.next_rotation, tentative=True)
         if len(self._tentative_holders) < cfg.tentative_slots:
-            bw = entry_bw * (den - num) // (den * cfg.tentative_slots)
+            bw = entry_bw * (RESERVED_DEN - RESERVED_NUM) // (RESERVED_DEN * cfg.tentative_slots)
             self._tentative_holders[src] = bw
             return Grant(bw, self.next_rotation, tentative=True)
         return None
@@ -272,9 +265,10 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
 
     ``state`` carries the router-resident pieces: ``prepared_secret`` (the
     AS-local secret as a :class:`crypto.PreparedKey`), ``policy``,
-    ``monitor``, ``dedup`` and ``config`` (timestamp window). On any failed
-    check the result is simply an empty list; the caller forwards the
-    request regardless so ASes later on the path can still admit it.
+    ``monitor`` and ``dedup``. The request's timestamp must be fresh by
+    :func:`wire.in_window`. On any failed check the result is simply an
+    empty list; the caller forwards the request regardless so ASes later on
+    the path can still admit it.
 
     The ingress role admits the forward reservation and the egress role the
     backward one; with one router per AS, both are handled here.
@@ -282,7 +276,7 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
     entry = req.entry_for(hop_index)
     if entry is None or not (entry.flag_r or entry.flag_b):
         return []
-    if not state.config.in_window(req.ts_req, now):
+    if not wire.in_window(req.ts_req, now):
         return []
     # one AES context serves the request-auth MAC and both grants' seals
     drkey = crypto.PreparedKey(crypto.derive_drkey(state.prepared_secret, req.src))

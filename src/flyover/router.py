@@ -23,8 +23,10 @@ that nanosecond on, by :func:`wire.expired`: the monitor stops passing its
 traffic as conforming at the same nanosecond, so the grants whose traffic
 conforms never sum past the capacity the guard checks.
 
-``RouterConfig`` and its ``EstimatorConfig`` hold the protocol's defaults:
-the timestamp window, the bucket window and the estimator's parameters.
+A packet's or request's timestamp is fresh by :func:`wire.in_window`, the
+protocol's fixed window, and the replay window remembers a timestamp for
+``wire.MAX_AGE_NS``. ``RouterConfig`` holds what a run may set: the bucket
+window and the estimator's ``EstimatorConfig``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from . import crypto, wire
 from .admission import DefaultPolicy, EstimatorConfig, Grant, admit_setup
@@ -77,25 +78,12 @@ _STALE_TS, _MISSING_FIELD, _REPLY_TOO_LONG, _BAD_MAC, _REPLAY = (
 
 @dataclass(frozen=True)
 class RouterConfig:
-    delta_ns: int = 500_000_000  # clock tolerance around packet timestamps
-    lifetime_ns: int = 1_000_000_000  # request/packet usability horizon
     bucket_window_ns: int = 50_000_000
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
-        if self.delta_ns < 0 or self.lifetime_ns < 0:
-            raise ValueError("delta_ns and lifetime_ns must be >= 0")
         if self.bucket_window_ns < 1:
             raise ValueError("bucket_window_ns must be >= 1")
-
-    @cached_property
-    def max_age_ns(self) -> int:
-        """The oldest accepted timestamp's age: the replay window's width."""
-        return self.lifetime_ns + self.delta_ns
-
-    def in_window(self, ts: int, now: int) -> bool:
-        """Whether setup admission and data validation accept ``ts`` at ``now``."""
-        return -self.delta_ns <= now - ts <= self.max_age_ns
 
 
 class Router:
@@ -114,7 +102,7 @@ class Router:
         self.config = config or RouterConfig()
         self.policy = DefaultPolicy(matrix, self.config.estimator, now)
         self.monitor = TrafficMonitor(self.config.bucket_window_ns)
-        self.dedup = DedupWindow(self.config.max_age_ns)
+        self.dedup = DedupWindow(wire.MAX_AGE_NS)
         self.rng = rng
         # per interface pair: src -> (bw, ts_exp); used by the
         # no-over-allocation guard and scenario assertions
@@ -179,7 +167,7 @@ class Router:
         direction = wire.BACKWARD if backward else wire.FORWARD
         if wire_len is None:
             wire_len = wire.data_packet_len(len(rvfs) + len(bvfs), len(payload))
-        if not self.config.in_window(ts_pkt, now):
+        if not wire.in_window(ts_pkt, now):
             return _STALE_TS
         for hop, field_bytes in (bvfs if backward else rvfs):
             if hop == hop_index:

@@ -340,7 +340,7 @@ class ReservationFlow(_Sender):
         self.store = source.GrantStore()
         self.keys = self._drkeys()
         self.stats = FlowStats()
-        self.granted_at: int | None = None  # when the source first held every forward grant
+        # the earliest expiry of the forward grants, once the source holds every one
         self.grant_expiry: int | None = None
         # the start of the retry ladder the flow climbs; None while it sends
         self.ladder: int | None = None
@@ -356,7 +356,7 @@ class ReservationFlow(_Sender):
         self.ladder = t
         loop = self.net.loop
         loop.schedule(t, self._send_setup)
-        eps = self.net.estimator_cfg.interval_ns
+        eps = self.net.router_cfg.estimator.interval_ns
         for k in range(1, 5):
             loop.schedule(t + k * eps // 2, self._retry, t)
 
@@ -382,11 +382,10 @@ class ReservationFlow(_Sender):
         grants = [self.store.get(fkey, local) for _, fkey in self.plan.forward_keys]
         if grants and None not in grants:
             exp = min(grant.ts_exp for grant in grants)
+            if self.grant_expiry is None:
+                self.net.log(f"granted flow={self.name}")
             extends = self.grant_expiry is None or exp > self.grant_expiry
             self.grant_expiry = exp
-            if self.granted_at is None:
-                self.granted_at = now
-                self.net.log(f"granted flow={self.name}")
             self._configure_rate()  # a renewal may change the composed rate
             if self.ladder is not None:
                 self.ladder = None
@@ -394,7 +393,7 @@ class ReservationFlow(_Sender):
             if self.renew and extends:  # a same-expiry response renews nothing
                 # when the source's clock, which gates its sending, or the
                 # network's, which the routers expire by, reads exp - eps/5
-                eps = self.net.estimator_cfg.interval_ns
+                eps = self.net.router_cfg.estimator.interval_ns
                 renew_at = max(now + 1, exp - eps // 5 - max(self.node.skew_ns, 0))
                 self.net.loop.schedule(renew_at, self._send_renewal)
 
@@ -546,8 +545,8 @@ def _check_grants_policed(result, req) -> tuple[bool, str]:
 def _check_granted_within(result, req) -> tuple[bool, str]:
     """Per provider router: first valid request to first firm grant <= 2 intervals."""
     flow = result.flows[req["flow"]]
-    bound = 2 * result.estimator_cfg.interval_ns
-    if flow.granted_at is None:
+    bound = 2 * result.router_cfg.estimator.interval_ns
+    if flow.grant_expiry is None:
         return False, f"flow {flow.name} never granted"
     worst = 0
     for _, (as_id, *_) in flow.plan.forward_keys:
@@ -825,11 +824,11 @@ class Network:
         self._steps: dict[tuple[int, ...], tuple] = {}
 
         est = cfg["estimator"]
-        self.estimator_cfg = EstimatorConfig(
-            interval_ns=est["interval"], min_requesters=est["min_requesters"],
-            tentative_slots=est["tentative_slots"], exact=est["exact"])
-        self.router_cfg = RouterConfig(bucket_window_ns=cfg["bucket_window"],
-                                       estimator=self.estimator_cfg)
+        self.router_cfg = RouterConfig(
+            bucket_window_ns=cfg["bucket_window"],
+            estimator=EstimatorConfig(
+                interval_ns=est["interval"], min_requesters=est["min_requesters"],
+                tentative_slots=est["tentative_slots"], exact=est["exact"]))
 
         self.nodes: dict[int, Node] = {}
         self.links: dict[tuple[int, int], Link] = {}

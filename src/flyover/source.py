@@ -90,9 +90,6 @@ class FlyoverGrant:
     # ``auth`` as an AES context, built by the grant's first packet
     key: crypto.PreparedKey | None = field(default=None, repr=False, compare=False)
 
-    def expired(self, now: int) -> bool:
-        return wire.expired(self.ts_exp, now)
-
     def mac_key(self) -> crypto.PreparedKey:
         """The authenticator's prepared key, built on first use."""
         if self.key is None:
@@ -112,7 +109,7 @@ class GrantStore:
 
     def get(self, key: tuple, now: int, allow_expired: bool = False) -> FlyoverGrant | None:
         g = self.grants.get(key)
-        if g is None or (g.expired(now) and not allow_expired):
+        if g is None or (wire.expired(g.ts_exp, now) and not allow_expired):
             return None
         return g
 

@@ -32,6 +32,10 @@ against 1.2 us as a frozen dataclass, decoding a data packet 2.2 us against
 another type, that holds the same values, and every record has the tuple
 methods ``count`` and ``index``. No caller compares messages of different
 types; a test that must tell a record from a tuple compares ``repr`` too.
+
+The timestamp rules sit beside the layouts that carry timestamps:
+``in_window`` decides a request's or data packet's freshness, and
+``expired`` a grant's end.
 """
 
 from __future__ import annotations
@@ -117,6 +121,17 @@ class RespEntry(NamedTuple):
     tag: bytes
     bw: int
     ts_exp: int
+
+
+DELTA_NS = 500_000_000  # clock tolerance around a message's timestamp
+LIFETIME_NS = 1_000_000_000  # how long a request or data packet stays usable
+MAX_AGE_NS = LIFETIME_NS + DELTA_NS  # the oldest accepted timestamp's age
+
+
+def in_window(ts: int, now: int) -> bool:
+    """Whether a request or data packet stamped ``ts`` is fresh at ``now``;
+    setup admission and data validation both read this rule."""
+    return -DELTA_NS <= now - ts <= MAX_AGE_NS
 
 
 def expired(ts_exp: int, now: int) -> bool:

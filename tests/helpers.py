@@ -1,7 +1,6 @@
 """Shared builders for router/source/simnet tests."""
 
 import random
-from fractions import Fraction
 
 from flyover import source, wire
 from flyover.admission import EstimatorConfig
@@ -13,8 +12,7 @@ GBPS = 10**9
 
 
 def estimator_cfg(**kw):
-    defaults = dict(interval_ns=10 * S, min_requesters=1,
-                    reserved_fraction=Fraction(4, 5), tentative_slots=8, exact=True)
+    defaults = dict(interval_ns=10 * S, min_requesters=1, tentative_slots=8, exact=True)
     defaults.update(kw)
     return EstimatorConfig(**defaults)
 

@@ -23,8 +23,7 @@ EPS = 10_000_000_000  # default rotation interval, ns
 
 
 def exact_cfg(**kw):
-    defaults = dict(interval_ns=EPS, min_requesters=1, reserved_fraction=Fraction(4, 5),
-                    tentative_slots=8, exact=True)
+    defaults = dict(interval_ns=EPS, min_requesters=1, tentative_slots=8, exact=True)
     defaults.update(kw)
     return EstimatorConfig(**defaults)
 
@@ -218,9 +217,7 @@ def test_bloom_vs_exact_agree_without_false_positives():
     bloom filters report no false positive (none occur at this sizing)."""
     rng = random.Random(99)
     cfg_exact = exact_cfg(tentative_slots=2)
-    cfg_bloom = EstimatorConfig(interval_ns=EPS, min_requesters=1,
-                                reserved_fraction=Fraction(4, 5), tentative_slots=2,
-                                filter_bits=95_851, hash_count=7, exact=False)
+    cfg_bloom = exact_cfg(tentative_slots=2, exact=False)
     e1 = RequesterEstimator(cfg_exact)
     e2 = RequesterEstimator(cfg_bloom)
     false_positives = 0
@@ -372,16 +369,10 @@ def test_policy_auto_rotates():
     assert g is not None and g.bw == int(Fraction(4, 5) * 100 * GBPS)
 
 
-def test_config_rejects_fraction_above_one():
-    with pytest.raises(ValueError):
-        EstimatorConfig(reserved_fraction=Fraction(6, 5))
-
-
 @pytest.mark.parametrize("kw", [dict(interval_ns=0), dict(interval_ns=-EPS),
-                                dict(tentative_slots=-1), dict(filter_bits=0),
-                                dict(hash_count=0), dict(min_requesters=0)],
+                                dict(tentative_slots=-1), dict(min_requesters=0)],
                          ids=["zero_interval", "negative_interval", "negative_slots",
-                              "no_filter_bits", "no_hashes", "no_min_requesters"])
+                              "no_min_requesters"])
 def test_config_rejects_degenerate_estimator(kw):
     with pytest.raises(ValueError):
         EstimatorConfig(**kw)
@@ -457,9 +448,10 @@ def test_packed_bloom_matches_int_mask_reference(n_bits, n_hashes, left, right, 
 
 @settings(max_examples=300, deadline=None)
 @given(entry_bw=st.integers(0, 10**20), requesters=st.integers(1, 10**6),
-       frac=st.fractions(0, 1, max_denominator=1000).filter(bool), slots=st.integers(1, 64))
-def test_integer_shares_equal_fraction_formulas(entry_bw, requesters, frac, slots):
-    cfg = exact_cfg(reserved_fraction=frac, tentative_slots=slots)
+       slots=st.integers(1, 64))
+def test_integer_shares_equal_fraction_formulas(entry_bw, requesters, slots):
+    frac = Fraction(4, 5)  # the protocol's reserved fraction
+    cfg = exact_cfg(tentative_slots=slots)
     est = RequesterEstimator(cfg)
     tentative = est.request(1, entry_bw, 0)
     assert tentative.tentative
@@ -495,8 +487,7 @@ def _state(est):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "bloom"])
 def test_rotation_catch_up_matches_stepwise_loop(exact):
     rng = random.Random(5)
-    cfg = exact_cfg(exact=exact, tentative_slots=3, min_requesters=2, filter_bits=4096,
-                    hash_count=5)
+    cfg = exact_cfg(exact=exact, tentative_slots=3, min_requesters=2)
     for trial in range(10):
         for elapsed in range(8):
             start = rng.randrange(10**12)

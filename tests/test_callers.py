@@ -2,15 +2,18 @@
 module assigns at its top level, has a caller: its name is referenced
 somewhere outside its own definition, a method's as an attribute or in a
 dotted string. Every key of the scenario schema has a setter: a committed
-run sets it."""
+run sets it. So has every field of the router's and estimator's configs."""
 
 import ast
+import dataclasses
 import glob
 import json
 import os
 from collections import Counter
 
 from flyover import simnet
+from flyover.admission import EstimatorConfig
+from flyover.router import RouterConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "flyover")
@@ -158,3 +161,19 @@ def test_only_these_scenario_keys_wait_for_a_setter():
     set_keys |= _set_keys(next(n for n in ast.walk(cli)
                                if isinstance(n, ast.FunctionDef) and n.name == "cmd_topo_gen"))
     assert schema - set_keys == KEYS_WAITING_FOR_A_SETTER
+
+
+def test_every_config_field_has_a_program_setter():
+    """Every field of ``RouterConfig`` and ``EstimatorConfig`` is passed by
+    keyword somewhere in the simulator, the benchmark or a demo: a parameter
+    that no run sets is a protocol constant, which lives in its module."""
+    configs = {cls.__name__: {f.name for f in dataclasses.fields(cls)}
+               for cls in (RouterConfig, EstimatorConfig)}
+    set_fields = {name: set() for name in configs}
+    for top in PROGRAM:
+        for _, tree in _trees(os.path.join(ROOT, top)):
+            for n in ast.walk(tree):
+                if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id in set_fields):
+                    set_fields[n.func.id].update(k.arg for k in n.keywords)
+    assert set_fields == configs

@@ -472,6 +472,44 @@ def test_scenario_log_digest(tmp_path, capsys, name):
         assert hashlib.sha256(log.read_bytes()).hexdigest() == want[name, seed], seed
 
 
+def _observed_scenario():
+    return simnet.load_scenario(os.path.join(SCENARIOS, "observer_skew.json"))
+
+
+def _tapped_spoofer():
+    """spoofer.json cut to 50 forgeries, with an observer on the spoofer's first link."""
+    cfg = simnet.load_scenario(os.path.join(SCENARIOS, "spoofer.json"))
+    forger, = cfg["adversaries"]
+    forger["count"] = 50
+    cfg["adversaries"].append({"kind": "link_observer", "name": "tap",
+                               "link": forger["path"][:2]})
+    return cfg
+
+
+@pytest.mark.parametrize("make", [_observed_scenario, _tapped_spoofer],
+                         ids=["router_nonces", "spoofer_fields"])
+def test_the_seed_reaches_only_what_an_observer_captures(tmp_path, capsys, make):
+    """A run's verdicts, ``--log`` and ``--summary`` are the same at its own
+    seed and at ``--seed 7``, but the bytes its link observer captures follow
+    the seed: on observer_skew.json the nonces the routers seal grants with
+    (each router's ``rng``), on the spoofer's link the forged validation
+    fields (the network's ``rng``)."""
+    cfg = make()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    outputs, captured = [], []
+    for seed in (None, None, 7):
+        log, summary = tmp_path / "events.log", tmp_path / "summary.csv"
+        argv = [] if seed is None else ["--seed", str(seed)]
+        assert cli.main(["scenario", "run", str(path), "--log", str(log),
+                         "--summary", str(summary), *argv]) == 0
+        _, *verdicts = capsys.readouterr().out.splitlines()  # the header names the seed
+        outputs.append((verdicts, log.read_bytes(), summary.read_bytes()))
+        captured.append(simnet.run_scenario(cfg, seed).adversaries["tap"].captured)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert captured[0] and captured[0] == captured[1] != captured[2]
+
+
 def test_bandwidth_flag_units(tmp_path):
     out = tmp_path / "c.csv"
     rc = cli.main(["sim", "cover", "--n", "30", "--r", "0.5", "--gamma", "0.1Mbps",

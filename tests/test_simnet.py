@@ -65,7 +65,7 @@ def test_unwarmed_setup_uses_tentative_slot_immediately():
     cfg["estimator"]["tentative_slots"] = 4
     r = simnet.run_scenario(cfg)
     flow = r.flows["critical"]
-    assert flow.granted_at is not None
+    assert flow.grant_expiry is not None
     assert flow.stats.delivered_priority > 0
 
 
@@ -254,7 +254,7 @@ def test_renewal_rides_priority_under_flood():
     r = simnet.run_scenario(cfg)
     flow = r.flows["critical"]
     # reservation outlived the first validity period under attack
-    assert flow.grant_expiry > 2 * r.estimator_cfg.interval_ns
+    assert flow.grant_expiry > 2 * r.router_cfg.estimator.interval_ns
     st = flow.stats
     assert st.delivered == st.sent and st.delivered_priority == st.sent
 
@@ -272,7 +272,7 @@ def test_setup_responses_travel_best_effort(monkeypatch):
 
     monkeypatch.setattr(simnet.Link, "send", recording)
     r = simnet.run_scenario(_renewing_baseline())
-    assert r.flows["critical"].grant_expiry > r.estimator_cfg.interval_ns  # it renewed
+    assert r.flows["critical"].grant_expiry > r.router_cfg.estimator.interval_ns  # it renewed
     assert len(sent) >= 2 and set(sent) == {TrafficClass.BEST_EFFORT}
 
 
@@ -549,7 +549,7 @@ def test_only_a_renewal_payload_is_parsed(monkeypatch):
 
     monkeypatch.setattr(Router, "handle_setup", recording)
     r = simnet.run_scenario(_renewing_baseline())
-    assert r.flows["critical"].grant_expiry > r.estimator_cfg.interval_ns  # it renewed
+    assert r.flows["critical"].grant_expiry > r.router_cfg.estimator.interval_ns  # it renewed
     embedded = [req for req in admitted if any(req is msg for msg in decoded)]
     assert decoded and all(isinstance(msg, wire.SetupRequest) for msg in decoded)
     assert len(decoded) == len(embedded) == 4  # one renewal, four routers
@@ -577,7 +577,7 @@ def test_auto_rate_flow_across_an_unreserved_hop_is_granted():
         ln["capacity"] = "10Mbps"
     cfg["flows"][0]["rate"] = "auto"  # composed from the grants of the other hops
     flow = simnet.run_scenario(cfg).flows["critical"]
-    assert flow.granted_at is not None
+    assert flow.grant_expiry is not None
     assert flow.stats.sent == flow.stats.delivered == 1205
 
 
