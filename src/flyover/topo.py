@@ -17,9 +17,12 @@ Reservation sizes between node pairs follow the per-pair share formula
 with the requester count taken as the exact number of sources whose
 shortest paths cross the pair; paths are BFS shortest paths with
 lowest-node-id tie-breaking, which makes every run reproducible. A study
-walks each source's tree once and records the tree edges that carry
-demand as integer columns; the requester counts, both strategies' sizes
-and every cover and row query read those columns. Per-pair arithmetic is
+gives each (node, ingress, egress) triple a fixed slot in one flat table,
+ordered by node, then ingress, then egress. It walks each source's tree
+once, counts requesters in that table during the walk and records the
+tree edges that carry demand as integer columns of slots; both
+strategies' sizes and every cover and row query read those columns, and
+the per-pair dicts come out in slot order. Per-pair arithmetic is
 exact (integers and rationals); the per-destination minima use floats
 for speed, which is safe because dividing by an integer count never
 increases a float. The rational reference is an independent per-path
@@ -33,11 +36,11 @@ import math
 import operator
 import random
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from statistics import median
 
 GBPS = 10**9
@@ -257,15 +260,12 @@ def shortest_path_tree(g: TopologyGraph, src: int) -> tuple[list[int], list[int]
     parent = [-1] * g.n
     parent[src] = src
     order = [src]
-    queue = deque([src])
     adj = g.adj
-    while queue:
-        u = queue.popleft()
+    for u in order:  # the visit order is the FIFO queue: the loop reads what it appends
         for v in adj[u]:
             if parent[v] < 0:
                 parent[v] = u
                 order.append(v)
-                queue.append(v)
     return parent, order
 
 
@@ -276,18 +276,26 @@ def shortest_path_tree(g: TopologyGraph, src: int) -> tuple[list[int], list[int]
 class ReservationStudy:
     """Per-pair requester counts and end-to-end reservation sizes.
 
-    ``demands`` maps each source to its destination list. The requester
-    count of an interface pair is the number of distinct sources whose
-    selected paths traverse it, including the source's own internal-to-
-    egress pair and the destination's ingress-to-internal pair.
+    ``demands`` maps each source to its destination list: at least one
+    destination, each a node of ``g`` other than the source and listed
+    once; anything else raises ``ValueError``. The requester count of an
+    interface pair is the number of distinct sources whose selected paths
+    traverse it, including the source's own internal-to-egress pair and
+    the destination's ingress-to-internal pair.
 
-    The constructor walks each source's tree once and keeps the tree edges
-    that carry demand as flat columns, with dense pair ids in first-seen
-    order. Every query reads those columns: each demand's float sizes
-    under both strategies are computed in one pass on first use and kept
-    for ``covers`` and ``reservation_rows``; ``pair_bandwidth`` computes
-    the exact rational shares on each call. The exact per-demand sizes
-    are the test suite's per-path oracle (``tests/oracles.py``).
+    Every (node, ingress, egress) triple has a fixed slot in one flat
+    table: node u's rows start at ``first[u]``, one row of ``degree + 1``
+    slots per ingress, so the slot is ``first[u] + ingress * (degree + 1)
+    + egress`` and slot order is (node, ingress, egress) order. The
+    constructor walks each source's tree once, carries each tree node's
+    ingress row down the walk, counts requesters in the table and keeps
+    the tree edges that carry demand as flat columns of slots. Every query
+    reads those columns: each pair's admission entry and requester count
+    are read once, on first use; each demand's float sizes under both
+    strategies are computed in one pass on first use and kept for
+    ``covers`` and ``reservation_rows``; ``pair_bandwidth`` builds the
+    exact rational shares on each call. The exact per-demand sizes are
+    the test suite's per-path oracle (``tests/oracles.py``).
     """
 
     def __init__(self, g: TopologyGraph, matrices: list[AllocationMatrix],
@@ -298,54 +306,82 @@ class ReservationStudy:
         self.matrices = matrices
         self.demands = demands
         self.min_requesters = min_requesters
-        ids: dict[tuple[int, int, int], int] = {}  # (node, ingress, egress) -> pair id
+        n, if_index, widths = g.n, g.if_index, [d + 1 for d in g.degrees]
+        first = [0]  # node -> its first slot; the last entry is the table size
+        for w in widths:
+            first.append(first[-1] + w * w)
+        counts = [0] * first[-1]  # slot -> requesters
+        # node -> neighbour -> first slot of the node's row for what enters from it
+        ingress_row = [{nbr: lo + i * w for nbr, i in ifs.items()}
+                       for lo, w, ifs in zip(first, widths, if_index)]
+        row = [0] * n  # tree node -> first slot of its ingress row, for the current source
         # one row per tree edge that carries demand, parents first: the
-        # child's parent, the child, the parent's pair id toward the child,
-        # the child's delivery pair id (-1 when it is no destination) and
-        # the number of the source's paths through the child
-        self._edges = parents, children, pair_ids, deliveries, through = tuple(
+        # child's parent, the child, the parent's slot toward the child,
+        # the child's delivery slot (0 when it is no destination: a
+        # delivery enters on an interface >= 1, so its slot is never 0)
+        # and the number of the source's paths through the child
+        self._edges = parents, children, pair_slots, deliveries, through = tuple(
             array("i") for _ in range(5))
         self._spans: list[tuple[int, int, int]] = []  # (src, first edge, end)
-        if_index = g.if_index
+        add_parent, add_child, add_slot, add_delivery, add_through = (
+            column.append for column in self._edges)
         for src, dests in demands.items():
-            parent, order = shortest_path_tree(g, src)
-            paths = [0] * g.n
-            for d in dests:
-                paths[d] += 1
-            for v in reversed(order):
-                if v != src and paths[v]:
-                    paths[parent[v]] += paths[v]
             dest_set = set(dests)
+            if not dests or len(dest_set) != len(dests) or src in dest_set \
+                    or not 0 <= src < n or min(dests) < 0 or max(dests) >= n:
+                raise ValueError(f"source {src}: destinations must be distinct nodes of "
+                                 f"0..{n - 1} other than the source, at least one")
+            parent, order = shortest_path_tree(g, src)
+            paths = [0] * n
+            for d in dests:
+                paths[d] = 1
+            for v in islice(reversed(order), len(order) - 1):  # all but order[0], the source
+                if paths[v]:
+                    paths[parent[v]] += paths[v]
+            row[src] = first[src]  # the source sends from its internal interface 0
             start = len(children)
-            for v in islice(order, 1, None):  # order[0] is the source
+            for v in islice(order, 1, None):
                 if paths[v]:
                     u = parent[v]
-                    a = 0 if u == src else if_index[u][parent[u]]
-                    parents.append(u)
-                    children.append(v)
-                    pair_ids.append(ids.setdefault((u, a, if_index[u][v]), len(ids)))
-                    deliveries.append(ids.setdefault((v, if_index[v][u], 0), len(ids))
-                                      if v in dest_set else -1)
-                    through.append(paths[v])
+                    slot = row[u] + if_index[u][v]
+                    counts[slot] += 1
+                    row[v] = delivery = ingress_row[v][u]
+                    if v in dest_set:
+                        counts[delivery] += 1
+                    else:
+                        delivery = 0
+                    add_parent(u)
+                    add_child(v)
+                    add_slot(slot)
+                    add_delivery(delivery)
+                    add_through(paths[v])
             self._spans.append((src, start, len(children)))
-        self._pairs = list(ids)  # pair id -> (node, ingress, egress)
-        self._counts = Counter(chain(pair_ids, deliveries))  # pair id -> requesters
+        self._counts = counts
+        self._pairs = pairs = {}  # slot in use -> (node, ingress, egress)
+        for u, (lo, hi, width) in enumerate(zip(first, first[1:], widths)):
+            for slot in compress(range(lo, hi), counts[lo:hi]):
+                a, b = divmod(slot - lo, width)
+                pairs[slot] = (u, a, b)
 
     @cached_property
     def pair_requesters(self) -> dict[tuple[int, int, int], int]:
-        """Requester count per (node, ingress, egress) pair in use."""
-        return {key: self._counts[i] for i, key in enumerate(self._pairs)}
-
-    def _shares(self, divide) -> list:
-        """divide(admission entry, requesters floored at min_requesters) per pair id."""
-        floor = self.min_requesters
-        return [divide(self.matrices[node].admission_value(a, b), max(self._counts[i], floor))
-                for i, (node, a, b) in enumerate(self._pairs)]
+        """Requester count per (node, ingress, egress) pair in use, in
+        (node, ingress, egress) order."""
+        counts = self._counts
+        return {key: counts[slot] for slot, key in self._pairs.items()}
 
     @cached_property
-    def _float_columns(self) -> tuple[array, array, array, array]:
+    def _pair_terms(self) -> tuple[list[int], list[int]]:
+        """(admission entry, requesters floored at min_requesters) per pair
+        in use, in slot order: each read once per study."""
+        floor, counts, matrices = self.min_requesters, self._counts, self.matrices
+        return ([matrices[node].admission_value(a, b) for node, a, b in self._pairs.values()],
+                [max(counts[slot], floor) for slot in self._pairs])
+
+    @cached_property
+    def _float_columns(self) -> tuple[tuple[array, array, array, array], list[tuple[int, int]]]:
         """(src, dst, maximum size, concurrent size) for every demand, in
-        tree order.
+        tree order, and each source's span of rows, in ``demands`` order.
 
         A size is the minimum over the on-path pair shares, then the
         delivery share; the concurrent strategy divides each on-path share
@@ -353,35 +389,42 @@ class ReservationStudy:
         strategy uses the full share per path. Int true division is
         correctly rounded, so each float share is float() of the exact one.
         """
-        shares = self._shares(operator.truediv)
+        shares = [0.0] * len(self._counts)  # slot -> float share
+        for slot, share in zip(self._pairs, map(operator.truediv, *self._pair_terms)):
+            shares[slot] = share
         srcs, dsts, maxima, concs = columns = array("i"), array("i"), array("d"), array("d")
+        spans = []
         top = [math.inf] * self.g.n
-        parents, children, pair_ids, deliveries, through = self._edges
+        parents, children, pair_slots, deliveries, through = self._edges
         for src, start, end in self._spans:
             best_max, best_conc = top[:], top[:]
+            lo = len(maxima)
+            kids, delivered = children[start:end], deliveries[start:end]
             for u, v, pair, delivery, paths in zip(
-                    parents[start:end], children[start:end], pair_ids[start:end],
-                    deliveries[start:end], through[start:end]):
+                    parents[start:end], kids, pair_slots[start:end], delivered,
+                    through[start:end]):
                 share = shares[pair]
                 up = best_max[u]
                 best_max[v] = size_max = share if share < up else up
                 share = share / paths
                 up = best_conc[u]
                 best_conc[v] = size_conc = share if share < up else up
-                if delivery >= 0:
+                if delivery:
                     term = shares[delivery]
-                    srcs.append(src)
-                    dsts.append(v)
                     maxima.append(term if term < size_max else size_max)
                     concs.append(term if term < size_conc else size_conc)
-        return columns
+            hi = len(maxima)
+            srcs.extend(repeat(src, hi - lo))
+            dsts.extend(compress(kids, delivered))
+            spans.append((lo, hi))
+        return columns, spans
 
     # derived quantities -----------------------------------------------------
 
     def pair_bandwidth(self) -> dict[tuple[int, int, int], Fraction]:
-        """Exact per-source share for every used interface pair, computed on
-        each call."""
-        return dict(zip(self._pairs, self._shares(Fraction)))
+        """Exact per-source share for every used interface pair, in
+        (node, ingress, egress) order, built on each call."""
+        return dict(zip(self._pairs.values(), map(Fraction, *self._pair_terms)))
 
     def covers(self, gamma: float) -> dict[str, "CoverResult"]:
         """Coverage under both composition strategies, from the cached sizes.
@@ -389,19 +432,19 @@ class ReservationStudy:
         A destination is covered when its end-to-end reservation exceeds
         ``gamma``; a source's cover is the covered share of its demands.
         """
-        srcs, _, maxima, concs = self._float_columns
+        (_, _, maxima, concs), spans = self._float_columns
         out = {}
         for strategy, sizes in ((MAXIMUM, maxima), (CONCURRENT, concs)):
             # per source, the number of its sizes above gamma (gamma < size)
-            covered = Counter(compress(srcs, map(operator.lt, repeat(gamma), sizes)))
             out[strategy] = CoverResult(
-                {src: covered[src] / len(dests) for src, dests in self.demands.items()})
+                {src: sum(map(operator.lt, repeat(gamma), sizes[lo:hi])) / len(dests)
+                 for (src, dests), (lo, hi) in zip(self.demands.items(), spans)})
         return out
 
     def reservation_rows(self, strategy: str):
         """(src, dst, size_bps_float) for every demand, read from the cached
         columns in tree order; the iterator can be consumed once."""
-        srcs, dsts, maxima, concs = self._float_columns
+        (srcs, dsts, maxima, concs), _ = self._float_columns
         return zip(srcs, dsts, concs if strategy == CONCURRENT else maxima)
 
 

@@ -138,12 +138,18 @@ def _rows(study, strategy) -> dict[tuple[int, int], float]:
 
 
 def _assert_study_matches_oracle(study, g, mats, demands, min_requesters=1):
-    """The study's requester counts equal the per-path oracle's, and each
-    strategy's rows equal the oracle's sizes over the float shares the rows
-    are computed from, at float equality."""
+    """The study's requester counts and exact shares equal the per-path
+    oracle's, both in (node, ingress, egress) order, and each strategy's
+    rows equal the oracle's sizes over the float shares the rows are
+    computed from, at float equality."""
     requesters, sizes = per_path_reservations(g, mats, demands, min_requesters,
                                               float_shares=True)
     assert study.pair_requesters == requesters
+    bandwidth = study.pair_bandwidth()
+    assert bandwidth == {(node, a, b): Fraction(mats[node].admission_value(a, b),
+                                                max(count, min_requesters))
+                         for (node, a, b), count in requesters.items()}
+    assert list(study.pair_requesters) == list(bandwidth) == sorted(requesters)
     for strategy in (topo.MAXIMUM, topo.CONCURRENT):
         assert _rows(study, strategy) == {k: float(v) for k, v in sizes[strategy].items()}, \
             strategy
@@ -278,6 +284,50 @@ def test_study_walks_each_source_once(monkeypatch):
     assert walked == Counter(range(40))
 
 
+def test_study_reads_each_admission_entry_once(monkeypatch):
+    """Every query reads a pair's admission entry from one cache: one
+    ``admission_value`` call per pair in use, however many queries follow."""
+    g = topo.generate_topology(40, seed=29)
+    mats = topo.build_matrices(g)
+    node_of = {id(m): node for node, m in enumerate(mats)}
+    read = Counter()
+    entry = AllocationMatrix.admission_value
+
+    def counting_entry(matrix, ingress, egress):
+        read[node_of[id(matrix)], ingress, egress] += 1
+        return entry(matrix, ingress, egress)
+
+    monkeypatch.setattr(AllocationMatrix, "admission_value", counting_entry)
+    study = topo.ReservationStudy(g, mats, topo.build_demands(g, 0.5, 29))
+    for gamma in (1e7, 1e8, 1e9):
+        study.covers(gamma)
+    for strategy in (topo.MAXIMUM, topo.CONCURRENT):
+        list(study.reservation_rows(strategy))
+    study.pair_bandwidth()
+    study.pair_bandwidth()
+    assert read == dict.fromkeys(study.pair_requesters, 1)
+
+
+def test_star_hub_uses_every_pair_of_its_widest_row():
+    """A hub with six leaves and every leaf-to-leaf and hub demand: the hub's
+    pairs are all 42 (ingress, egress) pairs with ingress != egress, among
+    them its source pairs (0, e) and delivery pairs (i, 0), so every slot of
+    its table but the diagonal is in use."""
+    leaves = range(1, 7)
+    edges = [(0, v) for v in leaves]
+    g = topo.TopologyGraph(7, edges, {(0, v): 40 * GBPS * v for v in leaves})
+    mats = topo.build_matrices(g)
+    demands = {src: [v for v in range(7) if v != src] for src in range(7)}
+    study = topo.ReservationStudy(g, mats, demands)
+    _assert_study_matches_oracle(study, g, mats, demands)
+    hub = {(a, b) for node, a, b in study.pair_requesters if node == 0}
+    assert hub == {(a, b) for a in range(7) for b in range(7) if a != b}
+    # the hub's transit pair (i, e) carries leaf i's path to leaf e only
+    assert study.pair_requesters[0, 2, 5] == 1
+    # a leaf's source and delivery pairs carry its own six paths and all six others'
+    assert study.pair_requesters[3, 0, 1] == 1 and study.pair_requesters[3, 1, 0] == 6
+
+
 def test_covers_and_rows_repeat_in_either_order():
     g = topo.generate_topology(50, seed=31)
     mats = topo.build_matrices(g)
@@ -368,3 +418,9 @@ def test_topology_and_sampling_arguments_rejected():
     for floor in (0, -1):
         with pytest.raises(ValueError, match="min_requesters"):
             topo.ReservationStudy(g, topo.build_matrices(g), {0: [1]}, min_requesters=floor)
+    # no destination, the source itself, a repeated destination, and nodes
+    # outside 0..9: each is refused before any walk, naming its source
+    for demands in ({1: []}, {0: [0, 3]}, {0: [9, 9]}, {0: [-1]}, {0: [10]}):
+        src, = demands
+        with pytest.raises(ValueError, match=f"source {src}:"):
+            topo.ReservationStudy(g, topo.build_matrices(g), {2: [1, 3], **demands})
