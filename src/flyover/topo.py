@@ -219,19 +219,25 @@ def build_matrices(g: TopologyGraph) -> list[AllocationMatrix]:
 def destination_order(g: TopologyGraph, src: int, seed: int) -> list[int]:
     """All other nodes in weighted sampling order for this source.
 
-    Keys are exponential draws scaled by inverse degree weight; taking the
-    d smallest is distribution-identical to d sequential draws with
-    renormalization, and prefixes are nested across sampling rates.
+    Each other node v, in ascending id, draws the key
+    ``-log(1.0 - random()) / deg[v]`` from ``random.Random(seed * 1_000_003
+    + src)``: an exponential draw scaled by inverse degree weight
+    (Efraimidis-Spirakis). The order sorts the nodes by key, and equal keys
+    keep ascending id. Taking the d smallest is distribution-identical to d
+    sequential draws with renormalization, and prefixes are nested across
+    sampling rates. The keys are the float operations of
+    ``Random.expovariate(1.0)`` written out, so the order depends only on
+    ``Random.random`` and ``math.log``, not on ``expovariate`` staying as
+    it is. A source outside 0..n-1 raises ``ValueError``.
     """
-    rng = random.Random(seed * 1_000_003 + src)
-    deg = g.degrees
-    keyed = []
-    for v in range(g.n):
-        if v == src:
-            continue
-        keyed.append((rng.expovariate(1.0) / deg[v], v))
-    keyed.sort()
-    return [v for _, v in keyed]
+    if not 0 <= src < g.n:
+        raise ValueError(f"source {src}: must be a node of 0..{g.n - 1}")
+    draw, log, deg = random.Random(seed * 1_000_003 + src).random, math.log, g.degrees
+    others = list(range(g.n))
+    del others[src]
+    keys = [-log(1.0 - draw()) / deg[v] for v in others]
+    # a stable argsort: equal keys keep ascending id, as a (key, v) sort does
+    return [others[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def sample_count(r: float, n: int) -> int:
@@ -277,11 +283,11 @@ class ReservationStudy:
     """Per-pair requester counts and end-to-end reservation sizes.
 
     ``demands`` maps each source to its destination list: at least one
-    destination, each a node of ``g`` other than the source and listed
-    once; anything else raises ``ValueError``. The requester count of an
-    interface pair is the number of distinct sources whose selected paths
-    traverse it, including the source's own internal-to-egress pair and
-    the destination's ingress-to-internal pair.
+    destination, each a node of ``g`` other than the source, listed once
+    and reachable from it; anything else raises ``ValueError``. The
+    requester count of an interface pair is the number of distinct sources
+    whose selected paths traverse it, including the source's own
+    internal-to-egress pair and the destination's ingress-to-internal pair.
 
     Every (node, ingress, egress) triple has a fixed slot in one flat
     table: node u's rows start at ``first[u]``, one row of ``degree + 1``
@@ -332,6 +338,10 @@ class ReservationStudy:
                 raise ValueError(f"source {src}: destinations must be distinct nodes of "
                                  f"0..{n - 1} other than the source, at least one")
             parent, order = shortest_path_tree(g, src)
+            if len(order) < n:  # only a graph that is not connected leaves a node unvisited
+                for d in dests:
+                    if parent[d] < 0:
+                        raise ValueError(f"source {src}: destination {d} is unreachable")
             paths = [0] * n
             for d in dests:
                 paths[d] = 1

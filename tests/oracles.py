@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import math
+import random
 import struct
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -246,6 +247,23 @@ def fraction_allocation_rows(capacities: list[int]) -> list[list[int]]:
             for b in range(n):
                 m[a][b] *= scale
     return [[int(m[a][b]) for b in range(n)] for a in range(n)]
+
+
+def ref_destination_order(g, src: int, seed: int) -> list[int]:
+    """Every other node in weighted sampling order for ``src``: one
+    ``Random.expovariate(1.0)`` draw per node in ascending id, scaled by the
+    node's inverse degree, then a sort of the (key, node) tuples, so equal
+    keys fall back to ascending id. The reference that
+    :func:`flyover.topo.destination_order` is checked against."""
+    rng = random.Random(seed * 1_000_003 + src)
+    deg = g.degrees
+    keyed = []
+    for v in range(g.n):
+        if v == src:
+            continue
+        keyed.append((rng.expovariate(1.0) / deg[v], v))
+    keyed.sort()
+    return [v for _, v in keyed]
 
 
 def per_path_reservations(g, matrices, demands, min_requesters=1, float_shares=False):

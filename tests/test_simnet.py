@@ -741,6 +741,31 @@ def test_a_departure_is_an_event_only_when_a_frame_waits():
     assert net.flows["be"].stats.delivered == 2
 
 
+def test_scheduling_before_now_is_refused():
+    loop = simnet.EventLoop()
+    loop.run_until(10)
+    loop.schedule(10, lambda: None)  # the current nanosecond is still allowed
+    with pytest.raises(AssertionError, match="into the past"):
+        loop.schedule(9, lambda: None)
+
+
+def test_a_full_priority_queue_refuses_the_next_priority_frame():
+    net, link, frame = _one_link()
+    link.PRIO_GUARD = 2
+    link.send(frame(), 0)  # in service: what follows waits
+
+    def priority():
+        f = frame()
+        f.cls = TrafficClass.PRIORITY
+        return f
+
+    link.send(priority(), 0)
+    link.send(priority(), 0)
+    assert len(link.prio) == 2
+    with pytest.raises(AssertionError, match="priority queue overflow"):
+        link.send(priority(), 0)
+
+
 # kinds and warm start -------------------------------------------------------------------
 
 _SENDER = {"name": "x", "src": 2, "path": [2, 3, 4]}

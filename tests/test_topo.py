@@ -12,7 +12,7 @@ import pytest
 from flyover import topo
 from flyover.topo import AllocationMatrix
 
-from oracles import per_path_reservations
+from oracles import per_path_reservations, ref_destination_order
 
 GBPS = 10**9
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -123,6 +123,47 @@ def test_single_draw_frequencies_proportional_to_degree():
         expect = 10_000 * deg[v] / total_w
         chi2 += (counts[v] - expect) ** 2 / expect
     assert chi2 < 21.1  # chi-square 99.99% critical value, df=3
+
+
+def test_destination_order_matches_the_reference():
+    """Every source's order equals the (key, node) tuple-sort reference that
+    draws each key with ``expovariate``, on small and mid-size graphs, and
+    for 50 sources of one n=1000 graph."""
+    for n in (2, 3, 60, 200):
+        for seed in (1, 2, 11):
+            g = topo.generate_topology(n, attachment=min(2, n - 1), seed=seed)
+            for src in range(n):
+                assert topo.destination_order(g, src, seed) == \
+                    ref_destination_order(g, src, seed), (n, seed, src)
+    g = topo.generate_topology(1000, seed=3)
+    for src in range(0, 1000, 20):
+        assert topo.destination_order(g, src, 3) == ref_destination_order(g, src, 3), src
+
+
+def test_demands_are_prefixes_of_the_reference_order():
+    for n, seed in ((60, 2), (200, 11)):
+        g = topo.generate_topology(n, seed=seed)
+        orders = [ref_destination_order(g, src, seed) for src in range(n)]
+        for r in (0.1, 0.5, 1.0):
+            d = topo.sample_count(r, n)
+            assert topo.build_demands(g, r, seed) == \
+                {src: order[:d] for src, order in enumerate(orders)}, (n, seed, r)
+
+
+def test_tied_keys_order_by_ascending_id(monkeypatch):
+    """With every draw equal on a ring (all degrees 2) every key ties, and
+    both the order and its reference list the other nodes by ascending id."""
+    class Constant(random.Random):
+        def random(self):
+            return 0.375
+
+    edges = [(v, (v + 1) % 6) for v in range(6)]
+    g = topo.TopologyGraph(6, edges, {topo._ekey(u, v): 40 * GBPS for u, v in edges})
+    monkeypatch.setattr(topo.random, "Random", Constant)
+    for src in range(6):
+        others = [v for v in range(6) if v != src]
+        assert topo.destination_order(g, src, 1) == others
+        assert ref_destination_order(g, src, 1) == others
 
 
 # reservations -----------------------------------------------------------------
@@ -415,6 +456,10 @@ def test_topology_and_sampling_arguments_rejected():
     for r in [0, -0.5, 1.5, 3]:
         with pytest.raises(ValueError):
             topo.build_demands(g, r, 1)
+    # a source outside 0..9 has no order (-1 would otherwise drop node 9)
+    for src in (-1, 10):
+        with pytest.raises(ValueError, match=f"source {src}:"):
+            topo.destination_order(g, src, 1)
     for floor in (0, -1):
         with pytest.raises(ValueError, match="min_requesters"):
             topo.ReservationStudy(g, topo.build_matrices(g), {0: [1]}, min_requesters=floor)
@@ -424,3 +469,8 @@ def test_topology_and_sampling_arguments_rejected():
         src, = demands
         with pytest.raises(ValueError, match=f"source {src}:"):
             topo.ReservationStudy(g, topo.build_matrices(g), {2: [1, 3], **demands})
+    # a destination in another component than its source
+    edges = [(0, 1), (2, 3)]
+    split = topo.TopologyGraph(4, edges, {e: 40 * GBPS for e in edges})
+    with pytest.raises(ValueError, match="source 0: destination 2 is unreachable"):
+        topo.ReservationStudy(split, topo.build_matrices(split), {0: [1, 2]})
