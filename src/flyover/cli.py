@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    topo gen          write a topology file (nodes, links, matrices)
+    topo gen          write a topology file (nodes and links)
     sim reservations  per-(src, dst) reservation sizes as CSV
     sim cover         median cover per (seed, rate, strategy) as CSV
     sim plot          SVG line chart of median cover vs threshold or size
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, default=2, help="attachment parameter")
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--matrices", action="store_true", help="embed allocation matrices")
     gen.add_argument("-o", "--output", default="-")
     gen.set_defaults(run=cmd_topo_gen)
 
@@ -139,9 +138,6 @@ def cmd_topo_gen(args) -> int:
     doc = {"n": g.n, "seed": args.seed, "attachment": args.m,
            "links": [{"a": a, "b": b, "capacity": cap}
                      for (a, b), cap in sorted(g.edge_capacity.items())]}
-    if args.matrices:
-        mats = topo.build_matrices(g)
-        doc["matrices"] = {str(u): mats[u].rows() for u in range(g.n)}
     with _output(args.output, f"# topo gen n={args.n} m={args.m} seed={args.seed}") as out:
         json.dump(doc, out, indent=1)
         out.write("\n")

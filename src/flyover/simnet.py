@@ -146,13 +146,13 @@ class Link:
     """
 
     PRIO_GUARD = 100_000  # admission bounds priority load; this only guards bugs
+    BE_BUFFER = 100  # best-effort frames the link queues
 
-    def __init__(self, net: "Network", capacity_bps: int, delay_ns: int, be_buffer: int):
+    def __init__(self, net: "Network", capacity_bps: int, delay_ns: int):
         self.net = net
         self.loop = net.loop
         self.capacity = capacity_bps
         self.delay = delay_ns
-        self.be_buffer = be_buffer
         self.prio: deque[Frame] = deque()
         self.be: deque[Frame] = deque()
         self.free_at = -1
@@ -171,7 +171,7 @@ class Link:
                 if len(prio) >= self.PRIO_GUARD:
                     raise AssertionError("priority queue overflow: admission broken")
                 queue = prio
-            elif len(be) >= self.be_buffer:
+            elif len(be) >= self.BE_BUFFER:
                 self.be_dropped += 1
                 self.net._frame_dropped(frame, "be_buffer_full")
                 return
@@ -235,7 +235,7 @@ class FlowStats:
     frames the flow marks as it sends them: its data packets and filler,
     not its setup messages, renewals or replies. ``delivered_priority`` and
     ``delivered_demoted`` split ``delivered`` by whether a frame kept
-    priority at every hop. A reply that arrives adds to ``replies_received``."""
+    priority at every hop."""
 
     def __init__(self):
         self.sent = 0
@@ -244,7 +244,6 @@ class FlowStats:
         self.delivered_demoted = 0
         self.dropped = 0
         self.max_delay = 0
-        self.replies_received = 0
 
 
 class _Sender:
@@ -709,24 +708,18 @@ def _topology(value) -> dict:
         value = _read_json(value, "topology")
     if type(value) is dict and "n" in value and "ases" not in value:
         gen = _parse(value, _TOPO_GEN_KEYS, "topology")
-        ids, matrices = [str(i) for i in range(gen["n"])], gen["matrices"]
-        if matrices.keys() - set(ids):
-            raise ConfigError(f"topology: matrices for ASes not in 0..{gen['n'] - 1}")
-        value = {"ases": [{"id": int(i), **({"matrix": matrices[i]} if i in matrices else {})}
-                          for i in ids], "links": gen["links"]}
+        value = {"ases": [{"id": i} for i in range(gen["n"])], "links": gen["links"]}
     return _parse(value, _TOPOLOGY_KEYS, "topology")
 
 
 _AS_KEYS = {"id": (int, "[0, 2^64)", ...),
-            "enabled": (bool, None, True),  # false: the AS forwards unaware of the protocol
-            "matrix": (topo.AllocationMatrix, None, None)}  # None: from the link capacities
+            "enabled": (bool, None, True)}  # false: the AS forwards unaware of the protocol
 _LINK_KEYS = {"a": (int, None, ...), "b": (int, None, ...),
               "capacity": (parse_bandwidth, "> 0", "10Gbps"),
               "delay": (parse_duration, ">= 0", "1ms")}
 _TOPOLOGY_KEYS = {"ases": (_sections("topology.ases", _AS_KEYS), None, ...),
                   "links": (_sections("topology.links", _LINK_KEYS), None, ...)}
 _TOPO_GEN_KEYS = {"n": (int, "> 0", ...), "links": (list, None, ...),
-                  "matrices": (dict, None, {}),  # str(AS id) -> matrix
                   # how `topo gen` made the file; not read
                   "seed": (int, None, None), "attachment": (int, None, None)}
 _DEFAULTS = RouterConfig()
@@ -786,7 +779,6 @@ _SCENARIO_KEYS = {
     "seed": (int, None, 0), "duration": (parse_duration, "> 0", "5s"),
     "log_verdicts": (bool, None, True), "warm_start": (bool, None, False),
     "bucket_window": (parse_duration, "> 0", _DEFAULTS.bucket_window_ns),
-    "be_buffer": (int, ">= 0", 100),
     # AS id (a string, as JSON object keys are) -> clock offset
     "clock_skew": (lambda v: {int(a): parse_duration(t) for a, t in _json(v, dict).items()},
                    None, {}),
@@ -832,7 +824,7 @@ class Network:
 
         self.nodes: dict[int, Node] = {}
         self.links: dict[tuple[int, int], Link] = {}
-        self._build_topology(cfg["topology"], cfg["be_buffer"], cfg["clock_skew"])
+        self._build_topology(cfg["topology"], cfg["clock_skew"])
 
         self.flows: dict[str, ReservationFlow | BestEffortFlow] = {}
         self.adversaries: dict[str, object] = {}
@@ -872,7 +864,7 @@ class Network:
 
     # topology -----------------------------------------------------------
 
-    def _build_topology(self, topology: dict, be_buffer: int, skews: dict[int, int]) -> None:
+    def _build_topology(self, topology: dict, skews: dict[int, int]) -> None:
         ids = [spec["id"] for spec in topology["ases"]]
         links: dict[int, dict[int, int]] = {a: {} for a in ids}  # AS -> neighbour -> capacity
         _refuse("topology", (len(links) < len(ids), f"lists an AS id twice: {ids}"))
@@ -882,18 +874,15 @@ class Network:
                     ((a, b) in self.links, "is listed twice"),
                     (not {a, b} <= links.keys(), "ends at an AS not in ases"))
             links[a][b] = links[b][a] = cap
-            self.links[(a, b)] = Link(self, cap, ln["delay"], be_buffer)
-            self.links[(b, a)] = Link(self, cap, ln["delay"], be_buffer)
+            self.links[(a, b)] = Link(self, cap, ln["delay"])
+            self.links[(b, a)] = Link(self, cap, ln["delay"])
         for spec in topology["ases"]:
             as_id = spec["id"]
             if_to, caps = topo.interfaces(links[as_id])
-            size, matrix = len(caps), spec["matrix"]  # a row per interface
-            _refuse(f"topology: AS {as_id}", (matrix is not None and matrix.n_interfaces != size,
-                                              f"matrix must be {size}x{size}"))
             router = None
             if spec["enabled"]:
-                matrix = matrix or topo.AllocationMatrix.from_capacities(caps)
                 secret = crypto.cbc_mac(b"topology-secret-", as_id.to_bytes(8, "big") * 2)
+                matrix = topo.AllocationMatrix.from_capacities(caps)  # a row per interface
                 router = Router(as_id, secret, matrix, self.router_cfg, now=0,
                                 rng=random.Random((self.seed << 16) ^ as_id))
             self.nodes[as_id] = Node(as_id, router, skews.get(as_id, 0), if_to)
@@ -1047,8 +1036,6 @@ class Network:
                     sender.on_response(msg)
             elif isinstance(sender, Replayer):
                 sender.copies_delivered += 1
-            elif isinstance(msg, wire.DataPacket) and msg.d_flag:  # only flows reply
-                sender.stats.replies_received += 1
             return
         st.delivered += 1
         delay = self.loop.now - frame.created

@@ -168,9 +168,6 @@ class AllocationMatrix:
         self._capacity_timeline.setdefault((ingress, egress), []).append((cap_at, new_value))
         return cap_at
 
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self._admission]
-
 
 def _ekey(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)

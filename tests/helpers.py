@@ -31,6 +31,12 @@ def make_router(as_id=10, n_if=3, entry_bw=100 * GBPS, seed=1, config=None, now=
                   config or router_cfg(), now=now, rng=random.Random(seed))
 
 
+def matrix_rows(matrix):
+    """The admission entries of ``matrix``, one row per ingress interface."""
+    n = matrix.n_interfaces
+    return [[matrix.admission_value(a, b) for b in range(n)] for a in range(n)]
+
+
 def warm_router(router, src, pairs):
     """Pre-register ``src`` as grantable on the given interface pairs."""
     for ing, egr in pairs:

@@ -16,6 +16,7 @@ from flyover.admission import (
 )
 from flyover.topo import AllocationMatrix, generate_topology
 
+from helpers import matrix_rows
 from oracles import IntMaskBloom, double_hash_positions, fraction_allocation_rows
 
 GBPS = 10**9
@@ -259,7 +260,7 @@ def test_matrix_invariants_checked():
         m.update(0, 1, -1, now=0, validity_ns=EPS)
     with pytest.raises(ValueError, match="diagonal"):
         m.update(1, 1, 5, now=0, validity_ns=EPS)
-    assert m.rows() == [[0, 5], [5, 0]]  # a refused update changes nothing
+    assert matrix_rows(m) == [[0, 5], [5, 0]]  # a refused update changes nothing
     m.update(1, 1, 0, now=0, validity_ns=EPS)  # a zero diagonal is kept
 
 
@@ -269,7 +270,7 @@ def test_matrix_from_capacities_worked_example():
     assert m.admission_value(2, 0) == 20 and m.admission_value(2, 1) == 20
     assert m.admission_value(0, 1) == 50 and m.admission_value(1, 0) == 50
     assert m.admission_value(0, 2) == 20 and m.admission_value(1, 2) == 20
-    rows = m.rows()
+    rows = matrix_rows(m)
     for b in range(3):
         assert sum(rows[a][b] for a in range(3)) <= caps[b]
     for a in range(3):
@@ -278,14 +279,14 @@ def test_matrix_from_capacities_worked_example():
 
 def test_matrix_from_capacities_symmetric_two_port():
     m = AllocationMatrix.from_capacities([70, 70])
-    assert m.rows() == [[0, 70], [70, 0]]
+    assert matrix_rows(m) == [[0, 70], [70, 0]]
 
 
 def test_matrix_from_capacities_random_sums_bounded():
     rng = random.Random(3)
     for _ in range(100):
         caps = [rng.randrange(1, 10**12) for _ in range(rng.randrange(2, 9))]
-        rows = AllocationMatrix.from_capacities(caps).rows()
+        rows = matrix_rows(AllocationMatrix.from_capacities(caps))
         n = len(caps)
         for b in range(n):
             assert sum(rows[a][b] for a in range(n)) <= caps[b]
@@ -304,7 +305,7 @@ _CAPACITY = st.one_of(st.just(0), st.integers(1, 10**3), st.integers(0, 10**12))
     st.integers(1, 12).map(lambda n: [0] * n),
     st.tuples(st.integers(1, 12), st.integers(0, 10**12)).map(lambda t: [t[1]] * t[0])))
 def test_matrix_from_capacities_matches_fraction_oracle(caps):
-    assert AllocationMatrix.from_capacities(caps).rows() == fraction_allocation_rows(caps)
+    assert matrix_rows(AllocationMatrix.from_capacities(caps)) == fraction_allocation_rows(caps)
 
 
 def test_matrix_closed_form_takes_both_row_branches():
@@ -315,7 +316,7 @@ def test_matrix_closed_form_takes_both_row_branches():
     row_scaled = set()
     for caps in cases:
         row_scaled.update(sum(caps) - c > (len(caps) - 1) * c for c in caps)
-        assert AllocationMatrix.from_capacities(caps).rows() == fraction_allocation_rows(caps)
+        assert matrix_rows(AllocationMatrix.from_capacities(caps)) == fraction_allocation_rows(caps)
     assert row_scaled == {True, False}
 
 

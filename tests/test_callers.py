@@ -114,7 +114,7 @@ def test_only_sweep_waits_for_a_program_caller():
 
 # the scenario keys that no scenario, demo, benchmark or `topo gen` file sets
 # yet; move a key out of this pin when a committed run sets it
-KEYS_WAITING_FOR_A_SETTER = {"enabled", "matrix", "be_buffer", "start"}
+KEYS_WAITING_FOR_A_SETTER = {"start"}
 
 
 def _set_keys(node: ast.AST) -> set[str]:

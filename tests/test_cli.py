@@ -5,6 +5,8 @@ import contextlib
 import hashlib
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -13,8 +15,11 @@ import pytest
 
 from flyover import cli, simnet, topo
 
+from helpers import matrix_rows
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _golden(name, newline=None):
@@ -39,12 +44,11 @@ def _deadline(seconds):
 
 def test_topo_gen_golden(tmp_path):
     out = tmp_path / "topo.json"
-    rc = cli.main(["topo", "gen", "--n", "8", "--seed", "1", "--matrices",
-                   "-o", str(out)])
+    rc = cli.main(["topo", "gen", "--n", "8", "--seed", "1", "-o", str(out)])
     assert rc == 0
     assert out.read_text() == _golden("topo_n8.json")
     doc = json.loads(out.read_text())
-    assert doc["n"] == 8 and len(doc["matrices"]) == 8
+    assert sorted(doc) == ["attachment", "links", "n", "seed"] and doc["n"] == 8
 
 
 def test_sim_cover_golden(tmp_path):
@@ -71,7 +75,7 @@ def test_vectors_golden(tmp_path):
 
 
 @pytest.mark.parametrize("argv, golden, config", [
-    (["topo", "gen", "--n", "8", "--seed", "1", "--matrices"], "topo_n8.json",
+    (["topo", "gen", "--n", "8", "--seed", "1"], "topo_n8.json",
      "# topo gen n=8 m=2 seed=1"),
     (["sim", "reservations", "--n", "12", "--r", "0.5", "--seeds", "3"],
      "reservations_n12.csv", "# sim reservations n=12 m=2 r=0.5 strategy=both seeds=[3]"),
@@ -103,7 +107,7 @@ def _flyover(*argv):
 
 
 def test_entry_stdout_is_a_topology_file():
-    proc = _flyover("topo", "gen", "--n", "8", "--seed", "1", "--matrices")
+    proc = _flyover("topo", "gen", "--n", "8", "--seed", "1")
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert json.loads(out) == json.loads(_golden("topo_n8.json"))
@@ -241,7 +245,6 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
     lambda cfg: cfg.update(adversaries=[{"name": "critical", "kind": "spoofer", "src": 2,
                                          "victim": 1, "path": [2, 3]}]),
     lambda cfg: cfg.update(bucket_window="0s"),
-    lambda cfg: cfg.update(be_buffer=-1),
     lambda cfg: cfg.update(adversaries=[{"name": "echo", "kind": "replayer", "link": [1, 2],
                                          "copies": 0}]),
     lambda cfg: cfg["flows"][0].update(backward=True, len_b=65536),
@@ -269,15 +272,12 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
                                          "path": [2, 3], "stop_at": "1s"}]),
     lambda cfg: cfg["flows"][0].update(src=2),
     lambda cfg: cfg["requirements"][1].update(src=99),
-    lambda cfg: cfg["topology"]["ases"][1].update(matrix=[[0, 1], [1, 0]]),
     lambda cfg: cfg["topology"]["links"][0].update(capacity="infGbps"),
     lambda cfg: cfg["topology"]["links"][0].update(capacity=float("inf")),  # JSON Infinity
     lambda cfg: cfg["topology"]["links"][0].update(delay="nanms"),
     lambda cfg: cfg.update(adversaries=[{"name": "greedy", "kind": "overuser", "src": 2,
                                          "path": [2, 3], "factor": float("inf")}]),
     lambda cfg: cfg.update(estimator=5),
-    lambda cfg: cfg.update(topology={"n": 2, "links": [{"a": 0, "b": 1}],
-                                     "matrices": {"2": [[0, 1], [1, 0]]}}),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -291,16 +291,16 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
         "negative_flood_packet_size", "empty_flood_packets", "negative_spoofer_packet_size",
         "negative_overuser_packet_size", "negative_link_delay", "negative_setup_at",
         "negative_best_effort_start", "unknown_source_as", "duplicate_flow_name",
-        "adversary_named_as_a_flow", "zero_bucket_window",
-        "negative_be_buffer", "zero_replay_copies", "len_b_over_u16",
+        "adversary_named_as_a_flow", "zero_bucket_window", "zero_replay_copies",
+        "len_b_over_u16",
         "negative_len_b", "oversized_flow_packet", "oversized_overuser_packet",
         "oversized_spoofer_packet", "sender_clock_below_zero_at_start", "link_to_unknown_as",
         "duplicate_as_id", "duplicate_link", "self_loop_link", "clock_skew_on_unknown_as",
         "path_visits_an_as_twice", "link_without_a", "as_without_id", "flows_not_a_list",
         "non_integer_seed", "string_boolean", "stop_at_on_request_flood", "path_not_from_src",
-        "r1_on_unknown_as", "matrix_of_wrong_size", "infinite_link_capacity",
+        "r1_on_unknown_as", "infinite_link_capacity",
         "json_infinity_link_capacity", "nan_link_delay", "infinite_overuse_factor",
-        "estimator_not_an_object", "topo_gen_matrix_for_an_unknown_as"])
+        "estimator_not_an_object"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, request, edit):
     """Each config is refused with its golden message, before the run."""
     want = dict(line.split("\t") for line in _golden("invalid_configs.txt").splitlines())
@@ -448,7 +448,7 @@ def test_readme_documents_the_summary_columns(tmp_path, capsys):
     cli.main(["scenario", "run", os.path.join(SCENARIOS, "baseline.json"),
               "--summary", str(summary)])
     flow_table, monitor_table = summary.read_text().split("\n\n")
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+    with open(README) as fh:
         readme = fh.read()
     section = readme[readme.index("### The summary"):readme.index("### The event log")]
     assert all(f"`{column}`" in section for column in flow_table.splitlines()[0].split(","))
@@ -528,8 +528,7 @@ def test_jobs_fanout_matches_sequential(tmp_path):
 
 def test_generated_topology_file_drives_scenarios(tmp_path):
     topo_file = tmp_path / "topo.json"
-    assert cli.main(["topo", "gen", "--n", "10", "--seed", "2", "--matrices",
-                     "-o", str(topo_file)]) == 0
+    assert cli.main(["topo", "gen", "--n", "10", "--seed", "2", "-o", str(topo_file)]) == 0
     cfg = {
         "seed": 1, "duration": "40ms", "warm_start": True,
         "estimator": {"min_requesters": 1, "tentative_slots": 0, "exact": True},
@@ -546,20 +545,18 @@ def test_generated_topology_file_drives_scenarios(tmp_path):
 @pytest.mark.parametrize("n", [10, 60])
 def test_generated_document_numbers_interfaces_as_topo_does(tmp_path, n):
     """A `topo gen` document's links may come in any order: each AS still
-    numbers its interfaces by ascending neighbour id, as `topo` and the
-    document's matrices do."""
+    numbers its interfaces by ascending neighbour id and builds the matrix
+    of its links, as `topo` does."""
     topo_file = tmp_path / "topo.json"
-    assert cli.main(["topo", "gen", "--n", str(n), "--seed", "2", "--matrices",
-                     "-o", str(topo_file)]) == 0
+    assert cli.main(["topo", "gen", "--n", str(n), "--seed", "2", "-o", str(topo_file)]) == 0
     doc = json.loads(topo_file.read_text())
     g = topo.generate_topology(n, 2, 2)
-    rows = [m.rows() for m in topo.build_matrices(g)]
-    assert [doc["matrices"][str(u)] for u in range(n)] == rows
+    rows = [matrix_rows(m) for m in topo.build_matrices(g)]
     reversed_links = {**doc, "links": doc["links"][::-1]}
     for document in (doc, reversed_links):
         net = simnet.Network({"topology": document})
         assert [net.nodes[u].if_to for u in range(n)] == g.if_index
-        assert [net.nodes[u].router.matrix.rows() for u in range(n)] == rows
+        assert [matrix_rows(net.nodes[u].router.matrix) for u in range(n)] == rows
 
 
 def _option_table(parser, prefix=""):
@@ -588,8 +585,8 @@ _SIM_COMMON = [(("--jobs",), 1, False, None), (("--m",), 2, False, None),
 
 def test_cli_options_do_not_change():
     assert _option_table(cli.build_parser()) == {
-        "topo gen": [(("--m",), 2, False, None), (("--matrices",), False, False, None),
-                     (("--n",), None, True, None), (("--seed",), 1, False, None),
+        "topo gen": [(("--m",), 2, False, None), (("--n",), None, True, None),
+                     (("--seed",), 1, False, None),
                      (("-o", "--output"), "-", False, None)],
         "sim reservations": _SIM_COMMON,
         "sim cover": sorted(_SIM_COMMON + [(("--gamma",), "100kbps", False, None)]),
@@ -601,3 +598,38 @@ def test_cli_options_do_not_change():
                          (("--summary",), None, False, None), (("config",), None, True, None)],
         "vectors": [(("-o", "--output"), "-", False, None)],
     }
+
+
+def _readme_commands() -> tuple[list[list[str]], list[list[str]]]:
+    """The arguments of each `flyover` line of README's CLI block, and of
+    each inline `flyover ...` span, up to the first shell pipe or redirect."""
+    with open(README) as fh:
+        text = fh.read()
+    cli_section = text[text.index("## CLI"):]
+    block = cli_section[cli_section.index("```sh\n"):].split("```")[1]
+
+    def words(line):
+        args = shlex.split(line)[1:]
+        return args[:next((i for i, w in enumerate(args) if w in ("|", ">", "<")), len(args))]
+
+    return ([words(line) for line in block.splitlines() if line.startswith("flyover ")],
+            [words(span) for span in re.findall(r"`(flyover [^`]*)`", text)])
+
+
+def test_readme_commands_parse():
+    """README's CLI block shows every command, and each command README
+    shows parses: no example keeps a removed flag. An inline span may only
+    name a command."""
+    parser = cli.build_parser()
+    commands = _option_table(parser)
+    block, spans = _readme_commands()
+    shown = {next((name for name in commands if args[:len(name.split())] == name.split()), None)
+             for args in block}
+    assert shown == commands.keys()
+    for args in block + spans:
+        if " ".join(args) in commands:
+            continue
+        try:
+            parser.parse_args(args)
+        except SystemExit:
+            pytest.fail(f"README's `flyover {shlex.join(args)}` does not parse")

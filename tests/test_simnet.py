@@ -218,10 +218,14 @@ def test_observer_capture_is_pinned():
 
 
 def test_clock_skew_within_bound_no_false_demotion():
+    """Clocks skewed within the bound demote nothing: every packet arrives
+    at priority, and each router polices the forward packets and the
+    replies as conforming."""
     r = _run("observer_skew.json")
     st = r.flows["critical"].stats
-    assert st.delivered == st.sent and st.delivered_priority == st.sent
-    assert st.replies_received > 0  # bidirectional replies also validated
+    assert st.delivered == st.delivered_priority == st.sent == 368
+    # 368 forward packets of 846 bytes and 368 replies of 98
+    assert r.monitor_rows() == [(as_id, 1, 368 * (846 + 98), 0, 0, 0) for as_id in (2, 3, 4)]
 
 
 def test_no_reply_when_len_b_leaves_no_room():
@@ -229,8 +233,13 @@ def test_no_reply_when_len_b_leaves_no_room():
     and its forward packets still arrive at priority."""
     cfg = _load("baseline.json")
     cfg["flows"][0].update(backward=True, len_b=0)
-    st = simnet.run_scenario(cfg).flows["critical"].stats
-    assert (st.sent, st.delivered, st.delivered_priority, st.replies_received) == (592, 592, 592, 0)
+    r = simnet.run_scenario(cfg)
+    flow = r.flows["critical"]
+    st = flow.stats
+    assert (st.sent, st.delivered, st.delivered_priority) == (592, 592, 592)
+    # the routers police the forward packets alone
+    assert r.monitor_rows() == [(as_id, 1, 592 * flow.wire_size, 0, 0, 0)
+                                for as_id in (2, 3, 4, 5)]
 
 
 # renewal ----------------------------------------------------------------------------
@@ -558,10 +567,7 @@ def test_only_a_renewal_payload_is_parsed(monkeypatch):
 # incremental deployment ----------------------------------------------------------------
 
 def test_partial_deployment_still_delivers():
-    cfg = _load("baseline.json")
-    cfg["topology"]["ases"][2]["enabled"] = False  # AS 3 does not participate
-    cfg["flows"][0]["rate"] = "2Mbps"
-    r = simnet.run_scenario(cfg)
+    r = _run("partial_deployment.json")  # AS 3 does not participate
     st = r.flows["critical"].stats
     assert st.delivered == st.sent
     # AS 3 forwards blindly: packets arrive but not at priority end to end
@@ -581,12 +587,22 @@ def test_auto_rate_flow_across_an_unreserved_hop_is_granted():
     assert flow.stats.sent == flow.stats.delivered == 1205
 
 
+def _set_matrix(net, as_id, rows):
+    """Set every entry of AS ``as_id``'s allocation matrix before the run,
+    through the update path an AS changes its policy by."""
+    matrix = net.nodes[as_id].router.matrix
+    for a, row in enumerate(rows):
+        for b, value in enumerate(row):
+            matrix.update(a, b, value, now=0, validity_ns=0)
+
+
 def test_zero_composed_rate_is_refused():
     cfg = _load("baseline.json")
-    cfg["topology"]["ases"][1]["matrix"] = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]  # AS 2 grants 0
     cfg["flows"][0]["rate"] = "auto"
+    net = simnet.Network(cfg)
+    _set_matrix(net, 2, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])  # AS 2 grants 0
     with pytest.raises(simnet.ConfigError, match="^flow critical: no usable composed rate$"):
-        simnet.run_scenario(cfg)
+        net.run()
 
 
 def test_an_as_numbers_its_interfaces_by_neighbour_id_whatever_the_links_order():
@@ -598,12 +614,13 @@ def test_an_as_numbers_its_interfaces_by_neighbour_id_whatever_the_links_order()
     matrix = [[0, 4_000_000, 4_000_000], [4_000_000, 0, 3_000_000], [4_000_000, 6_000_000, 0]]
     runs = []
     for order in (links, links[::-1]):
-        r = simnet.run_scenario({
+        net = simnet.Network({
             "seed": 1, "duration": "1s", "warm_start": True,
             "estimator": {"min_requesters": 1, "tentative_slots": 0, "exact": True},
-            "topology": {"ases": [{"id": 1}, {"id": 2, "matrix": matrix}, {"id": 3}],
-                         "links": order},
+            "topology": {"ases": [{"id": 1}, {"id": 2}, {"id": 3}], "links": order},
             "flows": [{"name": "f", "src": 1, "path": [1, 2, 3], "stop_at": "900ms"}]})
+        _set_matrix(net, 2, matrix)
+        r = net.run()
         assert r.flows["f"].store.grants[(2, 1, 2)].bw == 2_400_000
         runs.append((r.flow_summary_rows(), r.monitor_rows(), r.log_lines))
     assert runs[0] == runs[1]
@@ -673,11 +690,11 @@ def test_no_overallocation_assertion_holds_on_all_runs():
                 assert total <= cap
 
 
-def _one_link(be_buffer=100):
+def _one_link():
     """A network of one 8 Mbps, 1 ms link from AS 1 to AS 2, driven by hand:
     (network, link, a maker of 1000-byte filler frames, 1 ms on the wire)."""
     net = simnet.Network({
-        "seed": 1, "be_buffer": be_buffer,
+        "seed": 1,
         "topology": {"ases": [{"id": 1}, {"id": 2}],
                      "links": [{"a": 1, "b": 2, "capacity": "8Mbps"}]},
         "flows": [{"type": "best_effort", "name": "be", "src": 1, "path": [1, 2],
@@ -697,7 +714,8 @@ def test_a_frame_at_the_departure_nanosecond_meets_the_link_by_event_order():
     nanosecond the frame in service leaves is dropped if its event runs
     before the departure's reserved key, and served if it runs after, as
     with every departure pushed when its frame starts."""
-    net, link, frame = _one_link(be_buffer=0)
+    net, link, frame = _one_link()
+    link.BE_BUFFER = 0
     loop = net.loop
     done = simnet.tx_time(1000, link.capacity)
     early, first, late = frame(), frame(), frame()

@@ -12,6 +12,7 @@ import pytest
 from flyover import topo
 from flyover.topo import AllocationMatrix
 
+from helpers import matrix_rows
 from oracles import per_path_reservations, ref_destination_order
 
 GBPS = 10**9
@@ -78,7 +79,7 @@ def test_build_matrices_shapes_and_bounds():
     for u, m in enumerate(mats):
         n = len(g.capacities[u])
         assert m.n_interfaces == n
-        rows = m.rows()
+        rows = matrix_rows(m)
         for b in range(n):
             assert sum(rows[a][b] for a in range(n)) <= g.capacities[u][b]
         for a in range(n):
