@@ -53,7 +53,7 @@ print(f"  max concurrent firm allocation over a random schedule: "
 
 print("\n== allocation-matrix updates take effect asymmetrically ==")
 from flyover.topo import AllocationMatrix
-m = AllocationMatrix([[0, 100], [100, 0]])
+m = AllocationMatrix.from_capacities([100, 100])
 m.update(0, 1, 50, now=1000, validity_ns=EPS)
 print(f"  decrease 100->50 at t=1000: admission={m.admission_value(0, 1)}, "
       f"capacity@t+1={m.capacity_value(0, 1, 1001)}, "

@@ -339,7 +339,7 @@ class ReservationFlow(_Sender):
         self.store = source.GrantStore()
         self.keys = self._drkeys()
         self.stats = FlowStats()
-        # the earliest expiry of the forward grants, once the source holds every one
+        # the earliest expiry of the grants it requested, once the source holds every one
         self.grant_expiry: int | None = None
         # the start of the retry ladder the flow climbs; None while it sends
         self.ladder: int | None = None
@@ -378,7 +378,7 @@ class ReservationFlow(_Sender):
             return
         now = self.net.loop.now
         local = self.node.local_time(now)  # the source holds its grants on its own clock
-        grants = [self.store.get(fkey, local) for _, fkey in self.plan.forward_keys]
+        grants = [self.store.get(fkey, local) for fkey in self.plan.requested.values()]
         if grants and None not in grants:
             exp = min(grant.ts_exp for grant in grants)
             if self.grant_expiry is None:

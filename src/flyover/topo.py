@@ -85,29 +85,24 @@ def interfaces(links: dict[int, int]) -> tuple[dict[int, int], list[int]]:
 
 
 class AllocationMatrix:
-    """Reservable bandwidth between interface pairs of one AS.
-
-    Decreases apply to admission immediately but to capacity only one
-    reservation validity period later; increases apply to both at once.
-    Entries are non-negative with a zero diagonal; interface 0 is the
+    """Reservable bandwidth between interface pairs of one AS, built from
+    its interfaces' capacities (``from_capacities``); interface 0 is the
     AS-internal interface.
+
+    Admission reads each entry as it stands. The capacity plane, which the
+    router's over-allocation guard checks, reads the larger of the entry and
+    every value an ``update`` replaced less than one validity period ago:
+    each replaced value is a floor that lapses at the update's time plus
+    ``validity_ns``, where ``wire.expired`` ends a grant made under it. So
+    an increase applies to both at once and a decrease reaches capacity one
+    validity period later, whatever updates follow it.
     """
 
-    def __init__(self, entries: list[list[int]]):
-        n = len(entries)
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            if entries[i][i] != 0:
-                raise ValueError("diagonal entries must be 0")
-            for j in range(n):
-                if entries[i][j] < 0:
-                    raise ValueError("entries must be >= 0")
-        self.n_interfaces = n
-        self._admission = [list(row) for row in entries]
-        self._capacity_timeline: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self._base_capacity = [list(row) for row in entries]
+    def __init__(self, rows: list[list[int]]):
+        self.n_interfaces = len(rows)
+        self._admission = rows
+        # pair -> [(lapse, value)] of the values updates replaced, in update order
+        self._floors: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     @classmethod
     def from_capacities(cls, capacities: list[int]) -> "AllocationMatrix":
@@ -147,26 +142,26 @@ class AllocationMatrix:
 
     def capacity_value(self, ingress: int, egress: int, now: int) -> int:
         self._check_pair(ingress, egress)
-        value = self._base_capacity[ingress][egress]
-        for effective, new in self._capacity_timeline.get((ingress, egress), ()):
-            if now >= effective:
-                value = new
+        value = self._admission[ingress][egress]
+        for lapse, floor in self._floors.get((ingress, egress), ()):
+            if now < lapse and floor > value:
+                value = floor
         return value
 
     def update(self, ingress: int, egress: int, new_value: int, now: int,
-               validity_ns: int) -> int:
-        """Change one entry, which admission reads from ``now`` on; returns
-        the nanosecond from which the capacity plane reads it."""
+               validity_ns: int) -> None:
+        """Change one entry, which admission reads from ``now`` on; the value
+        it replaces stays a capacity floor until ``now + validity_ns``."""
         self._check_pair(ingress, egress)
         if new_value < 0:
             raise ValueError("entry must be >= 0")
         if ingress == egress and new_value != 0:
             raise ValueError("diagonal entries must stay 0")
-        old = self._admission[ingress][egress]
+        pair = (ingress, egress)
+        floors = [f for f in self._floors.get(pair, ()) if now < f[0]]
+        floors.append((now + validity_ns, self._admission[ingress][egress]))
+        self._floors[pair] = floors
         self._admission[ingress][egress] = new_value
-        cap_at = now if new_value >= old else now + validity_ns
-        self._capacity_timeline.setdefault((ingress, egress), []).append((cap_at, new_value))
-        return cap_at
 
 
 def _ekey(u: int, v: int) -> tuple[int, int]:
@@ -237,21 +232,15 @@ def destination_order(g: TopologyGraph, src: int, seed: int) -> list[int]:
     return [others[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
-def sample_count(r: float, n: int) -> int:
-    return max(1, min(n - 1, round(r * n)))
-
-
-def sample_destinations(g: TopologyGraph, src: int, r: float, seed: int) -> list[int]:
-    """Sample round(r*N) distinct destinations, degree-weighted, without
-    replacement; never includes the source itself."""
-    return destination_order(g, src, seed)[: sample_count(r, g.n)]
-
-
 def build_demands(g: TopologyGraph, r: float, seed: int) -> dict[int, list[int]]:
-    """Each source's sampled destinations at sampling rate ``r`` in (0, 1]."""
+    """Each source's sampled destinations at sampling rate ``r`` in (0, 1]:
+    the first round(r*n) of its destination order, at least one and at most
+    every other node, so degree-weighted, without replacement and never the
+    source itself."""
     if not 0 < r <= 1:
         raise ValueError(f"sampling rate must be in (0, 1], got r={r}")
-    return {src: sample_destinations(g, src, r, seed) for src in range(g.n)}
+    d = max(1, min(g.n - 1, round(r * g.n)))
+    return {src: destination_order(g, src, seed)[:d] for src in range(g.n)}
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ def router_cfg(**kw):
 
 def make_router(as_id=10, n_if=3, entry_bw=100 * GBPS, seed=1, config=None, now=0):
     secret = bytes([as_id & 0xFF]) * 16
-    entries = [[0 if a == b else entry_bw for b in range(n_if)] for a in range(n_if)]
-    return Router(as_id, secret, AllocationMatrix(entries),
-                  config or router_cfg(), now=now, rng=random.Random(seed))
+    # every entry off the diagonal is entry_bw
+    matrix = AllocationMatrix.from_capacities([(n_if - 1) * entry_bw] * n_if)
+    return Router(as_id, secret, matrix, config or router_cfg(), now=now, rng=random.Random(seed))
 
 
 def matrix_rows(matrix):

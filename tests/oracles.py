@@ -249,6 +249,16 @@ def fraction_allocation_rows(capacities: list[int]) -> list[list[int]]:
     return [[int(m[a][b]) for b in range(n)] for a in range(n)]
 
 
+def ref_capacity(entry: int, updates: list[tuple[int, int]], validity_ns: int, now: int) -> int:
+    """One matrix entry's capacity at ``now``, at or after the last of
+    ``updates``, a list of (time, new value) applied in order to ``entry``:
+    the larger of the entry as it stands and every value an update replaced
+    less than ``validity_ns`` before ``now``."""
+    values = [entry] + [value for _, value in updates]
+    live = [values[i] for i, (t, _) in enumerate(updates) if now - t < validity_ns]
+    return max([values[-1], *live])
+
+
 def ref_destination_order(g, src: int, seed: int) -> list[int]:
     """Every other node in weighted sampling order for ``src``: one
     ``Random.expovariate(1.0)`` draw per node in ascending id, scaled by the

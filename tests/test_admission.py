@@ -17,7 +17,7 @@ from flyover.admission import (
 from flyover.topo import AllocationMatrix, generate_topology
 
 from helpers import matrix_rows
-from oracles import IntMaskBloom, double_hash_positions, fraction_allocation_rows
+from oracles import IntMaskBloom, double_hash_positions, fraction_allocation_rows, ref_capacity
 
 GBPS = 10**9
 EPS = 10_000_000_000  # default rotation interval, ns
@@ -243,14 +243,7 @@ def test_bloom_vs_exact_agree_without_false_positives():
 # allocation matrix ----------------------------------------------------------
 
 def test_matrix_invariants_checked():
-    with pytest.raises(ValueError, match="diagonal"):
-        AllocationMatrix([[1, 0], [0, 0]])  # nonzero diagonal
-    with pytest.raises(ValueError, match=">= 0"):
-        AllocationMatrix([[0, -1], [1, 0]])
-    for rows in ([[0, 1, 1], [1, 0, 1]], [[0, 1], [1]]):
-        with pytest.raises(ValueError, match="square"):
-            AllocationMatrix(rows)
-    m = AllocationMatrix([[0, 5], [5, 0]])
+    m = AllocationMatrix.from_capacities([5, 5])
     for a, b in ((2, 0), (0, 2), (-1, 1), (1, -1)):
         with pytest.raises(IndexError):
             m.admission_value(a, b)
@@ -321,27 +314,47 @@ def test_matrix_closed_form_takes_both_row_branches():
 
 
 def test_matrix_update_decrease_semantics():
-    m = AllocationMatrix([[0, 100, 100], [100, 0, 100], [100, 100, 0]])
+    m = AllocationMatrix.from_capacities([200, 200, 200])
     t = 1_000
-    cap_at = m.update(0, 1, 50, t, validity_ns=EPS)
+    m.update(0, 1, 50, t, validity_ns=EPS)
     assert m.admission_value(0, 1) == 50  # admission sees it at once
     assert m.capacity_value(0, 1, t + 1) == 100  # capacity lags one period
+    assert m.capacity_value(0, 1, t + EPS - 1) == 100
     assert m.capacity_value(0, 1, t + EPS) == 50
-    assert cap_at == t + EPS
     # untouched entries unaffected
     assert m.admission_value(0, 2) == 100 and m.capacity_value(0, 2, t + EPS) == 100
 
 
 def test_matrix_update_increase_semantics():
-    m = AllocationMatrix([[0, 50], [50, 0]])
-    cap_at = m.update(0, 1, 100, 500, validity_ns=EPS)
+    m = AllocationMatrix.from_capacities([50, 50])
+    m.update(0, 1, 100, 500, validity_ns=EPS)
     assert m.admission_value(0, 1) == 100
     assert m.capacity_value(0, 1, 500) == 100  # effective immediately
-    assert cap_at == 500
+    assert m.capacity_value(0, 1, 500 + EPS) == 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.integers(0, 100), validity=st.integers(0, 50),
+       updates=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 100)),
+                        min_size=1, max_size=3),
+       after=st.lists(st.integers(0, 60), min_size=1, max_size=5))
+def test_matrix_capacity_keeps_each_replaced_value_for_one_validity_period(
+        entry, validity, updates, after):
+    """At or after the last update, an entry's capacity is the larger of the
+    entry and every value an update replaced within ``validity_ns``."""
+    m = AllocationMatrix.from_capacities([entry, entry])
+    t, timed = 0, []
+    for gap, value in updates:
+        t += gap
+        m.update(0, 1, value, now=t, validity_ns=validity)
+        timed.append((t, value))
+    for dt in after:
+        assert m.capacity_value(0, 1, t + dt) == ref_capacity(entry, timed, validity, t + dt)
+    assert m.capacity_value(1, 0, t) == entry  # the other direction is untouched
 
 
 def test_matrix_update_then_grant_uses_new_value():
-    m = AllocationMatrix([[0, 100 * GBPS], [100 * GBPS, 0]])
+    m = AllocationMatrix.from_capacities([100 * GBPS] * 2)
     policy = DefaultPolicy(m, exact_cfg(tentative_slots=0))
     t = 0
     policy.get_bandwidth(5, 0, 1, t)
@@ -356,14 +369,14 @@ def test_matrix_update_then_grant_uses_new_value():
 # policy plumbing -------------------------------------------------------------
 
 def test_policy_keeps_one_estimator_per_interface_pair():
-    m = AllocationMatrix([[0, GBPS, GBPS], [GBPS, 0, GBPS], [GBPS, GBPS, 0]])
+    m = AllocationMatrix.from_capacities([2 * GBPS] * 3)
     policy = DefaultPolicy(m, exact_cfg())
     assert policy.estimator_for(0, 1) is not policy.estimator_for(0, 2)
     assert policy.estimator_for(0, 1) is policy.estimator_for(0, 1)
 
 
 def test_policy_auto_rotates():
-    m = AllocationMatrix([[0, 100 * GBPS], [100 * GBPS, 0]])
+    m = AllocationMatrix.from_capacities([100 * GBPS] * 2)
     policy = DefaultPolicy(m, exact_cfg(tentative_slots=0))
     assert policy.get_bandwidth(3, 0, 1, 0) is None
     g = policy.get_bandwidth(3, 0, 1, 2 * EPS)  # rotations applied internally

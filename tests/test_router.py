@@ -423,8 +423,7 @@ def test_guard_total_matches_resum_under_any_clock(capacity, steps):
     grant, through replacements, expiries and a clock that runs backwards:
     the guard raises exactly when that sum exceeds the capacity, and names
     it."""
-    entries = [[0 if a == b else capacity for b in range(3)] for a in range(3)]
-    r = Router(1, bytes(16), AllocationMatrix(entries), router_cfg())
+    r = Router(1, bytes(16), AllocationMatrix.from_capacities([2 * capacity] * 3), router_cfg())
     held: dict = {}
     now = 100
     for pair, src, bw, life, dt in steps:
@@ -447,7 +446,7 @@ def test_the_source_the_monitor_and_the_guard_end_a_grant_together(before, live)
     ``ts_exp`` on."""
     ts_exp, cap = 5 * S, 10 * GBPS
     now = ts_exp - before
-    r = Router(20, bytes(16), AllocationMatrix([[0, cap], [cap, 0]]), router_cfg())
+    r = Router(20, bytes(16), AllocationMatrix.from_capacities([cap, cap]), router_cfg())
     r.monitor.register(SRC, cap, ts_exp, 0, 1, now=0)
     r.note_grant(SRC, (0, 1), Grant(cap, ts_exp), 0, ts_req=0)
     store = source.GrantStore()
@@ -471,7 +470,7 @@ def test_the_grants_the_monitor_passes_never_sum_past_the_capacity():
     pair's capacity, not 1.2 times it."""
     cap = GBPS
     cfg = router_cfg(estimator_kw=dict(interval_ns=1000, min_requesters=2, tentative_slots=1))
-    r = Router(20, bytes(16), AllocationMatrix([[0, cap], [cap, 0]]), cfg)
+    r = Router(20, bytes(16), AllocationMatrix.from_capacities([cap, cap]), cfg)
     r.policy.estimator_for(0, 1).warm_up({10, 11})
     plan = source.PathPlan((source.PathHop(r.as_id, 0, 1),))
     grants = {}
@@ -485,6 +484,29 @@ def test_the_grants_the_monitor_passes_never_sum_past_the_capacity():
                   if r.monitor.police(src, 1, 0, 1, 1000) is Verdict.CONFORM}
     assert sum(grants[src][0] for src in conforming) <= cap
     assert conforming == {10, 11, 21}
+
+
+def test_a_raise_after_a_decrease_keeps_the_capacity_the_live_grants_hold():
+    """Capacity keeps every value an update replaced until one validity
+    period after it: a decrease then a smaller raise leave the grant made
+    under the first entry counted against that entry, so a correctly
+    admitted grant under the raised entry does not trip the guard."""
+    cfg = router_cfg(estimator_kw=dict(interval_ns=S, min_requesters=1, tentative_slots=0))
+    r = Router(20, bytes(16), AllocationMatrix.from_capacities([100, 100]), cfg)
+    r.policy.estimator_for(1, 0).warm_up({7, 8})
+    plan = source.PathPlan((source.PathHop(r.as_id, 1, 0),))
+
+    def setup(src, t):
+        keys = {r.as_id: crypto.derive_drkey(r.secret, src)}
+        _, entries = r.handle_setup(source.build_setup_request(keys, plan, src, t), 0, 1, 0, t)
+        return [(e.bw, e.ts_exp) for e in entries]
+
+    assert setup(7, 0) == [(40, S)]
+    r.matrix.update(1, 0, 50, now=10, validity_ns=S)
+    r.matrix.update(1, 0, 60, now=20, validity_ns=S)
+    assert r.matrix.capacity_value(1, 0, 30) == 100  # src 7's 40 lives until S
+    assert setup(8, 30) == [(24, 30 + S)]
+    assert r.matrix.capacity_value(1, 0, S + 20) == 60
 
 
 def _over_grant(policy, src, ingress, egress, now):

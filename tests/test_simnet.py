@@ -330,6 +330,33 @@ def test_flow_without_renew_stops_at_its_lapse():
     assert [line.split()[1] for line in r.log_lines if "emit_blocked" in line] == ["emit_blocked"]
 
 
+def test_a_backward_flow_sends_once_it_holds_every_grant_it_requested():
+    """Flow ``rev`` takes AS 2's one tentative slot on the pair that flow
+    A's backward reservation asks for, so A's first response holds every
+    forward grant but not that backward one. A waits for it, on its retry
+    ladder, rather than starting to send and blocking at once."""
+    cfg = {"seed": 1, "duration": "12s",
+           "estimator": {"interval": "10s", "min_requesters": 1, "tentative_slots": 1,
+                         "exact": True},
+           "topology": {"ases": [{"id": 1}, {"id": 2}, {"id": 3}],
+                        "links": [{"a": 1, "b": 2, "capacity": "10Gbps", "delay": "1ms"},
+                                  {"a": 2, "b": 3, "capacity": "10Gbps", "delay": "1ms"}]},
+           "flows": [{"name": "rev", "src": 3, "path": [3, 2, 1], "rate": "1Mbps"},
+                     {"name": "A", "src": 1, "path": [1, 2, 3], "rate": "1Mbps",
+                      "backward": True, "setup_at": "10ms", "stop_at": "11s"}]}
+    r = simnet.run_scenario(cfg)
+    flow = r.flows["A"]
+    (line,) = [line for line in r.log_lines if line.endswith(" flow=A")]
+    at, event = line.split(maxsplit=1)
+    assert event == "granted flow=A"
+    assert int(at) > r.router_cfg.estimator.interval_ns  # after the rotation freed the slot
+    node = r.nodes[2]
+    assert flow.store.get((2, node.if_to[3], node.if_to[1]), r.loop.now) is not None
+    st = flow.stats
+    assert st.sent == st.delivered == st.delivered_priority == 119
+    _require(r, {"r": "R4", "flow": "A"})
+
+
 def _reverse_flood_renewal():
     """A renewing flow under a forward flood on 2 -> 3 and, from 4 s, a
     reverse flood on 3 -> 2 -> 1 that drops its renewal's response, so the
@@ -562,6 +589,33 @@ def test_only_a_renewal_payload_is_parsed(monkeypatch):
     embedded = [req for req in admitted if any(req is msg for msg in decoded)]
     assert decoded and all(isinstance(msg, wire.SetupRequest) for msg in decoded)
     assert len(decoded) == len(embedded) == 4  # one renewal, four routers
+
+
+def test_a_renewal_whose_request_does_not_decode_is_forwarded_as_data(monkeypatch):
+    """A forward data packet whose payload starts as a setup request but
+    does not decode keeps its data verdict and its route: every router
+    passes it at priority, none admits anything or answers it."""
+    net = simnet.Network(_load("baseline.json"))
+    net.run()
+    flow, now = net.flows["critical"], net.loop.now
+    payload = bytes([wire.MSG_SETUP_REQ])  # a request's kind byte, then nothing
+    pkt = source.emit_packet(flow.store, flow.plan, flow.src, payload, 0, flow.node.stamp(now))
+    assert wire.is_renewal(pkt)
+    with pytest.raises(wire.DecodeError):
+        wire.decode(payload)
+    admitted, answered = [], []
+    monkeypatch.setattr(Router, "handle_setup", lambda *args: admitted.append(args))
+    monkeypatch.setattr(simnet.Network, "_send_back", lambda *args: answered.append(args))
+    frame = net.new_frame(pkt, flow.plan, flow.steps, TrafficClass.PRIORITY, flow)
+    frame.books = flow.stats
+    flow.steps[0][1].send(frame, now)
+    net.loop.run_until(now + 10**9)
+    seen = [line.split(maxsplit=1)[1] for line in net.log_lines if f" pkt={frame.uid} " in line]
+    assert seen[:-1] == [f"as={as_id} pkt={frame.uid} kind=data verdict=ok class=P"
+                         for as_id in (2, 3, 4, 5)]
+    assert seen[-1].startswith(f"deliver pkt={frame.uid} flow=critical ") and \
+        seen[-1].endswith(" class=P")
+    assert admitted == answered == []
 
 
 # incremental deployment ----------------------------------------------------------------
