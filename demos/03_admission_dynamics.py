@@ -20,7 +20,7 @@ est = RequesterEstimator(cfg, now=0)
 
 print("== first requests land in tentative slots ==")
 for src in (101, 102, 103):
-    g = est.request(src, ENTRY, now=1 * S)
+    g = est.request(src, cfg.member(src), ENTRY, now=1 * S)
     outcome = "denied" if g is None else \
         f"{g.bw/1e9:.2f} Gbps ({'tentative' if g.tentative else 'firm'})"
     print(f"  src {src}: {outcome}")
@@ -28,7 +28,7 @@ for src in (101, 102, 103):
 print("\n== two intervals later the same sources are firm ==")
 est.rotate(2 * EPS + 1)
 for src in (101, 102, 103):
-    g = est.request(src, ENTRY, now=2 * EPS + 1)
+    g = est.request(src, cfg.member(src), ENTRY, now=2 * EPS + 1)
     print(f"  src {src}: {g.bw/1e9:.2f} Gbps firm={not g.tentative}; "
           f"requester count = {est.requesters}")
 
@@ -43,7 +43,7 @@ for _ in range(4000):
     t += rng.randrange(1, EPS // 3)
     est.rotate(t)
     src = rng.randrange(12)
-    g = est.request(src, ENTRY, t)
+    g = est.request(src, cfg.member(src), ENTRY, t)
     if g:
         latest[src] = g
         firm = sum(x.bw for x in latest.values() if x.ts_exp > t and not x.tentative)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ from . import crypto, wire
 from .policing import DedupWindow
 from .topo import AllocationMatrix
 
-_LOW64 = (1 << 64) - 1
+_DIGEST_HALVES = struct.Struct(">QQ")  # a Bloom digest's high and low 8 bytes
 
 # firm grants share RESERVED_NUM / RESERVED_DEN of an entry, tentative slots the rest
 RESERVED_NUM, RESERVED_DEN = 4, 5
@@ -50,10 +51,10 @@ class ExactSetFilter:
     def __contains__(self, item: int) -> bool:
         return item in self.items
 
-    def add_and_test(self, item: int, other: "ExactSetFilter") -> bool:
-        """Add ``item`` here; True iff ``other`` holds it."""
-        self.items.add(item)
-        return item in other.items
+    def add_and_test(self, member: int, other: "ExactSetFilter") -> bool:
+        """Add ``member``, an AS id, here; True iff ``other`` holds it."""
+        self.items.add(member)
+        return member in other.items
 
     def union_cardinality(self, other: "ExactSetFilter") -> int:
         return len(self.items | other.items)
@@ -72,7 +73,10 @@ class BloomFilter:
     (h1 + i*h2) mod n = (h1 mod n + i * (h2 mod n)) mod n, from small ints.
     The bits are packed eight to a byte in a ``bytearray``: position ``p``
     is bit ``p % 8`` of byte ``p // 8``, so ``add`` and membership touch
-    only the ``n_hashes`` bytes their positions fall in. Union cardinality
+    only the ``n_hashes`` bytes their positions fall in. ``add`` and
+    membership take an AS id and hash it; ``add_and_test``, admission's
+    path, takes the id's positions (its member), which a router hashes
+    once per request for both directions' estimators. Union cardinality
     is estimated from the fill ratio of the bitwise OR and rounded up, yet
     it can read below the true count, and firm grants then sum past the
     reserved fraction: random ids split over two protocol-sized filters
@@ -87,31 +91,33 @@ class BloomFilter:
         self.n_bits = n_bits
         self.n_hashes = n_hashes
 
-    def _positions(self, item: int) -> list[int]:
-        digest = hashlib.blake2b(item.to_bytes(8, "big"), digest_size=16).digest()
-        d, n = int.from_bytes(digest, "big"), self.n_bits
-        h1 = (d >> 64) % n
-        h2 = (d & _LOW64 | 1) % n
-        return [(h1 + i * h2) % n for i in range(self.n_hashes)]
+    @staticmethod
+    def positions(item: int, n_bits: int, n_hashes: int) -> list[int]:
+        """The bit positions of ``item`` in a filter of ``n_bits`` bits and
+        ``n_hashes`` positions per item."""
+        high, low = _DIGEST_HALVES.unpack(
+            hashlib.blake2b(item.to_bytes(8, "big"), digest_size=16).digest())
+        h1 = high % n_bits
+        h2 = (low | 1) % n_bits
+        return [(h1 + i * h2) % n_bits for i in range(n_hashes)]
 
     def add(self, item: int) -> None:
         bits = self.bits
-        for p in self._positions(item):
+        for p in self.positions(item, self.n_bits, self.n_hashes):
             bits[p >> 3] |= 1 << (p & 7)
 
     def __contains__(self, item: int) -> bool:
         bits = self.bits
-        return all(bits[p >> 3] >> (p & 7) & 1 for p in self._positions(item))
+        return all(bits[p >> 3] >> (p & 7) & 1
+                   for p in self.positions(item, self.n_bits, self.n_hashes))
 
-    def add_and_test(self, item: int, other: "BloomFilter") -> bool:
-        """Add ``item`` here; True iff ``other``, of the same size, holds it.
-
-        The item's positions are hashed once, and one pass sets each bit
-        here and tests it there.
-        """
+    def add_and_test(self, member: list[int], other: "BloomFilter") -> bool:
+        """Add the item whose ``positions`` are ``member`` here; True iff
+        ``other``, of the same size, holds it. One pass sets each bit here
+        and tests it there."""
         bits, theirs = self.bits, other.bits
         held = True
-        for p in self._positions(item):
+        for p in member:
             byte, bit = p >> 3, 1 << (p & 7)
             bits[byte] |= bit
             if not theirs[byte] & bit:
@@ -154,6 +160,13 @@ class EstimatorConfig:
         if self.exact:
             return ExactSetFilter()
         return BloomFilter(FILTER_BITS, HASH_COUNT)
+
+    def member(self, src: int):
+        """What ``add_and_test`` of this config's filters takes for ``src``:
+        the AS id itself in exact mode, else its Bloom positions."""
+        if self.exact:
+            return src
+        return BloomFilter.positions(src, FILTER_BITS, HASH_COUNT)
 
 
 class Grant(NamedTuple):
@@ -214,8 +227,10 @@ class RequesterEstimator:
                 f.add(src)
         self.requesters = max(self.requesters, len(sources))
 
-    def request(self, src: int, entry_bw: int, now: int) -> Grant | None:
-        """Admit one request against ``entry_bw``; None means retry later.
+    def request(self, src: int, member, entry_bw: int, now: int) -> Grant | None:
+        """Admit one request from ``src``, whose filter member
+        (:meth:`EstimatorConfig.member`) is ``member``, against
+        ``entry_bw``; None means retry later.
 
         Callers must have applied rotations up to ``now`` (see
         :meth:`rotate`); admission itself never rotates so that the
@@ -223,7 +238,7 @@ class RequesterEstimator:
         the caller.
         """
         cfg = self.config
-        if self.current.add_and_test(src, self.granted):
+        if self.current.add_and_test(member, self.granted):
             bw = entry_bw * RESERVED_NUM // (RESERVED_DEN * self.requesters)
             return Grant(bw, now + cfg.interval_ns, tentative=False)
         if src in self._tentative_holders:
@@ -256,11 +271,17 @@ class DefaultPolicy:
             est = self._estimators[key] = RequesterEstimator(self.config, self._created_at)
         return est
 
-    def get_bandwidth(self, src: int, ingress: int, egress: int, now: int) -> Grant | None:
-        est = self.estimator_for(ingress, egress)
-        est.rotate(now)
-        entry = self.matrix.admission_value(ingress, egress)
-        return est.request(src, entry, now)
+    def get_bandwidth(self, src: int, member, ingress: int, egress: int,
+                      now: int) -> Grant | None:
+        """Admit ``src`` (filter member ``member``) on the pair, applying
+        the rotations due by ``now`` first."""
+        entry = self.matrix.admission_value(ingress, egress)  # checks the pair
+        est = self._estimators.get((ingress, egress))
+        if est is None:
+            est = self.estimator_for(ingress, egress)
+        if now >= est.next_rotation:
+            est.rotate(now)
+        return est.request(src, member, entry, now)
 
 
 def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egress: int,
@@ -275,37 +296,41 @@ def admit_setup(state, req: wire.SetupRequest, hop_index: int, ingress: int, egr
     the path can still admit it.
 
     The ingress role admits the forward reservation and the egress role the
-    backward one; with one router per AS, both are handled here.
+    backward one; with one router per AS, both are handled here, in one
+    pass: the source's DRKey and its filter member (for Bloom filters, one
+    hash) serve both directions.
     """
     entry = req.entry_for(hop_index)
-    if entry is None or not (entry.flag_r or entry.flag_b):
+    if entry is None:
         return []
-    if not wire.in_window(req.ts_req, now):
+    _, flag_r, flag_b, auth = entry
+    src, ts_req = req.src, req.ts_req
+    if not (flag_r or flag_b) or not wire.in_window(ts_req, now):
         return []
     # one AES context serves the request-auth MAC and both grants' seals
-    drkey = crypto.PreparedKey(crypto.derive_drkey(state.prepared_secret, req.src))
-    expected = crypto.compute_request_auth(
-        drkey, req.ts_req, entry.flag_r, entry.flag_b, req.bw_demand, req.bw_min
-    )
-    if expected != entry.auth:
+    drkey = crypto.PreparedKey(crypto.derive_drkey(state.prepared_secret, src))
+    if crypto.compute_request_auth(drkey, ts_req, flag_r, flag_b, req.bw_demand,
+                                   req.bw_min) != auth:
         return []
-    if not state.dedup.check(req.src, req.ts_req, DedupWindow.KIND_SETUP, now):
+    if not state.dedup.check(src, ts_req, DedupWindow.KIND_SETUP, now):
         return []
-    state.note_request(req.src, req.ts_req)
+    state.note_request(src, ts_req)
 
+    policy = state.policy
+    member = policy.config.member(src)
     out = []
-    for direction, wants in ((wire.FORWARD, entry.flag_r), (wire.BACKWARD, entry.flag_b)):
+    for direction, wants in ((wire.FORWARD, flag_r), (wire.BACKWARD, flag_b)):
         if not wants:
             continue
         pair = wire.directed_pair(ingress, egress, direction)
-        grant = state.policy.get_bandwidth(req.src, *pair, now)
+        grant = policy.get_bandwidth(src, member, *pair, now)
         if grant is None:
             continue
-        alpha = crypto.compute_authenticator(state.prepared_secret, req.src, *pair)
+        bw, ts_exp, _ = grant
+        alpha = crypto.compute_authenticator(state.prepared_secret, src, *pair)
         nonce = nonce_source.randbytes(crypto.NONCE_LEN) if nonce_source is not None else None
-        nonce, enc_auth, tag = crypto.seal_grant(drkey, alpha, grant.bw, grant.ts_exp, nonce)
-        out.append(wire.RespEntry(hop_index, direction, nonce, enc_auth, tag,
-                                  grant.bw, grant.ts_exp))
-        state.monitor.register(req.src, grant.bw, grant.ts_exp, *pair, now)
-        state.note_grant(req.src, pair, grant, now, req.ts_req)
+        nonce, enc_auth, tag = crypto.seal_grant(drkey, alpha, bw, ts_exp, nonce)
+        out.append(wire.RespEntry(hop_index, direction, nonce, enc_auth, tag, bw, ts_exp))
+        state.monitor.register(src, bw, ts_exp, *pair, now)
+        state.note_grant(src, pair, grant, now, ts_req)
     return out

@@ -33,8 +33,16 @@ from . import crypto, simnet, topo
 from .units import parse_bandwidth
 
 
+def _seed(text: str) -> int:
+    """A seed, which must be >= 0: ``random.Random`` seeds from an int's
+    absolute value, so -3 would run seed 3's draws."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _parse_seeds(text: str) -> list[int]:
-    seeds = [int(s) for s in str(text).split(",") if s != ""]
+    seeds = [_seed(s) for s in str(text).split(",") if s != ""]
     if not seeds:
         raise argparse.ArgumentTypeError("need at least one seed")
     return seeds
@@ -66,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = topo_sub.add_parser("gen", help="generate a topology file")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, default=2, help="attachment parameter")
-    gen.add_argument("--seed", type=int, default=1)
+    gen.add_argument("--seed", type=_seed, default=1)
     gen.add_argument("-o", "--output", default="-")
     gen.set_defaults(run=cmd_topo_gen)
 
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sim_sub.add_parser("plot", parents=[graph],
                               help="SVG chart of median cover vs threshold")
     plot.add_argument("--r", type=float, default=0.1)
-    plot.add_argument("--seed", type=int, default=1)
+    plot.add_argument("--seed", type=_seed, default=1)
     plot.add_argument("--gammas", default="1kbps,10kbps,100kbps,1Mbps,10Mbps,100Mbps",
                       type=_positive_bandwidths)
     plot.add_argument("-o", "--output", required=True)
@@ -103,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen = sub.add_parser("scenario", help="adversarial scenario runs").add_subparsers(
         dest="sub", required=True).add_parser("run", help="run one scenario file")
     scen.add_argument("config")
-    scen.add_argument("--seed", type=int, default=None)
+    scen.add_argument("--seed", type=_seed, default=None)
     scen.add_argument("--log", default=None, help="write the event log here")
     scen.add_argument("--summary", default=None, help="write flow/monitor CSV here")
     scen.set_defaults(run=cmd_scenario_run)

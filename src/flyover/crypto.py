@@ -6,9 +6,11 @@ two blocks, so fixed widths rule out length-extension issues. With a zero
 IV the first CBC block is plain AES of the first input block, so the MAC
 runs one AES-ECB block per input block on a single encryptor, XOR-chaining
 each further block into the previous output; no CBC mode object is built
-and nothing is finalized. The authenticator and validation-field inputs
-are packed straight into one zero-padded block, which is encrypted as is.
-Grants are sealed with ChaCha20-Poly1305 (IETF, 12-byte nonce).
+and nothing is finalized. The authenticator, validation-field and
+request-auth inputs are each packed by one ``struct`` layout straight into
+one zero-padded block, which is encrypted as is; only a request's demand
+fields take it to two. Grants are sealed with ChaCha20-Poly1305 (IETF,
+12-byte nonce), with (bw, ts_exp) as associated data packed the same way.
 
 Building an AES context costs some six times as much as encrypting one
 block on it: about 4.5 µs against 0.7 µs on a 2-core Xeon with AES-NI,
@@ -64,6 +66,12 @@ _AEAD_KEY_BLOCKS = (1).to_bytes(BLOCK_LEN, "big") + (2).to_bytes(BLOCK_LEN, "big
 # authenticator, (packet timestamp, length) for the validation field.
 _AUTH_INPUT = struct.Struct(">QHH4x")
 _FIELD_INPUT = struct.Struct(">QH6x")
+# Request-auth inputs, zero-padded: (tsReq, R, B), one block, and with the
+# demand fields (bwDem, bwMin), two.
+_REQ_AUTH_INPUT = struct.Struct(">QBB6x")
+_REQ_AUTH_DEMAND_INPUT = struct.Struct(">QBBQQ6x")
+# A sealed grant's associated data: (bw, ts_exp).
+_GRANT_AD = struct.Struct(">QQ")
 
 
 class AuthFailure(Exception):
@@ -76,10 +84,6 @@ class OpCounter:
     __slots__ = ("macs", "prf_calls")
 
     def __init__(self) -> None:
-        self.macs = 0
-        self.prf_calls = 0
-
-    def reset(self) -> None:
         self.macs = 0
         self.prf_calls = 0
 
@@ -212,11 +216,15 @@ def compute_request_auth(
     The source AS id is not an input: it is already bound through the key
     derivation.
     """
-    msg = ts_req.to_bytes(8, "big") + bytes([flag_r, flag_b])
     if (bw_demand is None) != (bw_min is None):
         raise ValueError("demand fields must be given together")
-    if bw_demand is not None:
-        msg += bw_demand.to_bytes(8, "big") + bw_min.to_bytes(8, "big")
+    try:
+        if bw_demand is None:
+            msg = _REQ_AUTH_INPUT.pack(ts_req, flag_r, flag_b)
+        else:
+            msg = _REQ_AUTH_DEMAND_INPUT.pack(ts_req, flag_r, flag_b, bw_demand, bw_min)
+    except struct.error as exc:
+        raise OverflowError(f"request-auth input out of range: {exc}") from exc
     return cbc_mac(drkey, msg)
 
 
@@ -227,7 +235,10 @@ def _aead(drkey: bytes | PreparedKey) -> ChaCha20Poly1305:
 
 
 def _grant_ad(bw: int, ts_exp: int) -> bytes:
-    return bw.to_bytes(8, "big") + ts_exp.to_bytes(8, "big")
+    try:
+        return _GRANT_AD.pack(bw, ts_exp)
+    except struct.error as exc:
+        raise OverflowError(f"grant terms out of range: {exc}") from exc
 
 
 def seal_grant(

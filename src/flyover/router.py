@@ -113,8 +113,8 @@ class Router:
         self.first_request_ts: dict[int, int] = {}
         self.grant_request_ts: list[tuple[int, int, bool]] = []  # (ts_req, src, tentative)
         # per interface pair: [live total, last clock seen, heap of
-        # (ts_exp, src, holder entry)]; entries whose holder was replaced
-        # since are skipped when popped
+        # (ts_exp, src, holder entry), the pair's ``active_grants`` dict];
+        # heap entries whose holder was replaced since are skipped when popped
         self._live: dict[tuple[int, int], list] = {}
 
     def note_request(self, src: int, ts_req: int) -> None:
@@ -124,28 +124,30 @@ class Router:
 
     def note_grant(self, src: int, pair: tuple[int, int], grant: Grant, now: int,
                    ts_req: int) -> None:
-        holders = self.active_grants.setdefault(pair, {})
+        bw, ts_exp, tentative = grant
+        expired = wire.expired
         live = self._live.get(pair)
         if live is None or now < live[1]:
+            holders = self.active_grants.setdefault(pair, {})
             heap = [(held[1], s, held) for s, held in holders.items()
-                    if not wire.expired(held[1], now)]
+                    if not expired(held[1], now)]
             heapq.heapify(heap)
-            live = self._live[pair] = [sum(held[0] for _, _, held in heap), now, heap]
-        total, _, heap = live
-        while heap and wire.expired(heap[0][0], now):
+            live = self._live[pair] = [sum(held[0] for _, _, held in heap), now, heap, holders]
+        total, _, heap, holders = live
+        while heap and expired(heap[0][0], now):
             _, s, held = heapq.heappop(heap)
             if holders.get(s) is held:
                 total -= held[0]
         old = holders.get(src)
-        if old is not None and not wire.expired(old[1], now):
+        if old is not None and not expired(old[1], now):
             total -= old[0]
-        entry = holders[src] = (grant.bw, grant.ts_exp)
-        if not wire.expired(grant.ts_exp, now):
-            total += grant.bw
-            heapq.heappush(heap, (grant.ts_exp, src, entry))
+        entry = holders[src] = (bw, ts_exp)
+        if not expired(ts_exp, now):
+            total += bw
+            heapq.heappush(heap, (ts_exp, src, entry))
         live[0], live[1] = total, now
-        self.grant_log.append((now, src, pair, grant.bw, grant.ts_exp, grant.tentative))
-        self.grant_request_ts.append((ts_req, src, grant.tentative))
+        self.grant_log.append((now, src, pair, bw, ts_exp, tentative))
+        self.grant_request_ts.append((ts_req, src, tentative))
         capacity = self.matrix.capacity_value(pair[0], pair[1], now)
         if total > capacity:
             raise AssertionError(

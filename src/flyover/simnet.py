@@ -776,7 +776,7 @@ _REQUIREMENTS = {  # ``r`` -> (check, keys)
 _NAMED = {"flow": ReservationFlow, "overuser": ReservationFlow, "adversary": Spoofer,
           "replayer": Replayer}
 _SCENARIO_KEYS = {
-    "seed": (int, None, 0), "duration": (parse_duration, "> 0", "5s"),
+    "seed": (int, ">= 0", 0), "duration": (parse_duration, "> 0", "5s"),
     "log_verdicts": (bool, None, True), "warm_start": (bool, None, False),
     "bucket_window": (parse_duration, "> 0", _DEFAULTS.bucket_window_ns),
     # AS id (a string, as JSON object keys are) -> clock offset

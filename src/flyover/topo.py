@@ -132,34 +132,32 @@ class AllocationMatrix:
             rows.append(row)
         return cls(rows)
 
-    def _check_pair(self, a: int, b: int) -> None:
-        if not (0 <= a < self.n_interfaces and 0 <= b < self.n_interfaces):
-            raise IndexError("interface out of range")
-
     def admission_value(self, ingress: int, egress: int) -> int:
-        self._check_pair(ingress, egress)
-        return self._admission[ingress][egress]
+        n = self.n_interfaces
+        if 0 <= ingress < n and 0 <= egress < n:
+            return self._admission[ingress][egress]
+        raise IndexError("interface out of range")
 
     def capacity_value(self, ingress: int, egress: int, now: int) -> int:
-        self._check_pair(ingress, egress)
-        value = self._admission[ingress][egress]
-        for lapse, floor in self._floors.get((ingress, egress), ()):
-            if now < lapse and floor > value:
-                value = floor
+        value = self.admission_value(ingress, egress)
+        if self._floors:  # no update yet: no floors to look up
+            for lapse, floor in self._floors.get((ingress, egress), ()):
+                if now < lapse and floor > value:
+                    value = floor
         return value
 
     def update(self, ingress: int, egress: int, new_value: int, now: int,
                validity_ns: int) -> None:
         """Change one entry, which admission reads from ``now`` on; the value
         it replaces stays a capacity floor until ``now + validity_ns``."""
-        self._check_pair(ingress, egress)
+        replaced = self.admission_value(ingress, egress)
         if new_value < 0:
             raise ValueError("entry must be >= 0")
         if ingress == egress and new_value != 0:
             raise ValueError("diagonal entries must stay 0")
         pair = (ingress, egress)
         floors = [f for f in self._floors.get(pair, ()) if now < f[0]]
-        floors.append((now + validity_ns, self._admission[ingress][egress]))
+        floors.append((now + validity_ns, replaced))
         self._floors[pair] = floors
         self._admission[ingress][egress] = new_value
 
@@ -170,7 +168,10 @@ def _ekey(u: int, v: int) -> tuple[int, int]:
 
 def generate_topology(n: int, attachment: int = 2, seed: int = 1) -> TopologyGraph:
     """Preferential-attachment graph with degree-gravity capacities:
-    ten 40 Gbps buckets. Needs n >= 2 and 1 <= attachment < n."""
+    ten 40 Gbps buckets. Needs n >= 2, 1 <= attachment < n and seed >= 0
+    (``random.Random`` seeds from an int's absolute value)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got seed={seed}")
     if n < 2:
         raise ValueError(f"need at least two nodes, got n={n}")
     if not 1 <= attachment < n:

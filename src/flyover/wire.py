@@ -267,6 +267,10 @@ _ENCODERS = {SetupRequest: _encode_request, SetupResponse: _encode_response,
 # A record from a tuple of its fields, as ``_make`` builds it without the
 # length check: the decoder's layouts fix every entry's field count.
 _record = tuple.__new__
+# A request entry's (flag_r, flag_b), looked up by its flags byte, which the
+# decoder has checked holds no bit above 0x03.
+_FLAG_R = (False, True, False, True)
+_FLAG_B = (False, False, True, True)
 
 
 def decode(data: bytes):
@@ -290,7 +294,7 @@ def decode(data: bytes):
                              "unknown request flag bits")
         if not _rising(data[head.size::_REQ_ENTRY.size]):  # each entry's hop byte
             raise DecodeError("bad_counts", "hop entries unsorted or duplicated")
-        entries = tuple([_record(ReqEntry, (hop, flags & 1 == 1, flags & 2 == 2, auth))
+        entries = tuple([_record(ReqEntry, (hop, _FLAG_R[flags], _FLAG_B[flags], auth))
                          for hop, flags, auth in raw])
         bw_demand, bw_min = fields[3:5] if kind == MSG_SETUP_REQ_DEMAND else (None, None)
         return SetupRequest(fields[1], fields[2], entries, bw_demand, bw_min)

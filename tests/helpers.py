@@ -37,6 +37,11 @@ def matrix_rows(matrix):
     return [[matrix.admission_value(a, b) for b in range(n)] for a in range(n)]
 
 
+def request(est, src, entry_bw, now):
+    """``est.request`` with ``src``'s filter member, as admission passes it."""
+    return est.request(src, est.config.member(src), entry_bw, now)
+
+
 def warm_router(router, src, pairs):
     """Pre-register ``src`` as grantable on the given interface pairs."""
     for ing, egr in pairs:

@@ -22,7 +22,8 @@ from flyover.policing import TokenBucket, TrafficMonitor
 from flyover.router import RouterConfig, TrafficClass
 from flyover import crypto
 
-from helpers import GBPS, S, full_setup, line_path, make_router, router_cfg, warm_router
+from helpers import (GBPS, S, full_setup, line_path, make_router, request, router_cfg,
+                     warm_router)
 from oracles import CounterBucket
 
 import os
@@ -54,10 +55,10 @@ def test_c1_bounded_time_to_grant():
         for _ in range(rng.randrange(8)):  # background requesters
             t += rng.randrange(eps // 2)
             est.rotate(t)
-            est.request(rng.randrange(50), 100 * GBPS, t)
+            request(est, rng.randrange(50), 100 * GBPS, t)
         first = t + rng.randrange(eps)
         est.rotate(first)
-        est.request(1_000, 100 * GBPS, first)
+        request(est, 1_000, 100 * GBPS, first)
         if rng.random() < 0.5:
             # worst-case pattern: one retry exactly two intervals later
             retry = first + 2 * eps
@@ -70,9 +71,9 @@ def test_c1_bounded_time_to_grant():
                 retry += cadence
                 if retry < first + 2 * eps:
                     est.rotate(retry)
-                    est.request(1_000, 100 * GBPS, retry)
+                    request(est, 1_000, 100 * GBPS, retry)
         est.rotate(retry)
-        g = est.request(1_000, 100 * GBPS, retry)
+        g = request(est, 1_000, 100 * GBPS, retry)
         if g is None or g.tentative:
             violations += 1
     _verdict("C1 bounded time-to-reservation", violations == 0,
@@ -103,7 +104,7 @@ def test_c2_no_overallocation():
             t += rng.randrange(1, eps // 2)
             est.rotate(t)
             src = rng.randrange(10)
-            g = est.request(src, entry, t)
+            g = request(est, src, entry, t)
             if g is not None:
                 latest[src] = (g.bw, g.ts_exp, g.tentative)
                 events.append((t, src, g.bw, g.ts_exp))
@@ -360,7 +361,7 @@ def test_c7_r5_overuse_and_replay():
 # -- C8: crypto-work bound ----------------------------------------------------------------------
 
 
-def test_c8_two_macs_per_validated_packet():
+def test_c8_two_macs_per_validated_packet(monkeypatch):
     routers = [make_router(as_id=30 + i) for i in range(4)]
     plan = line_path(routers, 7)
     for i, r in enumerate(routers):
@@ -371,7 +372,7 @@ def test_c8_two_macs_per_validated_packet():
     total = 0
     for k in range(n_packets):
         pkt = source.emit_packet(store, plan, 7, bytes(64), 0, now=1000 + k)
-        crypto.ops.reset()  # count router-side work only
+        monkeypatch.setattr(crypto, "ops", crypto.OpCounter())  # count router-side work only
         for i, r in enumerate(routers):
             hop = plan.hops[i]
             d = r.handle_data(pkt, i, hop.ingress, hop.egress, now=1000 + k)

@@ -16,7 +16,7 @@ from flyover.admission import (
 )
 from flyover.topo import AllocationMatrix, generate_topology
 
-from helpers import matrix_rows
+from helpers import matrix_rows, request
 from oracles import IntMaskBloom, double_hash_positions, fraction_allocation_rows, ref_capacity
 
 GBPS = 10**9
@@ -33,16 +33,16 @@ def exact_cfg(**kw):
 
 def test_first_request_gets_tentative_slot():
     est = RequesterEstimator(exact_cfg(tentative_slots=4))
-    g = est.request(src=9, entry_bw=100 * GBPS, now=0)
+    g = request(est, src=9, entry_bw=100 * GBPS, now=0)
     assert g is not None and g.tentative
     assert g.bw == int(Fraction(1, 5) * 100 * GBPS / 4)
 
 
 def test_denied_then_granted_after_two_intervals():
     est = RequesterEstimator(exact_cfg(tentative_slots=0))
-    assert est.request(5, 100 * GBPS, 0) is None
+    assert request(est, 5, 100 * GBPS, 0) is None
     est.rotate(2 * EPS)
-    g = est.request(5, 100 * GBPS, 2 * EPS)
+    g = request(est, 5, 100 * GBPS, 2 * EPS)
     assert g is not None and not g.tentative
     assert g.bw == int(Fraction(4, 5) * 100 * GBPS)  # sole requester
     assert g.ts_exp == 2 * EPS + EPS
@@ -66,7 +66,7 @@ def test_rotation_union_cardinality():
 
 def test_rotation_moves_filters():
     est = RequesterEstimator(exact_cfg(tentative_slots=0))
-    est.request(src=7, entry_bw=GBPS, now=1)
+    request(est, src=7, entry_bw=GBPS, now=1)
     assert 7 in est.current and 7 not in est.previous and 7 not in est.granted
     est.rotate(EPS)
     assert 7 in est.previous and 7 not in est.granted
@@ -76,7 +76,7 @@ def test_rotation_moves_filters():
 
 def test_multiple_elapsed_intervals_apply_repeatedly():
     est = RequesterEstimator(exact_cfg())
-    est.request(src=7, entry_bw=GBPS, now=0)
+    request(est, src=7, entry_bw=GBPS, now=0)
     est.rotate(10 * EPS)  # many intervals with no traffic: 7 rotated out
     assert 7 not in est.granted and 7 not in est.previous and 7 not in est.current
     assert est.next_rotation == 11 * EPS
@@ -84,10 +84,10 @@ def test_multiple_elapsed_intervals_apply_repeatedly():
 
 def test_tentative_slots_exhaust_and_repeat_holder_keeps_slot():
     est = RequesterEstimator(exact_cfg(tentative_slots=2))
-    g1 = est.request(1, 100 * GBPS, 0)
-    g1_again = est.request(1, 100 * GBPS, 1)
-    g2 = est.request(2, 100 * GBPS, 2)
-    g3 = est.request(3, 100 * GBPS, 3)
+    g1 = request(est, 1, 100 * GBPS, 0)
+    g1_again = request(est, 1, 100 * GBPS, 1)
+    g2 = request(est, 2, 100 * GBPS, 2)
+    g3 = request(est, 3, 100 * GBPS, 3)
     assert g1.tentative and g2.tentative and g3 is None
     assert g1_again == g1  # same holder, same slot, no extra slot burned
     assert len(est._tentative_holders) == 2
@@ -100,10 +100,10 @@ def test_warm_up_grants_firmly_at_once_and_counts_each_source_once(exact):
     assert est.requesters == 3  # 5 counted once
     est.warm_up([5])
     assert est.requesters == 3  # never lowered below an earlier count
-    g = est.request(5, 90 * GBPS, 0)
+    g = request(est, 5, 90 * GBPS, 0)
     assert not g.tentative and g.bw == 90 * GBPS * 4 // (5 * 3)
     est.rotate(EPS)  # warm sources requested in both collection filters
-    assert 5 in est.granted and est.request(6, 90 * GBPS, EPS).tentative is False
+    assert 5 in est.granted and request(est, 6, 90 * GBPS, EPS).tentative is False
     low = RequesterEstimator(exact_cfg(exact=exact, min_requesters=4))
     low.warm_up([1])
     assert low.requesters == 4  # the floor still holds
@@ -111,7 +111,7 @@ def test_warm_up_grants_firmly_at_once_and_counts_each_source_once(exact):
 
 def test_tentative_grant_expires_at_interval_end():
     est = RequesterEstimator(exact_cfg(tentative_slots=1))
-    g = est.request(1, 100 * GBPS, now=EPS - 5)
+    g = request(est, 1, 100 * GBPS, now=EPS - 5)
     assert g.tentative and g.ts_exp == EPS  # not now + interval
 
 
@@ -128,13 +128,13 @@ def test_bounded_time_to_grant_randomized():
         for _ in range(rng.randrange(40)):
             t += rng.randrange(EPS // 4)
             est.rotate(t)
-            est.request(rng.randrange(100), GBPS, t)
+            request(est, rng.randrange(100), GBPS, t)
         first = t + rng.randrange(EPS)
         est.rotate(first)
-        est.request(1_000_001, 100 * GBPS, first)
+        request(est, 1_000_001, 100 * GBPS, first)
         retry = first + 2 * EPS
         est.rotate(retry)
-        g = est.request(1_000_001, 100 * GBPS, retry)
+        g = request(est, 1_000_001, 100 * GBPS, retry)
         assert g is not None and not g.tentative
 
 
@@ -146,7 +146,7 @@ def test_persistent_requester_granted_forever_after_two_intervals():
     for k in range(30):
         t = t0 + k * cadence
         est.rotate(t)
-        if est.request(77, 100 * GBPS, t) is not None:
+        if request(est, 77, 100 * GBPS, t) is not None:
             granted_times.append(t)
     assert granted_times and granted_times[0] <= t0 + 2 * EPS
     # once granted, every later request in the trace is granted too
@@ -181,7 +181,7 @@ def test_no_overallocation_randomized_schedules():
             t += rng.randrange(1, EPS // 2)
             est.rotate(t)
             src = rng.randrange(12)
-            g = est.request(src, entry, t)
+            g = request(est, src, entry, t)
             if g is not None:
                 events.append((t, src, g.bw, g.ts_exp, g.tentative))
                 check_points.update((t, g.ts_exp - 1))
@@ -232,8 +232,8 @@ def test_bloom_vs_exact_agree_without_false_positives():
         if in_bloom and not in_exact:
             false_positives += 1
             continue
-        g1 = e1.request(src, 100 * GBPS, t)
-        g2 = e2.request(src, 100 * GBPS, t)
+        g1 = request(e1, src, 100 * GBPS, t)
+        g2 = request(e2, src, 100 * GBPS, t)
         assert (g1 is None) == (g2 is None)
         if g1 is not None:
             assert g1.tentative == g2.tentative
@@ -357,11 +357,11 @@ def test_matrix_update_then_grant_uses_new_value():
     m = AllocationMatrix.from_capacities([100 * GBPS] * 2)
     policy = DefaultPolicy(m, exact_cfg(tentative_slots=0))
     t = 0
-    policy.get_bandwidth(5, 0, 1, t)
+    policy.get_bandwidth(5, policy.config.member(5), 0, 1, t)
     g = None
     t = 2 * EPS
     m.update(0, 1, 50 * GBPS, t - 1, validity_ns=EPS)
-    g = policy.get_bandwidth(5, 0, 1, t)
+    g = policy.get_bandwidth(5, policy.config.member(5), 0, 1, t)
     assert g is not None
     assert g.bw == int(Fraction(4, 5) * 50 * GBPS)
 
@@ -378,8 +378,9 @@ def test_policy_keeps_one_estimator_per_interface_pair():
 def test_policy_auto_rotates():
     m = AllocationMatrix.from_capacities([100 * GBPS] * 2)
     policy = DefaultPolicy(m, exact_cfg(tentative_slots=0))
-    assert policy.get_bandwidth(3, 0, 1, 0) is None
-    g = policy.get_bandwidth(3, 0, 1, 2 * EPS)  # rotations applied internally
+    member = policy.config.member(3)
+    assert policy.get_bandwidth(3, member, 0, 1, 0) is None
+    g = policy.get_bandwidth(3, member, 0, 1, 2 * EPS)  # rotations applied internally
     assert g is not None and g.bw == int(Fraction(4, 5) * 100 * GBPS)
 
 
@@ -400,8 +401,8 @@ def test_config_rejects_degenerate_estimator(kw):
        n_hashes=st.integers(1, 12))
 def test_positions_are_textbook_double_hashing(item, n_bits, n_hashes):
     """Reducing h1 and h2 mod n_bits first gives the textbook positions."""
-    bf = BloomFilter(n_bits, n_hashes)
-    assert bf._positions(item) == double_hash_positions(item, n_bits, n_hashes)
+    assert BloomFilter.positions(item, n_bits, n_hashes) == double_hash_positions(item, n_bits,
+                                                                                 n_hashes)
 
 
 @settings(max_examples=150, deadline=None)
@@ -422,9 +423,10 @@ def test_add_and_test_sets_every_position_and_tests_every_one(n_bits, n_hashes, 
         positions = double_hash_positions(x, n_bits, n_hashes)
         before = int.from_bytes(here.bits, "little")
         held = all(int.from_bytes(there.bits, "little") >> p & 1 for p in positions)
-        assert here.add_and_test(x, there) is held
+        member = BloomFilter.positions(x, n_bits, n_hashes)
+        assert here.add_and_test(member, there) is held
         assert int.from_bytes(here.bits, "little") == before | sum({1 << p for p in positions})
-        assert there.add_and_test(x, there) is True
+        assert there.add_and_test(member, there) is True
 
 
 @settings(max_examples=150, deadline=None)
@@ -449,7 +451,8 @@ def test_packed_bloom_matches_int_mask_reference(n_bits, n_hashes, left, right, 
     for f, items in zip(exact, (left, right)):
         f.items.update(items)
     for x in probes:  # one request's insert into ``current`` and test of ``granted``
-        assert packed[0].add_and_test(x, packed[1]) == (x in ref[1])
+        member = BloomFilter.positions(x, n_bits, n_hashes)
+        assert packed[0].add_and_test(member, packed[1]) == (x in ref[1])
         assert exact[0].add_and_test(x, exact[1]) == (x in right)
         ref[0].add(x)
     assert int.from_bytes(packed[0].bits, "little") == ref[0].bits
@@ -467,12 +470,12 @@ def test_integer_shares_equal_fraction_formulas(entry_bw, requesters, slots):
     frac = Fraction(4, 5)  # the protocol's reserved fraction
     cfg = exact_cfg(tentative_slots=slots)
     est = RequesterEstimator(cfg)
-    tentative = est.request(1, entry_bw, 0)
+    tentative = request(est, 1, entry_bw, 0)
     assert tentative.tentative
     assert tentative.bw == int((1 - frac) * entry_bw / slots)
     est.granted.add(2)
     est.requesters = requesters
-    firm = est.request(2, entry_bw, 0)
+    firm = request(est, 2, entry_bw, 0)
     assert not firm.tentative
     assert firm.bw == int(frac * entry_bw / requesters)
 
@@ -512,7 +515,7 @@ def test_rotation_catch_up_matches_stepwise_loop(exact):
                 src = rng.randrange(20)
                 fast.rotate(t)
                 _rotate_stepwise(slow, t)
-                assert fast.request(src, 100 * GBPS, t) == slow.request(src, 100 * GBPS, t)
+                assert request(fast, src, 100 * GBPS, t) == request(slow, src, 100 * GBPS, t)
             assert _state(fast) == _state(slow)
             # then a jump past exactly ``elapsed`` rotation times
             now = slow.next_rotation + (elapsed - 1) * EPS + rng.randrange(EPS)

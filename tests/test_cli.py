@@ -278,6 +278,7 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
     lambda cfg: cfg.update(adversaries=[{"name": "greedy", "kind": "overuser", "src": 2,
                                          "path": [2, 3], "factor": float("inf")}]),
     lambda cfg: cfg.update(estimator=5),
+    lambda cfg: cfg.update(seed=-1),
 ], ids=["zero_link_capacity", "unnamed_flow", "negative_duration", "zero_flow_rate",
         "flow_without_src", "flow_without_path", "one_as_path", "best_effort_without_rate",
         "adversary_without_kind", "spoofer_without_victim", "observer_without_link",
@@ -300,7 +301,7 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
         "non_integer_seed", "string_boolean", "stop_at_on_request_flood", "path_not_from_src",
         "r1_on_unknown_as", "infinite_link_capacity",
         "json_infinity_link_capacity", "nan_link_delay", "infinite_overuse_factor",
-        "estimator_not_an_object"])
+        "estimator_not_an_object", "negative_seed"])
 def test_scenario_invalid_config_fails_before_run(tmp_path, capsys, request, edit):
     """Each config is refused with its golden message, before the run."""
     want = dict(line.split("\t") for line in _golden("invalid_configs.txt").splitlines())
@@ -390,6 +391,21 @@ def test_usage_error_exit_code(tmp_path, capsys, monkeypatch):
         assert cli.main(argv + ["-o", out]) == 2, argv
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, argv
+    # a negative seed would run its absolute value's draws under its own
+    # label; it is refused before any file is written
+    unseeded = str(tmp_path / "unseeded")
+    for argv in (
+        ["topo", "gen", "--n", "5", "--m", "1", "--seed", "-3", "-o", unseeded],
+        ["sim", "reservations", "--n", "30", "--r", "0.5", "--seeds=-7", "-o", unseeded],
+        ["sim", "cover", "--n", "30", "--r", "0.5", "--seeds=1,-2", "-o", unseeded],
+        ["sim", "plot", "--n", "20", "--r", "0.5", "--seed=-1", "-o", unseeded],
+        ["scenario", "run", os.path.join(SCENARIOS, "baseline.json"), "--seed=-1",
+         "--log", unseeded],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        assert "must be >= 0, got -" in capsys.readouterr().err, argv
+    assert not os.path.exists(unseeded)
 
     def no_graph(*args):
         raise AssertionError("a graph was built")

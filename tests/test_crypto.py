@@ -138,14 +138,18 @@ def test_primitives_match_reference(secret, remote, src, ing, egr, ts, length):
     (crypto.compute_validation_field, -1, 100),
     (crypto.compute_validation_field, 2**64, 100),
     (crypto.compute_validation_field, 1, 0x10000),
+    (crypto.compute_request_auth, -1, True, False),
+    (crypto.compute_request_auth, 2**64, True, True),
+    (crypto.compute_request_auth, 1, True, False, 2**64, 1),
 ], ids=["auth_src_2^64", "auth_src_negative", "auth_ingress_2^16", "auth_egress_negative",
-        "vf_ts_negative", "vf_ts_2^64", "vf_length_2^16"])
-def test_mac_input_out_of_range_raises(fields):
+        "vf_ts_negative", "vf_ts_2^64", "vf_length_2^16", "reqauth_ts_negative",
+        "reqauth_ts_2^64", "reqauth_demand_2^64"])
+def test_mac_input_out_of_range_raises(fields, monkeypatch):
     """A field that does not fit its fixed width raises OverflowError and
     costs no MAC, whether the key is raw or prepared."""
     fn, *args = fields
     key = os.urandom(16)
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     for k in (key, crypto.PreparedKey(key)):
         with pytest.raises(OverflowError):
             fn(k, *args)
@@ -209,8 +213,8 @@ def test_request_auth_demand_fields_bind():
         crypto.compute_request_auth(k, 1000, True, False, 5 * 10**9, None)
 
 
-def test_op_counter_counts_macs():
-    crypto.ops.reset()
+def test_op_counter_counts_macs(monkeypatch):
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     k = os.urandom(16)
     a = crypto.compute_authenticator(k, 1, 2, 3)
     crypto.compute_validation_field(a, 1, 2)
@@ -275,9 +279,9 @@ def test_ecb_context_matches_cipher_wrapper_and_reference(key, blocks):
         == b"".join(aes128_encrypt_block(key, b) for b in blocks)
 
 
-def test_op_counter_counts_prepared_key_calls():
+def test_op_counter_counts_prepared_key_calls(monkeypatch):
     prepared = crypto.PreparedKey(os.urandom(16))
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     crypto.cbc_mac(prepared, b"x" * 26)
     assert (crypto.ops.macs, crypto.ops.prf_calls) == (1, 0)
     a = crypto.compute_authenticator(prepared, 1, 2, 3)

@@ -3,12 +3,13 @@
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flyover import crypto, source, wire
+from flyover import admission, crypto, source, wire
 from flyover.admission import DefaultPolicy, Grant
 from flyover.router import Decision, Router, RouterConfig, TrafficClass
 from flyover.policing import DedupWindow, Verdict
@@ -88,9 +89,9 @@ def test_repeated_requests_same_alpha_single_monitor_entry():
     assert len(r.monitor.entries) == 1
 
 
-def test_hop_without_entry_forwards_without_work():
+def test_hop_without_entry_forwards_without_work(monkeypatch):
     r, plan = _single_hop()
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     req = wire.SetupRequest(SRC, 0, ())  # no entry for this hop
     _, entries = r.handle_setup(req, 0, 1, 0, now=0)
     assert entries == [] and crypto.ops.macs == 0
@@ -179,11 +180,11 @@ def test_flipped_field_byte_demotes():
     assert d.traffic_class is TrafficClass.BEST_EFFORT and d.verdict == "bad_mac"
 
 
-def test_stale_timestamp_demotes_without_crypto(aes_contexts):
+def test_stale_timestamp_demotes_without_crypto(aes_contexts, monkeypatch):
     r, plan = _single_hop()
     store, *_ = full_setup([r], plan, SRC, now=0)
     pkt = _emit(store, plan, now=0)
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     aes_contexts.clear()
     d = r.handle_data(pkt, 0, 1, 0, now=2 * S)  # 2 s old vs window 1.5 s
     assert d.traffic_class is TrafficClass.BEST_EFFORT and d.verdict == "stale_ts"
@@ -209,9 +210,9 @@ def test_setup_and_data_share_the_validity_window_edges(age, accepted):
     assert bool(entries) is accepted
 
 
-def test_missing_field_demotes_without_crypto(aes_contexts):
+def test_missing_field_demotes_without_crypto(aes_contexts, monkeypatch):
     r, plan = _single_hop()
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     aes_contexts.clear()
     pkt = wire.DataPacket(SRC, False, 100, 0, (), (), b"best effort only")
     d = r.handle_data(pkt, 0, 1, 0, now=100)
@@ -268,7 +269,7 @@ def test_overuse_demotes_excess():
     assert TrafficClass.DROP not in classes
 
 
-def test_exactly_two_macs_per_validated_packet(aes_contexts):
+def test_exactly_two_macs_per_validated_packet(aes_contexts, monkeypatch):
     """C8 at the router: each validated hop costs 2 MACs, 0 PRFs and one
     fresh AES context, for the recomputed authenticator (alpha). Every
     packet of the same source and pair builds it again: nothing caches
@@ -277,12 +278,45 @@ def test_exactly_two_macs_per_validated_packet(aes_contexts):
     store, *_ = full_setup([r], plan, SRC, now=0)
     for k in range(5):
         pkt = _emit(store, plan, now=100 + k)
-        crypto.ops.reset()
+        monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
         aes_contexts.clear()
         d = r.handle_data(pkt, 0, 1, 0, now=100 + k)
         assert d.traffic_class is TrafficClass.PRIORITY
         assert crypto.ops.macs == 2 and crypto.ops.prf_calls == 0
         assert aes_contexts["aes"] == 1
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["admitted", "forged"])
+def test_one_setup_admission_costs_one_derivation_and_one_hash(aes_contexts, monkeypatch,
+                                                               forged):
+    """The setup-path counterpart of C8, at one router in Bloom mode: a
+    forward+backward request costs 1 key derivation, 1 AES context (the
+    DRKey's), 1 request-auth MAC and 1 hash of the source into Bloom
+    positions, which both directions' estimators share, plus 1
+    authenticator MAC and 1 seal per grant. A forged auth stops after the
+    request-auth MAC: no hash, no seal."""
+    r, plan = _single_hop(now=S, estimator_kw={"exact": False})
+    plan = source.PathPlan(plan.hops, plan.forward_hops, frozenset({0}), plan.name)
+    key = bytes(16) if forged else crypto.derive_drkey(r.secret, SRC)
+    req = source.build_setup_request({r.as_id: key}, plan, SRC, ts_req=S)
+    calls = Counter()
+    for owner, name in ((crypto, "derive_drkey"), (crypto, "compute_request_auth"),
+                        (crypto, "compute_authenticator"), (crypto, "seal_grant"),
+                        (admission.hashlib, "blake2b")):
+        def counting(*args, _fn=getattr(owner, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
+    aes_contexts.clear()
+    _, entries = r.handle_setup(req, 0, 1, 0, now=S)
+    grants = 0 if forged else 2
+    assert len(entries) == grants
+    assert calls == Counter({"derive_drkey": 1, "compute_request_auth": 1,
+                             "compute_authenticator": grants, "seal_grant": grants,
+                             "blake2b": 0 if forged else 1})
+    assert (crypto.ops.macs, crypto.ops.prf_calls) == (1 + grants, 1)
+    assert aes_contexts["aes"] == 1
 
 
 def test_validation_is_stateless_beyond_monitor_entry():
@@ -324,7 +358,7 @@ def test_backward_reply_exactly_at_budget():
     assert r.handle_data(reply, 0, 1, 0, now=150).traffic_class is TrafficClass.PRIORITY
 
 
-def test_backward_reply_over_budget_demoted(aes_contexts):
+def test_backward_reply_over_budget_demoted(aes_contexts, monkeypatch):
     r, plan, store = _bidir_setup()
     fwd = source.emit_packet(store, plan, SRC, b"ping", 60, now=100)
     with pytest.raises(source.ReplyTooLong):
@@ -332,7 +366,7 @@ def test_backward_reply_over_budget_demoted(aes_contexts):
     # a forged oversized reply is demoted at the router by the length
     # check, before any crypto
     forged = wire.DataPacket(SRC, True, fwd.ts_pkt, fwd.len_b, (), fwd.bvfs, bytes(200))
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     aes_contexts.clear()
     d = r.handle_data(forged, 0, 1, 0, now=150)
     assert d.traffic_class is TrafficClass.BEST_EFFORT
@@ -509,7 +543,7 @@ def test_a_raise_after_a_decrease_keeps_the_capacity_the_live_grants_hold():
     assert r.matrix.capacity_value(1, 0, S + 20) == 60
 
 
-def _over_grant(policy, src, ingress, egress, now):
+def _over_grant(policy, src, member, ingress, egress, now):
     return Grant(policy.matrix.capacity_value(ingress, egress, now) + 1, now + S)
 
 

@@ -303,11 +303,11 @@ def test_emit_five_hop_packet_validates_everywhere():
         assert d.traffic_class is TrafficClass.PRIORITY, i
 
 
-def test_emit_rejects_packet_over_the_length_ceiling():
+def test_emit_rejects_packet_over_the_length_ceiling(monkeypatch):
     """The size is checked before any grant is read or any MAC computed."""
     _, plan = _chain(3, warm=False)
     room = wire.MAX_LEN - wire.data_packet_len(len(plan.forward_keys))
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     with pytest.raises(ValueError, match="packet too large"):
         source.emit_packet(source.GrantStore(), plan, SRC, bytes(room + 1), 0, now=0)
     assert crypto.ops.macs == 0
@@ -441,7 +441,7 @@ def test_setup_op_count_and_one_context_per_drkey_use(contexts, monkeypatch):
         monkeypatch.setattr(crypto, name, counting)
     routers, plan = _chain(3)
     contexts.clear()
-    crypto.ops.reset()
+    monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
     store, keys, plan = full_setup(routers, plan, SRC, now=0, backward=True)
     assert len(store.grants) == 6
     assert (crypto.ops.macs, crypto.ops.prf_calls) == (12, 6)
@@ -449,7 +449,7 @@ def test_setup_op_count_and_one_context_per_drkey_use(contexts, monkeypatch):
     assert contexts["aes"] == 12
 
 
-def test_emit_one_mac_per_field_and_one_context_per_grant(contexts):
+def test_emit_one_mac_per_field_and_one_context_per_grant(contexts, monkeypatch):
     """The source-side counterpart of C8: each validation field costs one
     MAC and no PRF, on the first packet as on later ones; only the first
     packet builds AES contexts, one per grant it uses."""
@@ -458,7 +458,7 @@ def test_emit_one_mac_per_field_and_one_context_per_grant(contexts):
     fields = len(plan.forward_hops) + len(plan.backward_hops)
     for k, now in enumerate((100, 101, 102)):
         contexts.clear()
-        crypto.ops.reset()
+        monkeypatch.setattr(crypto, "ops", crypto.OpCounter())
         pkt = source.emit_packet(store, plan, SRC, bytes(k * 100), 300, now)
         assert len(pkt.rvfs) + len(pkt.bvfs) == fields
         assert (crypto.ops.macs, crypto.ops.prf_calls) == (fields, 0)

@@ -450,6 +450,9 @@ def test_topology_and_sampling_arguments_rejected():
     for n, m in [(1, 1), (0, 1), (20, 0), (20, -1), (20, 20)]:
         with pytest.raises(ValueError):
             topo.generate_topology(n, m, seed=1)
+    # random.Random seeds from an int's absolute value: -1 would build seed 1's graph
+    with pytest.raises(ValueError, match="seed=-1"):
+        topo.generate_topology(30, 2, -1)
     g = topo.generate_topology(10, seed=1)
     for r in [0, -0.5, 1.5, 3]:
         with pytest.raises(ValueError):
