@@ -1,11 +1,13 @@
 """Deterministic discrete-event network of ASes and border routers.
 
 Links are capacity-limited with strict priority queuing: the priority queue
-is always served before best effort, and only the finite best-effort buffer
-drops on overflow. Packets are discrete; a frame's departure from a link
-starts the next queued frame. The event loop is single-threaded and fully
-determined by the scenario seed, so two runs with the same configuration
-produce identical event logs.
+is always served before best effort, and the finite best-effort buffer
+drops on overflow. Admission bounds the priority load a router forwards,
+not what a sender puts on its own first link, so a sender drops a priority
+frame that link has no room for (``Link.PRIO_GUARD``). Packets are
+discrete; a frame's departure from a link starts the next queued frame. The
+event loop is single-threaded and fully determined by the scenario seed, so
+two runs with the same configuration produce identical event logs.
 
 A departure is an event only when a frame waits for it. Its place in the
 event order is reserved when its frame starts, and a frame reaching the
@@ -16,12 +18,17 @@ when its frame starts: a run's log does not depend on how many departures
 were pushed.
 
 A frame is the message its sender built and that message's size on the
-wire, its ``total_len``; no frame is encoded to be sized. Routers read the
-message; a link observer encodes what it captures, the bytes an on-path
-adversary sees. The one parse is a router reading the setup request a
-renewal carries as its payload. A bare request and a renewal's take one
-path through admission, and the response to either returns best effort,
-as no router can validate a bare response.
+wire, its ``total_len``; no frame is encoded to be sized. A frame walks its
+route's table (``Network.steps``), built once per route: each position
+holds the AS's node, its link onward and its hop on the route, so a router
+validates a frame by the hop of the position it holds. A response or a
+reply turning around takes the route's back table from that AS on, where
+each AS keeps its forward hop. Routers read the message; a link observer
+encodes what it captures, the bytes an on-path adversary sees. The one
+parse is a router reading the setup request a renewal carries as its
+payload. A bare request and a renewal's take one path through admission,
+and the response to either returns best effort, as no router can validate
+a bare response.
 
 Scenario configurations are plain dicts (usually loaded from JSON): a
 topology (ASes plus links with capacity and delay), reservation and
@@ -118,8 +125,9 @@ class Frame:
     # the message the frame was built from; None for best-effort filler
     msg: wire.SetupRequest | wire.SetupResponse | wire.DataPacket | None
     size: int
-    plan: source.PathPlan | None
-    steps: tuple  # (node, link to the next AS or None) per AS of the route, source first
+    # the table of the route it travels (see ``Network.steps``), or a way back
+    # from one: (node, link onward, hop index, hop, way back) per AS
+    steps: tuple
     pos: int  # index into steps of the node holding the frame, or of the one it travels to
     cls: TrafficClass
     sender: object  # the flow or adversary that built it, for attribution
@@ -145,7 +153,10 @@ class Link:
     every tie breaks as it would then.
     """
 
-    PRIO_GUARD = 100_000  # admission bounds priority load; this only guards bugs
+    # Admission bounds the priority load a router forwards, so a queue behind
+    # a router overflows only by a bug. A sender's own first link is bounded
+    # by nothing but the sender: ``_Sender._send`` drops what would overflow it.
+    PRIO_GUARD = 100_000
     BE_BUFFER = 100  # best-effort frames the link queues
 
     def __init__(self, net: "Network", capacity_bps: int, delay_ns: int):
@@ -295,14 +306,20 @@ class _Sender:
     def _send(self, msg, cls: TrafficClass, size: int | None = None,
               counted: bool = False) -> None:
         """Hand a new frame to the source AS's first link; no self-validation.
-        A ``counted`` frame is one of a flow's data packets or filler: it
-        adds to the flow's ``sent`` here and carries the flow's books, which
-        its delivery or drop adds to where it ends."""
-        frame = self.net.new_frame(msg, self.plan, self.steps, cls, self, size)
+        A priority frame that link has no room for (``Link.PRIO_GUARD``) is
+        dropped, as ``prio_queue_full``. A ``counted`` frame is one of a
+        flow's data packets or filler: it adds to the flow's ``sent`` here and
+        carries the flow's books, which its delivery or drop adds to where it
+        ends."""
+        frame = self.net.new_frame(msg, self.steps, cls, self, size)
         if counted:
             self.stats.sent += 1
             frame.books = self.stats
-        self.steps[0][1].send(frame, self.net.loop.now)
+        link = self.steps[0][1]
+        if cls is _PRIORITY and len(link.prio) >= link.PRIO_GUARD:
+            self.net._frame_dropped(frame, "prio_queue_full")
+            return
+        link.send(frame, self.net.loop.now)
 
     def _send_setup(self) -> None:
         """Send an authentic setup request for the plan's hops, best effort."""
@@ -503,8 +520,7 @@ class Replayer:
         for _ in range(self.copies):
             self.injected += 1
             # the message it saw, injected at the link's receiving end
-            copy = net.new_frame(frame.msg, frame.plan, frame.steps, frame.cls, self, frame.size,
-                                 frame.pos)
+            copy = net.new_frame(frame.msg, frame.steps, frame.cls, self, frame.size, frame.pos)
             net.loop.schedule(net.loop.now + self.delay, net.process_at_node, copy)
 
 
@@ -904,39 +920,42 @@ class Network:
             est.warm_up(sources)
 
     def plan_for(self, route: tuple[int, ...], backward: bool, name: str = "") -> source.PathPlan:
-        """The plan of a route whose every link exists, as each sender checks."""
-        hops = []
-        for k in range(1, len(route)):
-            as_id = route[k]
-            node = self.nodes[as_id]
-            egress = node.if_to[route[k + 1]] if k + 1 < len(route) else 0
-            hops.append(source.PathHop(as_id, node.if_to[route[k - 1]], egress))
+        """The plan of a route whose every link exists, as each sender
+        checks: the hops of the route's table."""
+        steps = self.steps(route)[1:]
         # non-participating ASes get no reservation entries; they just forward
-        fwd = frozenset(i for i, h in enumerate(hops) if self.nodes[h.as_id].router)
+        fwd = frozenset(i for i, (node, *_) in enumerate(steps) if node.router)
         bwd = fwd if backward else frozenset()
-        return source.PathPlan(tuple(hops), fwd, bwd, name=name)
+        return source.PathPlan(tuple(hop for _, _, _, hop, _ in steps), fwd, bwd, name=name)
 
     # frame machinery ------------------------------------------------------
 
     def steps(self, route: tuple[int, ...]) -> tuple:
-        """(node, link to the next AS or None) at each AS of ``route``, whose
-        every link exists; built once per route."""
+        """The table of ``route``, whose every link exists, built once per
+        route: per AS, source first, (node, link onward or None, hop index,
+        ``PathHop``, way back), with hop index -1 and no hop at the source.
+        The way back is the route's back table from this AS on: its entries
+        from the route's end toward the source, each with its link toward
+        the source, its forward hop and no way back."""
         steps = self._steps.get(route)
         if steps is None:
-            nodes, links = self.nodes, self.links
+            nodes, links, last = self.nodes, self.links, len(route) - 1
+            hops = [None] + [source.PathHop(b, nodes[b].if_to[a], nodes[b].if_to.get(c, 0))
+                             for a, b, c in zip(route, route[1:], route[2:] + (None,))]
+            back = tuple((nodes[route[k]], links[route[k], route[k - 1]] if k else None,
+                          k - 1, hops[k], None) for k in range(last, -1, -1))
             steps = self._steps[route] = tuple(
-                (nodes[a], links[a, b] if b is not None else None)
-                for a, b in zip(route, route[1:] + (None,)))
+                (nodes[route[k]], links[route[k], route[k + 1]] if k < last else None,
+                 k - 1, hops[k], back[last - k:]) for k in range(last + 1))
         return steps
 
-    def new_frame(self, msg, plan, steps, cls, sender, size: int | None = None,
-                  pos: int = 0) -> Frame:
+    def new_frame(self, msg, steps, cls, sender, size: int | None = None, pos: int = 0) -> Frame:
         """A frame carrying ``msg``, sized by its ``total_len``. Filler
         (``msg`` None) takes its sender's ``size``."""
         if size is None:
             size = msg.total_len
         self._uid += 1
-        return Frame(self._uid, msg, size, plan, steps, pos, cls, sender, self.loop.now)
+        return Frame(self._uid, msg, size, steps, pos, cls, sender, self.loop.now)
 
     def log(self, line: str) -> None:
         self.log_lines.append(f"{self.loop.now} {line}")
@@ -951,24 +970,18 @@ class Network:
     # node processing -------------------------------------------------------
 
     def process_at_node(self, frame: Frame) -> None:
-        """Run the frame through the router of the AS at ``frame.pos``, where
-        the frame's plan has a hop there, then forward it on the route's next
-        link or deliver it at the route's end. A setup request the frame
-        carries, the message or a renewal's in the payload of a forward data
-        packet that is no replay, is admitted too."""
-        node, link = frame.steps[frame.pos]
-        msg, plan, router = frame.msg, frame.plan, node.router
-        hop_index = -1
-        if router is not None and plan is not None and msg is not None:
-            # a reversed route's position 0 is the destination, the last hop
-            if isinstance(msg, wire.DataPacket) and msg.d_flag:
-                hop_index = len(plan.hops) - 1 - frame.pos
-            else:
-                hop_index = frame.pos - 1
-        if hop_index < 0:  # forwarded unprocessed
+        """Run the frame through the router of the AS at ``frame.pos`` by
+        that position's hop, then forward it on the route's next link or
+        deliver it at the route's end. A setup request the frame carries,
+        the message or a renewal's in the payload of a forward data packet
+        that is no replay, is admitted too. Filler, a setup response (no
+        router can validate a bare response) and a position with no hop (the
+        source) or no router go through unprocessed, best effort."""
+        node, link, hop_index, hop, _ = frame.steps[frame.pos]
+        msg, router = frame.msg, node.router
+        if hop is None or router is None or msg is None or isinstance(msg, wire.SetupResponse):
             frame.cls = _BEST_EFFORT
         else:
-            hop = plan.hops[hop_index]
             now = node.local_time(self.loop.now)
             if isinstance(msg, wire.SetupRequest):
                 decision, req = None, msg
@@ -1007,10 +1020,9 @@ class Network:
                 return
             frame.cls = decision.traffic_class
             if req is not None and hop_index == req.last_hop:
-                # the aggregated response returns best effort: no router can
-                # validate a bare response, so it has no plan
-                self._send_back(frame, wire.SetupResponse(req.src, req.ts_req,
-                                                          frame.resp_entries), None, _BEST_EFFORT)
+                # the aggregated response returns best effort, unvalidated
+                self._send_back(frame, wire.SetupResponse(req.src, req.ts_req, frame.resp_entries),
+                                _BEST_EFFORT)
                 if req is msg:  # a bare request ends at its last hop
                     return
         if frame.cls is _BEST_EFFORT:
@@ -1020,13 +1032,12 @@ class Network:
         else:
             link.send(frame, self.loop.now)
 
-    def _send_back(self, frame: Frame, msg, plan, cls: TrafficClass) -> None:
+    def _send_back(self, frame: Frame, msg, cls: TrafficClass) -> None:
         """Send ``msg`` as a new frame of the frame's sender, from the frame's
-        AS back along its route to the route's first AS. The new frame starts
-        at this AS, whose router validates it where ``plan`` has a hop here;
-        a frame without a plan is forwarded best effort."""
-        back = self.steps(tuple(node.as_id for node, _ in frame.steps[frame.pos::-1]))
-        self.process_at_node(self.new_frame(msg, plan, back, cls, frame.sender))
+        AS back along its route to the route's first AS, on the route's back
+        table from this AS. The new frame starts at this AS, which processes
+        it first."""
+        self.process_at_node(self.new_frame(msg, frame.steps[frame.pos][4], cls, frame.sender))
 
     def _deliver(self, frame: Frame) -> None:
         sender, msg, st = frame.sender, frame.msg, frame.books
@@ -1056,8 +1067,7 @@ class Network:
         if budget < 0:
             return
         # the destination's router validates its own egress first
-        self._send_back(frame, source.build_reply(pkt, bytes(min(budget, 64))), frame.plan,
-                        _PRIORITY)
+        self._send_back(frame, source.build_reply(pkt, bytes(min(budget, 64))), _PRIORITY)
 
     # run ---------------------------------------------------------------------
 
@@ -1099,8 +1109,7 @@ class Network:
         the link served (at least 1600 bytes)."""
         flow = self.flows[flow_name]
         total = 0
-        for a, b in zip(flow.route, flow.route[1:]):
-            link = self.links[a, b]
+        for _, link, *_ in flow.steps[:-1]:
             total += (link.delay + tx_time(flow.wire_size, link.capacity)
                       + tx_time(link.largest, link.capacity))
         return total

@@ -606,7 +606,7 @@ def test_a_renewal_whose_request_does_not_decode_is_forwarded_as_data(monkeypatc
     admitted, answered = [], []
     monkeypatch.setattr(Router, "handle_setup", lambda *args: admitted.append(args))
     monkeypatch.setattr(simnet.Network, "_send_back", lambda *args: answered.append(args))
-    frame = net.new_frame(pkt, flow.plan, flow.steps, TrafficClass.PRIORITY, flow)
+    frame = net.new_frame(pkt, flow.steps, TrafficClass.PRIORITY, flow)
     frame.books = flow.stats
     flow.steps[0][1].send(frame, now)
     net.loop.run_until(now + 10**9)
@@ -756,7 +756,7 @@ def _one_link():
     flow = net.flows["be"]
 
     def frame():
-        f = net.new_frame(None, None, flow.steps, TrafficClass.BEST_EFFORT, flow, size=1000)
+        f = net.new_frame(None, flow.steps, TrafficClass.BEST_EFFORT, flow, size=1000)
         f.books = flow.stats  # counted, as the flow's own filler is
         return f
 
@@ -822,20 +822,65 @@ def test_scheduling_before_now_is_refused():
 
 
 def test_a_full_priority_queue_refuses_the_next_priority_frame():
+    """A sender whose own first link queues ``PRIO_GUARD`` priority frames
+    drops its next one, logged and counted in its books. A frame handed to
+    the link as a router forwards it (``Link.send``) still trips the guard:
+    admission bounds what routers forward at priority."""
     net, link, frame = _one_link()
     link.PRIO_GUARD = 2
+    flow = net.flows["be"]
     link.send(frame(), 0)  # in service: what follows waits
-
-    def priority():
-        f = frame()
-        f.cls = TrafficClass.PRIORITY
-        return f
-
-    link.send(priority(), 0)
-    link.send(priority(), 0)
+    for _ in range(3):
+        flow._send(None, TrafficClass.PRIORITY, size=1000, counted=True)
     assert len(link.prio) == 2
+    assert (flow.stats.sent, flow.stats.dropped) == (3, 1)
+    assert net.log_lines == [f"0 drop pkt={net._uid} origin=be why=prio_queue_full"]
+    forwarded = frame()
+    forwarded.cls = TrafficClass.PRIORITY
     with pytest.raises(AssertionError, match="priority queue overflow"):
-        link.send(priority(), 0)
+        link.send(forwarded, 0)
+
+
+def test_a_sender_outpacing_its_own_first_link_fails_r4_not_the_run():
+    """A flow that sends 1 Gbps into its own 1 Mbps first link: admission
+    bounds priority load only from the next AS on, so its first link fills
+    to ``PRIO_GUARD`` and the sender drops the rest. R4 fails with a detail
+    and the run ends; no guard trips."""
+    r = simnet.run_scenario({
+        "duration": "2s", "warm_start": True,
+        "estimator": {"exact": True, "min_requesters": 1, "tentative_slots": 0},
+        "topology": {"ases": [{"id": 1}, {"id": 2}, {"id": 3}],
+                     "links": [{"a": 1, "b": 2, "capacity": "1Mbps"}, {"a": 2, "b": 3}]},
+        "flows": [{"name": "f", "src": 1, "path": [1, 2, 3], "rate": "1Gbps",
+                   "stop_at": "1900ms"}]})
+    st = r.flows["f"].stats
+    drops = sum(line.endswith(" origin=f why=prio_queue_full") for line in r.log_lines)
+    assert drops == st.dropped > 0
+    ok, detail = simnet.assert_requirement(r, {"r": "R4", "flow": "f"})
+    assert not ok and detail.startswith(f"flow f: sent={st.sent} delivered={st.delivered} ")
+
+
+def test_a_route_table_holds_each_hop_forward_and_back():
+    """On a 4-AS route, each forward entry holds the plan's hop at its
+    position (none at the source) and its link onward; the back table lists
+    the ASes from the route's end with their links toward the source and
+    their forward hops; a way back from mid-route keeps that AS's real pair."""
+    net = simnet.Network({"topology": {"ases": [{"id": a} for a in (1, 2, 3, 4)],
+                                       "links": [{"a": a, "b": a + 1} for a in (1, 2, 3)]}})
+    route = (1, 2, 3, 4)
+    steps, plan = net.steps(route), net.plan_for(route, False)
+    assert net.steps(route) is steps  # built once per route
+    assert [(node.as_id, link, index, hop) for node, link, index, hop, _ in steps] == [
+        (a, net.links.get((a, a + 1)), pos - 1, plan.hops[pos - 1] if pos else None)
+        for pos, a in enumerate(route)]
+    back = steps[-1][4]  # the whole route's, from the destination
+    assert [(node.as_id, link, index, hop, way) for node, link, index, hop, way in back] == [
+        (a, net.links.get((a, a - 1)), pos - 1, plan.hops[pos - 1] if pos else None, None)
+        for pos, a in reversed(list(enumerate(route)))]
+    mid = steps[2][4]  # a response turning around at AS 3
+    assert mid == back[1:]
+    node3 = net.nodes[3]
+    assert mid[0][3] == source.PathHop(3, node3.if_to[2], node3.if_to[4]) and mid[0][3].egress
 
 
 # kinds and warm start -------------------------------------------------------------------
@@ -987,10 +1032,19 @@ def test_protocol_grants_equal_the_study_shares(n, seed, r):
     for flow in net.flows.values():
         grants = flow.store.grants
         assert grants.keys() == {key for _, key in flow.plan.forward_keys}, flow.name
+        shares = []
         for (as_id, pair_in, pair_out), grant in grants.items():
             entry = study.matrices[as_id].admission_value(pair_in, pair_out)
-            assert grant.bw == entry * 4 // (5 * study.pair_requesters[as_id, pair_in, pair_out]), \
-                (flow.name, as_id)
+            shares.append(entry * 4 // (5 * study.pair_requesters[as_id, pair_in, pair_out]))
+            assert grant.bw == shares[-1], (flow.name, as_id)
+        # ``rate: auto`` is the least share over the hops simnet reserves.
+        # The study's maximum-strategy size also counts the source's own
+        # (0, egress) pair at its full entry, which simnet never reserves:
+        # that pair would be the least in 10 of the 270 flows at (30, 1, 0.3)
+        # and in 7 of the 800 at (40, 2, 0.5).
+        rate = source.compose(flow.store, [flow.plan], source.CONCURRENT,
+                              flow.node.local_time(net.loop.now)).path_rates[flow.name]
+        assert rate == min(shares), flow.name
 
 
 def test_assert_requirement_refuses_a_name_the_run_lacks():
