@@ -36,8 +36,7 @@ for r in (0.1, 1.0):
               f"{covers[topo.CONCURRENT].median:10.3f}")
 
 print("\nper-pair shares never over-allocate their matrix entry:")
-study = topo.ReservationStudy(g, mats, topo.build_demands(g, 1.0, SEED))
-bw = study.pair_bandwidth()
+bw = study.pair_bandwidth()  # the loop's last study: r=1.0
 worst = max((bw[p] * c) / mats[p[0]].admission_value(p[1], p[2])
             for p, c in study.pair_requesters.items())
 print(f"  max utilization of any entry: {float(worst):.4f} (<= 1 exactly)")

@@ -13,6 +13,12 @@ Every node gets an internal interface 0 with the capacity of its largest
 link, then one per incident edge by ascending neighbour id, and an
 allocation matrix from those capacities.
 
+Each source samples its destinations in one weighted order per seed,
+drawn over the graph's own node ids the first time ``build_demands``
+asks for that seed and held on the graph; every sampling rate's demands
+are prefixes of it, so a second rate on the same (graph, seed) draws
+nothing and its lists share the graph's int objects.
+
 Reservation sizes between node pairs follow the per-pair share formula
 with the requester count taken as the exact number of sources whose
 shortest paths cross the pair; paths are BFS shortest paths with
@@ -55,6 +61,9 @@ class TopologyGraph:
     def __init__(self, n: int, edges: list[tuple[int, int]],
                  edge_capacity: dict[tuple[int, int], int]):
         self.n = n
+        self.nodes: list[int] = list(range(n))  # the ids every order and demand list holds
+        # seed -> each source's destination order, drawn on first use by build_demands
+        self._orders: dict[int, list[list[int]]] = {}
         self.adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             self.adj[u].append(v)
@@ -221,12 +230,14 @@ def destination_order(g: TopologyGraph, src: int, seed: int) -> list[int]:
     sampling rates. The keys are the float operations of
     ``Random.expovariate(1.0)`` written out, so the order depends only on
     ``Random.random`` and ``math.log``, not on ``expovariate`` staying as
-    it is. A source outside 0..n-1 raises ``ValueError``.
+    it is. The candidates are a copy of ``g.nodes``, so an order holds the
+    graph's own ids. ``build_demands`` calls this once per source and seed
+    of a graph. A source outside 0..n-1 raises ``ValueError``.
     """
     if not 0 <= src < g.n:
         raise ValueError(f"source {src}: must be a node of 0..{g.n - 1}")
     draw, log, deg = random.Random(seed * 1_000_003 + src).random, math.log, g.degrees
-    others = list(range(g.n))
+    others = g.nodes.copy()
     del others[src]
     keys = [-log(1.0 - draw()) / deg[v] for v in others]
     # a stable argsort: equal keys keep ascending id, as a (key, v) sort does
@@ -237,11 +248,16 @@ def build_demands(g: TopologyGraph, r: float, seed: int) -> dict[int, list[int]]
     """Each source's sampled destinations at sampling rate ``r`` in (0, 1]:
     the first round(r*n) of its destination order, at least one and at most
     every other node, so degree-weighted, without replacement and never the
-    source itself."""
+    source itself. The graph draws each source's order once per seed, on
+    the first call for that seed, and holds it; every call returns fresh
+    prefix slices of the held orders, never the orders themselves."""
     if not 0 < r <= 1:
         raise ValueError(f"sampling rate must be in (0, 1], got r={r}")
     d = max(1, min(g.n - 1, round(r * g.n)))
-    return {src: destination_order(g, src, seed)[:d] for src in range(g.n)}
+    orders = g._orders.get(seed)
+    if orders is None:
+        orders = g._orders[seed] = [destination_order(g, src, seed) for src in g.nodes]
+    return {src: order[:d] for src, order in zip(g.nodes, orders)}
 
 
 # ---------------------------------------------------------------------------

@@ -139,13 +139,50 @@ def test_destination_order_matches_the_reference():
 
 
 def test_demands_are_prefixes_of_the_reference_order():
+    """Rates walked up then down on one graph, and down then up on another:
+    the first call draws the graph's orders, every later one slices them."""
+    rates = (0.001, 0.1, 0.5, 1.0)  # 0.001 and 1.0 meet the clamp's two ends
     for n, seed in ((60, 2), (200, 11)):
         g = topo.generate_topology(n, seed=seed)
         orders = [ref_destination_order(g, src, seed) for src in range(n)]
-        for r in (0.001, 0.1, 0.5, 1.0):  # 0.001 and 1.0 meet the clamp's two ends
-            d = max(1, min(n - 1, round(r * n)))
-            assert topo.build_demands(g, r, seed) == \
-                {src: order[:d] for src, order in enumerate(orders)}, (n, seed, r)
+        for walk in (rates + rates[::-1], rates[::-1] + rates):
+            g = topo.generate_topology(n, seed=seed)  # a graph that holds no order yet
+            for r in walk:
+                d = max(1, min(n - 1, round(r * n)))
+                assert topo.build_demands(g, r, seed) == \
+                    {src: order[:d] for src, order in enumerate(orders)}, (n, seed, walk, r)
+
+
+def test_a_graph_draws_each_order_once_per_seed(monkeypatch):
+    """``build_demands`` at a second rate on the same (graph, seed), in either
+    order, draws no order; another seed draws its own n."""
+    n, drawn, draw = 60, Counter(), topo.destination_order
+
+    def counted(g, src, seed):
+        drawn[seed] += 1
+        return draw(g, src, seed)
+
+    monkeypatch.setattr(topo, "destination_order", counted)
+    for rates in ((0.1, 1.0), (1.0, 0.1)):
+        g = topo.generate_topology(n, seed=2)
+        drawn.clear()
+        for r in rates:
+            topo.build_demands(g, r, seed=2)
+        assert drawn == {2: n}, rates
+        topo.build_demands(g, 0.1, seed=3)
+        topo.build_demands(g, 1.0, seed=3)
+        assert drawn == {2: n, 3: n}, rates
+
+
+def test_returned_demands_never_alias_the_held_orders():
+    """A caller that grows its demand lists changes nothing a later call on
+    the graph returns, at a partial rate and at the full one."""
+    g = topo.generate_topology(60, seed=2)
+    expected = {r: topo.build_demands(g, r, seed=2) for r in (0.1, 1.0)}
+    for r in (0.1, 1.0):
+        for dests in topo.build_demands(g, r, seed=2).values():
+            dests.append(-1)
+    assert {r: topo.build_demands(g, r, seed=2) for r in (0.1, 1.0)} == expected
 
 
 def test_tied_keys_order_by_ascending_id(monkeypatch):
